@@ -1,35 +1,26 @@
-// E16 — sharded replica execution under multi-client pipelined load.
+// E16 — the cost of a replica's shard layout under multi-client
+// pipelined load.
 //
-// One replica (quorum {0}) so every operation lands on the same server,
-// making replica-side parallelism the only variable; 3 client threads each
-// drive an AsyncQuorumClient pipeline at the store, and the replica's
-// shard count sweeps {1, 2, 4, 8}. shards=1 runs the pre-sharding
-// architecture (a single worker draining the bus mailbox, no dispatch
-// stage) and is the baseline; shards>1 adds the dispatch stage and per-key
-// routing to a worker pool of min(shards, cores) threads (each worker
-// owning a fixed subset of the shards).
+// One replica (quorum {0}) so every operation lands on the same server;
+// 3 client threads each drive an AsyncQuorumClient pipeline at the store,
+// and the replica's shard count sweeps {1, 2, 4, 8}. Every replica runs
+// one loop thread whatever its shard count (shards are the durable layout
+// unit, not threads), so the sweep measures what extra shards cost that
+// loop: per-entry shard resolution in memory, and under durability one
+// WAL segment chain per shard.
 //
 // E16a is the in-memory backend. E16b is the durable backend under group
-// commit with per-shard WAL segments (`wal_<s>.log`), run twice: once
-// with the cross-shard GroupCommitCoordinator (one fsync decision per
-// window across the whole shard set — the shipping configuration) and
-// once with the pre-coordinator per-shard inline windows (the `pre_change`
-// reference the fsyncs/op regression gate compares against).
+// commit with per-shard WAL segments and the per-replica
+// GroupCommitCoordinator (one fsync decision per window across the whole
+// shard set).
 //
-// Alongside throughput and shard balance every row records the hot-path
-// counters: fsyncs/op, dispatch→worker handoffs/op and wakeups/op (a whole
-// routed burst should cross as one handoff per worker touched), bus-mailbox
-// wakeups/op, the resolved worker-pool size (min(shards, cores) by
-// default — shards pin the durable layout, workers adapt to the machine),
-// and coordinator fsync passes. Each section uses its own RNG seed base so
-// two sections can never report identical per-shard arrays by accident —
-// the bench-artifact sanity check in CI rejects that.
-//
-// Speedup scales with physical cores: on a single-core host the sweep
-// measures dispatch overhead rather than parallelism (shards>1 cannot
-// exceed 1.0 there), so the JSON records hardware_concurrency to make the
-// numbers interpretable. Results print as tables and are written as JSON
-// (argv[1], default "BENCH_sharding.json") so CI can archive them.
+// Alongside throughput and shard balance every row records fsyncs/op,
+// coordinator fsync passes and mailbox wakeups/op. Each section uses its
+// own RNG seed base so two sections can never report identical per-shard
+// arrays by accident — the bench-artifact sanity check in CI rejects that.
+// Results print as tables and are written as JSON (argv[1], default
+// "BENCH_sharding.json", with hardware_concurrency recorded) so CI can
+// archive them.
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -61,14 +52,10 @@ struct RunResult {
   double ops_per_sec = 0;
   std::uint64_t failures = 0;
   std::vector<std::uint64_t> shard_ops;    // applied ops per shard
-  std::vector<std::uint64_t> shard_peaks;  // queue high-water per shard
   double balance = 1.0;                    // min/max shard ops
   std::uint64_t fsyncs = 0;                // all shard segments, total
   std::uint64_t commit_passes = 0;         // coordinator fsync decisions
-  std::uint64_t worker_handoffs = 0;       // dispatch→worker Push/PushAll
-  std::uint64_t worker_wakeups = 0;        // dispatch→worker cv notifies
   std::uint64_t mailbox_wakeups = 0;       // client→replica cv notifies
-  std::size_t workers = 0;                 // resolved worker-pool size
 };
 
 RunResult Measure(StoreOptions options, std::size_t shards,
@@ -120,13 +107,9 @@ RunResult Measure(StoreOptions options, std::size_t shards,
   std::uint64_t min_ops = ~0ull, max_ops = 0;
   for (const runtime::ShardCounters& c : stats.per_shard) {
     out.shard_ops.push_back(c.ops);
-    out.shard_peaks.push_back(c.queue_peak);
     min_ops = std::min(min_ops, c.ops);
     max_ops = std::max(max_ops, c.ops);
   }
-  out.worker_handoffs = stats.worker_handoffs;
-  out.worker_wakeups = stats.worker_wakeups;
-  out.workers = store.ReplicaWorkerCount(0);
   if (max_ops > 0) {
     out.balance = static_cast<double>(min_ops) / static_cast<double>(max_ops);
   }
@@ -141,17 +124,14 @@ StoreOptions MemoryOptions(std::size_t) { return StoreOptions{}; }
 // A fresh directory per sweep point: the MANIFEST pins a directory's shard
 // count, so reopening one layout with a different count is (correctly)
 // rejected.
-StoreOptions DurableOptions(const std::string& root, std::size_t shards,
-                            bool coordinate) {
-  const std::string dir = root + "/" + (coordinate ? "c" : "i") +
-                          std::to_string(shards);
+StoreOptions DurableOptions(const std::string& root, std::size_t shards) {
+  const std::string dir = root + "/" + std::to_string(shards);
   std::filesystem::create_directories(dir);
   StoreOptions options;
   options.durability = storage::DurabilityOptions{
       .directory = dir,
       .fsync = storage::FsyncPolicy::kGroupCommit,
       .group_commit_window = std::chrono::microseconds{200},
-      .coordinate_group_commit = coordinate,
   };
   return options;
 }
@@ -186,11 +166,6 @@ void EmitRows(std::ofstream& os, const std::vector<JsonRow>& rows) {
        << ", \"fsyncs\": " << row.r.fsyncs
        << ", \"fsyncs_per_op\": " << bench::Table::Num(PerOp(row.r.fsyncs), 4)
        << ", \"commit_passes\": " << row.r.commit_passes
-       << ", \"workers\": " << row.r.workers
-       << ", \"worker_handoffs_per_op\": "
-       << bench::Table::Num(PerOp(row.r.worker_handoffs), 4)
-       << ", \"worker_wakeups_per_op\": "
-       << bench::Table::Num(PerOp(row.r.worker_wakeups), 4)
        << ", \"mailbox_wakeups_per_op\": "
        << bench::Table::Num(PerOp(row.r.mailbox_wakeups), 4)
        << ", \"failures\": " << row.r.failures << "}"
@@ -199,8 +174,7 @@ void EmitRows(std::ofstream& os, const std::vector<JsonRow>& rows) {
 }
 
 void WriteJson(const std::string& path, const std::vector<JsonRow>& memory,
-               const std::vector<JsonRow>& durable,
-               const std::vector<JsonRow>& pre_change) {
+               const std::vector<JsonRow>& durable) {
   std::ofstream os(path);
   os << "{\n"
      << "  \"experiment\": \"E16\",\n"
@@ -217,9 +191,6 @@ void WriteJson(const std::string& path, const std::vector<JsonRow>& memory,
   os << "  ],\n"
      << "  \"durable_group_commit\": [\n";
   EmitRows(os, durable);
-  os << "  ],\n"
-     << "  \"pre_change_inline_group_commit\": [\n";
-  EmitRows(os, pre_change);
   os << "  ]\n}\n";
 }
 
@@ -227,8 +198,8 @@ std::vector<JsonRow> RunSection(
     const std::string& title, std::uint64_t seed_base,
     const std::function<StoreOptions(std::size_t)>& make) {
   bench::Banner(title);
-  bench::Table table({"shards", "workers", "ops/s", "speedup vs 1",
-                      "balance", "fsyncs/op", "handoffs/op", "wakeups/op",
+  bench::Table table({"shards", "ops/s", "speedup vs 1", "balance",
+                      "fsyncs/op", "commit passes", "wakeups/op",
                       "failures"});
   std::vector<JsonRow> rows;
   for (std::size_t shards : {1u, 2u, 4u, 8u}) {
@@ -238,13 +209,12 @@ std::vector<JsonRow> RunSection(
   }
   for (const JsonRow& row : rows) {
     table.AddRow({std::to_string(row.shards),
-                  std::to_string(row.r.workers),
                   bench::Table::Num(row.r.ops_per_sec, 0),
                   bench::Table::Num(row.speedup, 2),
                   bench::Table::Num(row.r.balance, 2),
                   bench::Table::Num(PerOp(row.r.fsyncs), 4),
-                  bench::Table::Num(PerOp(row.r.worker_handoffs), 4),
-                  bench::Table::Num(PerOp(row.r.worker_wakeups), 4),
+                  std::to_string(row.r.commit_passes),
+                  bench::Table::Num(PerOp(row.r.mailbox_wakeups), 4),
                   std::to_string(row.r.failures)});
   }
   table.Print();
@@ -267,31 +237,19 @@ int main(int argc, char** argv) {
   const std::vector<JsonRow> durable = RunSection(
       "E16b: durable, per-shard WAL segments, cross-shard coordinated "
       "group commit (one fsync decision per window per replica)",
-      5000,
-      [&scratch](std::size_t shards) {
-        return DurableOptions(scratch, shards, true);
-      });
-  const std::vector<JsonRow> pre_change = RunSection(
-      "E16b reference: durable, pre-change per-shard inline group-commit "
-      "windows (independent fsync stream per shard)",
-      9000,
-      [&scratch](std::size_t shards) {
-        return DurableOptions(scratch, shards, false);
+      5000, [&scratch](std::size_t shards) {
+        return DurableOptions(scratch, shards);
       });
   std::filesystem::remove_all(scratch);
 
-  WriteJson(json_path, memory, durable, pre_change);
+  WriteJson(json_path, memory, durable);
   std::cout << "\nShape checks: shard balance stays near 1.0 (FNV-1a spreads "
-               "256 keys evenly);\nshards=1 is the dispatch-free baseline; "
-               "handoffs/op well below 1 means whole\nbursts cross the "
-               "dispatch→worker boundary together. Coordinated group commit\n"
-               "should hold fsyncs/op roughly flat as shards grow, where the "
-               "pre-change inline\nwindows multiply it. Speedup at shards>1 "
-               "tracks physical cores (hardware_\nconcurrency = "
-            << std::thread::hardware_concurrency()
-            << " on this host): the worker pool is capped at the core count,"
-               "\nso high shard counts add WAL segments, not thread thrash."
-               "\nJSON: "
-            << json_path << "\n";
+               "256 keys evenly);\nevery row runs one loop thread per "
+               "replica, so extra shards cost per-entry\nrouting in memory "
+               "and extra WAL segments under durability; coordinated group\n"
+               "commit holds fsyncs/op roughly flat as shards grow "
+               "(hardware_concurrency = "
+            << std::thread::hardware_concurrency() << ").\nJSON: " << json_path
+            << "\n";
   return 0;
 }

@@ -86,16 +86,10 @@ struct RtMessage {
                      // instead of a timing race. Never encoded on the wire
                      // (codec kMaxKind = kJoinReq rejects it).
   };
-  // Sharded replicas (StoreOptions::shards_per_replica > 1) route these
-  // messages internally by key hash. A kBatch* request may therefore be
-  // answered with *several* responses from the same replica — one per
-  // shard the batch touched. Clients already tolerate this: batch
-  // responses are folded per entry under per-op replica bitmasks, and each
-  // op's key lives in exactly one shard, so every replica still
-  // contributes exactly one response entry per op. A kConfigWriteReq is
-  // broadcast to every shard (the stamp is store-wide state) and acked
-  // once, after all shards have applied it; when forwarded shard-ward its
-  // `value` field carries the dispatch barrier epoch.
+  // Sharded replicas (StoreOptions::shards_per_replica > 1) resolve each
+  // key to its shard internally; a kBatch* request still gets exactly one
+  // response per replica, and a kConfigWriteReq is acked once, after
+  // every shard applied it (the stamp is store-wide state).
   Kind kind = Kind::kReadReq;
   std::uint64_t op = 0;
   std::string key;

@@ -15,12 +15,6 @@ namespace {
 /// so live traffic interleaves at chunk granularity.
 constexpr std::size_t kCatchupChunkEntries = 128;
 constexpr std::size_t kCatchupChunkCeiling = 4096;
-
-std::size_t ResolveWorkerCount(std::size_t shards, std::size_t requested) {
-  std::size_t w = requested == 0 ? DefaultWorkersPerReplica(shards) : requested;
-  if (w == 0) w = 1;
-  return w < shards ? w : shards;
-}
 }  // namespace
 
 ReplicaServer::ReplicaServer(Transport& transport, NodeId id)
@@ -31,7 +25,7 @@ ReplicaServer::ReplicaServer(Transport& transport, NodeId id)
 ReplicaServer::ReplicaServer(Transport& transport, NodeId id,
                              const std::size_t shards,
                              const BackendFactory& make_backend,
-                             bool record_history, std::size_t workers)
+                             bool record_history)
     : transport_(&transport), id_(id), record_history_(record_history) {
   QCNT_CHECK(shards >= 1);
   shards_.reserve(shards);
@@ -41,26 +35,10 @@ ReplicaServer::ReplicaServer(Transport& transport, NodeId id,
     QCNT_CHECK(shard->backend != nullptr);
     shards_.push_back(std::move(shard));
   }
-  // Worker pool: shards are multiplexed round-robin onto
-  // min(shards, cores) threads unless an explicit count is given. The
-  // assignment is fixed for the server's lifetime — a shard's image and
-  // backend are only ever touched by its owning worker, which is the
-  // whole thread-safety story.
-  const std::size_t w_count = ResolveWorkerCount(shards, workers);
-  workers_.reserve(w_count);
-  for (std::size_t w = 0; w < w_count; ++w) {
-    auto worker = std::make_unique<Worker>();
-    worker->wal_parts.assign(shards, {});
-    worker->touched_flag.assign(shards, 0);
-    workers_.push_back(std::move(worker));
-  }
-  worker_of_.resize(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    worker_of_[s] = s % w_count;
-    workers_[s % w_count]->owned.push_back(s);
-  }
+  wal_parts_.assign(shards, {});
+  touched_flag_.assign(shards, 0);
   // The crash hook makes Transport::Crash a deterministic cut: it pushes
-  // a kCrashDrain marker and waits until every loop thread passed it, so
+  // a kCrashDrain marker and waits until the loop passed it, so
   // everything delivered before the crash is applied and everything after
   // is refused. The recover hook re-arms the node for external work.
   transport_->SetCrashHook(id_, [this] { OnBusCrash(); });
@@ -78,89 +56,54 @@ void ReplicaServer::Start() {
   for (auto& sh : shards_) {
     sh->image = sh->backend->Recover();
   }
-  for (auto& w : workers_) {
-    w->inbox.Clear();  // drop anything queued across a crash/restart
-  }
-  route_bufs_.assign(workers_.size(), {});
-  split_parts_.assign(workers_.size(), {});
   crash_cut_.store(false, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
-    live_threads_ = Multi() ? workers_.size() + 1 : 1;
+    loop_live_ = true;
   }
-  if (Multi()) {
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      workers_[w]->thread = std::thread([this, w] { WorkerLoop(w); });
-    }
-    thread_ = std::thread([this] { DispatchLoop(); });
-  } else {
-    thread_ = std::thread([this] { SingleLoop(); });
-  }
+  thread_ = std::thread([this] { Loop(); });
 }
 
-void ReplicaServer::NoteThreadExit() {
+void ReplicaServer::NoteLoopExit() {
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
-    --live_threads_;
+    loop_live_ = false;
   }
-  // A crash-drain waiter must not hang on a node whose loops are gone.
+  // A crash-drain waiter must not hang on a node whose loop is gone.
   drain_cv_.notify_all();
 }
 
 void ReplicaServer::Shutdown() {
   if (!thread_.joinable()) return;
   // Push directly: the bus would drop the message if this node is
-  // "crashed", but shutdown must always get through. The dispatch loop
-  // forwards the shutdown to every worker before exiting.
+  // "crashed", but shutdown must always get through.
   RtMessage m;
   m.kind = RtMessage::Kind::kShutdown;
   transport_->MailboxOf(id_).Push(Envelope{id_, std::move(m)});
   thread_.join();
   thread_ = std::thread();
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) {
-      w->thread.join();
-      w->thread = std::thread();
-    }
-  }
-}
-
-void ReplicaServer::StopWorkers() {
-  for (auto& w : workers_) {
-    RtMessage m;
-    m.kind = RtMessage::Kind::kShutdown;
-    w->inbox.Push(Envelope{id_, std::move(m)});
-  }
 }
 
 void ReplicaServer::OnBusCrash() {
-  // Runs inside Transport::Crash, after up_ flipped but with the bus
-  // mailbox intact: this hook owns the backlog. Instead of clearing
-  // mailboxes from the crashing thread (which raced in-flight peeks and
-  // could vaporize messages a worker was entitled to finish), push a
-  // kCrashDrain marker through the normal pipeline and wait until every
-  // worker has passed it. Everything ahead of the marker was delivered
-  // before the crash and is applied; everything behind it is refused via
-  // Crashed() — a deterministic FIFO cut with no cleared queues.
+  // Runs inside Transport::Crash, after up_ flipped but with the mailbox
+  // intact: this hook owns the backlog. Instead of clearing the mailbox
+  // from the crashing thread (which raced in-flight peeks and could
+  // vaporize messages the loop was entitled to finish), push a
+  // kCrashDrain marker through the mailbox and wait until the loop has
+  // passed it. Everything ahead of the marker was delivered before the
+  // crash and is applied; everything behind it is refused via Crashed() —
+  // a deterministic FIFO cut with no cleared queue.
   std::lock_guard<std::mutex> call(drain_call_mu_);  // serialize crashes
-  // Wake a dispatch thread parked mid-config-barrier: up_ is already
-  // false, so its predicate releases and it proceeds to the marker.
-  {
-    std::lock_guard<std::mutex> lock(barrier_mu_);
-  }
-  barrier_cv_.notify_all();
   std::uint64_t epoch = 0;
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
-    if (live_threads_ == 0) {
+    if (!loop_live_) {
       // No loop will ever see a marker (crash raced shutdown or hit a
       // node wiped by CrashAndWipe): discard the backlog directly.
       transport_->MailboxOf(id_).Clear();
-      for (auto& w : workers_) w->inbox.Clear();
       return;
     }
     epoch = ++drain_epoch_;
-    drain_acks_ = 0;
   }
   RtMessage m;
   m.kind = RtMessage::Kind::kCrashDrain;
@@ -169,10 +112,7 @@ void ReplicaServer::OnBusCrash() {
   // must ride the same FIFO as the backlog it cuts.
   transport_->MailboxOf(id_).Push(Envelope{id_, std::move(m)});
   std::unique_lock<std::mutex> lock(drain_mu_);
-  drain_cv_.wait(lock, [&] {
-    return (drain_epoch_ == epoch && drain_acks_ >= DrainTarget()) ||
-           live_threads_ == 0;
-  });
+  drain_cv_.wait(lock, [&] { return drained_epoch_ == epoch || !loop_live_; });
 }
 
 void ReplicaServer::OnBusRecover() {
@@ -197,15 +137,9 @@ bool ReplicaServer::Crashed() {
 void ReplicaServer::AckCrashDrain(std::uint64_t epoch) {
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
-    if (epoch == drain_epoch_) ++drain_acks_;
+    drained_epoch_ = epoch;
   }
   drain_cv_.notify_all();
-}
-
-void ReplicaServer::FlushRoutes() {
-  for (std::size_t w = 0; w < route_bufs_.size(); ++w) {
-    if (!route_bufs_[w].empty()) workers_[w]->inbox.PushAll(route_bufs_[w]);
-  }
 }
 
 void ReplicaServer::CrashAndWipe() {
@@ -236,9 +170,6 @@ ReplicaSnapshot ReplicaServer::Peek() {
   std::lock_guard<std::mutex> call(peek_call_mu_);
   std::unique_lock<std::mutex> lock(peek_mu_);
   const std::uint64_t epoch = ++peek_epoch_;
-  peek_slots_.assign(shards_.size(), ReplicaSnapshot{});
-  peek_filled_.assign(shards_.size(), 0);
-  peek_served_ = 0;
   const auto push_request = [&] {
     RtMessage m;
     m.kind = RtMessage::Kind::kImagePeek;
@@ -248,71 +179,46 @@ ReplicaSnapshot ReplicaServer::Peek() {
     transport_->MailboxOf(id_).Push(Envelope{id_, std::move(m)});
   };
   push_request();
-  while (peek_served_ < shards_.size()) {
-    // Crash-drain no longer clears inboxes, so an in-flight peek normally
-    // survives a concurrent crash; the timed retry (same epoch, filled
-    // flags dedup) remains as a liveness guard for the rare paths that
-    // still discard queues (crash racing shutdown, CrashAndWipe).
-    if (!peek_cv_.wait_for(lock, std::chrono::milliseconds(50), [&] {
-          return peek_served_ >= shards_.size();
-        })) {
-      push_request();
-    }
+  // A crash-drain never discards a queued peek; the timed retry (same
+  // epoch, deduplicated by peek_served_) is a liveness guard for the
+  // rare paths that still discard the queue (crash racing shutdown,
+  // CrashAndWipe).
+  while (!peek_cv_.wait_for(lock, std::chrono::milliseconds(50),
+                            [&] { return peek_served_ == epoch; })) {
+    push_request();
   }
-  ReplicaSnapshot out;
-  for (ReplicaSnapshot& slot : peek_slots_) {
-    // Shard images are key-disjoint; the stamp merge takes the newest.
-    for (auto& [key, v] : slot.image.data) {
-      out.image.data.emplace(key, v);
-    }
-    out.image.ApplyConfig(slot.image.generation, slot.image.config_id);
-    out.history.insert(out.history.end(),
-                       std::make_move_iterator(slot.history.begin()),
-                       std::make_move_iterator(slot.history.end()));
-    out.storage += slot.storage;
-  }
+  ReplicaSnapshot out = std::move(peek_slot_);
+  peek_slot_ = ReplicaSnapshot{};
   out.stats = BatchStats();
   return out;
 }
 
-void ReplicaServer::ServePeek(std::size_t idx, std::uint64_t epoch) {
+void ReplicaServer::ServePeek(std::uint64_t epoch) {
   std::lock_guard<std::mutex> lock(peek_mu_);
-  if (epoch != peek_epoch_ || idx >= peek_filled_.size() ||
-      peek_filled_[idx]) {
-    return;  // stale epoch or a retry already served for this shard
+  if (epoch != peek_epoch_ || peek_served_ == epoch) {
+    return;  // stale epoch or a retry already served
   }
-  Shard& sh = *shards_[idx];
-  peek_slots_[idx].image = sh.image;
-  // Spill mode: the in-memory image is only the un-checkpointed tail.
-  // Overlay the checkpoint chain so observers still see the full map;
-  // the image merge rule keeps the hot copy wherever both layers hold a
-  // key. Non-spill backends visit nothing here.
-  storage::Image& peeked = peek_slots_[idx].image;
-  sh.backend->ScanAll(
-      [&peeked](const std::string& key, const storage::Versioned& v) {
-        peeked.ApplyWrite(key, v.version, v.value);
-      });
-  peek_slots_[idx].storage = sh.backend->Stats();
-  peek_slots_[idx].history = sh.history;
-  peek_filled_[idx] = 1;
-  ++peek_served_;
+  ReplicaSnapshot& out = peek_slot_;
+  for (const auto& sh : shards_) {
+    // Shard images are key-disjoint; the stamp merge takes the newest.
+    for (const auto& [key, v] : sh->image.data) {
+      out.image.data.emplace(key, v);
+    }
+    out.image.ApplyConfig(sh->image.generation, sh->image.config_id);
+    // Spill mode: the in-memory image is only the un-checkpointed tail.
+    // Overlay the checkpoint chain so observers still see the full map;
+    // the image merge rule keeps the hot copy wherever both layers hold a
+    // key. Non-spill backends visit nothing here.
+    sh->backend->ScanAll(
+        [&out](const std::string& key, const storage::Versioned& v) {
+          out.image.ApplyWrite(key, v.version, v.value);
+        });
+    out.history.insert(out.history.end(), sh->history.begin(),
+                       sh->history.end());
+    out.storage += sh->backend->Stats();
+  }
+  peek_served_ = epoch;
   peek_cv_.notify_all();
-}
-
-std::vector<ShardCounters> ReplicaServer::CollectShardCounters() const {
-  std::vector<ShardCounters> out;
-  out.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& sh = *shards_[s];
-    ShardCounters c;
-    c.ops = sh.ops.load(std::memory_order_relaxed);
-    c.batches = sh.batches.load(std::memory_order_relaxed);
-    c.fsyncs = sh.backend->Stats().fsyncs;
-    c.queue_peak =
-        workers_[worker_of_[s]]->queue_peak.load(std::memory_order_relaxed);
-    out.push_back(c);
-  }
-  return out;
 }
 
 storage::StorageStats ReplicaServer::StorageStats() const {
@@ -328,34 +234,32 @@ BatchStats ReplicaServer::BatchStats() const {
   s.max_batch = max_batch_.load(std::memory_order_relaxed);
   s.read_ops = read_ops_.load(std::memory_order_relaxed);
   s.write_ops = write_ops_.load(std::memory_order_relaxed);
-  s.per_shard = CollectShardCounters();
+  const std::uint64_t queue_peak =
+      queue_peak_.load(std::memory_order_relaxed);
+  for (const auto& sh : shards_) {
+    s.per_shard.push_back(ShardCounters{
+        sh->ops.load(std::memory_order_relaxed),
+        sh->batches.load(std::memory_order_relaxed),
+        sh->backend->Stats().fsyncs, queue_peak});
+  }
   const Mailbox& inbox = transport_->MailboxOf(id_);
   s.mailbox_handoffs = inbox.Handoffs();
   s.mailbox_wakeups = inbox.Wakeups();
-  if (Multi()) {
-    // Single-shard replicas have no dispatch→worker hop; the sole loop
-    // consumes the bus mailbox directly (mailbox_* above covers it).
-    for (const auto& w : workers_) {
-      s.worker_handoffs += w->inbox.Handoffs();
-      s.worker_wakeups += w->inbox.Wakeups();
-    }
-  }
   return s;
 }
 
-void ReplicaServer::SingleLoop() {
-  Worker& w = *workers_[0];
+void ReplicaServer::Loop() {
   Mailbox& mailbox = transport_->MailboxOf(id_);
   for (;;) {
     std::deque<Envelope> batch = mailbox.PopAll();
     if (batch.empty()) {
-      NoteThreadExit();
+      NoteLoopExit();
       return;  // mailbox closed and drained
     }
-    TrackPeak(w.queue_peak, batch.size());
+    TrackPeak(queue_peak_, batch.size());
     for (Envelope& e : batch) {
       if (e.msg.kind == RtMessage::Kind::kShutdown) {
-        NoteThreadExit();
+        NoteLoopExit();
         return;
       }
       if (e.msg.kind == RtMessage::Kind::kCrashDrain) {
@@ -364,146 +268,10 @@ void ReplicaServer::SingleLoop() {
         continue;
       }
       // Behind a crash cut only the internal side channels stay live.
+      // (The up-check in Bus::Send keeps replies from escaping anyway.)
       if (Crashed() && e.msg.kind != RtMessage::Kind::kImagePeek) continue;
-      HandleOnWorker(0, e);
+      Handle(e);
     }
-  }
-}
-
-void ReplicaServer::DispatchLoop() {
-  // Bound on the opportunistic drain below: routing stays cheap, so a
-  // few extra rounds widen the burst a lot, but the bound keeps a steady
-  // producer stream from starving the workers of their flush.
-  constexpr int kExtendRounds = 8;
-  Mailbox& mailbox = transport_->MailboxOf(id_);
-  for (;;) {
-    std::deque<Envelope> batch = mailbox.PopAll();
-    if (batch.empty()) {
-      StopWorkers();  // mailbox closed and drained
-      NoteThreadExit();
-      return;
-    }
-    for (int round = 0; round <= kExtendRounds; ++round) {
-      for (Envelope& e : batch) {
-        if (e.msg.kind == RtMessage::Kind::kShutdown) {
-          FlushRoutes();  // work routed before the shutdown still runs
-          StopWorkers();
-          NoteThreadExit();
-          return;
-        }
-        Route(std::move(e));
-      }
-      // Opportunistic extension: messages that arrived while this burst
-      // was being routed join the same flush, so each worker pays one
-      // wakeup for the union instead of one per pop.
-      if (round == kExtendRounds) break;
-      batch = mailbox.TryPopAll();
-      if (batch.empty()) break;
-    }
-    // One PushAll (one lock acquisition, at most one wakeup) per touched
-    // worker for the whole burst — this, not per-message Push, is what
-    // keeps dispatch off the worker mutexes at high shard counts.
-    FlushRoutes();
-  }
-}
-
-void ReplicaServer::Route(Envelope e) {
-  switch (e.msg.kind) {
-    case RtMessage::Kind::kImagePeek:
-      // Internal side channel: fan to every worker regardless of up/down.
-      // Flush first so the peek observes everything routed ahead of it.
-      FlushRoutes();
-      for (auto& w : workers_) {
-        w->inbox.Push(Envelope{e.from, e.msg});
-      }
-      return;
-    case RtMessage::Kind::kCrashDrain:
-      // The crash cut: everything buffered ahead of the marker is still
-      // pre-crash work — hand it over, then start refusing. Forwarding
-      // the marker to every worker (in FIFO, after the flush) lets each
-      // one ack once its own pre-crash backlog is fully applied.
-      FlushRoutes();
-      crash_cut_.store(true, std::memory_order_release);
-      for (auto& w : workers_) {
-        RtMessage m;
-        m.kind = RtMessage::Kind::kCrashDrain;
-        m.generation = e.msg.generation;
-        w->inbox.Push(Envelope{id_, std::move(m)});
-      }
-      return;
-    case RtMessage::Kind::kConfigWriteReq:
-      if (Crashed()) return;
-      // The barrier below blocks this thread on the workers, so anything
-      // already buffered must be queued ahead of the config stamp.
-      FlushRoutes();
-      BroadcastConfigAndAck(e);
-      return;
-    case RtMessage::Kind::kBatchReadReq:
-    case RtMessage::Kind::kBatchWriteReq:
-      // Behind the crash cut: refuse. (The up-check in Bus::Send keeps
-      // replies from escaping in any case.)
-      if (Crashed()) return;
-      SplitBatch(std::move(e));
-      return;
-    case RtMessage::Kind::kReadReq:
-    case RtMessage::Kind::kWriteReq: {
-      if (Crashed()) return;
-      const std::size_t s = ShardForKey(e.msg.key, shards_.size());
-      route_bufs_[worker_of_[s]].push_back(std::move(e));
-      return;
-    }
-    case RtMessage::Kind::kCatchupReq: {
-      // Donor side: `version` names the shard to scan. A request beyond
-      // this replica's layout is answered with an empty chunk whose shard
-      // count exposes the mismatch (the puller refuses the join).
-      if (Crashed()) return;
-      if (e.msg.version < shards_.size()) {
-        route_bufs_[worker_of_[e.msg.version]].push_back(std::move(e));
-      } else {
-        RtMessage refusal;
-        refusal.kind = RtMessage::Kind::kCatchupChunk;
-        refusal.op = e.msg.op;
-        refusal.version = shards_.size();
-        transport_->Send(id_, e.from, std::move(refusal));
-      }
-      return;
-    }
-    case RtMessage::Kind::kJoinReq:
-      if (Crashed()) return;
-      HandleJoinReq(e);
-      return;
-    case RtMessage::Kind::kCatchupChunk:
-      if (Crashed()) return;
-      HandleJoinChunk(e);
-      return;
-    default:
-      return;
-  }
-}
-
-void ReplicaServer::SplitBatch(Envelope e) {
-  // Split per *worker*, not per shard: the worker re-resolves each
-  // entry's shard on its own thread, so co-located shards cost no extra
-  // envelopes (and no extra acks back to the client) — at one worker the
-  // message profile degenerates to exactly the single-shard one.
-  for (auto& part : split_parts_) part.clear();
-  for (BatchEntry& entry : e.msg.batch) {
-    const std::size_t s = ShardForKey(entry.key, shards_.size());
-    split_parts_[worker_of_[s]].push_back(std::move(entry));
-  }
-  for (std::size_t w = 0; w < split_parts_.size(); ++w) {
-    if (split_parts_[w].empty()) continue;
-    RtMessage m;
-    m.kind = e.msg.kind;
-    m.op = e.msg.op;
-    // The stamp must ride on every sub-batch: the per-shard generation
-    // fence compares against it, and stripping it here would make every
-    // shard fence all batch installs once any reconfiguration bumped the
-    // store past generation zero.
-    m.generation = e.msg.generation;
-    m.config_id = e.msg.config_id;
-    m.batch = std::move(split_parts_[w]);
-    route_bufs_[w].push_back(Envelope{e.from, std::move(m)});
   }
 }
 
@@ -536,37 +304,6 @@ void ReplicaServer::MaybeAttachConfig(const RtMessage& req,
   if (config_payload_ != nullptr && config_payload_id_ == reply.config_id) {
     reply.config = *config_payload_;
   }
-}
-
-void ReplicaServer::BroadcastConfigAndAck(const Envelope& e) {
-  NoteConfigPayload(e.msg);
-  std::uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(barrier_mu_);
-    epoch = ++barrier_epoch_;
-    barrier_pending_ = workers_.size();
-  }
-  for (auto& w : workers_) {
-    RtMessage m = e.msg;
-    m.value = static_cast<std::int64_t>(epoch);  // barrier epoch
-    w->inbox.Push(Envelope{e.from, std::move(m)});
-  }
-  {
-    std::unique_lock<std::mutex> lock(barrier_mu_);
-    barrier_cv_.wait(lock, [&] {
-      return barrier_pending_ == 0 || !transport_->IsUp(id_);
-    });
-    // Crashed mid-barrier: abandon the wait so the dispatch thread can go
-    // process the drain marker. The stamp was delivered pre-crash, so the
-    // workers may still apply it — but no ack escapes (the node is down),
-    // and an unacked reconfiguration carries no guarantee.
-    if (barrier_pending_ != 0) return;
-  }
-  RtMessage ack;
-  ack.kind = RtMessage::Kind::kConfigWriteAck;
-  ack.op = e.msg.op;
-  ack.config = e.msg.config;  // echo: the ack is self-describing too
-  transport_->Send(id_, e.from, std::move(ack));
 }
 
 bool ReplicaServer::ApplyToImage(Shard& sh, const std::string& key,
@@ -609,29 +346,29 @@ void ReplicaServer::TrackPeak(std::atomic<std::uint64_t>& peak,
   }
 }
 
-void ReplicaServer::NoteTouched(Worker& w, std::size_t s) {
-  if (!w.touched_flag[s]) {
-    w.touched_flag[s] = 1;
-    w.touched.push_back(s);
+void ReplicaServer::NoteTouched(std::size_t s) {
+  if (!touched_flag_[s]) {
+    touched_flag_[s] = 1;
+    touched_.push_back(s);
   }
 }
 
-void ReplicaServer::FlushTouched(Worker& w) {
-  for (const std::size_t s : w.touched) {
+void ReplicaServer::FlushTouched() {
+  for (const std::size_t s : touched_) {
     Shard& sh = *shards_[s];
     sh.batches.fetch_add(1, std::memory_order_relaxed);
-    if (!w.wal_parts[s].empty()) {
+    if (!wal_parts_[s].empty()) {
       // One write(2) and one group-commit fsync decision per shard the
       // batch touched, before the single ack that covers them all —
       // write-ahead still holds: the ack covers exactly the records the
       // backends accepted.
-      sh.backend->ApplyWriteBatch(w.wal_parts[s]);
+      sh.backend->ApplyWriteBatch(wal_parts_[s]);
       sh.backend->MaybeCompact(sh.image);
-      w.wal_parts[s].clear();
+      wal_parts_[s].clear();
     }
-    w.touched_flag[s] = 0;
+    touched_flag_[s] = 0;
   }
-  w.touched.clear();
+  touched_.clear();
 }
 
 void ReplicaServer::CountBatchTotals(std::size_t entries) {
@@ -640,19 +377,19 @@ void ReplicaServer::CountBatchTotals(std::size_t entries) {
   TrackPeak(max_batch_, entries);
 }
 
-void ReplicaServer::HandleBatchRead(Worker& w, const RtMessage& m,
-                                    RtMessage& reply) {
+void ReplicaServer::HandleBatchRead(const RtMessage& m, RtMessage& reply) {
   reply.kind = RtMessage::Kind::kBatchReadResp;
   reply.batch.reserve(m.batch.size());
-  // The header stamp teaches the client the store's configuration; a
-  // worker's shards can only disagree transiently (recovery from a crash
-  // mid-barrier), so report the newest stamp seen across touched shards.
+  // The header stamp teaches the client the store's configuration. Shards
+  // can only disagree after a process died between logging a config write
+  // on one shard and the next, so report the newest stamp seen across the
+  // touched shards.
   std::uint64_t gen = 0;
   std::uint32_t cfg = 0;
   for (const BatchEntry& entry : m.batch) {
     const std::size_t s = ShardForKey(entry.key, shards_.size());
     Shard& sh = *shards_[s];
-    NoteTouched(w, s);
+    NoteTouched(s);
     if (sh.image.generation > gen ||
         (sh.image.generation == gen && sh.image.config_id > cfg)) {
       gen = sh.image.generation;
@@ -672,12 +409,12 @@ void ReplicaServer::HandleBatchRead(Worker& w, const RtMessage& m,
   reply.generation = gen;
   reply.config_id = cfg;
   MaybeAttachConfig(m, reply);
-  FlushTouched(w);
+  FlushTouched();
   CountBatchTotals(m.batch.size());
   read_ops_.fetch_add(m.batch.size(), std::memory_order_relaxed);
 }
 
-void ReplicaServer::HandleBatchWrite(Worker& w, const RtMessage& m,
+void ReplicaServer::HandleBatchWrite(const RtMessage& m,
                                      RtMessage& reply) {
   reply.kind = RtMessage::Kind::kBatchWriteAck;
   reply.batch.reserve(m.batch.size());
@@ -686,7 +423,7 @@ void ReplicaServer::HandleBatchWrite(Worker& w, const RtMessage& m,
   for (const BatchEntry& entry : m.batch) {
     const std::size_t s = ShardForKey(entry.key, shards_.size());
     Shard& sh = *shards_[s];
-    NoteTouched(w, s);
+    NoteTouched(s);
     if (sh.image.generation > gen ||
         (sh.image.generation == gen && sh.image.config_id > cfg)) {
       gen = sh.image.generation;
@@ -702,7 +439,7 @@ void ReplicaServer::HandleBatchWrite(Worker& w, const RtMessage& m,
       rec.key = entry.key;
       rec.version = entry.version;
       rec.value = entry.value;
-      w.wal_parts[s].push_back(std::move(rec));
+      wal_parts_[s].push_back(std::move(rec));
     }
     reply.batch.push_back(BatchEntry{entry.op, {}, 0, fenced ? 1 : 0});
     sh.ops.fetch_add(1, std::memory_order_relaxed);
@@ -712,13 +449,12 @@ void ReplicaServer::HandleBatchWrite(Worker& w, const RtMessage& m,
   MaybeAttachConfig(m, reply);
   // Accepted records reach the backends (one batch append + one
   // group-commit decision per touched shard) before the single ack below.
-  FlushTouched(w);
+  FlushTouched();
   CountBatchTotals(m.batch.size());
   write_ops_.fetch_add(m.batch.size(), std::memory_order_relaxed);
 }
 
-void ReplicaServer::HandleOnWorker(std::size_t widx, Envelope& e) {
-  Worker& w = *workers_[widx];
+void ReplicaServer::Handle(Envelope& e) {
   const RtMessage& m = e.msg;
   RtMessage reply;
   reply.op = m.op;
@@ -772,15 +508,15 @@ void ReplicaServer::HandleOnWorker(std::size_t widx, Envelope& e) {
       break;
     }
     case RtMessage::Kind::kConfigWriteReq: {
-      // The stamp is store-wide: this worker applies it to every shard it
-      // owns. Stamps order by (generation, config_id) — config ids are
-      // append-ordered, so an equal-generation install of a newer
+      // The stamp is store-wide: every shard applies and logs it before
+      // the single ack. Stamps order by (generation, config_id) — config
+      // ids are append-ordered, so an equal-generation install of a newer
       // configuration (an orphaned stamp from a timed-out reconfigure
       // attempt colliding with the attempt that won) supersedes, while a
       // duplicated install stays a no-op (no re-log), mirroring
       // ApplyToImage's idempotence.
-      for (const std::size_t idx : w.owned) {
-        Shard& sh = *shards_[idx];
+      for (auto& shard : shards_) {
+        Shard& sh = *shard;
         if (m.generation > sh.image.generation ||
             (m.generation == sh.image.generation &&
              m.config_id > sh.image.config_id)) {
@@ -791,55 +527,28 @@ void ReplicaServer::HandleOnWorker(std::size_t widx, Envelope& e) {
         }
         sh.ops.fetch_add(1, std::memory_order_relaxed);
       }
-      if (Multi()) {
-        // Barrier leg: the dispatch thread acks once every worker has
-        // applied + logged the stamp on all its shards (m.value carries
-        // the epoch).
-        std::lock_guard<std::mutex> lock(barrier_mu_);
-        if (static_cast<std::uint64_t>(m.value) == barrier_epoch_ &&
-            barrier_pending_ > 0 && --barrier_pending_ == 0) {
-          barrier_cv_.notify_all();
-        }
-        return;
-      }
-      // Single-shard mode: no dispatch stage saw this message, so the
-      // payload is remembered (and echoed) here.
       NoteConfigPayload(m);
       reply.kind = RtMessage::Kind::kConfigWriteAck;
-      reply.config = m.config;
+      reply.config = m.config;  // echo: the ack is self-describing too
       break;
     }
     case RtMessage::Kind::kBatchReadReq:
-      HandleBatchRead(w, m, reply);
+      HandleBatchRead(m, reply);
       break;
     case RtMessage::Kind::kBatchWriteReq:
-      HandleBatchWrite(w, m, reply);
+      HandleBatchWrite(m, reply);
       break;
     case RtMessage::Kind::kImagePeek:
-      for (const std::size_t idx : w.owned) ServePeek(idx, m.generation);
+      ServePeek(m.generation);
       return;  // side channel: no bus reply
     case RtMessage::Kind::kCatchupReq:
-      // Dispatch validated m.version < shards (multi); a single-shard
-      // donor has only shard 0 to serve.
-      ServeCatchup(Multi() ? static_cast<std::size_t>(m.version) : 0, e);
+      ServeCatchup(e);
       return;  // replies itself
     case RtMessage::Kind::kJoinReq:
-      // Single-shard mode only: the sole worker runs the join state
-      // machine directly (multi-shard replicas handle this on dispatch).
       HandleJoinReq(e);
       return;
     case RtMessage::Kind::kCatchupChunk:
-      if (Multi()) {
-        // Forwarded by the dispatch-side join machinery: just merge.
-        ApplyCatchupEntries(w, m.batch);
-      } else {
-        HandleJoinChunk(e);
-      }
-      return;
-    case RtMessage::Kind::kCrashDrain:
-      // Forwarded by dispatch: everything ahead of this marker in the
-      // worker inbox has been applied, so the drain waiter can release.
-      AckCrashDrain(m.generation);
+      HandleJoinChunk(e);
       return;
     default:
       return;
@@ -847,13 +556,19 @@ void ReplicaServer::HandleOnWorker(std::size_t widx, Envelope& e) {
   transport_->Send(id_, e.from, std::move(reply));
 }
 
-void ReplicaServer::ServeCatchup(std::size_t idx, Envelope& e) {
-  Shard& sh = *shards_[idx];
+void ReplicaServer::ServeCatchup(const Envelope& e) {
   const RtMessage& m = e.msg;
   RtMessage reply;
   reply.kind = RtMessage::Kind::kCatchupChunk;
   reply.op = m.op;
   reply.version = shards_.size();  // layout check on the puller side
+  if (m.version >= shards_.size()) {
+    // A shard beyond this replica's layout: the empty chunk's shard count
+    // exposes the mismatch, and the puller refuses the join.
+    transport_->Send(id_, e.from, std::move(reply));
+    return;
+  }
+  Shard& sh = *shards_[m.version];
   reply.generation = sh.image.generation;
   reply.config_id = sh.image.config_id;
   const std::size_t limit =
@@ -864,8 +579,7 @@ void ReplicaServer::ServeCatchup(std::size_t idx, Envelope& e) {
   // cursor (an empty cursor starts the shard; the empty key itself, if
   // present, rides in the first chunk — re-sending it on a resume is a
   // harmless idempotent merge). The image is hash-ordered, so this is
-  // O(shard keys) per chunk; it runs on the owning worker thread,
-  // between live writes.
+  // O(shard keys) per chunk; it runs on the loop, between live writes.
   std::vector<const std::pair<const std::string, storage::Versioned>*> cand;
   cand.reserve(sh.image.data.size());
   for (const auto& kv : sh.image.data) {
@@ -989,28 +703,15 @@ void ReplicaServer::HandleJoinChunk(Envelope& e) {
     return;
   }
   join_.entries += m.batch.size();
-  const std::uint32_t shard = join_.shard;
   const bool more = m.value != 0;
   if (!m.batch.empty()) join_.cursor = m.key;
   if (!more) {
     ++join_.shard;
     join_.cursor.clear();
   }
-  if (!m.batch.empty()) {
-    if (Multi()) {
-      // Hand the entries to the owning worker via the route buffer (FIFO
-      // with everything else this burst routed there); chunk k is queued
-      // before chunk k+1 is requested below, so per-shard order is
-      // preserved and at most one chunk is ever in flight.
-      RtMessage apply;
-      apply.kind = RtMessage::Kind::kCatchupChunk;
-      apply.batch = std::move(m.batch);
-      route_bufs_[worker_of_[shard]].push_back(
-          Envelope{e.from, std::move(apply)});
-    } else {
-      ApplyCatchupEntries(*workers_[0], m.batch);
-    }
-  }
+  // Chunk k is merged before chunk k+1 is requested below, so per-shard
+  // order is preserved and at most one chunk is ever in flight.
+  if (!m.batch.empty()) ApplyCatchupEntries(m.batch);
   if (join_.shard >= join_.expected_shards) {
     RtMessage done;
     done.kind = RtMessage::Kind::kCatchupDone;
@@ -1025,7 +726,7 @@ void ReplicaServer::HandleJoinChunk(Envelope& e) {
 }
 
 void ReplicaServer::ApplyCatchupEntries(
-    Worker& w, const std::vector<BatchEntry>& entries) {
+    const std::vector<BatchEntry>& entries) {
   // Same newer-version-wins merge (and write-ahead logging) as a live
   // batch install: a pulled entry can never regress a version a
   // concurrent client write already placed here, which is exactly the
@@ -1035,38 +736,19 @@ void ReplicaServer::ApplyCatchupEntries(
   for (const BatchEntry& entry : entries) {
     const std::size_t s = ShardForKey(entry.key, shards_.size());
     Shard& sh = *shards_[s];
-    NoteTouched(w, s);
+    NoteTouched(s);
     if (ApplyToImage(sh, entry.key, entry.version, entry.value)) {
       storage::WalRecord rec;
       rec.type = storage::WalRecord::Type::kWrite;
       rec.key = entry.key;
       rec.version = entry.version;
       rec.value = entry.value;
-      w.wal_parts[s].push_back(std::move(rec));
+      wal_parts_[s].push_back(std::move(rec));
     }
     sh.ops.fetch_add(1, std::memory_order_relaxed);
   }
-  FlushTouched(w);
+  FlushTouched();
   CountBatchTotals(entries.size());
-}
-
-void ReplicaServer::WorkerLoop(std::size_t widx) {
-  Worker& w = *workers_[widx];
-  for (;;) {
-    std::deque<Envelope> batch = w.inbox.PopAll();
-    if (batch.empty()) {
-      NoteThreadExit();
-      return;  // inbox closed and drained
-    }
-    TrackPeak(w.queue_peak, batch.size());
-    for (Envelope& e : batch) {
-      if (e.msg.kind == RtMessage::Kind::kShutdown) {
-        NoteThreadExit();
-        return;
-      }
-      HandleOnWorker(widx, e);
-    }
-  }
 }
 
 }  // namespace qcnt::runtime

@@ -1,58 +1,36 @@
-// Replica server: a dispatch stage plus a worker pool multiplexing the
-// replica's key-hash shards.
+// Replica server: one thread per replica, applying every message to the
+// key-hash shard that owns its key.
 //
 // The state per key is a (version, value) pair — a Section-3 DM — plus one
 // store-wide (generation, configuration) stamp for Section-4
 // reconfiguration, held together as storage::Image fragments, one per
 // shard. Keys are independent logical items (their per-item version orders
-// are what Lemmas 7/8 constrain), so partitioning them across workers
-// changes no protocol-visible behavior: each key's requests are still
-// handled in arrival order by the one worker that owns its shard.
+// are what Lemmas 7/8 constrain), so splitting them across shards changes
+// no protocol-visible behavior.
 //
-// Shards and workers are deliberately distinct axes:
-//   - A *shard* is a durable layout unit: its own Image fragment, WAL
-//     segment chain and checkpoint chain (`shard_<s>/`), pinned by the
-//     directory MANIFEST. The shard count cannot change without
-//     restriping disk.
-//   - A *worker* is an execution unit: one thread with one inbox, owning a
-//     fixed subset of the shards (round-robin s % W). The worker count is
-//     free to differ per machine — min(shards, cores) by default — so an
-//     8-shard layout runs thread-per-shard on a big host and collapses to
-//     one worker on a small one instead of thrashing the scheduler.
-//
-// With shards == 1 there is no dispatch stage: a single worker thread
-// drains the bus mailbox directly (the pre-sharding architecture, plus the
-// batched PopAll drain). With shards > 1 a dispatch thread drains the bus
-// mailbox and routes: single-key messages to the worker owning
-// ShardForKey(key), batches split per *worker* (a client may thus receive
-// several kBatch*Resp for one request — one per worker touched; batch
-// responses are folded per entry, so this is invisible to the protocol;
-// the worker re-resolves each entry's shard, so every entry still lands
-// in its own shard's image and WAL segment), kConfigWriteReq broadcast to
-// all workers and acked once after a barrier confirms every shard applied
-// and logged it (the stamp is store-wide state).
-//
-// Dispatch is batch-aware: one PopAll burst is routed into reusable
-// per-worker buffers and flushed with one PushAll (one handoff, at most
-// one wakeup) per worker touched — not one push per sub-op. Barrier-like
-// messages (peek fan-out, config broadcast, crash-drain marker,
-// shutdown) flush the buffers first so per-worker FIFO order is exactly
-// the order dispatch processed the stream in.
+// A *shard* is a durable layout unit only: its own Image fragment, WAL
+// segment chain and checkpoint chain (`shard_<s>/`), pinned by the
+// directory MANIFEST. The shard count cannot change without restriping
+// disk. It is not an execution unit: one loop thread drains the transport
+// mailbox in PopAll bursts and handles each message in arrival order,
+// resolving every key to its shard with ShardForKey. A batch therefore gets
+// exactly one reply however many shards it spans, and a config write
+// stamps every shard before its single ack (DESIGN.md §8 records why the
+// earlier dispatch stage and worker pool were removed).
 //
 // Crash semantics are fail-stop at replica granularity with a
 // *deterministic cut*: Transport::Crash marks the node down (so nothing
 // new is delivered) and runs the crash hook, which enqueues a
-// kCrashDrain marker at the tail of the bus mailbox and waits. The
-// loops apply everything delivered before the marker, then set the
-// crash cut: external work behind the marker is refused until Recover
-// (the recover hook resets the cut). So the node's visible state is a
-// prefix of its delivered message stream ending exactly at Crash() —
-// not at whatever message a racing thread happened to be holding.
-// Bus::Send's up-check guarantees no ack escapes after the crash.
-// CrashAndWipe() additionally stops the threads and discards every
-// shard's image; Restart() rebuilds each shard from its own backend
-// (under durability: its own WAL segment + snapshot) and relaunches the
-// threads.
+// kCrashDrain marker at the tail of the mailbox and waits. The loop
+// applies everything delivered before the marker, then sets the crash
+// cut: external work behind the marker is refused until Recover (the
+// recover hook resets the cut). So the node's visible state is a prefix
+// of its delivered message stream ending exactly at Crash() — not at
+// whatever message the loop happened to be holding. Bus::Send's up-check
+// guarantees no ack escapes after the crash. CrashAndWipe() additionally
+// stops the loop and discards every shard's image; Restart() rebuilds each
+// shard from its own backend (under durability: its own WAL segment chain
+// and checkpoints) and relaunches the loop.
 #pragma once
 
 #include <atomic>
@@ -80,9 +58,9 @@ struct AppliedWrite {
 /// Per-shard execution counters (volatile, unlike StorageStats). `ops`
 /// counts operations applied (single requests and batch entries alike);
 /// `batches` counts batch messages that touched the shard; `queue_peak`
-/// is the owning worker's high-water mark of messages moved by one
-/// mailbox drain. Ops and fsyncs are genuinely per shard; queue_peak is
-/// shared among shards owned by the same worker.
+/// is the loop's high-water mark of messages moved by one mailbox drain.
+/// Ops and fsyncs are genuinely per shard; queue_peak is the same for
+/// every shard of a replica.
 struct ShardCounters {
   std::uint64_t ops = 0;
   std::uint64_t batches = 0;
@@ -108,19 +86,14 @@ struct BatchStats {
   /// the denominator for messages-per-op fan-out measurements.
   std::uint64_t read_ops = 0;
   std::uint64_t write_ops = 0;
-  /// Deliveries into the replica's *bus* mailbox (the dispatch stage's
-  /// queue, or the sole worker's in single-shard mode): `handoffs` counts
-  /// Push/PushAll calls (deterministic), `wakeups` the cv notifies
-  /// actually issued (timing-dependent: a spinning or busy consumer needs
-  /// none).
+  /// Deliveries into the replica's mailbox, the loop's only queue:
+  /// `handoffs` counts Push/PushAll calls (deterministic), `wakeups` the
+  /// cv notifies actually issued (timing-dependent: a spinning or busy
+  /// consumer needs none).
   std::uint64_t mailbox_handoffs = 0;
   std::uint64_t mailbox_wakeups = 0;
-  /// Deliveries into the worker inboxes (the dispatch→worker hop), summed
-  /// across the pool. Dispatch batching makes handoffs one per worker per
-  /// routed burst — well below one per op under pipelined load. Zero in
-  /// single-shard mode, where the bus mailbox is the only queue.
-  std::uint64_t worker_handoffs = 0;
-  std::uint64_t worker_wakeups = 0;
+  std::uint64_t worker_handoffs = 0;  // always 0: no dispatch→worker hop
+  std::uint64_t worker_wakeups = 0;   // always 0: no dispatch→worker hop
   /// One slot per shard; merging stats from replicas with different shard
   /// counts aligns slots by index (shard balance only means something
   /// within one replica, but aggregate totals still add up).
@@ -146,12 +119,11 @@ struct BatchStats {
   }
 };
 
-/// Point-in-time copy of a replica's volatile state. Each shard snapshots
-/// itself on its owning worker thread between operations (never
-/// mid-batch); the shard images are key-disjoint, so the merged image is a
-/// consistent per-key snapshot. History is concatenated shard-by-shard:
-/// per-key order is exact (a key lives in one shard); cross-key
-/// interleaving is not meaningful under sharded execution.
+/// Point-in-time copy of a replica's volatile state, taken on the loop
+/// thread between messages (never mid-batch); the shard images are
+/// key-disjoint, so the merged image is a consistent snapshot. History is
+/// concatenated shard-by-shard: per-key order is exact (a key lives in one
+/// shard); cross-key interleaving is not preserved.
 struct ReplicaSnapshot {
   /// Merged key map. Under a spill-mode durable backend the shard images
   /// hold only the un-checkpointed tail; Peek overlays the checkpoint
@@ -172,12 +144,10 @@ class ReplicaServer {
   /// transport may be the in-process Bus or a net::TcpTransport hosting
   /// this node — the server only uses the Transport surface.
   ReplicaServer(Transport& transport, NodeId id);
-  /// `shards` key-hash shards, each recovering from its own backend,
-  /// executed by `workers` threads (0 = auto: min(shards, cores); any
-  /// explicit value is clamped to [1, shards]).
+  /// `shards` key-hash shards, each recovering from its own backend.
   ReplicaServer(Transport& transport, NodeId id, std::size_t shards,
                 const BackendFactory& make_backend,
-                bool record_history = false, std::size_t workers = 0);
+                bool record_history = false);
   ~ReplicaServer();
 
   ReplicaServer(const ReplicaServer&) = delete;
@@ -185,19 +155,17 @@ class ReplicaServer {
 
   NodeId Id() const { return id_; }
   std::size_t ShardCount() const { return shards_.size(); }
-  /// Resolved worker-pool size (1 in single-shard mode).
-  std::size_t WorkerCount() const { return workers_.size(); }
 
-  /// Ask the loops to exit and join all threads.
+  /// Ask the loop to exit and join its thread.
   void Shutdown();
 
-  /// Fail-stop: stop every thread and wipe all volatile state. The caller
-  /// is expected to have partitioned the node (Bus::Crash) first so the
-  /// ack of an in-flight request cannot escape.
+  /// Fail-stop: stop the loop and wipe all volatile state. The caller is
+  /// expected to have partitioned the node (Bus::Crash) first so the ack
+  /// of an in-flight request cannot escape.
   void CrashAndWipe();
 
   /// Relaunch after CrashAndWipe (or Shutdown): recover each shard's image
-  /// from its backend and restart the threads. No-op if already running.
+  /// from its backend and restart the loop. No-op if already running.
   void Restart();
 
   bool Running() const { return thread_.joinable(); }
@@ -210,8 +178,8 @@ class ReplicaServer {
   runtime::BatchStats BatchStats() const;
 
  private:
-  /// A durable layout unit: image fragment + backend (WAL segment). Only
-  /// its owning worker thread touches image/history/backend.
+  /// A durable layout unit: image fragment + backend (WAL segment chain).
+  /// Only the loop thread touches image/history/backend.
   struct Shard {
     storage::Image image;
     std::vector<AppliedWrite> history;
@@ -220,80 +188,51 @@ class ReplicaServer {
     std::atomic<std::uint64_t> batches{0};
   };
 
-  /// An execution unit: one thread draining one inbox, owning a fixed
-  /// subset of the shards. The scratch vectors are worker-local (no
-  /// locking) and keep their capacity across batches.
-  struct Worker {
-    Mailbox inbox;  // unused in single-shard mode (no dispatch stage)
-    std::thread thread;
-    std::vector<std::size_t> owned;  // shard indices, fixed at construction
-    std::atomic<std::uint64_t> queue_peak{0};
-    /// Batch handlers regroup entries per shard here (indexed by shard):
-    /// accepted WAL records staged for one ApplyWriteBatch per shard.
-    std::vector<std::vector<storage::WalRecord>> wal_parts;
-    /// Shards the batch in flight touched (dense list + flag per shard).
-    std::vector<std::size_t> touched;
-    std::vector<char> touched_flag;
-  };
-
-  bool Multi() const { return shards_.size() > 1; }
-
   void Start();
-  void SingleLoop();
-  void DispatchLoop();
-  void WorkerLoop(std::size_t widx);
-  void Route(Envelope e);
-  void SplitBatch(Envelope e);
-  /// Deliver everything Route buffered: one PushAll per worker touched.
-  void FlushRoutes();
-  void BroadcastConfigAndAck(const Envelope& e);
-  void StopWorkers();
+  void Loop();
   void OnBusCrash();
   void OnBusRecover();
   /// True while refusing external work: the crash cut was reached and the
   /// node has not recovered. Resets itself lazily once IsUp again (the
-  /// recover hook also resets it eagerly). Only called from the dispatch
-  /// thread / sole worker.
+  /// recover hook also resets it eagerly). Only called from the loop.
   bool Crashed();
-  /// A loop thread acked the crash-drain marker for `epoch`.
+  /// The loop passed the crash-drain marker for `epoch`.
   void AckCrashDrain(std::uint64_t epoch);
-  std::size_t DrainTarget() const { return Multi() ? workers_.size() : 1; }
-  void NoteThreadExit();
+  void NoteLoopExit();
 
-  void HandleOnWorker(std::size_t widx, Envelope& e);
-  void HandleBatchRead(Worker& w, const RtMessage& m, RtMessage& reply);
-  void HandleBatchWrite(Worker& w, const RtMessage& m, RtMessage& reply);
-  /// Mark shard `s` touched by the batch in flight on worker `w`.
-  void NoteTouched(Worker& w, std::size_t s);
+  void Handle(Envelope& e);
+  void HandleBatchRead(const RtMessage& m, RtMessage& reply);
+  void HandleBatchWrite(const RtMessage& m, RtMessage& reply);
+  /// Mark shard `s` touched by the batch in flight.
+  void NoteTouched(std::size_t s);
   /// Per touched shard: bump its batch counter, flush staged WAL records
   /// with one ApplyWriteBatch, and reset the touched set.
-  void FlushTouched(Worker& w);
+  void FlushTouched();
   void CountBatchTotals(std::size_t entries);
-  /// Donor side of streaming catchup: serve one bounded chunk of this
-  /// shard's image — the smallest `m.value` keys strictly greater than
-  /// the cursor `m.key` — ascending, with the shard count and the
-  /// replica's stamp on the reply (runs on the owning worker thread, so
-  /// chunks interleave with live writes without any extra locking).
-  void ServeCatchup(std::size_t idx, Envelope& e);
+  /// Donor side of streaming catchup: serve one bounded chunk of the shard
+  /// named by `m.version` — the smallest `m.value` keys strictly greater
+  /// than the cursor `m.key` — ascending, with the shard count and the
+  /// replica's stamp on the reply. It runs on the loop, so chunks
+  /// interleave with live writes without any extra locking.
+  void ServeCatchup(const Envelope& e);
   /// Joiner side: start (or resume) pulling the donor's image shard by
-  /// shard. Runs on the dispatch thread (multi) or the sole worker.
+  /// shard.
   void HandleJoinReq(const Envelope& e);
-  /// Joiner side: one arrived chunk — verify the shard layout, hand the
-  /// entries to the owning worker, advance the cursor, request the next
-  /// chunk or report kCatchupDone to the coordinator.
+  /// Joiner side: one arrived chunk — verify the shard layout, merge the
+  /// entries, advance the cursor, request the next chunk or report
+  /// kCatchupDone to the coordinator.
   void HandleJoinChunk(Envelope& e);
   void SendCatchupReq();
   /// Merge pulled entries under the same newer-version-wins order as live
   /// writes (so a chunk can never regress a version a concurrent install
   /// already placed), write-ahead logging the accepted ones.
-  void ApplyCatchupEntries(Worker& w, const std::vector<BatchEntry>& entries);
+  void ApplyCatchupEntries(const std::vector<BatchEntry>& entries);
   /// Newer-version-wins merge of one write into the shard image; true when
   /// the write was accepted (and therefore must reach the backend).
   bool ApplyToImage(Shard& sh, const std::string& key, std::uint64_t version,
                     std::int64_t value);
-  void ServePeek(std::size_t idx, std::uint64_t epoch);
+  void ServePeek(std::uint64_t epoch);
   static void TrackPeak(std::atomic<std::uint64_t>& peak, std::uint64_t v);
-  std::vector<ShardCounters> CollectShardCounters() const;
   /// Remember the self-describing config payload of an applied config
   /// write (newest (generation, config_id) wins), for echoing below.
   void NoteConfigPayload(const RtMessage& m);
@@ -307,57 +246,43 @@ class ReplicaServer {
   NodeId id_;
   bool record_history_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::size_t> worker_of_;  // shard index → owning worker
-  std::thread thread_;  // dispatch thread (multi) or the sole worker
+  std::thread thread_;  // the loop
 
-  // Dispatch-thread scratch (multi-shard): per-worker envelope buffers a
-  // PopAll burst is routed into, flushed as one PushAll per worker. The
-  // vectors keep their capacity across bursts, so steady-state routing
-  // allocates nothing. split_parts_ is SplitBatch's per-worker staging.
-  std::vector<std::vector<Envelope>> route_bufs_;
-  std::vector<std::vector<BatchEntry>> split_parts_;
+  // The loop's scratch, reused across batches: batch handlers regroup
+  // accepted WAL records per shard (indexed by shard) for one
+  // ApplyWriteBatch each, and track which shards the batch touched.
+  std::vector<std::vector<storage::WalRecord>> wal_parts_;
+  std::vector<std::size_t> touched_;
+  std::vector<char> touched_flag_;
+  std::atomic<std::uint64_t> queue_peak_{0};
 
   // Crash-drain handshake: OnBusCrash (an external thread, inside
   // Transport::Crash) pushes a kCrashDrain marker carrying drain_epoch_
-  // and waits until every loop thread acked it — or until the threads
-  // are gone (live_threads_), so a crash racing shutdown can't hang.
-  // crash_cut_ flips when the marker is *processed*, making the cut a
-  // FIFO position in the message stream rather than a timing race.
+  // and waits until the loop acked it — or until the loop is gone
+  // (loop_live_), so a crash racing shutdown can't hang. crash_cut_ flips
+  // when the marker is *processed*, making the cut a FIFO position in the
+  // message stream rather than a timing race.
   std::mutex drain_call_mu_;  // serializes concurrent Crash() calls
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
   std::uint64_t drain_epoch_ = 0;
-  std::size_t drain_acks_ = 0;
-  std::size_t live_threads_ = 0;
+  std::uint64_t drained_epoch_ = 0;
+  bool loop_live_ = false;
   std::atomic<bool> crash_cut_{false};
 
-  // Config barrier (multi-shard): dispatch broadcasts a kConfigWriteReq to
-  // every worker (its `value` carries the epoch) and acks the client only
-  // once every worker has applied + logged it on all its shards. The
-  // epoch guards against a worker's late decrement from a barrier that a
-  // crash aborted.
-  std::mutex barrier_mu_;
-  std::condition_variable barrier_cv_;
-  std::uint64_t barrier_epoch_ = 0;
-  std::size_t barrier_pending_ = 0;
-
   // Peek handshake: the requester pushes one kImagePeek (epoch in
-  // `generation`); dispatch fans it to every worker; each worker fills
-  // its owned shards' slots once per epoch. Peeks are served even on a
-  // crashed node (the crash-drain marker never discards them — observers
-  // may inspect dead replicas), and since crash-drain and peeks are
-  // mutually FIFO-ordered an in-flight peek can no longer be dropped by a
-  // racing crash; the requester still retries on a timeout as a
-  // belt-and-braces liveness guard — the filled flags make retries
+  // `generation`) and the loop fills peek_slot_ once per epoch. Peeks are
+  // served even on a crashed node (the crash-drain marker never discards
+  // them — observers may inspect dead replicas). The requester retries on
+  // a timeout as a liveness guard for the paths that discard queues
+  // (crash racing shutdown, CrashAndWipe); peek_served_ makes retries
   // idempotent.
   std::mutex peek_call_mu_;  // serializes concurrent Peek() callers
   std::mutex peek_mu_;
   std::condition_variable peek_cv_;
   std::uint64_t peek_epoch_ = 0;
-  std::size_t peek_served_ = 0;
-  std::vector<ReplicaSnapshot> peek_slots_;
-  std::vector<char> peek_filled_;
+  std::uint64_t peek_served_ = 0;
+  ReplicaSnapshot peek_slot_;
 
   std::atomic<std::uint64_t> batches_applied_{0};
   std::atomic<std::uint64_t> batched_ops_{0};
@@ -375,12 +300,10 @@ class ReplicaServer {
   std::uint64_t config_payload_gen_ = 0;
   std::uint32_t config_payload_id_ = 0;
 
-  /// Joiner-side pull progress. Touched only by the dispatch thread
-  /// (multi) or the sole worker (single) — the same thread that routes
-  /// kJoinReq and kCatchupChunk — so it needs no lock. A fresh kJoinReq
-  /// with the same expected shard layout *resumes* from (shard, cursor):
-  /// that is what makes a donor crash mid-stream recoverable, from the
-  /// same donor or a different one.
+  /// Joiner-side pull progress. Touched only by the loop, so it needs no
+  /// lock. A fresh kJoinReq with the same expected shard layout *resumes*
+  /// from (shard, cursor): that is what makes a donor crash mid-stream
+  /// recoverable, from the same donor or a different one.
   struct JoinState {
     bool active = false;
     std::uint64_t op = 0;
@@ -396,7 +319,7 @@ class ReplicaServer {
     /// injection, donor failover races) is dropped instead of double-
     /// advancing the shard counter or resurrecting a stale cursor.
     /// Survives a resume (it must stay monotone against in-flight stale
-    /// chunks); cleared only by CrashAndWipe, which also drains inboxes.
+    /// chunks); cleared only by CrashAndWipe.
     std::uint64_t pull_seq = 0;
   };
   JoinState join_;

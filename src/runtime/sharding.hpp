@@ -1,17 +1,17 @@
-// Key → shard routing for sharded replica execution.
+// Key → shard routing for a replica's durable layout.
 //
 // Keys are independent logical items (each item x ∈ I carries its own DMs
 // and version order — Lemmas 7/8 quantify per item), so a replica may
-// partition its keyspace across worker shards without changing any
-// protocol-visible behavior. The partition function must be *stable across
-// process restarts*: under durability a key's records live in exactly one
-// WAL segment, and recovery replays segment s back into shard s. std::hash
-// makes no cross-run promise, so we pin FNV-1a explicitly.
+// stripe its keyspace across shards without changing any protocol-visible
+// behavior. The partition function must be *stable across process
+// restarts*: under durability a key's records live in exactly one shard's
+// WAL segment chain, and recovery replays shard s's chain back into shard
+// s. std::hash makes no cross-run promise, so we pin FNV-1a explicitly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <thread>
 
 namespace qcnt::runtime {
 
@@ -29,27 +29,6 @@ inline std::uint64_t ShardHash(std::string_view key) {
 /// The shard owning `key` out of `shards` partitions.
 inline std::size_t ShardForKey(std::string_view key, std::size_t shards) {
   return shards <= 1 ? 0 : static_cast<std::size_t>(ShardHash(key) % shards);
-}
-
-/// Default worker shards per replica: one per core up to 4. More shards
-/// than cores only adds context switching; capping at 4 keeps thread count
-/// sane for stores with many replicas.
-inline std::size_t DefaultShardsPerReplica() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t cores = hw == 0 ? 1 : hw;
-  return cores < 4 ? cores : 4;
-}
-
-/// Default worker *threads* multiplexing a replica's shards: one per core,
-/// never more than the shard count. Shards are a durable layout property
-/// (each pins a WAL segment + snapshot, recorded in the MANIFEST); workers
-/// are an execution property and adapt to the machine — a directory laid
-/// down on an 8-core box reopens fine on a 1-core box, it just runs its 8
-/// segments on 1 worker instead of 8.
-inline std::size_t DefaultWorkersPerReplica(std::size_t shards) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t cores = hw == 0 ? 1 : hw;
-  return shards < cores ? shards : cores;
 }
 
 }  // namespace qcnt::runtime

@@ -7,37 +7,40 @@
 #include "common/check.hpp"
 #include "common/env.hpp"
 #include "net/error.hpp"
-#include "runtime/sharding.hpp"
 
 namespace qcnt::runtime {
 
 namespace {
-std::size_t ResolveShards() {
+std::string ReplicaDir(const StoreOptions& options, std::size_t replica) {
+  return options.durability->directory + "/replica_" +
+         std::to_string(replica);
+}
+
+std::size_t ResolveShards(const StoreOptions& options) {
+  // An existing durable layout decides: the MANIFEST pins the count the
+  // directory was striped with, whatever wrote it.
+  if (options.durability) {
+    for (std::size_t r = 0; r < options.replicas; ++r) {
+      if (const auto n =
+              storage::Manifest::ReadShardCount(ReplicaDir(options, r))) {
+        return *n;
+      }
+    }
+  }
   // QCNT_SHARDS lets a test matrix (CI runs the runtime suite under TSan
   // with 4 shards) force a count without touching every StoreOptions
-  // literal; out-of-range values fall back to the hardware default.
+  // literal; out-of-range values fall back to the default.
   if (const auto v = common::EnvU64("QCNT_SHARDS", 1, 64)) {
     return static_cast<std::size_t>(*v);
   }
-  return DefaultShardsPerReplica();
+  // One shard: more shards only add WAL segments and fsyncs to the one
+  // loop (DESIGN.md §8).
+  return 1;
 }
 
 StoreOptions Normalize(StoreOptions options) {
   QCNT_CHECK(options.replicas >= 1 && options.replicas <= 63);
   QCNT_CHECK(options.max_clients >= 1);
-  if (options.shards_per_replica == 0) {
-    options.shards_per_replica = ResolveShards();
-  }
-  QCNT_CHECK_MSG(options.shards_per_replica <= 64,
-                 "shards_per_replica out of range");
-  if (options.workers_per_replica == 0) {
-    // QCNT_WORKERS mirrors QCNT_SHARDS: a CI matrix can pin the worker
-    // pool (e.g. force thread-per-shard multiplexing coverage) without
-    // touching StoreOptions literals. 0 stays 0 = per-machine auto.
-    if (const auto v = common::EnvU64("QCNT_WORKERS", 1, 64)) {
-      options.workers_per_replica = static_cast<std::size_t>(*v);
-    }
-  }
   if (!options.configs.empty() && !options.strategy.empty()) {
     throw quorum::StrategyConfigError(
         "StoreOptions::strategy and StoreOptions::configs are mutually "
@@ -78,6 +81,11 @@ StoreOptions Normalize(StoreOptions options) {
     QCNT_CHECK_MSG(!options.durability->directory.empty(),
                    "durability requires a directory");
   }
+  if (options.shards_per_replica == 0) {
+    options.shards_per_replica = ResolveShards(options);
+  }
+  QCNT_CHECK_MSG(options.shards_per_replica <= 64,
+                 "shards_per_replica out of range");
   if (options.faults && options.tcp) {
     // Loud and typed, not a silently ignored plan: the seeded injector
     // lives in the Bus, and a TCP store never routes through it.
@@ -137,11 +145,6 @@ std::unique_ptr<net::TcpTransport> MakeLoopbackTransport(
                                              std::move(local));
 }
 
-std::string ReplicaDir(const StoreOptions& options, std::size_t replica) {
-  return options.durability->directory + "/replica_" +
-         std::to_string(replica);
-}
-
 std::unique_ptr<storage::Backend> MakeShardBackend(
     const StoreOptions& options,
     const std::shared_ptr<storage::Manifest>& manifest, std::size_t shard,
@@ -168,8 +171,7 @@ std::shared_ptr<storage::Manifest> MakeReplicaManifest(
 std::shared_ptr<storage::GroupCommitCoordinator> MakeCommitCoordinator(
     const StoreOptions& options) {
   if (!options.durability ||
-      options.durability->fsync != storage::FsyncPolicy::kGroupCommit ||
-      !options.durability->coordinate_group_commit) {
+      options.durability->fsync != storage::FsyncPolicy::kGroupCommit) {
     return nullptr;
   }
   storage::GroupCommitCoordinator::Options o;
@@ -227,7 +229,7 @@ ReplicatedStore::ReplicatedStore(StoreOptions options)
             [this, manifest, gc](std::size_t shard) {
               return MakeShardBackend(options_, manifest, shard, gc);
             },
-            options_.record_applied_history, options_.workers_per_replica));
+            options_.record_applied_history));
     members_.push_back(static_cast<NodeId>(r));
   }
 }
@@ -350,12 +352,6 @@ BatchStats ReplicatedStore::ReplicaBatchStats(std::size_t replica) const {
   return it->second->BatchStats();
 }
 
-std::size_t ReplicatedStore::ReplicaWorkerCount(std::size_t replica) const {
-  const auto it = replicas_.find(static_cast<NodeId>(replica));
-  QCNT_CHECK_MSG(it != replicas_.end(), "unknown replica node id");
-  return it->second->WorkerCount();
-}
-
 BatchStats ReplicatedStore::TotalBatchStats() const {
   BatchStats total;
   for (const auto& r : replicas_) total += r.second->BatchStats();
@@ -403,7 +399,7 @@ NodeId ReplicatedStore::SpawnReplica() {
       [this, manifest, gc](std::size_t shard) {
         return MakeShardBackend(options_, manifest, shard, gc);
       },
-      options_.record_applied_history, options_.workers_per_replica);
+      options_.record_applied_history);
   replicas_.emplace(id, std::move(server));
   return id;
 }

@@ -75,20 +75,15 @@ struct StoreOptions {
   std::uint32_t initial_config = 0;
   QuorumClient::Options client_options;
   AsyncQuorumClient::Options async_client_options;
-  /// Worker shards per replica: each replica partitions its keyspace
-  /// across this many threads (see replica_server.hpp). 0 = auto: the
-  /// QCNT_SHARDS environment variable when set, else
-  /// min(4, hardware_concurrency). Under durability each shard keeps its
-  /// own directory (`shard_<s>/`) of WAL segments and checkpoints; the
+  /// Key-hash shards per replica: the durable layout unit, not a thread
+  /// (each replica runs one loop over all its shards; see
+  /// replica_server.hpp). Under durability each shard keeps its own
+  /// directory (`shard_<s>/`) of WAL segments and checkpoints; the
   /// replica's MANIFEST pins the count, and reopening with a different
-  /// count is rejected (key striping is not self-rebalancing).
+  /// explicit count is rejected (key striping is not self-rebalancing).
+  /// 0 = auto: the count in an existing durability directory's MANIFEST,
+  /// else the QCNT_SHARDS environment variable when set, else 1.
   std::size_t shards_per_replica = 0;
-  /// Worker threads multiplexing each replica's shards (see
-  /// replica_server.hpp: shards pin the durable layout, workers set
-  /// execution parallelism). 0 = auto: the QCNT_WORKERS environment
-  /// variable when set, else min(shards, hardware_concurrency). Always
-  /// clamped to [1, shards_per_replica].
-  std::size_t workers_per_replica = 0;
   /// When set, replicas persist to `directory/replica_<r>` and crashes
   /// lose volatile state; when unset, replicas are purely in-memory and a
   /// crash is only a partition (the original semantics).
@@ -136,9 +131,8 @@ class ReplicatedStore {
   std::size_t ShardsPerReplica() const {
     return options_.shards_per_replica;
   }
-  /// Resolved worker-pool size of one replica (workers multiplex shards;
-  /// machine-dependent when workers_per_replica is 0 = auto).
-  std::size_t ReplicaWorkerCount(std::size_t replica) const;
+  /// Always 1: every replica runs one loop thread over all its shards.
+  std::size_t ReplicaWorkerCount(std::size_t) const { return 1; }
 
   /// Create a client (each client must be used from one thread at a time).
   std::unique_ptr<QuorumClient> MakeClient();

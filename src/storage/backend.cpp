@@ -53,8 +53,8 @@ std::optional<std::uint64_t> ParseFileId(const std::string& name,
 //     are created before the save and deleted only after it, so the
 //     manifest-referenced set is a consistent engine state at every
 //     instant a crash could strike.
-//   * all state except the stats counters is touched only by the shard's
-//     owning worker thread (the coordinator's committer syncs the active
+//   * all state except the stats counters is touched only by the
+//     replica's loop thread (the coordinator's committer syncs the active
 //     Wal through its own internal locking).
 class DurableBackend final : public Backend {
  public:
@@ -425,7 +425,7 @@ class DurableBackend final : public Backend {
 
   /// The incremental checkpoint: seal the tail, persist the dirty set as
   /// one sorted run, commit, reclaim the sealed segments. Runs on the
-  /// shard's worker thread — cost is O(|dirty|) = O(tail), so inline
+  /// replica's loop thread — cost is O(|dirty|) = O(tail), so inline
   /// execution is what bounds the pause, not a background thread.
   void DoCheckpoint(Image& image) {
     log_->Rotate();  // everything the checkpoint covers is now sealed

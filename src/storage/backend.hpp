@@ -40,12 +40,6 @@ struct DurabilityOptions {
   std::string directory;
   FsyncPolicy fsync = FsyncPolicy::kAlways;
   std::chrono::microseconds group_commit_window{500};
-  /// kGroupCommit only: true (default) routes the fsync decision through
-  /// one per-replica GroupCommitCoordinator spanning every shard segment;
-  /// false keeps the pre-coordinator behavior of each shard's WAL running
-  /// its own inline window (one independent fsync stream per shard —
-  /// kept as a knob and as the bench's pre-change reference).
-  bool coordinate_group_commit = true;
   /// kGroupCommit + coordinator only: let the coordinator widen/narrow
   /// the fsync window between min/max from the observed arrival rate.
   /// Defaults off — `group_commit_window` stays the fixed baseline.

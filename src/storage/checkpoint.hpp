@@ -84,8 +84,8 @@ class CheckpointWriter {
 };
 
 /// Read side. Open() validates only the footer; the index and bloom are
-/// decoded on first use. All methods are called from the shard's owning
-/// worker thread, so no internal locking.
+/// decoded on first use. All methods are called from the replica's loop
+/// thread, so no internal locking.
 class CheckpointReader {
  public:
   enum class Probe {

@@ -1,20 +1,20 @@
 // Cross-shard group-commit coordination.
 //
 // A sharded durable replica owns one WAL segment per shard. With the
-// per-segment group-commit policy each shard thread made its *own* fsync
+// per-segment group-commit policy each segment made its *own* fsync
 // decision inside Append — so a batch touching S shards paid up to S
-// inline fsyncs, every one of them stalling a shard worker, and a quiet
+// inline fsyncs, every one of them stalling the replica loop, and a quiet
 // segment's tail was never synced at all (the window check only ran on
 // the next append).
 //
 // The coordinator replaces those per-segment decisions with one shared
-// commit ticket per replica: shard threads append with FsyncPolicy::
-// kNever and just mark the ticket dirty (an atomic flag + a notify —
+// commit ticket per replica: the replica loop appends with FsyncPolicy::
+// kNever and just marks the ticket dirty (an atomic flag + a notify —
 // never a syscall on the append path). A dedicated committer thread
-// wakes, lets the group-commit window fill so concurrent shards pile
+// wakes, lets the group-commit window fill so appends to every shard pile
 // onto the same ticket, then walks every registered segment and fsyncs
 // exactly the dirty ones. One fsync *decision* per window covers the
-// whole shard set, and shard workers never block behind the disk.
+// whole shard set, and the replica loop never blocks behind the disk.
 //
 // Adaptive windows (optional): the fixed window is a compromise — too
 // narrow under load (fsyncs amortize few appends), too wide when idle

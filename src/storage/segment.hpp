@@ -14,7 +14,7 @@
 // the coordinator's committer thread owns the fsync; rotation detaches
 // the sealed segment (waiting out any in-flight pass) before closing it.
 //
-// All methods except Fsyncs() run on the shard's owning worker thread.
+// All methods except Fsyncs() run on the replica's loop thread.
 #pragma once
 
 #include <atomic>
@@ -82,7 +82,7 @@ class SegmentedLog {
 
   /// Fsyncs across the whole chain, sealed (rolled into a base at
   /// rotation/release) plus active. Safe to call from the stats thread
-  /// while the worker rotates.
+  /// while the loop rotates.
   std::uint64_t Fsyncs() const;
 
   /// Detach from the coordinator and close the active handle (crash /

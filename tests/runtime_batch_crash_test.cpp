@@ -319,6 +319,41 @@ TEST(BatchCrash, ShardCountChangeIsRejected) {
   EXPECT_ANY_THROW(ReplicatedStore{std::move(options)});
 }
 
+// shards_per_replica = 0 adopts the count an existing directory's MANIFEST
+// pins, ahead of QCNT_SHARDS and the default: a directory striped with
+// another count (say, under an older default on a bigger host) reopens
+// with default options and serves every key. An explicit different count
+// is still refused.
+TEST(BatchCrash, AutoShardCountAdoptsOnDiskLayout) {
+  ScratchDir scratch("auto_adopt");
+  constexpr int kKeys = 32;
+  StoreOptions options;
+  options.replicas = 3;
+  options.shards_per_replica = 4;
+  options.durability =
+      storage::DurabilityOptions{.directory = scratch.path};
+  {
+    ReplicatedStore store(options);
+    auto client = store.MakeClient();
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(client->Write("key" + std::to_string(i), i).ok);
+    }
+  }
+  options.shards_per_replica = 0;
+  {
+    ReplicatedStore store(options);
+    EXPECT_EQ(store.ShardsPerReplica(), 4u);
+    auto client = store.MakeClient();
+    for (int i = 0; i < kKeys; ++i) {
+      const ClientResult r = client->Read("key" + std::to_string(i));
+      ASSERT_TRUE(r.ok) << i;
+      EXPECT_EQ(r.value, i) << i;
+    }
+  }
+  options.shards_per_replica = 2;
+  EXPECT_ANY_THROW(ReplicatedStore{std::move(options)});
+}
+
 // A torn tail in one segment is a normal crash artifact, not corruption:
 // recovery truncates that segment's tail and reports it, while the other
 // segments replay in full.

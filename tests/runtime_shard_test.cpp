@@ -1,12 +1,13 @@
-// Tests for sharded replica execution: key→shard routing stability, the
+// Tests for sharded replicas (shards are the durable layout; one loop
+// thread per replica serves them all): key→shard routing stability, the
 // sequential-vs-sharded equivalence property (identical per-operation
 // results, final images, and per-item version sequences with shards ∈
-// {1, 4}), atomic fail-stop of all shards under Crash hammered mid-batch,
-// the all-shard config-write barrier, and the per-shard counters surfaced
-// through Peek().
+// {1, 2, 4, 8}), atomic fail-stop of all shards under Crash hammered
+// mid-batch, one reply and one commit pass per cross-shard batch, config
+// writes stamping every shard before the ack, and the per-shard counters
+// surfaced through Peek().
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <thread>
@@ -56,8 +57,7 @@ std::vector<std::pair<std::uint64_t, std::int64_t>> KeyHistory(
 /// per-operation results, final replica images, and per-item version
 /// sequences as an unsharded sequential store — sharding may change
 /// thread interleavings but never anything Lemma 7/8 constrain.
-void RunShardEquivalence(std::size_t shards, std::size_t iterations,
-                         std::size_t workers = 0) {
+void RunShardEquivalence(std::size_t shards, std::size_t iterations) {
   constexpr std::size_t kReplicas = 3;
   const std::vector<std::string> keys = {"a", "b", "c", "d",
                                          "e", "f", "g", "h"};
@@ -72,13 +72,9 @@ void RunShardEquivalence(std::size_t shards, std::size_t iterations,
   StoreOptions shard_options;
   shard_options.replicas = kReplicas;
   shard_options.shards_per_replica = shards;
-  shard_options.workers_per_replica = workers;
   shard_options.record_applied_history = true;
   ReplicatedStore shard_store(std::move(shard_options));
   ASSERT_EQ(shard_store.ShardsPerReplica(), shards);
-  if (workers != 0) {
-    ASSERT_EQ(shard_store.ReplicaWorkerCount(0), std::min(workers, shards));
-  }
   auto shard_client = shard_store.MakeAsyncClient(
       AsyncQuorumClient::Options{.window = 16, .max_batch = 8});
 
@@ -159,30 +155,27 @@ TEST(ShardedEquivalence, OneShardMatchesSequential) {
   RunShardEquivalence(1, 600);
 }
 
+// Multi-shard replicas multiplex every shard on the one loop, which
+// re-resolves each entry's shard itself: per-key results, images, and
+// version sequences must still match the sequential store.
+TEST(ShardedEquivalence, TwoShardsMatchSequential) {
+  RunShardEquivalence(2, 600);
+}
+
 TEST(ShardedEquivalence, FourShardsMatchSequential) {
   RunShardEquivalence(4, 600);
 }
 
-// Worker multiplexing (shards > workers) must be invisible: a worker
-// owning several shards re-resolves each entry's shard itself, so per-key
-// results, images, and version sequences still match the sequential
-// store. Pinned counts make this run the multiplexed topology on any
-// host, including ones whose auto worker pool would be 1 or 4.
-TEST(ShardedEquivalence, FourShardsTwoWorkersMatchSequential) {
-  RunShardEquivalence(4, 600, 2);
-}
-
+// All eight shards on the replica's one loop thread.
 TEST(ShardedEquivalence, EightShardsOneWorkerMatchesSequential) {
-  RunShardEquivalence(8, 400, 1);
+  RunShardEquivalence(8, 400);
 }
 
-// Regression (shard-aware atomic Crash): hammer Crash while split batches
-// are streaming at a sharded replica. The crash must kill all shards
-// atomically — no deadlocked dispatch (a config-free variant of the
-// barrier abort), no lost acked writes, and a clean rejoin on Recover.
-// Parameterized over the shard count: the marker-based crash drain takes
-// different code paths at different fan-outs.
-void RunCrashHammer(std::size_t shards, std::size_t workers = 0) {
+// Regression (shard-aware atomic Crash): hammer Crash while batches
+// spanning several shards are streaming at a replica. The crash must kill
+// all shards atomically — no hung crash drain, no lost acked writes, and
+// a clean rejoin on Recover. Swept over the shard layouts {1, 2, 4, 8}.
+void RunCrashHammer(std::size_t shards) {
   constexpr std::size_t kRounds = 12;
   constexpr std::size_t kWritesPerRound = 48;
   std::vector<std::string> keys;
@@ -191,7 +184,6 @@ void RunCrashHammer(std::size_t shards, std::size_t workers = 0) {
   StoreOptions options;
   options.replicas = 3;
   options.shards_per_replica = shards;
-  options.workers_per_replica = workers;
   ReplicatedStore store(std::move(options));
   auto client = store.MakeAsyncClient(
       AsyncQuorumClient::Options{.window = 64, .max_batch = 16});
@@ -201,7 +193,7 @@ void RunCrashHammer(std::size_t shards, std::size_t workers = 0) {
   std::int64_t next_value = 0;
   for (std::size_t round = 0; round < kRounds; ++round) {
     // First half of the round's writes, then Crash lands mid-pipeline:
-    // split sub-batches are sitting in shard inboxes right now.
+    // batches are sitting in the replica's mailbox right now.
     for (std::size_t i = 0; i < kWritesPerRound; ++i) {
       if (i == kWritesPerRound / 2) store.Crash(2);
       const std::string& key = keys[(next_value + i) % keys.size()];
@@ -224,6 +216,8 @@ void RunCrashHammer(std::size_t shards, std::size_t workers = 0) {
   }
 }
 
+TEST(ShardedCrash, CrashHammeredDuringBatchesOneShard) { RunCrashHammer(1); }
+
 TEST(ShardedCrash, CrashHammeredDuringSplitBatchesTwoShards) {
   RunCrashHammer(2);
 }
@@ -234,45 +228,96 @@ TEST(ShardedCrash, CrashHammeredDuringSplitBatchesEightShards) {
   RunCrashHammer(8);
 }
 
-// The marker-based drain must also cut cleanly when workers multiplex
-// several shards each (drain target = workers, not shards).
-TEST(ShardedCrash, CrashHammeredWithMultiplexedWorkers) {
-  RunCrashHammer(8, 2);
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name)
+      : path("runtime_shard_scratch/" + name) {
+    fs::remove_all(path);
+    fs::create_directories(path);
+  }
+  ~ScratchDir() { fs::remove_all(path); }
+  std::string path;
+};
+
+/// The first `per_shard` keys of the form "key<i>" on each of `shards`
+/// shards, grouped by shard.
+std::vector<std::string> KeysOnEveryShard(std::size_t shards,
+                                          std::size_t per_shard) {
+  std::vector<std::vector<std::string>> by_shard(shards);
+  std::size_t filled = 0;
+  for (int i = 0; filled < shards; ++i) {
+    const std::string k = "key" + std::to_string(i);
+    auto& bucket = by_shard[ShardForKey(k, shards)];
+    if (bucket.size() == per_shard) continue;
+    bucket.push_back(k);
+    if (bucket.size() == per_shard) ++filled;
+  }
+  std::vector<std::string> out;
+  for (const auto& bucket : by_shard) {
+    out.insert(out.end(), bucket.begin(), bucket.end());
+  }
+  return out;
 }
 
-// The batch-aware dispatch fast path: a pipelined batch whose keys all
-// hash to one shard must cross the dispatch→worker boundary as exactly
-// one handoff (one PushAll, at most one wakeup) — workers not touched by
-// the batch are never woken — and under group-commit durability cost
-// exactly one cross-shard fsync decision. Workers are pinned to
-// thread-per-shard so the assertion is meaningful on any host (with one
-// auto worker every batch would trivially be one handoff). Counter-based
-// via ReplicaBatchStats (direct atomic reads — no peek traffic perturbing
-// the handoff counts).
-TEST(ShardedStore, SingleShardBatchIsOneHandoffAndOneFsyncDecision) {
-  struct ScratchDir {
-    ScratchDir() : path("runtime_shard_scratch/fastpath") {
-      fs::remove_all(path);
-      fs::create_directories(path);
-    }
-    ~ScratchDir() { fs::remove_all(path); }
-    std::string path;
-  } scratch;
+/// Send one raw message from the store's coordinator slot straight to a
+/// replica (bypassing the client layer) and return the first reply.
+RtMessage RoundTrip(ReplicatedStore& store, NodeId replica, RtMessage req) {
+  const NodeId me = store.CoordinatorId();
+  EXPECT_TRUE(store.TransportRef().Send(me, replica, std::move(req)));
+  auto reply = store.TransportRef().MailboxOf(me).Pop(
+      std::chrono::steady_clock::now() + 5s);
+  EXPECT_TRUE(reply.has_value());
+  return reply ? reply->msg : RtMessage{};
+}
 
-  constexpr std::size_t kShards = 4;
+RtMessage BatchWrite(const std::vector<std::string>& keys,
+                     std::uint64_t version, std::uint64_t generation) {
+  RtMessage req;
+  req.kind = RtMessage::Kind::kBatchWriteReq;
+  req.op = 1;
+  req.generation = generation;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    req.batch.push_back(BatchEntry{i + 1, keys[i], version,
+                                   static_cast<std::int64_t>(i + 10)});
+  }
+  return req;
+}
+
+/// A one-replica store under group commit with `shards` shards.
+StoreOptions DurableShardedOptions(const std::string& directory,
+                                   std::size_t shards) {
   StoreOptions options;
   options.replicas = 1;
-  options.shards_per_replica = kShards;
-  options.workers_per_replica = kShards;  // thread-per-shard on any host
+  options.shards_per_replica = shards;
   options.durability = storage::DurabilityOptions{
-      .directory = scratch.path,
+      .directory = directory,
       .fsync = storage::FsyncPolicy::kGroupCommit,
       .group_commit_window = std::chrono::microseconds(2000),
   };
-  ReplicatedStore store(std::move(options));
-  ASSERT_EQ(store.ReplicaWorkerCount(0), kShards);
+  return options;
+}
 
-  // Collect keys that all land on one shard.
+/// Wait for replica 0's group-commit pass after `passes_before`, then
+/// confirm no further pass fires once the dirt is gone.
+void ExpectOneCommitPass(ReplicatedStore& store, std::uint64_t passes_before) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (store.ReplicaCommitPasses(0) < passes_before + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(store.ReplicaCommitPasses(0), passes_before + 1);
+  std::this_thread::sleep_for(20ms);  // ≫ the 2 ms window
+  EXPECT_EQ(store.ReplicaCommitPasses(0), passes_before + 1)
+      << "a second fsync decision fired with nothing dirty";
+}
+
+// A batch whose keys all hash to one shard is one mailbox handoff, touches
+// only that shard's counters, and under group commit costs one cross-shard
+// fsync decision that syncs the single dirty segment once.
+TEST(ShardedStore, SingleShardBatchIsOneHandoffAndOneFsyncDecision) {
+  ScratchDir scratch("single");
+  constexpr std::size_t kShards = 4;
+  ReplicatedStore store(DurableShardedOptions(scratch.path, kShards));
+
   const std::size_t target = ShardForKey("key0", kShards);
   std::vector<std::string> keys;
   for (int i = 0; keys.size() < 4; ++i) {
@@ -284,53 +329,74 @@ TEST(ShardedStore, SingleShardBatchIsOneHandoffAndOneFsyncDecision) {
   ASSERT_EQ(before.per_shard.size(), kShards);
   const std::uint64_t passes_before = store.ReplicaCommitPasses(0);
 
-  // One raw pipelined batch straight at the replica, bypassing the client
-  // layer so exactly one kBatchWriteReq crosses the dispatch thread.
-  RtMessage req;
-  req.kind = RtMessage::Kind::kBatchWriteReq;
-  req.op = 1;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    req.batch.push_back(
-        BatchEntry{i + 1, keys[i], 1, static_cast<std::int64_t>(i + 10)});
-  }
-  const NodeId me = store.CoordinatorId();
-  ASSERT_TRUE(store.TransportRef().Send(me, 0, std::move(req)));
-  const auto ack = store.TransportRef().MailboxOf(me).Pop(
-      std::chrono::steady_clock::now() + 5s);
-  ASSERT_TRUE(ack.has_value());
-  ASSERT_EQ(ack->msg.kind, RtMessage::Kind::kBatchWriteAck);
+  const RtMessage ack = RoundTrip(store, 0, BatchWrite(keys, 1, 0));
+  ASSERT_EQ(ack.kind, RtMessage::Kind::kBatchWriteAck);
+  ASSERT_EQ(ack.batch.size(), keys.size());
 
   const BatchStats after = store.ReplicaBatchStats(0);
-  // With thread-per-shard workers, only the target shard's worker may
-  // have been handed anything — one PushAll for the whole batch.
-  EXPECT_EQ(after.worker_handoffs - before.worker_handoffs, 1u)
-      << "whole batch must be one worker handoff";
-  EXPECT_LE(after.worker_wakeups - before.worker_wakeups, 1u)
-      << "at most the target worker may be woken";
-
-  // Exactly one group-commit pass (one cross-shard fsync decision, one
-  // fsync of the single dirty segment) serves the whole batch: wait for
-  // it, then confirm no further pass fires once the dirt is gone.
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (store.ReplicaCommitPasses(0) < passes_before + 1 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
+  EXPECT_EQ(after.mailbox_handoffs - before.mailbox_handoffs, 1u)
+      << "whole batch must be one mailbox handoff";
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const std::uint64_t want = s == target ? 1u : 0u;
+    EXPECT_EQ(after.per_shard[s].batches - before.per_shard[s].batches, want)
+        << "shard " << s;
   }
-  ASSERT_EQ(store.ReplicaCommitPasses(0), passes_before + 1);
-  std::this_thread::sleep_for(20ms);  // ≫ the 2 ms window
-  EXPECT_EQ(store.ReplicaCommitPasses(0), passes_before + 1)
-      << "a second fsync decision fired with nothing dirty";
-  const storage::StorageStats io = store.ReplicaStorageStats(0);
-  EXPECT_EQ(io.fsyncs, 1u) << "one dirty segment, one fsync";
+
+  ExpectOneCommitPass(store, passes_before);
+  EXPECT_EQ(store.ReplicaStorageStats(0).fsyncs, 1u)
+      << "one dirty segment, one fsync";
 }
 
-// The config-write barrier: a reconfiguration acked by a sharded replica
-// implies *every* shard applied the stamp, so writes under the new config
-// proceed and the merged peek carries the new generation.
+// One batch spanning every shard of a durable replica is one message all
+// the way through: one mailbox handoff in, one kBatchWriteAck out (at
+// most one reply per replica per batch), and under group commit one
+// cross-shard fsync decision that syncs each dirty shard segment once.
+// Counter-based via ReplicaBatchStats (direct atomic reads — no peek
+// traffic perturbing the handoff counts).
+TEST(ShardedStore, CrossShardBatchIsOneAckOneHandoffOneCommitPass) {
+  ScratchDir scratch("fastpath");
+  constexpr std::size_t kShards = 4;
+  ReplicatedStore store(DurableShardedOptions(scratch.path, kShards));
+  const std::vector<std::string> keys = KeysOnEveryShard(kShards, 2);
+
+  const BatchStats before = store.ReplicaBatchStats(0);
+  ASSERT_EQ(before.per_shard.size(), kShards);
+  const std::uint64_t passes_before = store.ReplicaCommitPasses(0);
+
+  const RtMessage ack = RoundTrip(store, 0, BatchWrite(keys, 1, 0));
+  ASSERT_EQ(ack.kind, RtMessage::Kind::kBatchWriteAck);
+  ASSERT_EQ(ack.batch.size(), keys.size()) << "one ack covers every entry";
+  for (const BatchEntry& e : ack.batch) EXPECT_EQ(e.value, 0) << e.op;
+  EXPECT_FALSE(store.TransportRef()
+                   .MailboxOf(store.CoordinatorId())
+                   .Pop(std::chrono::steady_clock::now() + 50ms)
+                   .has_value())
+      << "a second reply arrived for one batch";
+
+  const BatchStats after = store.ReplicaBatchStats(0);
+  EXPECT_EQ(after.mailbox_handoffs - before.mailbox_handoffs, 1u);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(after.per_shard[s].batches - before.per_shard[s].batches, 1u)
+        << "shard " << s;
+    EXPECT_EQ(after.per_shard[s].ops - before.per_shard[s].ops, 2u)
+        << "shard " << s;
+  }
+
+  // Exactly one group-commit pass serves the whole batch.
+  ExpectOneCommitPass(store, passes_before);
+  EXPECT_EQ(store.ReplicaStorageStats(0).fsyncs, kShards)
+      << "one fsync per dirty shard segment";
+}
+
+// A config write acked by a sharded replica implies *every* shard applied
+// the stamp: writes under the new config proceed, the merged peek carries
+// the new generation, and a batch staged under the old generation is
+// fenced on every shard.
 TEST(ShardedStore, ReconfigureBarriersAcrossAllShards) {
+  constexpr std::size_t kShards = 4;
   StoreOptions options;
   options.replicas = 3;
-  options.shards_per_replica = 4;
+  options.shards_per_replica = kShards;
   options.configs = {quorum::MajoritySystem(3), quorum::MajoritySystem(3)};
   ReplicatedStore store(std::move(options));
   auto client = store.MakeClient();
@@ -344,9 +410,54 @@ TEST(ShardedStore, ReconfigureBarriersAcrossAllShards) {
     EXPECT_EQ(snap.image.generation, 1u) << "replica " << r;
     EXPECT_EQ(snap.image.config_id, 1u) << "replica " << r;
   }
+  // Per shard: re-send the same stamp raw (a no-op where the client's copy
+  // already landed, but acked either way), then, once it is acked, a
+  // generation-0 batch with keys on every shard must be fenced entry by
+  // entry — each entry is checked against its own shard's stamp.
+  const std::vector<std::string> keys = KeysOnEveryShard(kShards, 1);
+  for (NodeId r = 0; r < store.ReplicaCount(); ++r) {
+    RtMessage stamp;
+    stamp.kind = RtMessage::Kind::kConfigWriteReq;
+    stamp.op = 7;
+    stamp.generation = 1;
+    stamp.config_id = 1;
+    ASSERT_EQ(RoundTrip(store, r, std::move(stamp)).kind,
+              RtMessage::Kind::kConfigWriteAck);
+    const RtMessage ack = RoundTrip(store, r, BatchWrite(keys, 100, 0));
+    ASSERT_EQ(ack.kind, RtMessage::Kind::kBatchWriteAck);
+    EXPECT_EQ(ack.generation, 1u);
+    ASSERT_EQ(ack.batch.size(), kShards);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(ack.batch[s].value, 1)
+          << "replica " << r << " shard " << s << " kept the old stamp";
+    }
+  }
   // The store keeps working under the new configuration.
   ASSERT_TRUE(client->Write("after", 99).ok);
   EXPECT_EQ(client->Read("after").value, 99);
+}
+
+// Streaming catchup names a shard per request; one beyond the donor's
+// layout is answered with an empty chunk carrying the donor's shard count,
+// which the puller turns into a typed join refusal.
+TEST(ShardedStore, CatchupBeyondLayoutGetsRefusalChunk) {
+  StoreOptions options;
+  options.replicas = 1;
+  options.shards_per_replica = 4;
+  ReplicatedStore store(std::move(options));
+  auto client = store.MakeClient();
+  ASSERT_TRUE(client->Write("x", 1).ok);
+  RtMessage req;
+  req.kind = RtMessage::Kind::kCatchupReq;
+  req.op = 3;
+  req.version = 4;  // shards are 0..3
+  req.value = 16;
+  const RtMessage chunk = RoundTrip(store, 0, std::move(req));
+  ASSERT_EQ(chunk.kind, RtMessage::Kind::kCatchupChunk);
+  EXPECT_EQ(chunk.op, 3u);
+  EXPECT_EQ(chunk.version, 4u);
+  EXPECT_TRUE(chunk.batch.empty());
+  EXPECT_EQ(chunk.value, 0);
 }
 
 // Satellite: per-shard counters (ops, batches, fsyncs, queue peak) are
@@ -388,14 +499,7 @@ TEST(ShardedStore, PerShardCountersSurfaceThroughPeek) {
 }
 
 TEST(ShardedStore, PerShardFsyncCountersUnderDurability) {
-  struct ScratchDir {
-    ScratchDir() : path("runtime_shard_scratch/fsync") {
-      fs::remove_all(path);
-      fs::create_directories(path);
-    }
-    ~ScratchDir() { fs::remove_all(path); }
-    std::string path;
-  } scratch;
+  ScratchDir scratch("fsync");
 
   constexpr std::size_t kShards = 2;
   std::string key_a, key_b;  // one key per shard
@@ -429,8 +533,7 @@ TEST(ShardedStore, PerShardFsyncCountersUnderDurability) {
 }
 
 // Peeking a sharded replica keeps working while the node is bus-crashed
-// (memory mode: the threads stay up), even though a concurrent crash can
-// clear an in-flight peek — the retry path must converge.
+// (memory mode: the loop stays up) and crashes race the peek requests.
 TEST(ShardedStore, PeekSurvivesConcurrentCrashes) {
   StoreOptions options;
   options.replicas = 3;

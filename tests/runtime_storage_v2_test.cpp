@@ -154,7 +154,6 @@ TEST(StorageV2Store, AdaptiveGroupCommitWindowEndToEnd) {
   storage::DurabilityOptions durability;
   durability.directory = dir.path;
   durability.fsync = storage::FsyncPolicy::kGroupCommit;
-  durability.coordinate_group_commit = true;
   durability.adaptive_commit_window = true;
   durability.group_commit_window = 200us;
   durability.commit_window_min = 50us;

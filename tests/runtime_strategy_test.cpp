@@ -42,6 +42,12 @@ struct StrategyCase {
   std::size_t replicas;
 };
 
+// Printed into each case's listed name: the default byte dump would embed
+// the spec's string-literal address, so names would shift with every link.
+void PrintTo(const StrategyCase& c, std::ostream* os) {
+  *os << c.spec << " on " << c.replicas << " replicas";
+}
+
 std::string CaseName(const ::testing::TestParamInfo<StrategyCase>& info) {
   std::string name = info.param.spec;
   for (char& c : name) {

@@ -10,16 +10,12 @@ Checks, in order of how badly they have bitten us before:
    the same traffic three times.  Distinct arrays prove each section
    ran its own workload.
 2. `hardware_concurrency` must be recorded and positive — the speedup
-   columns are meaningless without knowing the core budget, and the
-   multi-core gate below keys off it.
-3. Multi-core speedup gate: on hosts with >= 4 cores, shards=4 must
-   beat shards=1 wall-clock on the memory backend (speedup > 1.0), and
-   shards=8 must hold >= 0.75x.  Below 4 cores the worker pool is
-   capped at the core count, so the sweep measures dispatch overhead,
-   not parallelism — the same thresholds are reported as warnings only.
+   columns are meaningless without knowing the core budget.
 
-Exit status: 0 = pass (possibly with warnings), 1 = hard failure,
-2 = malformed/missing input.
+There is no speedup floor: each replica runs one loop thread whatever its
+shard count, so E16 makes no multi-core scaling claim to gate.
+
+Exit status: 0 = pass, 1 = hard failure, 2 = malformed/missing input.
 """
 
 import json
@@ -28,28 +24,12 @@ import sys
 SECTIONS = (
     "memory_backend",
     "durable_group_commit",
-    "pre_change_inline_group_commit",
 )
-
-MULTICORE_MIN_CORES = 4
-SHARDS4_MIN_SPEEDUP = 1.0
-SHARDS8_MIN_SPEEDUP = 0.75
 
 
 def fail(msg):
     print(f"check_bench_sharding: FAIL: {msg}", file=sys.stderr)
     return 1
-
-
-def warn(msg):
-    print(f"check_bench_sharding: warning: {msg}", file=sys.stderr)
-
-
-def row_for(section, shards):
-    for row in section:
-        if row.get("shards") == shards:
-            return row
-    return None
 
 
 def main(argv):
@@ -101,35 +81,6 @@ def main(argv):
             "hardware_concurrency missing or non-positive; speedup "
             "columns cannot be interpreted")
         cores = 0
-
-    # 3. Multi-core scaling gate (hard on >= 4 cores, warn-only below).
-    memory = sections["memory_backend"]
-    gates = (
-        (4, SHARDS4_MIN_SPEEDUP, "beat the single-shard baseline"),
-        (8, SHARDS8_MIN_SPEEDUP, f"hold >= {SHARDS8_MIN_SPEEDUP}x"),
-    )
-    enforce = cores >= MULTICORE_MIN_CORES
-    for shards, floor, verb in gates:
-        row = row_for(memory, shards)
-        if row is None:
-            status |= fail(f"memory_backend sweep has no shards={shards} row")
-            continue
-        speedup = row.get("speedup_vs_1_shard")
-        if not isinstance(speedup, (int, float)):
-            status |= fail(
-                f"memory_backend shards={shards} lacks speedup_vs_1_shard")
-            continue
-        ok = speedup > floor if floor == SHARDS4_MIN_SPEEDUP \
-            else speedup >= floor
-        if ok:
-            continue
-        msg = (f"memory shards={shards} speedup {speedup:.2f}x failed to "
-               f"{verb} (host has {cores} cores)")
-        if enforce:
-            status |= fail(msg)
-        else:
-            warn(msg + " — advisory only below "
-                 f"{MULTICORE_MIN_CORES} cores")
 
     if status == 0:
         print(f"check_bench_sharding: OK ({path}, {cores} cores, "
