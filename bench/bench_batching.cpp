@@ -27,6 +27,7 @@ namespace {
 
 using namespace qcnt;
 using runtime::AsyncQuorumClient;
+using runtime::ClientOptions;
 using runtime::OpFuture;
 using runtime::ReplicatedStore;
 using runtime::StoreOptions;
@@ -79,7 +80,7 @@ RunResult MeasureSync(StoreOptions options) {
 RunResult MeasureAsync(StoreOptions options, std::size_t depth) {
   const bool durable = options.durability.has_value();
   ReplicatedStore store(std::move(options));
-  auto client = store.MakeAsyncClient(AsyncQuorumClient::Options{
+  auto client = store.MakeAsyncClient(ClientOptions{
       .window = depth, .max_batch = std::max<std::size_t>(depth / 2, 1)});
   qcnt::Rng rng(42);
   RunResult out;

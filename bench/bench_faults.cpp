@@ -32,6 +32,7 @@ namespace {
 
 using namespace qcnt;
 using runtime::AsyncQuorumClient;
+using runtime::ClientOptions;
 using runtime::FaultPlan;
 using runtime::OpFuture;
 using runtime::ReplicatedStore;
@@ -53,7 +54,7 @@ double MeasuredReadSuccess(std::size_t replicas, double drop,
   options.faults = plan;
   ReplicatedStore store(std::move(options));
 
-  AsyncQuorumClient::Options copts;
+  ClientOptions copts;
   copts.timeout = kAttemptTimeout;
   copts.max_attempts = max_attempts;
   copts.backoff_base = std::chrono::milliseconds{1};

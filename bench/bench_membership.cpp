@@ -32,6 +32,7 @@ namespace {
 
 using namespace qcnt;
 using runtime::AsyncQuorumClient;
+using runtime::ClientOptions;
 using runtime::OpFuture;
 using runtime::ReplicatedStore;
 using runtime::StoreOptions;
@@ -61,7 +62,7 @@ void Traffic(ReplicatedStore& store, std::size_t id) {
   // Pipelined traffic, as in the E2E membership tests: the window
   // overlaps quorum latency, so the measured dip reflects lost capacity
   // rather than a blocking client's amplified queuing delay.
-  AsyncQuorumClient::Options aopts;
+  ClientOptions aopts;
   aopts.window = 16;
   aopts.max_batch = 8;
   aopts.max_attempts = 8;

@@ -72,7 +72,7 @@ double MeasureBatchedOpsPerSec(const quorum::QuorumSystem& system,
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < client_threads; ++t) {
     auto client = store.MakeAsyncClient(
-        runtime::AsyncQuorumClient::Options{.window = window,
+        runtime::ClientOptions{.window = window,
                                             .max_batch = window});
     threads.emplace_back([client = std::move(client), t, ops_per_client,
                           read_fraction, &failures] {

@@ -36,6 +36,7 @@ namespace {
 
 using namespace qcnt;
 using runtime::AsyncQuorumClient;
+using runtime::ClientOptions;
 using runtime::OpFuture;
 using runtime::ReplicatedStore;
 using runtime::StoreOptions;
@@ -70,7 +71,7 @@ RunResult Measure(StoreOptions options, std::size_t shards,
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t t = 0; t < kClientThreads; ++t) {
     auto client = store.MakeAsyncClient(
-        AsyncQuorumClient::Options{.window = kWindow, .max_batch = kMaxBatch});
+        ClientOptions{.window = kWindow, .max_batch = kMaxBatch});
     threads.emplace_back([client = std::move(client), t, seed_base,
                           &failures] {
       // Per-section seed base: reusing one stream across sections made

@@ -101,7 +101,11 @@ void Populate(const std::string& dir, std::uint64_t keys,
     // Overwrite low keys at version 2: a realistic hot tail.
     const std::uint64_t k = i % (keys > 0 ? keys : 1);
     image.ApplyWrite(Key(k), 2, -1);
-    backend->ApplyWrite(Key(k), 2, -1);
+    storage::WalRecord r;
+    r.key = Key(k);
+    r.version = 2;
+    r.value = -1;
+    backend->ApplyWriteBatch({r});
     // No MaybeCompact: the tail must survive to the recovery measurement
     // (kTailRecords * ~35 B stays under checkpoint_tail_bytes anyway).
   }

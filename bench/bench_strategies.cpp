@@ -38,6 +38,7 @@ namespace {
 using namespace qcnt;
 using namespace std::chrono_literals;
 using runtime::AsyncQuorumClient;
+using runtime::ClientOptions;
 using runtime::OpFuture;
 using runtime::ReplicatedStore;
 using runtime::StoreOptions;
@@ -80,7 +81,7 @@ StrategyRow MeasureReadHeavy(const std::string& spec, std::uint64_t seed) {
   for (std::size_t t = 0; t < kClientThreads; ++t) {
     threads.emplace_back([&, t] {
       auto client = store.MakeAsyncClient(
-          AsyncQuorumClient::Options{.window = 32, .max_batch = 16});
+          ClientOptions{.window = 32, .max_batch = 16});
       Rng rng(seed + t);
       std::vector<OpFuture> futures;
       futures.reserve(kOpsPerClient);

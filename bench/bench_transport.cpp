@@ -33,6 +33,7 @@ namespace {
 
 using namespace qcnt;
 using runtime::AsyncQuorumClient;
+using runtime::ClientOptions;
 using runtime::OpFuture;
 using runtime::ReplicatedStore;
 using runtime::StoreOptions;
@@ -51,7 +52,6 @@ StoreOptions Options(bool tcp) {
   // Loopback is reliable but not instantaneous; retries keep scheduler
   // hiccups from aborting a latency sample.
   o.client_options.max_attempts = 3;
-  o.async_client_options.max_attempts = 3;
   return o;
 }
 
@@ -108,7 +108,7 @@ struct ThroughputRow {
 /// Pipelined mixed workload (50/50 read/write) through the async client.
 ThroughputRow AsyncThroughput(bool tcp) {
   ReplicatedStore store(Options(tcp));
-  AsyncQuorumClient::Options aopts = Options(tcp).async_client_options;
+  ClientOptions aopts = Options(tcp).client_options;
   aopts.window = kWindow;
   auto client = store.MakeAsyncClient(aopts);
 

@@ -25,7 +25,7 @@ int main() {
   options.replicas = 5;
   runtime::ReplicatedStore store(std::move(options));
 
-  auto client = store.MakeAsyncClient(runtime::AsyncQuorumClient::Options{
+  auto client = store.MakeAsyncClient(runtime::ClientOptions{
       .window = 16,     // up to 16 ops in the pipeline
       .max_batch = 8,   // coalesce up to 8 staged requests per message
   });

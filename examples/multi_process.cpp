@@ -111,7 +111,7 @@ int RunLauncher(const char* self, std::size_t replicas,
     // simply ride the connection establishment.
     const NodeId me = static_cast<NodeId>(replicas);
     TcpTransport transport(Universe(replicas, port_base), {me});
-    qcnt::runtime::QuorumClient::Options copts;
+    qcnt::runtime::ClientOptions copts;
     copts.timeout = std::chrono::milliseconds(500);
     copts.max_attempts = 20;
     qcnt::runtime::QuorumClient client(

@@ -67,10 +67,10 @@ struct MembershipOptions {
   /// retrying (unlike the bare client's single-shot default): a membership
   /// operation under way is exactly when a lost ack should not fail the
   /// whole join/leave.
-  runtime::QuorumClient::Options client = DefaultClientOptions();
+  runtime::ClientOptions client = DefaultClientOptions();
 
-  static runtime::QuorumClient::Options DefaultClientOptions() {
-    runtime::QuorumClient::Options o;
+  static runtime::ClientOptions DefaultClientOptions() {
+    runtime::ClientOptions o;
     o.max_attempts = 4;
     return o;
   }

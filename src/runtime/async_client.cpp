@@ -6,289 +6,178 @@
 
 namespace qcnt::runtime {
 
-/// Per-operation state machine: read phase (version discovery), for writes
-/// a write phase installing the discovered version + 1, and a backoff
-/// phase parking the op between failed attempts. Shared between the
-/// client's bookkeeping and the caller's OpFuture.
-struct OpFuture::State {
-  std::uint64_t id = 0;  // current attempt's op id (fresh per attempt)
-  bool is_write = false;
-  std::string key;
-  std::int64_t value = 0;
-  enum class Phase : std::uint8_t { kRead, kWrite, kBackoff };
-  Phase phase = Phase::kRead;
-  std::uint32_t attempt = 0;
-  std::chrono::steady_clock::time_point start{};
-  std::chrono::steady_clock::time_point deadline{};
-  std::chrono::steady_clock::time_point retry_at{};  // backoff expiry
-  std::uint64_t responded = 0;  // read-phase responder bitmask
-  std::uint64_t acked = 0;      // write-phase acker bitmask
-  std::uint64_t fenced = 0;     // write-phase generation-NACK bitmask
-  /// Members the current phase's request actually reached; escalation
-  /// fans out to the complement.
-  std::uint64_t sent = 0;
-  /// When to give up on the minimal quorum and fan out (max() = already
-  /// fully fanned out, or nothing staged yet).
-  std::chrono::steady_clock::time_point escalate_at{
-      std::chrono::steady_clock::time_point::max()};
-  std::uint64_t best_version = 0;
-  std::int64_t best_value = 0;
-  std::uint64_t best_generation = 0;
-  std::uint32_t best_config = 0;
-  /// Resolved entry for best_config; quorum checks run against it.
-  std::shared_ptr<const MemberConfig> config;
-  bool done = false;
-  ClientResult result;
-};
+namespace {
+TimePoint Now() { return std::chrono::steady_clock::now(); }
+}  // namespace
 
-bool OpFuture::Ready() const { return state_->done; }
+bool OpFuture::Ready() const { return op_->Done(); }
 
 ClientResult OpFuture::Get() {
-  while (!state_->done && client_->PumpOnce()) {
+  while (!op_->Done() && client_->PumpOnce()) {
   }
-  QCNT_CHECK_MSG(state_->done, "future unresolved with nothing in flight");
-  return state_->result;
+  QCNT_CHECK_MSG(op_->Done(), "future unresolved with nothing in flight");
+  return op_->Result();
 }
-
-namespace {
-std::chrono::microseconds Since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - t0);
-}
-}  // namespace
 
 AsyncQuorumClient::AsyncQuorumClient(Transport& transport, NodeId id,
                                      std::shared_ptr<ConfigTable> table,
                                      std::uint32_t initial_config,
-                                     Options options)
+                                     ClientOptions options)
     : transport_(&transport),
       id_(id),
-      table_(std::move(table)),
-      options_(options),
-      config_id_(initial_config),
-      backoff_rng_(0xa5bacc0ffull ^ id) {
-  QCNT_CHECK(table_ != nullptr);
-  QCNT_CHECK(initial_config < table_->Size());
-  // Responder/acker bookkeeping is a 64-bit bitmask indexed by node id
-  // (member ids are checked < 64 when the table is built); the client
-  // itself must not be quorumed over.
-  const auto mc = table_->At(initial_config);
-  QCNT_CHECK_MSG(id >= 64 || (mc->member_mask & (1ull << id)) == 0,
-                 "client id collides with a configuration member");
-  QCNT_CHECK(options_.window >= 1);
-  QCNT_CHECK(options_.max_batch >= 1);
-  QCNT_CHECK(options_.max_attempts >= 1);
-}
+      core_(id, std::move(table), initial_config, options) {}
 
 AsyncQuorumClient::AsyncQuorumClient(Transport& transport, NodeId id,
                                      std::vector<quorum::QuorumSystem> configs,
                                      std::uint32_t initial_config,
-                                     Options options)
+                                     ClientOptions options)
     : AsyncQuorumClient(transport, id,
                         std::make_shared<ConfigTable>(std::move(configs)),
                         initial_config, options) {}
 
-AsyncQuorumClient::~AsyncQuorumClient() = default;
-
-void AsyncQuorumClient::SendBatch(RtMessage m, bool write_quorum) {
-  stats_.batches_sent += 1;
-  stats_.batched_requests += m.batch.size();
-  // Target the believed configuration's members at send time: once a
-  // response teaches this client a newer generation, the very next flush
-  // already reaches the new replica set.
-  const auto mc = table_->At(config_id_);
-  // Targeting is a first-attempt fast path; a batch carrying any retry
-  // attempt broadcasts so a struggling op is never starved by proxy.
-  bool targeted = options_.target_minimal;
-  for (const BatchEntry& entry : m.batch) {
-    const auto it = in_flight_.find(entry.op);
-    if (it != in_flight_.end() && it->second->attempt > 1) {
-      targeted = false;
-      break;
-    }
-  }
-  std::uint64_t sent = 0;
-  while (targeted) {
-    const std::uint64_t up = believed_up_ & mc->member_mask;
-    const auto q = write_quorum ? mc->system.pick_write(up)
-                                : mc->system.pick_read(up);
-    if (!q) {
-      // No quorum believed assemblable among up members: broadcast below.
-      targeted = false;
-      break;
-    }
-    bool complete = true;
-    for (const NodeId r : *q) {
-      const std::uint64_t bit = 1ull << r;
-      if (sent & bit) continue;
-      if (transport_->Send(id_, r, m)) {
-        sent |= bit;
-      } else {
-        // The transport knows this node is down right now: drop it from
-        // the believed up-set and re-pick. The mask strictly shrinks, so
-        // this loop terminates.
-        believed_up_ &= ~bit;
-        complete = false;
-      }
-    }
-    if (complete) break;
-  }
-  if (!targeted) {
-    for (const NodeId r : mc->members) {
-      if ((sent & (1ull << r)) == 0) transport_->Send(id_, r, m);
-    }
-    sent = mc->member_mask;
-  }
-  const auto escalate_at =
-      sent == mc->member_mask
-          ? std::chrono::steady_clock::time_point::max()
-          : std::chrono::steady_clock::now() + EscalateDelay();
-  for (const BatchEntry& entry : m.batch) {
-    const auto it = in_flight_.find(entry.op);
-    if (it == in_flight_.end()) continue;
-    it->second->sent = sent;
-    it->second->escalate_at = escalate_at;
-  }
-}
-
-void AsyncQuorumClient::EscalateOp(const std::shared_ptr<Op>& op) {
-  ++stats_.escalations;
-  RtMessage m;
-  if (op->phase == Op::Phase::kRead) {
-    m.kind = RtMessage::Kind::kBatchReadReq;
-    m.batch.push_back(BatchEntry{op->id, op->key, 0, 0});
-  } else {
-    m.kind = RtMessage::Kind::kBatchWriteReq;
-    m.batch.push_back(
-        BatchEntry{op->id, op->key, op->result.version, op->value});
-  }
-  m.generation = generation_;
-  m.config_id = config_id_;
-  stats_.batches_sent += 1;
-  stats_.batched_requests += 1;
-  for (const NodeId r : op->config->members) {
-    if ((op->sent & (1ull << r)) == 0) transport_->Send(id_, r, m);
-  }
-  op->sent = op->config->member_mask;
-  op->escalate_at = std::chrono::steady_clock::time_point::max();
-}
-
-std::chrono::milliseconds AsyncQuorumClient::EscalateDelay() const {
-  if (options_.escalate_after.count() > 0) return options_.escalate_after;
-  const auto quarter = options_.timeout / 4;
-  return quarter.count() > 0 ? quarter : std::chrono::milliseconds(1);
-}
-
-void AsyncQuorumClient::MaybeInstallWireConfig(const RtMessage& m) {
-  if (!m.config || table_->TryAt(m.config_id) != nullptr) return;
-  try {
-    table_->InstallAt(m.config_id,
-                      ConfigTable::FromDescriptor(m.config->descriptor,
-                                                  m.config->members));
-  } catch (const quorum::StrategyConfigError&) {
-    // Hostile or corrupt payload: leave the id unresolvable (Learn then
-    // refuses it, exactly the pre-payload behavior).
-  }
-}
-
-void AsyncQuorumClient::Learn(std::uint64_t generation,
-                              std::uint32_t config_id) {
-  // (generation, config_id) order — see QuorumClient::Learn.
-  if (generation < generation_ ||
-      (generation == generation_ && config_id <= config_id_)) {
-    return;
-  }
-  if (table_->TryAt(config_id) == nullptr) return;  // unresolvable: stray
-  generation_ = generation;
-  config_id_ = config_id;
-}
-
 OpFuture AsyncQuorumClient::SubmitRead(std::string key) {
-  return Submit(std::move(key), /*is_write=*/false, 0);
+  return Submit(std::make_shared<Op>(Op::Kind::kRead, std::move(key), 0));
 }
 
 OpFuture AsyncQuorumClient::SubmitWrite(std::string key, std::int64_t value) {
-  return Submit(std::move(key), /*is_write=*/true, value);
+  return Submit(
+      std::make_shared<Op>(Op::Kind::kWrite, std::move(key), value));
 }
 
-OpFuture AsyncQuorumClient::Submit(std::string key, bool is_write,
-                                   std::int64_t value) {
-  // Backpressure before accepting the new op: a full pipeline pumps
-  // completions, which also flushes staged batches — the pipeline keeps
-  // streaming even when every op targets the same handful of keys and
-  // in_flight_ alone could never reach the window.
-  while (pending_ >= options_.window && PumpOnce()) {
+OpFuture AsyncQuorumClient::SubmitReconfigure(std::uint32_t target) {
+  // The stamp is store-wide; the read leg runs on a distinguished key so
+  // version discovery still exercises a read quorum of the old config.
+  return Submit(std::make_shared<Op>(Op::Kind::kReconfigure, "", 0, target));
+}
+
+OpFuture AsyncQuorumClient::Submit(std::shared_ptr<Op> op) {
+  // Backpressure: a full window pumps completions (and flushes staged
+  // batches) before the new op is accepted.
+  while (pending_ >= core_.Options().window && PumpOnce()) {
   }
-  auto op = std::make_shared<Op>();
-  op->id = next_op_++;
-  op->is_write = is_write;
-  op->key = std::move(key);
-  op->value = value;
-  ++stats_.ops_submitted;
+  ++core_.stats.ops_submitted;
   ++pending_;
-  auto& queue = per_key_[op->key];
+  auto& queue = per_key_[op->Key()];
   queue.push_back(op);
-  if (queue.size() == 1) Admit(op);
-  return OpFuture(this, op);
+  if (queue.size() == 1) Apply(op, op->Start(core_, Now()));
+  return OpFuture(this, std::move(op));
 }
 
-void AsyncQuorumClient::Admit(const std::shared_ptr<Op>& op) {
-  op->start = std::chrono::steady_clock::now();
-  op->attempt = 1;
-  StartAttempt(op);
+void AsyncQuorumClient::Apply(const std::shared_ptr<Op>& op,
+                              QuorumOp::Step step) {
+  switch (step) {
+    case QuorumOp::Step::kWait:
+      return;
+    case QuorumOp::Step::kSend:
+      if (op->OpPhase() == Op::Phase::kRead) in_flight_.emplace(op->Id(), op);
+      if (op->OpKind() == Op::Kind::kReconfigure) {
+        const std::uint64_t to = op->DirectTargets();
+        SendDirect(*op, to);
+        op->Sent(core_, to, Now());
+      } else if (op->OpPhase() == Op::Phase::kRead) {
+        staged_reads_.push_back(op->Entry());
+        if (staged_reads_.size() >= core_.Options().max_batch) {
+          FlushStaged(staged_reads_, RtMessage::Kind::kBatchReadReq);
+        }
+      } else {
+        staged_writes_.push_back(op->Entry());
+        if (staged_writes_.size() >= core_.Options().max_batch) {
+          FlushStaged(staged_writes_, RtMessage::Kind::kBatchWriteReq);
+        }
+      }
+      return;
+    case QuorumOp::Step::kEscalate:
+      SendDirect(*op, op->Fanout());
+      return;
+    case QuorumOp::Step::kDone:
+      SendRepairs(*op);
+      Complete(op);
+      return;
+  }
 }
 
-void AsyncQuorumClient::StartAttempt(const std::shared_ptr<Op>& op) {
-  // Only first attempts trust the believed-up mask enough to target a
-  // minimal quorum; a retry launching means something went wrong — reset
-  // the mask (the batch it joins broadcasts anyway; see SendBatch).
-  if (op->attempt > 1) believed_up_ = ~0ull;
-  op->phase = Op::Phase::kRead;
-  op->deadline = std::chrono::steady_clock::now() + options_.timeout;
-  op->responded = 0;
-  op->acked = 0;
-  op->fenced = 0;
-  op->sent = 0;
-  op->escalate_at = std::chrono::steady_clock::time_point::max();
-  op->best_version = 0;
-  op->best_value = 0;
-  op->best_config = config_id_;
-  op->best_generation = generation_;
-  op->config = table_->At(config_id_);
-  in_flight_.emplace(op->id, op);
-  staged_reads_.push_back(BatchEntry{op->id, op->key, 0, 0});
-  if (staged_reads_.size() >= options_.max_batch) FlushReads();
+std::size_t AsyncQuorumClient::SendTo(std::uint64_t to, const RtMessage& m) {
+  std::size_t delivered = 0;
+  for (std::uint64_t rest = to; rest != 0; rest &= rest - 1) {
+    const auto r = static_cast<NodeId>(__builtin_ctzll(rest));
+    if (transport_->Send(id_, r, m)) ++delivered;
+  }
+  return delivered;
 }
 
-void AsyncQuorumClient::FlushReads() {
-  if (staged_reads_.empty()) return;
-  RtMessage m;
-  m.kind = RtMessage::Kind::kBatchReadReq;
-  // The believed stamp rides along so replies only carry a config payload
-  // when they actually teach this client something newer.
-  m.generation = generation_;
-  m.config_id = config_id_;
-  m.batch = std::move(staged_reads_);
-  staged_reads_.clear();
-  SendBatch(std::move(m), /*write_quorum=*/false);
+void AsyncQuorumClient::SendDirect(const Op& op, std::uint64_t to) {
+  core_.stats.batches_sent += 1;
+  core_.stats.batched_requests += 1;
+  SendTo(to, op.Request(core_));
+  if (op.OpKind() == Op::Kind::kReconfigure &&
+      op.OpPhase() == Op::Phase::kWrite) {
+    SendTo(to, op.StampRequest());  // each node gets the data leg first
+  }
 }
 
-void AsyncQuorumClient::FlushWrites() {
-  if (staged_writes_.empty()) return;
+void AsyncQuorumClient::SendRepairs(const Op& op) {
+  if (op.RepairTargets() == 0) return;
+  // Fire-and-forget: install the freshest pair at lagging replicas, under
+  // the believed stamp (so replicas that installed the configuration this
+  // read just learned about do not fence it). The acks come back under
+  // the finished op's id and are dropped as stray. Only repairs the
+  // transport accepted count: a dropped send repaired nothing.
   RtMessage m;
   m.kind = RtMessage::Kind::kBatchWriteReq;
-  // The believed generation rides on the whole batch; a replica holding a
-  // newer one fences every entry (per-entry NACKs teach the retry).
-  m.generation = generation_;
-  m.config_id = config_id_;
-  m.batch = std::move(staged_writes_);
-  staged_writes_.clear();
-  SendBatch(std::move(m), /*write_quorum=*/true);
+  m.op = op.Id();
+  m.generation = core_.Generation();
+  m.config_id = core_.ConfigId();
+  m.batch.push_back(BatchEntry{op.Id(), op.Key(), op.Result().version,
+                               op.Result().value});
+  core_.stats.repairs_issued += SendTo(op.RepairTargets(), m);
 }
 
 void AsyncQuorumClient::Flush() {
-  FlushReads();
-  FlushWrites();
+  FlushStaged(staged_reads_, RtMessage::Kind::kBatchReadReq);
+  FlushStaged(staged_writes_, RtMessage::Kind::kBatchWriteReq);
+}
+
+void AsyncQuorumClient::FlushStaged(std::vector<BatchEntry>& staged,
+                                    RtMessage::Kind kind) {
+  if (staged.empty()) return;
+  RtMessage m;
+  m.kind = kind;
+  // The believed stamp rides on the whole batch: replies carry a config
+  // payload only when they teach this client something newer, and a
+  // replica holding a newer generation fences every install entry
+  // (per-entry NACKs teach the retry).
+  m.generation = core_.Generation();
+  m.config_id = core_.ConfigId();
+  m.batch = std::move(staged);
+  staged.clear();
+  const bool write_quorum = kind == RtMessage::Kind::kBatchWriteReq;
+  core_.stats.batches_sent += 1;
+  core_.stats.batched_requests += m.batch.size();
+  // Target the believed configuration's members at send time: once a
+  // response teaches this client a newer generation, the very next flush
+  // already reaches the new replica set. Targeting is a first-attempt
+  // fast path; a batch carrying any op that may not target broadcasts, so
+  // a struggling op is never starved by proxy.
+  const auto mc = core_.Table()->At(core_.ConfigId());
+  bool targeted = true;
+  for (const BatchEntry& entry : m.batch) {
+    const auto it = in_flight_.find(entry.op);
+    if (it != in_flight_.end() && !it->second->Targetable(core_)) {
+      targeted = false;
+      break;
+    }
+  }
+  const std::uint64_t sent =
+      core_.Target(*mc, write_quorum, targeted,
+                   [&](NodeId r) { return transport_->Send(id_, r, m); });
+  const TimePoint now = Now();
+  for (const BatchEntry& entry : m.batch) {
+    const auto it = in_flight_.find(entry.op);
+    if (it != in_flight_.end()) it->second->Sent(core_, sent, now);
+  }
+  // The transport copied the message; keep its buffer for the next batch.
+  staged = std::move(m.batch);
+  staged.clear();
 }
 
 bool AsyncQuorumClient::PumpOnce() {
@@ -296,26 +185,20 @@ bool AsyncQuorumClient::PumpOnce() {
   // flushing: each response completes ops, admits same-key successors and
   // stages follow-up write phases, so the batches flushed below coalesce
   // a whole burst of progress instead of going out one entry at a time.
-  Mailbox& mailbox = transport_->MailboxOf(id_);
-  for (Envelope& e : mailbox.TryPopAll()) {
-    Dispatch(e);
+  net::Mailbox& mailbox = transport_->MailboxOf(id_);
+  if (mailbox.Size() != 0) {
+    for (Envelope& e : mailbox.TryPopAll()) Dispatch(e, Now());
   }
   Flush();
-  HandleTimers(std::chrono::steady_clock::now());
+  HandleTimers(Now());
   Flush();  // retries relaunched by HandleTimers stage new reads
   if (in_flight_.empty()) return false;
-  // Earliest timer: op deadlines for live attempts, backoff expiries for
-  // parked ops.
-  auto wake = std::chrono::steady_clock::time_point::max();
+  TimePoint wake = TimePoint::max();
   for (const auto& [id, op] : in_flight_) {
-    if (op->phase == Op::Phase::kBackoff) {
-      wake = std::min(wake, op->retry_at);
-    } else {
-      wake = std::min(wake, std::min(op->deadline, op->escalate_at));
-    }
+    wake = std::min(wake, op->NextTimer());
   }
-  std::optional<Envelope> e = transport_->MailboxOf(id_).Pop(wake);
-  const auto now = std::chrono::steady_clock::now();
+  std::optional<Envelope> e = mailbox.Pop(wake);
+  const TimePoint now = Now();
   if (!e) {
     if (now < wake) {
       // The only early nullopt from a blocking Pop is a closed mailbox:
@@ -327,229 +210,81 @@ bool AsyncQuorumClient::PumpOnce() {
     return !in_flight_.empty() || !staged_reads_.empty() ||
            !staged_writes_.empty();
   }
-  Dispatch(*e);
+  Dispatch(*e, now);
   HandleTimers(now);
   return true;
 }
 
-void AsyncQuorumClient::Dispatch(const Envelope& e) {
-  switch (e.msg.kind) {
-    case RtMessage::Kind::kBatchReadResp:
-      HandleBatchReadResp(e);
-      break;
-    case RtMessage::Kind::kBatchWriteAck:
-      HandleBatchWriteAck(e);
-      break;
-    default:
-      break;  // stray single-op traffic; not ours
-  }
-}
-
-void AsyncQuorumClient::HandleBatchReadResp(const Envelope& e) {
-  // A sender id outside the bitmask domain would shift out of range;
-  // such envelopes are stray traffic, never quorum evidence.
-  if (e.from >= 64) return;
+void AsyncQuorumClient::Dispatch(const Envelope& e, TimePoint now) {
   const RtMessage& m = e.msg;
-  believed_up_ |= 1ull << e.from;  // it answered: it is up
-  MaybeInstallWireConfig(m);
-  Learn(m.generation, m.config_id);
-  const std::uint64_t bit = 1ull << e.from;
+  if (m.kind != RtMessage::Kind::kBatchReadResp &&
+      m.kind != RtMessage::Kind::kBatchWriteAck &&
+      m.kind != RtMessage::Kind::kConfigWriteAck) {
+    return;  // not a response this client asked for
+  }
+  if (!core_.Hear(e.from, m)) return;
+  if (m.kind == RtMessage::Kind::kConfigWriteAck) {
+    const auto it = in_flight_.find(m.op);
+    if (it == in_flight_.end()) return;
+    const std::shared_ptr<Op> op = it->second;
+    Apply(op, op->OnStampAck(core_, e.from, now));
+    return;
+  }
+  const bool read = m.kind == RtMessage::Kind::kBatchReadResp;
   for (const BatchEntry& entry : m.batch) {
-    auto it = in_flight_.find(entry.op);
+    const auto it = in_flight_.find(entry.op);
     if (it == in_flight_.end()) continue;  // completed, retried or timed out
     const std::shared_ptr<Op> op = it->second;
-    if (op->phase != Op::Phase::kRead) continue;
-    // Only members of the op's configuration are evidence — neither
-    // toward the quorum nor in the freshest-version race (a forged or
-    // decommissioned sender must not win version discovery).
-    if ((op->config->member_mask & bit) == 0) continue;
-    const bool first = op->responded == 0;
-    op->responded |= bit;
-    if (!first && entry.version == op->best_version &&
-        entry.value != op->best_value) {
-      // Lemma 8 violation: two copies of one version with different
-      // values. Count it loudly; the larger-value tie-break below keeps
-      // the outcome deterministic without hiding the divergence.
-      ++stats_.divergences_observed;
-    }
-    if (first || entry.version > op->best_version ||
-        (entry.version == op->best_version &&
-         entry.value > op->best_value)) {
-      op->best_version = entry.version;
-      op->best_value = entry.value;
-    }
-    if (m.generation > op->best_generation ||
-        (m.generation == op->best_generation &&
-         m.config_id > op->best_config)) {
-      // Chase the newest configuration named by the evidence, in the
-      // (generation, config_id) stamp order; the quorum check below
-      // re-arms under it.
-      if (auto mc = table_->TryAt(m.config_id)) {
-        op->best_generation = m.generation;
-        op->best_config = m.config_id;
-        op->config = std::move(mc);
-      }
-    }
-    if (!op->config->system.has_read(op->responded &
-                                     op->config->member_mask)) {
-      continue;
-    }
-    if (op->is_write) {
-      // Version discovery done: stage the install above both the
-      // discovered version and everything this client ever staged for
-      // the key (install_floor_ — covers earlier attempts of this op and
-      // abandoned earlier ops whose stragglers may still land). Per-key
-      // serialization guarantees no other in-flight op can interleave a
-      // write to this key between discovery and install.
-      std::uint64_t& floor = install_floor_[op->key];
-      const std::uint64_t install = std::max(op->best_version, floor) + 1;
-      floor = install;
-      op->phase = Op::Phase::kWrite;
-      // The write phase gets its own send bookkeeping; the flush below
-      // (or the next pump) stamps the targeted set and escalation timer.
-      op->sent = 0;
-      op->escalate_at = std::chrono::steady_clock::time_point::max();
-      op->result.version = install;
-      staged_writes_.push_back(
-          BatchEntry{op->id, op->key, install, op->value});
-      if (staged_writes_.size() >= options_.max_batch) FlushWrites();
-    } else {
-      op->result.value = op->best_value;
-      op->result.version = op->best_version;
-      Complete(op, ClientStatus::kOk);
-    }
+    Apply(op, read ? op->OnRead(core_, e.from, m.generation, m.config_id,
+                                entry.version, entry.value, now)
+                   : op->OnWriteAck(core_, e.from, entry.value != 0, now));
   }
 }
 
-void AsyncQuorumClient::HandleBatchWriteAck(const Envelope& e) {
-  if (e.from >= 64) return;
-  believed_up_ |= 1ull << e.from;  // it answered: it is up
-  // A fenced ack still names the newer configuration in its header —
-  // that's the notification channel that re-targets the retry.
-  MaybeInstallWireConfig(e.msg);
-  Learn(e.msg.generation, e.msg.config_id);
-  const std::uint64_t bit = 1ull << e.from;
-  for (const BatchEntry& entry : e.msg.batch) {
-    auto it = in_flight_.find(entry.op);
-    if (it == in_flight_.end()) continue;
-    const std::shared_ptr<Op> op = it->second;
-    if (op->phase != Op::Phase::kWrite) continue;
-    if ((op->config->member_mask & bit) == 0) continue;  // non-member ack
-    if (entry.value != 0) {
-      // Fenced: refused, not quorum evidence. A fenced replica's
-      // generation only grows, so it can never ack this attempt — once
-      // the refusers exclude every write quorum, park the op for an
-      // immediate retry (already re-targeted by the Learn above) instead
-      // of letting it ride out the attempt deadline.
-      op->fenced |= bit;
-      if (op->attempt < options_.max_attempts &&
-          !op->config->system.has_write(op->config->member_mask &
-                                        ~op->fenced)) {
-        op->phase = Op::Phase::kBackoff;
-        op->retry_at = std::chrono::steady_clock::now();
-      }
-      continue;
-    }
-    op->acked |= bit;
-    if (op->config->system.has_write(op->acked & op->config->member_mask)) {
-      op->result.value = op->value;
-      Complete(op, ClientStatus::kOk);
-    }
-  }
-}
-
-void AsyncQuorumClient::Complete(const std::shared_ptr<Op>& op,
-                                 ClientStatus status) {
-  op->result.status = status;
-  op->result.ok = status == ClientStatus::kOk;
-  op->result.attempts = op->attempt;
-  op->result.latency = Since(op->start);
-  op->done = true;
-  in_flight_.erase(op->id);
+void AsyncQuorumClient::Complete(const std::shared_ptr<Op>& op) {
+  in_flight_.erase(op->Id());
   --pending_;
-  ++stats_.ops_completed;
-  if (!op->result.ok) ++stats_.ops_failed;
-  stats_.total_latency += op->result.latency;
-  stats_.max_latency = std::max(stats_.max_latency, op->result.latency);
-
-  auto it = per_key_.find(op->key);
+  auto it = per_key_.find(op->Key());
   QCNT_CHECK(it != per_key_.end() && it->second.front() == op);
-  it->second.pop_front();
+  it->second.erase(it->second.begin());
   if (it->second.empty()) {
     per_key_.erase(it);
   } else {
     // Hand the key to its successor; the slot this op freed keeps the
     // window invariant.
-    Admit(it->second.front());
+    const std::shared_ptr<Op> next = it->second.front();
+    Apply(next, next->Start(core_, Now()));
   }
 }
 
 void AsyncQuorumClient::FailAllInFlight() {
+  const TimePoint now = Now();
   while (!in_flight_.empty()) {
-    Complete(in_flight_.begin()->second, ClientStatus::kShutdown);
+    const std::shared_ptr<Op> op = in_flight_.begin()->second;
+    op->Abort(core_, now);
+    Complete(op);
   }
 }
 
-std::chrono::microseconds AsyncQuorumClient::BackoffDelay(
-    std::uint32_t attempt) {
-  auto delay = options_.backoff_base;
-  for (std::uint32_t i = 1; i < attempt && delay < options_.backoff_max; ++i) {
-    delay *= 2;
-  }
-  delay = std::min<std::chrono::milliseconds>(delay, options_.backoff_max);
-  const std::int64_t us =
-      std::chrono::duration_cast<std::chrono::microseconds>(delay).count();
-  if (us <= 0) return std::chrono::microseconds{0};
-  // Full jitter over the upper half decorrelates clients that failed
-  // together.
-  return std::chrono::microseconds(backoff_rng_.Range(us / 2, us));
-}
-
-void AsyncQuorumClient::HandleTimers(
-    std::chrono::steady_clock::time_point now) {
-  std::vector<std::shared_ptr<Op>> due;
+void AsyncQuorumClient::HandleTimers(TimePoint now) {
+  due_.clear();
   for (const auto& [id, op] : in_flight_) {
-    const auto when =
-        op->phase == Op::Phase::kBackoff ? op->retry_at : op->deadline;
-    if (when <= now) due.push_back(op);
+    if (op->NextTimer() <= now) due_.push_back(op);
   }
-  for (const auto& op : due) {
-    if (op->phase == Op::Phase::kBackoff) {
-      // Backoff elapsed: relaunch under a fresh op id so responses to the
-      // dead attempt (which stay addressed to the old id) can never
-      // satisfy this one.
-      in_flight_.erase(op->id);
-      op->id = next_op_++;
-      ++op->attempt;
-      ++stats_.retries;
-      StartAttempt(op);
-    } else if (op->attempt < options_.max_attempts) {
-      // Attempt timed out with attempts to spare: park in backoff. The
-      // op keeps its (stale) id in in_flight_ so the timer wheel sees it;
-      // the kBackoff phase shields it from late responses.
-      op->phase = Op::Phase::kBackoff;
-      op->retry_at = now + BackoffDelay(op->attempt);
-    } else if (options_.max_attempts > 1) {
-      Complete(op, ClientStatus::kRetriesExhausted);
-    } else {
-      Complete(op, (op->responded | op->acked) != 0
-                       ? ClientStatus::kTimeout
-                       : ClientStatus::kNoQuorum);
-    }
+  for (const std::shared_ptr<Op>& op : due_) {
+    const std::uint64_t old_id = op->Id();
+    const QuorumOp::Step step = op->OnTimer(core_, now);
+    // A relaunched attempt runs under a fresh id; Apply files it again.
+    if (op->Id() != old_id) in_flight_.erase(old_id);
+    Apply(op, step);
   }
-  // Escalations after deadline handling: an op whose minimal quorum has
-  // not assembled in time fans out to the rest of the member set. (Ops
-  // just parked or completed above no longer qualify.)
-  for (const auto& [id, op] : in_flight_) {
-    if (op->phase == Op::Phase::kBackoff) continue;
-    if (op->escalate_at <= now) EscalateOp(op);
-  }
+  due_.clear();
 }
 
 bool AsyncQuorumClient::Drain() {
   while (PumpOnce()) {
   }
-  return stats_.ops_failed == 0;
+  return core_.stats.ops_failed == 0;
 }
 
 }  // namespace qcnt::runtime

@@ -1,49 +1,32 @@
-// Asynchronous, batched quorum client.
+// Asynchronous, batched quorum client: the one runtime owner of QuorumOp.
 //
 // SubmitRead / SubmitWrite return futures immediately; up to `window`
 // operations run their quorum phases concurrently, and staged requests are
-// coalesced into multi-op bus messages (kBatchReadReq / kBatchWriteReq) so
-// a replica serves many operations per mailbox wakeup and logs a whole
-// write batch with one group-commit append.
+// coalesced into multi-op messages (kBatchReadReq / kBatchWriteReq) so a
+// replica serves many operations per mailbox wakeup and logs a whole write
+// batch with one group-commit append. The protocol itself lives in
+// QuorumOp (quorum_op.hpp); this class adds only the per-key FIFO, the
+// window, batching and the pump.
 //
-// Correctness envelope (DESIGN.md §7): the paper's protocol constrains
-// only the per-item version-number order (Lemmas 7/8 quantify over one
-// item x at a time), so operations on *disjoint* keys pipeline freely
-// while operations on the *same* key are serialized behind each other in
-// submission order — at most one op per key has live quorum phases, hence
-// every write still derives its version from a read quorum that reflects
-// the preceding write. A workload replayed through this client therefore
-// produces the same per-item version sequences and the same final replica
-// images as the sequential QuorumClient (asserted for randomized workloads
-// by tests/runtime_async_test.cpp).
+// Correctness envelope (DESIGN.md §7): the paper constrains only the
+// per-item version order (Lemmas 7/8 quantify over one item at a time),
+// so ops on disjoint keys pipeline freely while ops on the same key run
+// one at a time in submission order — every write still derives its
+// version from a read quorum that reflects the preceding write.
 //
-// Failure handling mirrors QuorumClient: each operation runs up to
-// Options::max_attempts attempts, each with a fresh op id (so stale
-// responses from a timed-out attempt can never satisfy a later one) and
-// its own deadline, separated by jittered exponential backoff served by
-// the same timer machinery as deadlines — backoff never blocks the
-// pipeline; unrelated ops keep streaming. A retried write installs at
-// max(discovered version, highest version any earlier attempt installed)
-// + 1, so a straggling install from a failed attempt can never overtake
-// the version the operation finally acks (see client.hpp).
-//
-// Threading model: the client is single-threaded and cooperatively driven.
-// There is no background thread; progress happens inside Submit*, Flush,
-// Drain and OpFuture::Get, which pump the client's own mailbox. One client
-// per thread, as with QuorumClient.
+// Threading model: single-threaded and cooperatively driven. Progress
+// happens inside Submit*, Flush, Drain and OpFuture::Get, which pump the
+// client's own mailbox. One client per thread.
 #pragma once
 
-#include <chrono>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
-#include "common/rng.hpp"
 #include "quorum/strategies.hpp"
 #include "runtime/bus.hpp"
-#include "runtime/client.hpp"
-#include "runtime/config_table.hpp"
+#include "runtime/quorum_op.hpp"
 
 namespace qcnt::runtime {
 
@@ -59,82 +42,28 @@ class OpFuture {
 
  private:
   friend class AsyncQuorumClient;
-  struct State;
-  OpFuture(AsyncQuorumClient* client, std::shared_ptr<State> state)
-      : client_(client), state_(std::move(state)) {}
+  friend class QuorumClient;
+  OpFuture(AsyncQuorumClient* client, std::shared_ptr<QuorumOp> op)
+      : client_(client), op_(std::move(op)) {}
   AsyncQuorumClient* client_;
-  std::shared_ptr<State> state_;
+  std::shared_ptr<QuorumOp> op_;
 };
 
 class AsyncQuorumClient {
  public:
-  struct Options {
-    /// Per-attempt deadline, measured from attempt start.
-    std::chrono::milliseconds timeout{1000};
-    /// Attempts per logical operation; 1 = classic single-shot pipeline.
-    std::size_t max_attempts = 1;
-    /// Backoff before attempt k+1: uniform jitter over
-    /// [base·2^(k-1)/2, base·2^(k-1)], capped at backoff_max. Served by
-    /// the pump's timer wheel, not by sleeping.
-    std::chrono::milliseconds backoff_base{2};
-    std::chrono::milliseconds backoff_max{64};
-    /// Maximum outstanding (submitted, not yet completed) operations —
-    /// the pipeline depth. Submitting past the window blocks the caller
-    /// inside Submit*, pumping completions (and flushing staged batches)
-    /// until a slot frees. Ops queued behind a same-key predecessor count
-    /// against the window even though their quorum phases are not live
-    /// yet: backpressure is what keeps the pipeline draining.
-    std::size_t window = 16;
-    /// Flush threshold: staged requests are sent once this many coalesce
-    /// (Flush()/Drain()/pumping send partial batches earlier).
-    std::size_t max_batch = 32;
-    /// First attempts target a *minimal* quorum picked by the installed
-    /// system over the believed-up members instead of broadcasting (the
-    /// message-count win generalized strategies exist for). An op whose
-    /// minimal quorum has not assembled after this long escalates to full
-    /// fan-out (0 = auto: a quarter of the attempt timeout). Batches
-    /// containing any retry attempt broadcast.
-    std::chrono::milliseconds escalate_after{0};
-    /// Disable minimal-quorum targeting: every batch fans out to the
-    /// full member set (the pre-targeting behavior, under which writes
-    /// reach every member rather than just a write quorum — what
-    /// replication-audit tests want).
-    bool target_minimal = true;
-  };
+  using Stats = QuorumCore::Stats;
 
-  /// Client-side batching/latency counters, alongside the replica-side
-  /// BatchStats and the storage counters.
-  struct Stats {
-    std::uint64_t ops_submitted = 0;
-    std::uint64_t ops_completed = 0;  // includes failures
-    std::uint64_t ops_failed = 0;
-    std::uint64_t retries = 0;          // extra attempts beyond the first
-    std::uint64_t batches_sent = 0;     // broadcast batch messages
-    std::uint64_t batched_requests = 0; // entries across those batches
-    /// Lemma 8 invariant counter: read responses carrying best_version
-    /// with a different value (see QuorumClient::DivergencesObserved).
-    std::uint64_t divergences_observed = 0;
-    /// Times a targeted (minimal-quorum) op had to fan out to the full
-    /// member set — its quorum did not assemble within escalate_after.
-    std::uint64_t escalations = 0;
-    std::chrono::microseconds total_latency{0};
-    std::chrono::microseconds max_latency{0};
-  };
-
-  /// `table` is the shared registry of installable configurations (it
-  /// may grow at runtime; see config_table.hpp) — responses revealing a
-  /// newer generation re-target every later broadcast, and fenced write
-  /// acks (a replica refusing an install under a stale generation) teach
-  /// the client the new configuration without counting toward a quorum.
+  /// `table` is the shared registry of installable configurations (it may
+  /// grow at runtime; see config_table.hpp); responses revealing a newer
+  /// generation re-target every later request.
   AsyncQuorumClient(Transport& transport, NodeId id,
                     std::shared_ptr<ConfigTable> table,
-                    std::uint32_t initial_config, Options options);
+                    std::uint32_t initial_config, ClientOptions options);
   /// Convenience: wrap a static table of prefix-universe configurations.
   AsyncQuorumClient(Transport& transport, NodeId id,
                     std::vector<quorum::QuorumSystem> configs,
-                    std::uint32_t initial_config, Options options);
+                    std::uint32_t initial_config, ClientOptions options);
 
-  ~AsyncQuorumClient();
   AsyncQuorumClient(const AsyncQuorumClient&) = delete;
   AsyncQuorumClient& operator=(const AsyncQuorumClient&) = delete;
 
@@ -150,59 +79,45 @@ class AsyncQuorumClient {
   /// operation this client ever submitted succeeded.
   bool Drain();
 
-  std::uint32_t BelievedConfig() const { return config_id_; }
-  const Stats& ClientStats() const { return stats_; }
+  NodeId Id() const { return id_; }
+  std::uint32_t BelievedConfig() const { return core_.ConfigId(); }
+  std::uint64_t BelievedGeneration() const { return core_.Generation(); }
+  const Stats& ClientStats() const { return core_.stats; }
 
  private:
   friend class OpFuture;
-  using Op = OpFuture::State;
+  friend class QuorumClient;
+  using Op = QuorumOp;
 
-  OpFuture Submit(std::string key, bool is_write, std::int64_t value);
-  /// Send a batch message to a minimal read/write quorum of the believed
-  /// configuration (full fan-out when the batch carries a retry attempt,
-  /// no quorum is believed assemblable, or targeting is a wash), then
-  /// stamp every in-flight op in the batch with the targeted set and its
-  /// escalation deadline.
-  void SendBatch(RtMessage m, bool write_quorum);
-  /// Fan one op's request out to every member it was not yet sent to —
-  /// its minimal quorum did not assemble within escalate_after.
-  void EscalateOp(const std::shared_ptr<Op>& op);
-  std::chrono::milliseconds EscalateDelay() const;
-  /// Adopt (generation, config_id) evidence from a response.
-  void Learn(std::uint64_t generation, std::uint32_t config_id);
-  /// Install a self-describing config payload the wire taught us, when
-  /// the shared table cannot resolve its id (see QuorumClient).
-  void MaybeInstallWireConfig(const RtMessage& m);
-  void Admit(const std::shared_ptr<Op>& op);
-  /// (Re)launch the op's read phase under a fresh deadline: reset quorum
-  /// bookkeeping and stage the read request. The op must already carry
-  /// its id and be absent from in_flight_.
-  void StartAttempt(const std::shared_ptr<Op>& op);
-  void FlushReads();
-  void FlushWrites();
+  /// Gifford reconfiguration to table entry `target` (QuorumClient's
+  /// Reconfigure runs it to completion).
+  OpFuture SubmitReconfigure(std::uint32_t target);
+  OpFuture Submit(std::shared_ptr<Op> op);
+  /// Act on what an op asked for after an input.
+  void Apply(const std::shared_ptr<Op>& op, QuorumOp::Step step);
+  /// Send the staged entries as one batch of `kind` to a minimal quorum
+  /// of the believed configuration (full fan-out when any op in it may
+  /// not target), then tell every op in the batch whom it reached.
+  void FlushStaged(std::vector<BatchEntry>& staged, RtMessage::Kind kind);
+  /// Send `m` to every node in `to`; returns how many sends the
+  /// transport accepted.
+  std::size_t SendTo(std::uint64_t to, const RtMessage& m);
+  /// Send one op's request, outside any batch, to the members in `to`.
+  void SendDirect(const Op& op, std::uint64_t to);
+  void SendRepairs(const Op& op);
   /// One scheduling step: flush staged batches, then block on the mailbox
-  /// until a message, the earliest timer (op deadline or backoff expiry),
-  /// or shutdown. Returns false when there is nothing in flight to wait
-  /// for.
+  /// until a message, the earliest timer (op deadline, escalation or
+  /// backoff expiry), or shutdown. Returns false when there is nothing in
+  /// flight to wait for.
   bool PumpOnce();
-  void Dispatch(const Envelope& e);
-  void HandleBatchReadResp(const Envelope& e);
-  void HandleBatchWriteAck(const Envelope& e);
-  void Complete(const std::shared_ptr<Op>& op, ClientStatus status);
+  void Dispatch(const Envelope& e, TimePoint now);
+  void Complete(const std::shared_ptr<Op>& op);
   void FailAllInFlight();
-  /// Fire every due timer: expire overdue attempts (scheduling a backoff
-  /// or completing with a failure status) and relaunch ops whose backoff
-  /// elapsed under a fresh op id.
-  void HandleTimers(std::chrono::steady_clock::time_point now);
-  std::chrono::microseconds BackoffDelay(std::uint32_t attempt);
+  void HandleTimers(TimePoint now);
 
   Transport* transport_;
   NodeId id_;
-  std::shared_ptr<ConfigTable> table_;
-  Options options_;
-  std::uint32_t config_id_;
-  std::uint64_t generation_ = 0;
-  std::uint64_t next_op_ = 1;
+  QuorumCore core_;
 
   /// Ops with live quorum phases (or parked in backoff), by op id.
   std::unordered_map<std::uint64_t, std::shared_ptr<Op>> in_flight_;
@@ -210,22 +125,11 @@ class AsyncQuorumClient {
   /// predecessor. Submit* blocks while pending_ >= window.
   std::size_t pending_ = 0;
   /// Per-key FIFO; only the front op of each queue may be in flight.
-  std::unordered_map<std::string, std::deque<std::shared_ptr<Op>>> per_key_;
+  /// Queues are almost always one op long, so a vector beats a deque.
+  std::unordered_map<std::string, std::vector<std::shared_ptr<Op>>> per_key_;
   std::vector<BatchEntry> staged_reads_;
   std::vector<BatchEntry> staged_writes_;
-  /// Highest install version this client ever staged, per key; every new
-  /// install goes strictly above it so stragglers from failed attempts or
-  /// abandoned ops can never collide with a later install (see
-  /// client.hpp).
-  std::unordered_map<std::string, std::uint64_t> install_floor_;
-  /// Optimistic up-mask driving minimal-quorum targeting: a bit clears
-  /// when the transport refuses a send (node known down) and sets again
-  /// on any response from that node. Reset to all-up whenever a retry
-  /// attempt launches — targeting is a fast path, never a liveness
-  /// assumption.
-  std::uint64_t believed_up_ = ~0ull;
-  Stats stats_;
-  Rng backoff_rng_;
+  std::vector<std::shared_ptr<Op>> due_;  // HandleTimers' reused buffer
 };
 
 }  // namespace qcnt::runtime

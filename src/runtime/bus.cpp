@@ -26,7 +26,7 @@ Bus::Bus(std::size_t nodes)
   const std::size_t capacity = nodes + kGrowthHeadroom;
   mailboxes_.reserve(capacity);
   for (std::size_t i = 0; i < capacity; ++i) {
-    mailboxes_.push_back(std::make_unique<Mailbox>());
+    mailboxes_.push_back(std::make_unique<net::Mailbox>());
     up_[i].store(i < nodes);  // headroom slots stay dark until AddNode
   }
   count_.store(nodes, std::memory_order_release);
@@ -51,7 +51,7 @@ Bus::~Bus() {
   if (net_thread_.joinable()) net_thread_.join();
 }
 
-Mailbox& Bus::MailboxOf(NodeId node) {
+net::Mailbox& Bus::MailboxOf(NodeId node) {
   QCNT_CHECK(node < NodeCount());
   return *mailboxes_[node];
 }

@@ -35,8 +35,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "net/mailbox.hpp"
 #include "net/transport.hpp"
-#include "runtime/mailbox.hpp"
 
 namespace qcnt::runtime {
 
@@ -104,7 +104,7 @@ class Bus final : public Transport {
   /// streams cover its links lazily, exactly like links between founding
   /// nodes. Returns the new node's id.
   NodeId AddNode();
-  Mailbox& MailboxOf(NodeId node) override;
+  net::Mailbox& MailboxOf(NodeId node) override;
 
   /// Deliver (or schedule) one message. Returns true when the message was
   /// delivered or handed to the fault layer for (possibly duplicated,
@@ -219,7 +219,7 @@ class Bus final : public Transport {
   void EnsureNetThread();
   void NetLoop();
 
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;  // sized to Capacity()
+  std::vector<std::unique_ptr<net::Mailbox>> mailboxes_;  // sized to Capacity()
   std::vector<std::atomic<bool>> up_;                // sized to Capacity()
   std::atomic<std::size_t> count_{0};                // logical node count
   mutable std::mutex hooks_mu_;

@@ -1,585 +1,43 @@
 #include "runtime/client.hpp"
 
-#include <algorithm>
-#include <array>
-#include <thread>
-
-#include "common/check.hpp"
-
 namespace qcnt::runtime {
 
 namespace {
-std::chrono::microseconds Since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - t0);
+ClientOptions WindowOne(ClientOptions options) {
+  options.window = 1;
+  options.max_batch = 1;
+  return options;
 }
 }  // namespace
 
-const char* ToString(ClientStatus status) {
-  switch (status) {
-    case ClientStatus::kOk:
-      return "ok";
-    case ClientStatus::kTimeout:
-      return "timeout";
-    case ClientStatus::kNoQuorum:
-      return "no-quorum";
-    case ClientStatus::kRetriesExhausted:
-      return "retries-exhausted";
-    case ClientStatus::kShutdown:
-      return "shutdown";
-  }
-  return "unknown";
-}
-
 QuorumClient::QuorumClient(Transport& transport, NodeId id,
                            std::shared_ptr<ConfigTable> table,
-                           std::uint32_t initial_config, Options options)
-    : transport_(&transport),
-      id_(id),
-      table_(std::move(table)),
-      options_(options),
-      config_id_(initial_config),
-      backoff_rng_(0xbacc0ffull ^ id) {
-  QCNT_CHECK(table_ != nullptr);
-  QCNT_CHECK(initial_config < table_->Size());
-  // Responder bookkeeping is a 64-bit bitmask indexed by node id (member
-  // ids are checked < 64 when the table is built); the client itself must
-  // not be quorumed over.
-  const auto mc = table_->At(initial_config);
-  QCNT_CHECK_MSG(id >= 64 || (mc->member_mask & (1ull << id)) == 0,
-                 "client id collides with a configuration member");
-  QCNT_CHECK(options_.max_attempts >= 1);
-}
+                           std::uint32_t initial_config, ClientOptions options)
+    : pipe_(transport, id, std::move(table), initial_config,
+            WindowOne(options)) {}
 
 QuorumClient::QuorumClient(Transport& transport, NodeId id,
                            std::vector<quorum::QuorumSystem> configs,
-                           std::uint32_t initial_config, Options options)
-    : QuorumClient(transport, id,
-                   std::make_shared<ConfigTable>(std::move(configs)),
-                   initial_config, options) {}
-
-QuorumClient::QuorumClient(Transport& transport, NodeId id,
-                           std::vector<quorum::QuorumSystem> configs,
-                           std::uint32_t initial_config)
-    : QuorumClient(transport, id, std::move(configs), initial_config,
-                   Options{}) {}
-
-void QuorumClient::BroadcastTo(const MemberConfig& config,
-                               const RtMessage& m) {
-  for (NodeId r : config.members) transport_->Send(id_, r, m);
-}
-
-std::uint64_t QuorumClient::SendToQuorum(const MemberConfig& config,
-                                         const RtMessage& m,
-                                         bool write_quorum) {
-  std::uint64_t sent = 0;
-  for (;;) {
-    const std::uint64_t up = believed_up_ & config.member_mask;
-    const auto q = write_quorum ? config.system.pick_write(up)
-                                : config.system.pick_read(up);
-    if (!q) break;  // no quorum believed assemblable: fall back below
-    bool complete = true;
-    for (const NodeId r : *q) {
-      const std::uint64_t bit = 1ull << r;
-      if (sent & bit) continue;
-      if (transport_->Send(id_, r, m)) {
-        sent |= bit;
-      } else {
-        // The transport knows this node is down right now (in-process
-        // bus refuses sends to crashed nodes): drop it from the believed
-        // up-set and re-pick. The mask strictly shrinks, so this loop
-        // terminates.
-        believed_up_ &= ~bit;
-        complete = false;
-      }
-    }
-    if (complete) return sent;
-  }
-  // No pickable quorum among believed-up members — full fan-out, and
-  // report the whole member set as covered so nothing escalates later.
-  for (const NodeId r : config.members) {
-    if ((sent & (1ull << r)) == 0) transport_->Send(id_, r, m);
-  }
-  return config.member_mask;
-}
-
-std::uint64_t QuorumClient::Escalate(const MemberConfig& config,
-                                     const RtMessage& m, std::uint64_t sent) {
-  ++escalations_;
-  for (const NodeId r : config.members) {
-    if ((sent & (1ull << r)) == 0) transport_->Send(id_, r, m);
-  }
-  return sent | config.member_mask;
-}
-
-std::chrono::milliseconds QuorumClient::EscalateDelay() const {
-  if (options_.escalate_after.count() > 0) return options_.escalate_after;
-  const auto quarter = options_.timeout / 4;
-  return quarter.count() > 0 ? quarter : std::chrono::milliseconds(1);
-}
-
-void QuorumClient::Learn(std::uint64_t generation, std::uint32_t config_id) {
-  // Stamps order by (generation, config_id): config ids are append-ordered
-  // in the shared table, so when an orphaned stamp from a timed-out
-  // reconfigure attempt collides in generation with a later install (of an
-  // adjacent configuration), every client deterministically resolves the
-  // tie toward the newer configuration.
-  if (generation < generation_ ||
-      (generation == generation_ && config_id <= config_id_)) {
-    return;
-  }
-  // Adopt only config ids the shared table can resolve; membership change
-  // appends the target before stamping it, so an unresolvable id is stray
-  // or corrupt traffic, never a config this client must chase. (A wire-
-  // learned payload may have been installed just before this — see
-  // MaybeInstallWireConfig.)
-  if (table_->TryAt(config_id) == nullptr) return;
-  generation_ = generation;
-  config_id_ = config_id;
-}
-
-void QuorumClient::MaybeInstallWireConfig(const RtMessage& m) {
-  if (!m.config || table_->TryAt(m.config_id) != nullptr) return;
-  try {
-    table_->InstallAt(m.config_id,
-                      ConfigTable::FromDescriptor(m.config->descriptor,
-                                                  m.config->members));
-  } catch (const quorum::StrategyConfigError&) {
-    // A payload that cannot form a legal system is hostile or corrupt;
-    // leave the id unresolvable — Learn then refuses it, exactly the
-    // pre-payload behavior.
-  }
-}
-
-QuorumClient::ReadPhase QuorumClient::RunReadPhase(
-    const std::string& key, std::uint64_t op,
-    std::chrono::steady_clock::time_point deadline, bool targeted) {
-  RtMessage req;
-  req.kind = RtMessage::Kind::kReadReq;
-  req.op = op;
-  req.key = key;
-  // The believed stamp rides along so replies only carry a config
-  // payload when they actually teach this client something newer.
-  req.generation = generation_;
-  req.config_id = config_id_;
-
-  ReadPhase phase;
-  phase.best_config = config_id_;
-  phase.best_generation = generation_;
-  phase.config = table_->At(config_id_);
-  std::uint64_t sent;
-  if (targeted) {
-    sent = SendToQuorum(*phase.config, req, /*write_quorum=*/false);
-  } else {
-    BroadcastTo(*phase.config, req);
-    sent = phase.config->member_mask;
-  }
-  auto escalate_at = std::chrono::steady_clock::time_point::max();
-  if ((sent & phase.config->member_mask) != phase.config->member_mask) {
-    escalate_at = std::chrono::steady_clock::now() + EscalateDelay();
-  }
-  std::uint64_t responded = 0;
-  std::array<std::uint64_t, 64> versions{};
-  while (!phase.ok) {
-    const auto wake = escalate_at < deadline ? escalate_at : deadline;
-    std::optional<Envelope> e = transport_->MailboxOf(id_).Pop(wake);
-    if (!e) {
-      if (std::chrono::steady_clock::now() < wake) {
-        // A blocking Pop returns early only when the mailbox closed: the
-        // store is shutting down and no response will ever arrive.
-        phase.shutdown = true;
-        break;
-      }
-      if (wake == deadline) break;  // attempt timed out
-      // The escalation timer fired first: the minimal quorum did not
-      // assemble in time — fan out to everyone not yet probed. (A config
-      // adopted mid-phase is covered too: `sent` tracks real node ids.)
-      sent = Escalate(*phase.config, req, sent);
-      escalate_at = std::chrono::steady_clock::time_point::max();
-      continue;
-    }
-    // A sender id outside the bitmask domain would shift out of range;
-    // such envelopes are stray traffic, never quorum evidence.
-    if (e->from >= 64) continue;
-    const RtMessage& m = e->msg;
-    if (m.op != op || m.kind != RtMessage::Kind::kReadResp) continue;
-    believed_up_ |= 1ull << e->from;  // it answered: it is up
-    MaybeInstallWireConfig(m);
-    // Only members of the configuration under evaluation are evidence —
-    // neither toward the quorum nor in the freshest-version race. A
-    // forged (or decommissioned) sender outside the member set must not
-    // win version discovery with a fabricated version.
-    if ((phase.config->member_mask & (1ull << e->from)) == 0) continue;
-    const std::uint64_t bit = 1ull << e->from;
-    const bool first = responded == 0;
-    responded |= bit;
-    phase.any_response = true;
-    versions[e->from] = m.version;
-    if (!first && m.version == phase.best_version &&
-        m.value != phase.best_value) {
-      // Two copies of the same version with different values — a Lemma 8
-      // violation. Count it loudly; the tie-break below (larger value
-      // wins, matching the replica-side total order) keeps the outcome
-      // deterministic but must never hide the divergence.
-      ++divergences_observed_;
-    }
-    if (first || m.version > phase.best_version ||
-        (m.version == phase.best_version && m.value > phase.best_value)) {
-      phase.best_version = m.version;
-      phase.best_value = m.value;
-    }
-    if (m.generation > phase.best_generation ||
-        (m.generation == phase.best_generation &&
-         m.config_id > phase.best_config)) {
-      // Chase the newest configuration the quorum evidence names, in the
-      // (generation, config_id) stamp order; the quorum check below
-      // re-arms under it (reading a read quorum of an old config
-      // necessarily reveals a newer generation when one was installed —
-      // the stamp covers an old write quorum).
-      if (auto mc = table_->TryAt(m.config_id)) {
-        phase.best_generation = m.generation;
-        phase.best_config = m.config_id;
-        phase.config = std::move(mc);
-      }
-    }
-    Learn(m.generation, m.config_id);
-    // Mask evidence down to the config's members: a response from a node
-    // the config does not quorum over must never complete the phase.
-    if (phase.config->system.has_read(responded & phase.config->member_mask)) {
-      phase.ok = true;
-    }
-  }
-  for (NodeId r = 0; r < 64; ++r) {
-    if ((responded & (1ull << r)) && versions[r] < phase.best_version) {
-      phase.stale |= 1ull << r;
-    }
-  }
-  return phase;
-}
-
-void QuorumClient::MaybeRepair(const std::string& key, std::uint64_t op,
-                               const ReadPhase& phase) {
-  if (!options_.read_repair || phase.stale == 0) return;
-  // Fire-and-forget: install the freshest pair at lagging replicas. The
-  // acks will arrive under this op id and be discarded as stale traffic
-  // by later operations' filters.
-  RtMessage repair;
-  repair.kind = RtMessage::Kind::kWriteReq;
-  repair.op = op;
-  repair.key = key;
-  repair.version = phase.best_version;
-  repair.value = phase.best_value;
-  // Stamp the believed generation: a repair must not be fenced off by
-  // replicas that already installed the configuration this client just
-  // learned about from the same read quorum.
-  repair.generation = generation_;
-  for (NodeId r = 0; r < 64; ++r) {
-    if ((phase.stale & (1ull << r)) == 0) continue;
-    // Count only repairs the bus accepted: a send the bus dropped
-    // (crashed or partitioned replica) repaired nothing, and chaos-test
-    // accounting relies on this counter being trustworthy.
-    if (transport_->Send(id_, r, repair)) ++repairs_issued_;
-  }
-}
-
-ClientStatus QuorumClient::AttemptStatus(const ReadPhase& phase,
-                                         std::size_t attempt) const {
-  if (phase.shutdown) return ClientStatus::kShutdown;
-  if (attempt >= options_.max_attempts && options_.max_attempts > 1) {
-    return ClientStatus::kRetriesExhausted;
-  }
-  return phase.any_response ? ClientStatus::kTimeout
-                            : ClientStatus::kNoQuorum;
-}
-
-void QuorumClient::Backoff(std::size_t attempt) {
-  auto delay = options_.backoff_base;
-  for (std::size_t i = 1; i < attempt && delay < options_.backoff_max; ++i) {
-    delay *= 2;
-  }
-  delay = std::min(delay, options_.backoff_max);
-  const std::int64_t us =
-      std::chrono::duration_cast<std::chrono::microseconds>(delay).count();
-  if (us <= 0) return;
-  // Full jitter over the upper half of the window decorrelates clients
-  // that failed together.
-  std::this_thread::sleep_for(
-      std::chrono::microseconds(backoff_rng_.Range(us / 2, us)));
-}
+                           std::uint32_t initial_config, ClientOptions options)
+    : pipe_(transport, id, std::move(configs), initial_config,
+            WindowOne(options)) {}
 
 ClientResult QuorumClient::Read(const std::string& key) {
-  const auto t0 = std::chrono::steady_clock::now();
-  ClientResult result;
-  for (std::size_t attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-    result.attempts = static_cast<std::uint32_t>(attempt);
-    const std::uint64_t op = next_op_++;  // per-attempt sub-op id
-    const auto deadline = std::chrono::steady_clock::now() + options_.timeout;
-    // Only the first attempt trusts the believed-up mask enough to target
-    // a minimal quorum; a retry means something went wrong — reset the
-    // mask and broadcast.
-    if (attempt > 1) believed_up_ = ~0ull;
-    // read_repair fans out regardless: repair exists to find and heal
-    // stale replicas outside the minimal quorum.
-    const bool targeted =
-        attempt == 1 && options_.target_minimal && !options_.read_repair;
-    const ReadPhase phase = RunReadPhase(key, op, deadline, targeted);
-    if (phase.ok) {
-      MaybeRepair(key, op, phase);
-      result.ok = true;
-      result.status = ClientStatus::kOk;
-      result.value = phase.best_value;
-      result.version = phase.best_version;
-      break;
-    }
-    result.status = AttemptStatus(phase, attempt);
-    if (phase.shutdown) break;
-    if (attempt < options_.max_attempts) Backoff(attempt);
-  }
-  result.latency = Since(t0);
-  return result;
+  return pipe_.SubmitRead(key).Get();
 }
 
 ClientResult QuorumClient::Write(const std::string& key, std::int64_t value) {
-  const auto t0 = std::chrono::steady_clock::now();
-  ClientResult result;
-  // Every install goes strictly above everything this client ever staged
-  // for the key (across attempts AND across operations): the acked
-  // version is then ≥ every straggler on the wire, so a reordered or
-  // abandoned retry can never leave a higher-versioned orphan to collide
-  // with a later write's version.
-  std::uint64_t& version_floor = install_floor_[key];
-  for (std::size_t attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-    result.attempts = static_cast<std::uint32_t>(attempt);
-    const std::uint64_t op = next_op_++;  // per-attempt sub-op id
-    const auto deadline = std::chrono::steady_clock::now() + options_.timeout;
-
-    if (attempt > 1) believed_up_ = ~0ull;
-    const bool targeted = attempt == 1 && options_.target_minimal;
-    const ReadPhase phase = RunReadPhase(key, op, deadline, targeted);
-    if (!phase.ok) {
-      result.status = AttemptStatus(phase, attempt);
-      if (phase.shutdown) break;
-      if (attempt < options_.max_attempts) Backoff(attempt);
-      continue;
-    }
-
-    RtMessage w;
-    w.kind = RtMessage::Kind::kWriteReq;
-    w.op = op;
-    w.key = key;
-    w.version = std::max(phase.best_version, version_floor) + 1;
-    w.value = value;
-    // The believed generation rides along; a replica that has installed a
-    // newer one fences the install (NACK) instead of applying it, and the
-    // NACK teaches this client the new configuration for the retry.
-    w.generation = generation_;
-    w.config_id = config_id_;
-    version_floor = w.version;
-
-    const MemberConfig& wc = *phase.config;
-    std::uint64_t sent;
-    if (targeted) {
-      sent = SendToQuorum(wc, w, /*write_quorum=*/true);
-    } else {
-      BroadcastTo(wc, w);
-      sent = wc.member_mask;
-    }
-    auto escalate_at = std::chrono::steady_clock::time_point::max();
-    if ((sent & wc.member_mask) != wc.member_mask) {
-      escalate_at = std::chrono::steady_clock::now() + EscalateDelay();
-    }
-    std::uint64_t acked = 0;
-    std::uint64_t fenced = 0;
-    bool shutdown = false, quorum = true;
-    while (!wc.system.has_write(acked & wc.member_mask)) {
-      const auto wake = escalate_at < deadline ? escalate_at : deadline;
-      std::optional<Envelope> e = transport_->MailboxOf(id_).Pop(wake);
-      if (!e) {
-        if (std::chrono::steady_clock::now() < wake) {
-          shutdown = true;
-          quorum = false;
-          break;
-        }
-        if (wake == deadline) {
-          quorum = false;
-          break;
-        }
-        sent = Escalate(wc, w, sent);
-        escalate_at = std::chrono::steady_clock::time_point::max();
-        continue;
-      }
-      if (e->from >= 64) continue;
-      believed_up_ |= 1ull << e->from;
-      if ((wc.member_mask & (1ull << e->from)) == 0) continue;
-      if (e->msg.op != op || e->msg.kind != RtMessage::Kind::kWriteAck) {
-        continue;
-      }
-      if (e->msg.value != 0) {
-        MaybeInstallWireConfig(e->msg);
-        // Fenced: the replica holds a newer generation and refused the
-        // install. Not quorum evidence — but it names the configuration
-        // the retry must target. A fenced replica's generation only
-        // grows, so it can never ack this attempt: once the refusers
-        // exclude every write quorum the attempt is unwinnable, and
-        // waiting out the deadline would only stretch the client-visible
-        // stall a reconfiguration causes.
-        Learn(e->msg.generation, e->msg.config_id);
-        fenced |= 1ull << e->from;
-        if (!wc.system.has_write(wc.member_mask & ~fenced)) {
-          quorum = false;
-          break;
-        }
-        continue;
-      }
-      acked |= 1ull << e->from;
-    }
-    if (quorum) {
-      result.ok = true;
-      result.status = ClientStatus::kOk;
-      result.value = value;
-      result.version = w.version;
-      break;
-    }
-    // A read quorum responded this attempt, so "no response at all" can't
-    // be the story — classify as timeout (or exhausted/shutdown).
-    result.status = shutdown ? ClientStatus::kShutdown
-                    : (attempt >= options_.max_attempts &&
-                       options_.max_attempts > 1)
-                        ? ClientStatus::kRetriesExhausted
-                        : ClientStatus::kTimeout;
-    if (shutdown) break;
-    if (attempt < options_.max_attempts) Backoff(attempt);
-  }
-  result.latency = Since(t0);
-  return result;
+  return pipe_.SubmitWrite(key, value).Get();
 }
 
 ClientResult QuorumClient::Reconfigure(std::uint32_t target,
                                        std::uint64_t* stamp_acked_out) {
-  QCNT_CHECK(target < table_->Size());
-  const auto target_cfg = table_->At(target);
-  const auto t0 = std::chrono::steady_clock::now();
-  ClientResult result;
-  // Highest generation any attempt of this call put on the wire. A timed-
-  // out attempt may still have planted its stamp on some replica; if a
-  // later attempt's read quorum never sees that orphan and succeeds with a
-  // lower generation, believing only the successful one would leave this
-  // client issuing installs the orphaned replica fences. Believing the max
-  // is always safe: generations only order fences, and every attempt here
-  // stamps the same target configuration.
-  std::uint64_t stamped = 0;
-  for (std::size_t attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-    result.attempts = static_cast<std::uint32_t>(attempt);
-    const std::uint64_t op = next_op_++;
-    const auto deadline = std::chrono::steady_clock::now() + options_.timeout;
-
-    // The stamp is store-wide; the read phase runs on a distinguished key
-    // so version discovery still exercises a read quorum of the old config.
-    const ReadPhase phase = RunReadPhase("", op, deadline);
-    if (!phase.ok) {
-      result.status = AttemptStatus(phase, attempt);
-      if (phase.shutdown) break;
-      if (attempt < options_.max_attempts) Backoff(attempt);
-      continue;
-    }
-    const MemberConfig& old_cfg = *phase.config;
-
-    RtMessage data;
-    data.kind = RtMessage::Kind::kWriteReq;
-    data.op = op;
-    data.key = "";
-    data.version = phase.best_version;
-    data.value = phase.best_value;
-    // The data leg belongs to the generation being installed: replicas
-    // that already applied this attempt's stamp must not fence it.
-    data.generation = phase.best_generation + 1;
-
-    RtMessage cfg;
-    cfg.kind = RtMessage::Kind::kConfigWriteReq;
-    cfg.op = op;
-    cfg.generation = phase.best_generation + 1;
-    cfg.config_id = target;
-    // Self-describing config payload: replicas remember it and echo it on
-    // fence NACKs and stale-stamp replies, so a client whose local table
-    // has no entry for `target` (another process appended it) can install
-    // the exact same quorum system instead of failing to resolve the id.
-    // Hand-built systems carry no descriptor (kOpaque) and stay
-    // table-resolution-only, exactly the pre-payload contract.
-    if (target_cfg->system.descriptor.kind != quorum::StrategyKind::kOpaque) {
-      cfg.config = ConfigPayload{target_cfg->members,
-                                 target_cfg->system.descriptor};
-    }
-    stamped = std::max(stamped, cfg.generation);
-
-    // Both legs go to the union of old and target members. The quorum
-    // requirements stay the paper's: data at a write quorum of the
-    // *target*, stamp at a write quorum of the *old* configuration (the
-    // §4 sharpening) — but sending the stamp to joining members too means
-    // they normally learn their generation immediately instead of waiting
-    // to be fenced into it.
-    for (NodeId r : old_cfg.members) {
-      transport_->Send(id_, r, data);
-      transport_->Send(id_, r, cfg);
-    }
-    for (NodeId r : target_cfg->members) {
-      if ((old_cfg.member_mask & (1ull << r)) != 0) continue;
-      transport_->Send(id_, r, data);
-      transport_->Send(id_, r, cfg);
-    }
-
-    std::uint64_t data_acked = 0, cfg_acked = 0;
-    bool shutdown = false, quorum = true;
-    while (!(target_cfg->system.has_write(data_acked &
-                                          target_cfg->member_mask) &&
-             old_cfg.system.has_write(cfg_acked & old_cfg.member_mask))) {
-      std::optional<Envelope> e = transport_->MailboxOf(id_).Pop(deadline);
-      if (!e) {
-        shutdown = std::chrono::steady_clock::now() < deadline;
-        quorum = false;
-        break;
-      }
-      if (e->from >= 64) continue;
-      if (((old_cfg.member_mask | target_cfg->member_mask) &
-           (1ull << e->from)) == 0) {
-        continue;
-      }
-      if (e->msg.op != op) continue;
-      if (e->msg.kind == RtMessage::Kind::kWriteAck) {
-        if (e->msg.value != 0) {
-          // Fenced data leg: an even newer generation won the race.
-          MaybeInstallWireConfig(e->msg);
-          Learn(e->msg.generation, e->msg.config_id);
-          continue;
-        }
-        data_acked |= 1ull << e->from;
-      } else if (e->msg.kind == RtMessage::Kind::kConfigWriteAck) {
-        cfg_acked |= 1ull << e->from;
-      }
-    }
-    if (quorum) {
-      if (stamped > generation_) {
-        generation_ = stamped;
-        config_id_ = target;
-      }
-      if (stamp_acked_out != nullptr) {
-        // Exactly the old members whose stamp ack the quorum saw — the
-        // seal set S_acked of DESIGN.md §11.
-        *stamp_acked_out = cfg_acked & old_cfg.member_mask;
-      }
-      result.ok = true;
-      result.status = ClientStatus::kOk;
-      break;
-    }
-    result.status = shutdown ? ClientStatus::kShutdown
-                    : (attempt >= options_.max_attempts &&
-                       options_.max_attempts > 1)
-                        ? ClientStatus::kRetriesExhausted
-                        : ClientStatus::kTimeout;
-    if (shutdown) break;
-    if (attempt < options_.max_attempts) Backoff(attempt);
+  OpFuture f = pipe_.SubmitReconfigure(target);
+  const ClientResult r = f.Get();
+  if (r.ok && stamp_acked_out != nullptr) {
+    *stamp_acked_out = f.op_->StampAcked();
   }
-  result.latency = Since(t0);
-  return result;
+  return r;
 }
 
 }  // namespace qcnt::runtime

@@ -1,121 +1,35 @@
-// Blocking quorum client.
+// Blocking quorum client: a window-1 facade over AsyncQuorumClient.
 //
-// One client per thread; each logical operation runs the two-phase quorum
-// protocol synchronously against the client's own mailbox. Operation ids
-// disambiguate stale responses from timed-out earlier operations — and,
-// since every retry attempt draws a fresh op id, from earlier attempts of
-// the *same* logical operation.
-//
-// Failure handling: an operation runs up to Options::max_attempts
-// attempts, each with its own timeout, separated by exponential backoff
-// with jitter. Retries are safe because (a) attempt ids keep stale
-// responses out of later attempts, (b) replicas apply writes idempotently
-// (a re-delivered install of the same (version, value) is a no-op), and
-// (c) every install this client stages for a key goes strictly above
-// every version it ever staged for that key (install_floor_), so a
-// straggling install from a failed attempt — even of an operation that
-// exhausted its retries — can never collide with or overtake a later
-// operation's version (see Write()).
+// One client per thread; each call submits one operation and pumps the
+// client's own mailbox until it resolves, so the protocol (QuorumOp, see
+// quorum_op.hpp) and the retry/backoff/fence rules are exactly the
+// pipelined client's. The window and batch size are forced to 1.
 #pragma once
 
-#include <chrono>
 #include <memory>
-#include <optional>
-#include <unordered_map>
+#include <vector>
 
-#include "common/rng.hpp"
 #include "quorum/strategies.hpp"
-#include "runtime/bus.hpp"
-#include "runtime/config_table.hpp"
+#include "runtime/async_client.hpp"
 
 namespace qcnt::runtime {
 
-/// Why an operation resolved the way it did. `kOk` is the only success.
-enum class ClientStatus : std::uint8_t {
-  kOk,
-  /// The attempt heard from some replicas but no quorum before deadline.
-  kTimeout,
-  /// The attempt heard from no replica at all — partitioned or every
-  /// replica down; no quorum can possibly assemble.
-  kNoQuorum,
-  /// A retrying client (max_attempts > 1) exhausted every attempt.
-  kRetriesExhausted,
-  /// The bus shut down underneath the operation; retrying is pointless.
-  kShutdown,
-};
-
-const char* ToString(ClientStatus status);
-
-struct ClientResult {
-  /// Convenience mirror of `status == ClientStatus::kOk`.
-  bool ok = false;
-  ClientStatus status = ClientStatus::kTimeout;
-  std::int64_t value = 0;
-  /// For reads: the freshest version observed by the read quorum. For
-  /// writes: the version this operation installed. Lets callers reason
-  /// about per-item ordering (an acked write at version v must never be
-  /// superseded by anything older than v).
-  std::uint64_t version = 0;
-  /// Attempts consumed (1 when the first attempt resolved it).
-  std::uint32_t attempts = 0;
-  std::chrono::microseconds latency{0};
-};
-
 class QuorumClient {
  public:
-  struct Options {
-    /// Per-attempt deadline.
-    std::chrono::milliseconds timeout{1000};
-    /// Attempts per logical operation. 1 = the classic single-shot client
-    /// (fail on first timeout); >1 enables retry with backoff — the right
-    /// setting whenever the bus injects faults.
-    std::size_t max_attempts = 1;
-    /// Backoff before attempt k+1: uniform jitter over
-    /// [base·2^(k-1)/2, base·2^(k-1)], capped at backoff_max.
-    std::chrono::milliseconds backoff_base{2};
-    std::chrono::milliseconds backoff_max{64};
-    /// After a read quorum completes, asynchronously write the freshest
-    /// (version, value) back to any responding replica that returned a
-    /// stale version (Gifford-style read repair). Repairs are fire-and-
-    /// forget; they never delay the read.
-    bool read_repair = false;
-    /// First attempts target a *minimal* quorum picked by the installed
-    /// system (pick_read/pick_write over the believed-up set) instead of
-    /// broadcasting to every member — the message-count win generalized
-    /// strategies exist for. If the minimal quorum has not assembled
-    /// after this long, the attempt escalates to full fan-out (0 = auto:
-    /// a quarter of the attempt timeout). Later attempts of the same
-    /// operation always broadcast.
-    std::chrono::milliseconds escalate_after{0};
-    /// Disable minimal-quorum targeting: every phase fans out to the full
-    /// member set, the pre-targeting behavior. Writes then reach every
-    /// member (not just a write quorum) — what replication-audit tests
-    /// and anti-entropy-free deployments want. Reads with `read_repair`
-    /// set always fan out regardless: repair exists to find and heal
-    /// stale replicas *outside* the minimal quorum.
-    bool target_minimal = true;
-  };
-
-  /// `table` is the shared registry of installable configurations;
-  /// initial_config is in force at generation 0. The table may grow at
-  /// runtime (membership change appends the target before stamping it),
-  /// and this client re-targets its broadcasts whenever a response
-  /// reveals a newer generation. This client is node `id`, which must not
-  /// be a member of the initial configuration.
+  /// The arguments of AsyncQuorumClient's constructors: this client is
+  /// node `id` (not a member of `initial_config`), sharing `table`.
   QuorumClient(Transport& transport, NodeId id,
                std::shared_ptr<ConfigTable> table,
-               std::uint32_t initial_config, Options options);
-  /// Convenience: wrap a static table of prefix-universe configurations
-  /// (replicas are nodes [0, configs[i].n), the pre-membership shape).
+               std::uint32_t initial_config, ClientOptions options);
   QuorumClient(Transport& transport, NodeId id,
                std::vector<quorum::QuorumSystem> configs,
-               std::uint32_t initial_config, Options options);
-  QuorumClient(Transport& transport, NodeId id,
-               std::vector<quorum::QuorumSystem> configs,
-               std::uint32_t initial_config);
+               std::uint32_t initial_config, ClientOptions options = {});
 
-  std::uint32_t BelievedConfig() const { return config_id_; }
-  std::uint64_t BelievedGeneration() const { return generation_; }
+  NodeId Id() const { return pipe_.Id(); }
+  std::uint32_t BelievedConfig() const { return pipe_.BelievedConfig(); }
+  std::uint64_t BelievedGeneration() const {
+    return pipe_.BelievedGeneration();
+  }
 
   /// Logical read: read-quorum collection, freshest value wins.
   ClientResult Read(const std::string& key);
@@ -131,97 +45,24 @@ class QuorumClient {
   ClientResult Reconfigure(std::uint32_t target,
                            std::uint64_t* stamp_acked_out = nullptr);
 
-  /// Number of read-repair write-backs actually delivered to (or accepted
-  /// for delivery by) the bus — repairs the bus dropped on the floor
-  /// (crashed or partitioned replica) are not counted.
-  std::uint64_t RepairsIssued() const { return repairs_issued_; }
-
-  /// Lemma 8 invariant counter: times a read quorum returned two copies
-  /// with the same version but different values. In a correct run this is
-  /// always zero (Lemma 8: all copies of a version hold the logical
-  /// state); nonzero means divergence, surfaced here instead of being
-  /// silently masked by the tie-break.
-  std::uint64_t DivergencesObserved() const { return divergences_observed_; }
-
+  /// Read-repair write-backs the transport accepted for delivery —
+  /// repairs dropped on the floor (crashed or partitioned replica) are
+  /// not counted.
+  std::uint64_t RepairsIssued() const {
+    return pipe_.ClientStats().repairs_issued;
+  }
+  /// Lemma 8 invariant counter (see QuorumCore::Stats).
+  std::uint64_t DivergencesObserved() const {
+    return pipe_.ClientStats().divergences_observed;
+  }
   /// Times a targeted (minimal-quorum) phase had to fan out to the full
   /// member set — the quorum did not assemble within escalate_after.
-  std::uint64_t Escalations() const { return escalations_; }
+  std::uint64_t Escalations() const {
+    return pipe_.ClientStats().escalations;
+  }
 
  private:
-  struct ReadPhase {
-    bool ok = false;
-    /// The mailbox closed under us (store shutdown) — abort retries.
-    bool shutdown = false;
-    /// At least one replica responded before the deadline.
-    bool any_response = false;
-    std::uint64_t best_version = 0;
-    std::int64_t best_value = 0;
-    std::uint64_t best_generation = 0;
-    std::uint32_t best_config = 0;
-    /// Resolved entry for best_config (the config the quorum check ran
-    /// under); the write leg quorums against the same snapshot.
-    std::shared_ptr<const MemberConfig> config;
-    /// Bitmask of responders whose version lagged best_version.
-    std::uint64_t stale = 0;
-  };
-
-  void BroadcastTo(const MemberConfig& config, const RtMessage& m);
-  /// Send `m` to a minimal read (or write) quorum picked over the
-  /// believed-up members, falling back to full fan-out when no quorum is
-  /// believed assemblable. Returns the bitmask of members targeted (the
-  /// full member_mask after a fallback, so escalation knows there is
-  /// nothing left to reach).
-  std::uint64_t SendToQuorum(const MemberConfig& config, const RtMessage& m,
-                             bool write_quorum);
-  /// Send `m` to every member not already in `sent`; returns the union.
-  std::uint64_t Escalate(const MemberConfig& config, const RtMessage& m,
-                         std::uint64_t sent);
-  std::chrono::milliseconds EscalateDelay() const;
-  /// Adopt (generation, config_id) evidence from a response; newer
-  /// generations re-target every later broadcast.
-  void Learn(std::uint64_t generation, std::uint32_t config_id);
-  /// Install a self-describing config payload the wire taught us, when
-  /// the shared table cannot resolve its id (a coordinator in another
-  /// process appended it). Hostile or malformed payloads are ignored —
-  /// the id simply stays unresolvable.
-  void MaybeInstallWireConfig(const RtMessage& m);
-  /// Run the read phase for `key` under the current deadline. `targeted`
-  /// sends to a minimal read quorum first (with escalation); otherwise
-  /// the phase broadcasts to every member.
-  ReadPhase RunReadPhase(const std::string& key, std::uint64_t op,
-                         std::chrono::steady_clock::time_point deadline,
-                         bool targeted = false);
-  void MaybeRepair(const std::string& key, std::uint64_t op,
-                   const ReadPhase& phase);
-  /// Failure status of one attempt (never kOk).
-  ClientStatus AttemptStatus(const ReadPhase& phase,
-                             std::size_t attempt) const;
-  /// Sleep the jittered exponential backoff before attempt + 1.
-  void Backoff(std::size_t attempt);
-
-  Transport* transport_;
-  NodeId id_;
-  std::shared_ptr<ConfigTable> table_;
-  Options options_;
-  std::uint32_t config_id_;
-  std::uint64_t generation_ = 0;
-  std::uint64_t next_op_ = 1;
-  std::uint64_t repairs_issued_ = 0;
-  std::uint64_t divergences_observed_ = 0;
-  std::uint64_t escalations_ = 0;
-  /// Optimistic up-mask driving minimal-quorum targeting: a bit clears
-  /// when the transport refuses a send (node known down) and sets again
-  /// on any response from that node. Every retry attempt resets it to
-  /// all-up — targeting is a fast path, never a liveness assumption.
-  std::uint64_t believed_up_ = ~0ull;
-  /// Highest install version this client ever staged, per key. Every new
-  /// install goes strictly above it, so no install this client ever put
-  /// on the wire — including from attempts or whole operations that were
-  /// abandoned — can carry the same version as a later one with a
-  /// different value (the client-side half of the Lemma 8 guarantee
-  /// under retries; replicas reject the stale stragglers).
-  std::unordered_map<std::string, std::uint64_t> install_floor_;
-  Rng backoff_rng_;
+  AsyncQuorumClient pipe_;
 };
 
 }  // namespace qcnt::runtime

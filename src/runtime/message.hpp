@@ -47,6 +47,8 @@ struct BatchEntry {
 
 struct RtMessage {
   enum class Kind : std::uint8_t {
+    // Retired single-op kinds (reads and writes travel as batches of one);
+    // only the codec still knows them, so the wire numbers stay put.
     kReadReq,
     kReadResp,
     kWriteReq,
@@ -97,7 +99,7 @@ struct RtMessage {
   std::int64_t value = 0;
   std::uint64_t generation = 0;
   std::uint32_t config_id = 0;
-  /// Entries of a kBatch* message; empty for single-op messages. A batch
+  /// Entries of a kBatch* message; empty for every other kind. A batch
   /// is applied by the replica with one mailbox wakeup and (for writes)
   /// one group-commit append through the durable backend.
   std::vector<BatchEntry> batch;

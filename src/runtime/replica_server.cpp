@@ -242,14 +242,14 @@ BatchStats ReplicaServer::BatchStats() const {
         sh->batches.load(std::memory_order_relaxed),
         sh->backend->Stats().fsyncs, queue_peak});
   }
-  const Mailbox& inbox = transport_->MailboxOf(id_);
+  const net::Mailbox& inbox = transport_->MailboxOf(id_);
   s.mailbox_handoffs = inbox.Handoffs();
   s.mailbox_wakeups = inbox.Wakeups();
   return s;
 }
 
 void ReplicaServer::Loop() {
-  Mailbox& mailbox = transport_->MailboxOf(id_);
+  net::Mailbox& mailbox = transport_->MailboxOf(id_);
   for (;;) {
     std::deque<Envelope> batch = mailbox.PopAll();
     if (batch.empty()) {
@@ -395,7 +395,10 @@ void ReplicaServer::HandleBatchRead(const RtMessage& m, RtMessage& reply) {
       gen = sh.image.generation;
       cfg = sh.image.config_id;
     }
-    storage::Versioned v;  // image first, then the cold layer (see kReadReq)
+    // find(), not operator[]: a read must not grow the image (spill mode
+    // keeps it bounded), and a miss falls through to the cold layer —
+    // which reports {0, 0} for keys absent everywhere.
+    storage::Versioned v;
     if (const auto it = sh.image.data.find(entry.key);
         it != sh.image.data.end()) {
       v = it->second;
@@ -431,7 +434,10 @@ void ReplicaServer::HandleBatchWrite(const RtMessage& m,
     }
     // Generation fence per entry against its shard's stamp: refused
     // entries ack with value = 1 (NACK) and the header stamp teaches the
-    // client the configuration that fenced them.
+    // client the configuration that fenced them. This is what guarantees
+    // that once a configuration stamp is acked, no write can complete
+    // under the old generation purely on fenced replicas — the seal pass
+    // of a membership change (DESIGN.md §11) relies on it.
     const bool fenced = m.generation < sh.image.generation;
     if (!fenced && ApplyToImage(sh, entry.key, entry.version, entry.value)) {
       storage::WalRecord rec;
@@ -460,53 +466,6 @@ void ReplicaServer::Handle(Envelope& e) {
   reply.op = m.op;
   reply.key = m.key;
   switch (m.kind) {
-    case RtMessage::Kind::kReadReq: {
-      Shard& sh = *shards_[ShardForKey(m.key, shards_.size())];
-      // find(), not operator[]: a read must not grow the image (spill
-      // mode keeps it bounded), and a miss falls through to the cold
-      // layer — which reports {0, 0} for keys absent everywhere.
-      storage::Versioned v;
-      if (const auto it = sh.image.data.find(m.key);
-          it != sh.image.data.end()) {
-        v = it->second;
-      } else {
-        sh.backend->Lookup(m.key, &v);
-      }
-      reply.kind = RtMessage::Kind::kReadResp;
-      reply.version = v.version;
-      reply.value = v.value;
-      reply.generation = sh.image.generation;
-      reply.config_id = sh.image.config_id;
-      MaybeAttachConfig(m, reply);
-      sh.ops.fetch_add(1, std::memory_order_relaxed);
-      read_ops_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-    case RtMessage::Kind::kWriteReq: {
-      Shard& sh = *shards_[ShardForKey(m.key, shards_.size())];
-      reply.kind = RtMessage::Kind::kWriteAck;
-      // The ack names this replica's stamp either way — the channel that
-      // tells a lagging client the membership changed underneath it.
-      reply.generation = sh.image.generation;
-      reply.config_id = sh.image.config_id;
-      if (m.generation < sh.image.generation) {
-        // Generation fence: an install staged under an older generation
-        // is refused (value = 1 marks the NACK). This is what guarantees
-        // that once a configuration stamp is acked, no write can complete
-        // under the old generation purely on fenced replicas — the seal
-        // pass of a membership change (DESIGN.md §11) relies on it.
-        reply.value = 1;
-      } else if (ApplyToImage(sh, m.key, m.version, m.value)) {
-        // Write-ahead: the record is logged (and, per fsync policy, made
-        // durable) before the ack below is sent.
-        sh.backend->ApplyWrite(m.key, m.version, m.value);
-        sh.backend->MaybeCompact(sh.image);
-      }
-      MaybeAttachConfig(m, reply);
-      sh.ops.fetch_add(1, std::memory_order_relaxed);
-      write_ops_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
     case RtMessage::Kind::kConfigWriteReq: {
       // The stamp is store-wide: every shard applies and logs it before
       // the single ack. Stamps order by (generation, config_id) — config

@@ -56,7 +56,7 @@ struct AppliedWrite {
 };
 
 /// Per-shard execution counters (volatile, unlike StorageStats). `ops`
-/// counts operations applied (single requests and batch entries alike);
+/// counts operations applied (batch entries and config stamps);
 /// `batches` counts batch messages that touched the shard; `queue_peak`
 /// is the loop's high-water mark of messages moved by one mailbox drain.
 /// Ops and fsyncs are genuinely per shard; queue_peak is the same for
@@ -81,8 +81,8 @@ struct BatchStats {
   std::uint64_t batches_applied = 0;  // kBatch* messages handled
   std::uint64_t batched_ops = 0;      // entries across those messages
   std::uint64_t max_batch = 0;        // largest single batch seen
-  /// Read / write operations served (single requests and batch entries
-  /// alike) — the observed workload mix a StrategyAdvisor samples, and
+  /// Read / write operations served (batch entries) — the observed
+  /// workload mix a StrategyAdvisor samples, and
   /// the denominator for messages-per-op fan-out measurements.
   std::uint64_t read_ops = 0;
   std::uint64_t write_ops = 0;

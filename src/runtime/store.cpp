@@ -239,29 +239,32 @@ ReplicatedStore::~ReplicatedStore() {
   transport_->CloseAll();
 }
 
-std::unique_ptr<QuorumClient> ReplicatedStore::MakeClient() {
-  QCNT_CHECK_MSG(next_client_ < options_.max_clients,
+NodeId ReplicatedStore::ClaimClientId() {
+  // One atomic claim per creation: concurrent callers get distinct slots,
+  // and a claim past the limit fails without handing out an id.
+  const std::size_t slot = next_client_.fetch_add(1);
+  QCNT_CHECK_MSG(slot < options_.max_clients,
                  "client limit reached; raise StoreOptions::max_clients");
-  const NodeId id =
-      static_cast<NodeId>(options_.replicas + next_client_++);
+  return static_cast<NodeId>(options_.replicas + slot);
+}
+
+std::unique_ptr<QuorumClient> ReplicatedStore::MakeClient() {
   // Clients share the store's config table and start from the
   // configuration currently in force, so a client created after a
   // membership change targets the grown universe from its first op.
+  const NodeId id = ClaimClientId();
   return std::make_unique<QuorumClient>(*transport_, id, table_,
                                         CurrentConfigId(),
                                         options_.client_options);
 }
 
 std::unique_ptr<AsyncQuorumClient> ReplicatedStore::MakeAsyncClient() {
-  return MakeAsyncClient(options_.async_client_options);
+  return MakeAsyncClient(options_.client_options);
 }
 
 std::unique_ptr<AsyncQuorumClient> ReplicatedStore::MakeAsyncClient(
-    AsyncQuorumClient::Options options) {
-  QCNT_CHECK_MSG(next_client_ < options_.max_clients,
-                 "client limit reached; raise StoreOptions::max_clients");
-  const NodeId id =
-      static_cast<NodeId>(options_.replicas + next_client_++);
+    ClientOptions options) {
+  const NodeId id = ClaimClientId();
   return std::make_unique<AsyncQuorumClient>(*transport_, id, table_,
                                              CurrentConfigId(), options);
 }

@@ -22,13 +22,13 @@
 // map that never died.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 
 #include "net/tcp_transport.hpp"
-#include "runtime/async_client.hpp"
 #include "runtime/client.hpp"
 #include "runtime/config_table.hpp"
 #include "runtime/replica_server.hpp"
@@ -73,8 +73,9 @@ struct StoreOptions {
   /// taking the process down.
   std::string strategy;
   std::uint32_t initial_config = 0;
-  QuorumClient::Options client_options;
-  AsyncQuorumClient::Options async_client_options;
+  /// Options of every client the store hands out (MakeClient runs them
+  /// at window 1; MakeAsyncClient() uses them as given).
+  ClientOptions client_options;
   /// Key-hash shards per replica: the durable layout unit, not a thread
   /// (each replica runs one loop over all its shards; see
   /// replica_server.hpp). Under durability each shard keeps its own
@@ -141,8 +142,7 @@ class ReplicatedStore {
   /// time; see async_client.hpp for the ordering envelope). Draws from the
   /// same max_clients budget as MakeClient.
   std::unique_ptr<AsyncQuorumClient> MakeAsyncClient();
-  std::unique_ptr<AsyncQuorumClient> MakeAsyncClient(
-      AsyncQuorumClient::Options options);
+  std::unique_ptr<AsyncQuorumClient> MakeAsyncClient(ClientOptions options);
 
   /// Crash / recover a replica (by node id: founding replicas are nodes
   /// [0, replicas); replicas added at runtime keep the id AddReplica
@@ -242,6 +242,8 @@ class ReplicatedStore {
  private:
   /// The Bus when in-process (fault APIs available), else throws.
   Bus& RequireBus(const char* what) const;
+  /// Claim the next client slot's node id (checks max_clients).
+  NodeId ClaimClientId();
 
   StoreOptions options_;
   /// The message substrate: a Bus, or a TcpTransport hosting every node
@@ -261,7 +263,9 @@ class ReplicatedStore {
   /// replicas); replicas added at runtime get ids above the coordinator
   /// slot, so the key set goes non-contiguous under churn.
   std::map<NodeId, std::unique_ptr<ReplicaServer>> replicas_;
-  std::size_t next_client_ = 0;
+  /// Client slots handed out so far; clients may be created from any
+  /// thread, so each creation claims its slot with one fetch_add.
+  std::atomic<std::size_t> next_client_{0};
 
   std::shared_ptr<ConfigTable> table_;
   /// Serializes whole membership operations (reconfig::AddReplica /

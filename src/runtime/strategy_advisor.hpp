@@ -48,11 +48,13 @@ struct StrategyAdvisorOptions {
   std::chrono::milliseconds cooldown{250};
   /// Strategy installed when the workload turns read-heavy. Must be
   /// derivable over the store's current member count at switch time.
-  quorum::StrategyDescriptor read_heavy{quorum::StrategyKind::kReadOneWriteAll};
+  quorum::StrategyDescriptor read_heavy{
+      quorum::StrategyKind::kReadOneWriteAll, 0, 0, {}, 0, 0};
   /// Strategy restored when writes return.
-  quorum::StrategyDescriptor balanced{quorum::StrategyKind::kMajority};
+  quorum::StrategyDescriptor balanced{quorum::StrategyKind::kMajority,
+                                      0, 0, {}, 0, 0};
   /// Options for the reconfiguring client a switch runs.
-  QuorumClient::Options client;
+  ClientOptions client;
 };
 
 class StrategyAdvisor {

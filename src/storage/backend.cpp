@@ -20,7 +20,7 @@ class MemoryBackend final : public Backend {
  public:
   bool Durable() const override { return false; }
   Image Recover() override { return {}; }
-  void ApplyWrite(const std::string&, std::uint64_t, std::int64_t) override {}
+  void ApplyWriteBatch(const std::vector<WalRecord>&) override {}
   void ApplyConfig(std::uint64_t, std::uint32_t) override {}
 };
 
@@ -142,22 +142,6 @@ class DurableBackend final : public Backend {
     return image;
   }
 
-  void ApplyWrite(const std::string& key, std::uint64_t version,
-                  std::int64_t value) override {
-    QCNT_CHECK_MSG(log_ != nullptr, "durable backend used before Recover()");
-    WalRecord rec;
-    rec.type = WalRecord::Type::kWrite;
-    rec.key = key;
-    rec.version = version;
-    rec.value = value;
-    const std::uint64_t before = log_->BytesAppended();
-    log_->Append(rec);
-    bytes_.fetch_add(log_->BytesAppended() - before,
-                     std::memory_order_relaxed);
-    records_.fetch_add(1, std::memory_order_relaxed);
-    MergeDirty(key, version, value);
-  }
-
   void ApplyWriteBatch(const std::vector<WalRecord>& records) override {
     if (records.empty()) return;
     QCNT_CHECK_MSG(log_ != nullptr, "durable backend used before Recover()");
@@ -178,7 +162,7 @@ class DurableBackend final : public Backend {
     rec.generation = generation;
     rec.config_id = config_id;
     const std::uint64_t before = log_->BytesAppended();
-    log_->Append(rec);
+    log_->AppendBatch({rec});
     bytes_.fetch_add(log_->BytesAppended() - before,
                      std::memory_order_relaxed);
     records_.fetch_add(1, std::memory_order_relaxed);

@@ -123,17 +123,11 @@ class Backend {
   /// keys are served through Lookup/ScanAbove.
   virtual Image Recover() = 0;
 
-  /// An applied (i.e. version-accepted) write, before the ack.
-  virtual void ApplyWrite(const std::string& key, std::uint64_t version,
-                          std::int64_t value) = 0;
-
-  /// A batch of applied writes, before the single ack that covers them
-  /// all. The durable backend appends the batch with one write(2) and one
-  /// fsync-policy decision (group commit at batch granularity); the
-  /// default forwards record-by-record for backends without a batch path.
-  virtual void ApplyWriteBatch(const std::vector<WalRecord>& records) {
-    for (const WalRecord& r : records) ApplyWrite(r.key, r.version, r.value);
-  }
+  /// A batch of applied (i.e. version-accepted) writes, before the single
+  /// ack that covers them all — the only write entry point. The durable
+  /// backend appends the batch with one write(2) and one fsync-policy
+  /// decision (group commit at batch granularity).
+  virtual void ApplyWriteBatch(const std::vector<WalRecord>& records) = 0;
 
   /// An applied configuration install, before the ack.
   virtual void ApplyConfig(std::uint64_t generation,

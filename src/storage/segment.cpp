@@ -84,12 +84,6 @@ void SegmentedLog::SwapActive(std::unique_ptr<Wal> next) {
   if (wal_ && Coordinated()) coordinator_->Attach(wal_.get());
 }
 
-void SegmentedLog::Append(const WalRecord& record) {
-  QCNT_CHECK_MSG(wal_ != nullptr, "segmented log used before OpenAndReplay");
-  wal_->Append(record);
-  if (Coordinated()) coordinator_->MarkDirty();
-}
-
 void SegmentedLog::AppendBatch(const std::vector<WalRecord>& records) {
   QCNT_CHECK_MSG(wal_ != nullptr, "segmented log used before OpenAndReplay");
   wal_->AppendBatch(records);

@@ -57,7 +57,6 @@ class SegmentedLog {
   ReplayStats OpenAndReplay(
       const std::function<void(const WalRecord&)>& apply);
 
-  void Append(const WalRecord& record);
   void AppendBatch(const std::vector<WalRecord>& records);
 
   /// Seal the active segment and start a new one. No-op before

@@ -99,23 +99,7 @@ Wal::Wal(std::string path, Options options)
 
 Wal::~Wal() { Close(); }
 
-void Wal::Append(const WalRecord& record) {
-  QCNT_CHECK_MSG(fd_ >= 0, "append on closed WAL");
-  const std::vector<unsigned char> payload = EncodePayload(record);
-  std::vector<unsigned char> frame;
-  frame.reserve(8 + payload.size());
-  PutU32(frame, static_cast<std::uint32_t>(payload.size()));
-  PutU32(frame, Crc32(payload.data(), payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  WriteAll(fd_, frame.data(), frame.size());
-  size_ += frame.size();
-  bytes_appended_ += frame.size();
-  ++records_;
-  if (!sync_pending_.exchange(true, std::memory_order_acq_rel)) {
-    window_start_ = std::chrono::steady_clock::now();
-  }
-  MaybeSync();
-}
+void Wal::Append(const WalRecord& record) { AppendBatch({record}); }
 
 void Wal::AppendBatch(const std::vector<WalRecord>& records) {
   if (records.empty()) return;

@@ -220,7 +220,7 @@ TEST(CatchupProperty, LiveWritesDuringJoinNeverRegressAndLeaveNoGaps) {
     std::int64_t last_value[kPropKeys] = {};
     std::set<std::int64_t> attempted[kPropKeys];
     std::thread writer([&] {
-      runtime::AsyncQuorumClient::Options copts;
+      runtime::ClientOptions copts;
       copts.timeout = 250ms;
       copts.max_attempts = 8;
       copts.window = 8;
@@ -327,7 +327,7 @@ std::string CKey(int client, int k) {
 /// writes with periodic reads, per-client key namespace.
 std::vector<Observation> PumpTraffic(ReplicatedStore& store, int index,
                                      std::atomic<bool>& stop) {
-  runtime::AsyncQuorumClient::Options copts;
+  runtime::ClientOptions copts;
   copts.timeout = 250ms;
   copts.max_attempts = 10;
   copts.window = 8;

@@ -39,7 +39,7 @@ TEST(AsyncClient, WriteThenReadThroughFutures) {
 TEST(AsyncClient, PipelinesDisjointKeysIntoBatches) {
   ReplicatedStore store(StoreOptions{.replicas = 3});
   auto client = store.MakeAsyncClient(
-      AsyncQuorumClient::Options{.window = 16, .max_batch = 8});
+      ClientOptions{.window = 16, .max_batch = 8});
   std::vector<OpFuture> futures;
   for (int i = 0; i < 32; ++i) {
     futures.push_back(client->SubmitWrite("key" + std::to_string(i), i));
@@ -62,7 +62,7 @@ TEST(AsyncClient, SameKeyWritesKeepSubmissionOrder) {
   options.record_applied_history = true;
   ReplicatedStore store(std::move(options));
   auto client = store.MakeAsyncClient(
-      AsyncQuorumClient::Options{.window = 16, .max_batch = 4});
+      ClientOptions{.window = 16, .max_batch = 4});
   for (int i = 1; i <= 10; ++i) client->SubmitWrite("k", i);
   ASSERT_TRUE(client->Drain());
   EXPECT_EQ(client->SubmitRead("k").Get().value, 10);
@@ -93,7 +93,7 @@ TEST(AsyncClient, SameKeyWritesKeepSubmissionOrder) {
 TEST(AsyncClient, InterleavedReadsSeePrecedingWriteOnSameKey) {
   ReplicatedStore store(StoreOptions{.replicas = 3});
   auto client = store.MakeAsyncClient(
-      AsyncQuorumClient::Options{.window = 8, .max_batch = 4});
+      ClientOptions{.window = 8, .max_batch = 4});
   std::vector<std::pair<OpFuture, std::int64_t>> expected;
   for (int i = 1; i <= 20; ++i) {
     const std::string key = "k" + std::to_string(i % 4);
@@ -111,7 +111,7 @@ TEST(AsyncClient, InterleavedReadsSeePrecedingWriteOnSameKey) {
 TEST(AsyncClient, TimeoutFailsFuturesWhenQuorumUnavailable) {
   StoreOptions options;
   options.replicas = 3;
-  options.async_client_options.timeout = 100ms;
+  options.client_options.timeout = 100ms;
   ReplicatedStore store(std::move(options));
   store.Crash(1);
   store.Crash(2);
@@ -193,7 +193,7 @@ TEST(AsyncSequentialEquivalence, RandomWorkloadManyIterations) {
   batch_options.max_clients = 4;
   ReplicatedStore batch_store(std::move(batch_options));
   auto batch_client = batch_store.MakeAsyncClient(
-      AsyncQuorumClient::Options{.window = 16, .max_batch = 8});
+      ClientOptions{.window = 16, .max_batch = 8});
 
   const quorum::QuorumSystem system =
       quorum::MajoritySystem(static_cast<ReplicaId>(kReplicas));

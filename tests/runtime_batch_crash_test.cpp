@@ -52,7 +52,7 @@ TEST(BatchCrash, RecoveryYieldsPerItemPrefixOfTheBatchStream) {
   };
   ReplicatedStore store(std::move(options));
   auto client = store.MakeAsyncClient(
-      AsyncQuorumClient::Options{
+      ClientOptions{
           .window = 32, .max_batch = 16,
           // The test audits one replica's WAL stream, so every write
           // must reach every replica — disable minimal-quorum targeting.
@@ -165,7 +165,7 @@ TEST(BatchCrash, ShardedRecoveryYieldsPerItemPrefix) {
   ReplicatedStore store(std::move(options));
   ASSERT_EQ(store.ShardsPerReplica(), kShards);
   auto client = store.MakeAsyncClient(
-      AsyncQuorumClient::Options{
+      ClientOptions{
           .window = 32, .max_batch = 16,
           // The test audits one replica's WAL stream, so every write
           // must reach every replica — disable minimal-quorum targeting.

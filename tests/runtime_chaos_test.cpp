@@ -54,7 +54,7 @@ struct Observation {
 /// reads, fully pipelined; returns the completed observations in
 /// submission order (per-key FIFO makes that the per-key serial order).
 std::vector<Observation> RunClient(ReplicatedStore& store, int index) {
-  AsyncQuorumClient::Options copts;
+  ClientOptions copts;
   copts.timeout = 150ms;
   copts.max_attempts = 8;
   copts.window = 8;

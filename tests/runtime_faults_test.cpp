@@ -18,9 +18,25 @@ namespace {
 namespace fs = std::filesystem;
 using namespace std::chrono_literals;
 
+/// A replica's read response to op `op`: a batch of one, as replicas
+/// answer every client request.
 RtMessage ReadResp(std::uint64_t op, const std::string& key,
                    std::uint64_t version, std::int64_t value) {
-  return RtMessage{RtMessage::Kind::kReadResp, op, key, version, value, 0, 0};
+  RtMessage m;
+  m.kind = RtMessage::Kind::kBatchReadResp;
+  m.op = op;
+  m.batch = {BatchEntry{op, key, version, value}};
+  return m;
+}
+
+/// A raw install of (version, value) at `key`: a batch-of-one write.
+RtMessage WriteReq(std::uint64_t op, const std::string& key,
+                   std::uint64_t version, std::int64_t value) {
+  RtMessage m;
+  m.kind = RtMessage::Kind::kBatchWriteReq;
+  m.op = op;
+  m.batch = {BatchEntry{op, key, version, value}};
+  return m;
 }
 
 // ---------------------------------------------------------------------------
@@ -225,7 +241,7 @@ TEST(FaultInjection, AsyncRetriesMaskMessageLoss) {
   plan.seed = 42;
   options.faults = plan;
   ReplicatedStore store(std::move(options));
-  AsyncQuorumClient::Options copts;
+  ClientOptions copts;
   copts.timeout = 100ms;
   copts.max_attempts = 8;
   copts.window = 8;
@@ -248,7 +264,7 @@ TEST(FaultInjection, AsyncRetriesMaskMessageLoss) {
 
 TEST(ClientStatus, ShutdownReportedWhenBusCloses) {
   Bus bus(2);
-  QuorumClient::Options copts;
+  ClientOptions copts;
   copts.timeout = 10s;
   QuorumClient client(bus, 1, {quorum::MajoritySystem(1)}, 0, copts);
   ClientResult r;
@@ -268,7 +284,7 @@ TEST(ClientStatus, ShutdownReportedWhenBusCloses) {
 /// forged version could win version discovery.
 TEST(ClientHardening, IgnoresResponsesFromOutOfUniverseSenders) {
   Bus bus(4);
-  QuorumClient::Options copts;
+  ClientOptions copts;
   copts.timeout = 200ms;
   QuorumClient client(bus, 3, {quorum::MajoritySystem(3)}, 0, copts);
   // Poisoned envelope from "node 7" (no such replica), plus a legitimate
@@ -294,7 +310,7 @@ TEST(ClientHardening, RejectsUniversesBeyondBitmaskWidth) {
   Bus bus(66);
   EXPECT_THROW(QuorumClient(bus, 65, {big}, 0), InvariantViolation);
   EXPECT_THROW(
-      AsyncQuorumClient(bus, 65, {big}, 0, AsyncQuorumClient::Options{}),
+      AsyncQuorumClient(bus, 65, {big}, 0, ClientOptions{}),
       InvariantViolation);
 }
 
@@ -307,9 +323,9 @@ TEST(ClientHardening, DivergenceIsCountedNotMasked) {
   ReplicaServer r0(bus, 0), r1(bus, 1), r2(bus, 2);
   // Forge the divergence: version 1 holds value 10 at replica 0 but value
   // 20 at replicas 1 and 2 (a correct run can never produce this).
-  bus.Send(3, 0, RtMessage{RtMessage::Kind::kWriteReq, 900, "k", 1, 10, 0, 0});
-  bus.Send(3, 1, RtMessage{RtMessage::Kind::kWriteReq, 901, "k", 1, 20, 0, 0});
-  bus.Send(3, 2, RtMessage{RtMessage::Kind::kWriteReq, 901, "k", 1, 20, 0, 0});
+  bus.Send(3, 0, WriteReq(900, "k", 1, 10));
+  bus.Send(3, 1, WriteReq(901, "k", 1, 20));
+  bus.Send(3, 2, WriteReq(901, "k", 1, 20));
   for (int acks = 0; acks < 3; ++acks) {
     ASSERT_TRUE(bus.MailboxOf(3)
                     .Pop(std::chrono::steady_clock::now() + 1s)
@@ -334,9 +350,9 @@ TEST(ClientHardening, DivergenceIsCountedNotMasked) {
 TEST(ClientHardening, AsyncDivergenceIsCounted) {
   Bus bus(4);
   ReplicaServer r0(bus, 0), r1(bus, 1), r2(bus, 2);
-  bus.Send(3, 0, RtMessage{RtMessage::Kind::kWriteReq, 900, "k", 1, 10, 0, 0});
-  bus.Send(3, 1, RtMessage{RtMessage::Kind::kWriteReq, 901, "k", 1, 20, 0, 0});
-  bus.Send(3, 2, RtMessage{RtMessage::Kind::kWriteReq, 901, "k", 1, 20, 0, 0});
+  bus.Send(3, 0, WriteReq(900, "k", 1, 10));
+  bus.Send(3, 1, WriteReq(901, "k", 1, 20));
+  bus.Send(3, 2, WriteReq(901, "k", 1, 20));
   for (int acks = 0; acks < 3; ++acks) {
     ASSERT_TRUE(bus.MailboxOf(3)
                     .Pop(std::chrono::steady_clock::now() + 1s)
@@ -344,7 +360,7 @@ TEST(ClientHardening, AsyncDivergenceIsCounted) {
   }
   bus.Crash(2);
   AsyncQuorumClient client(bus, 3, {quorum::MajoritySystem(3)}, 0,
-                           AsyncQuorumClient::Options{});
+                           ClientOptions{});
   const ClientResult r = client.SubmitRead("k").Get();
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(client.ClientStats().divergences_observed, 1u);
@@ -359,7 +375,7 @@ TEST(ClientHardening, AsyncDivergenceIsCounted) {
 /// repair aimed at a crashed replica repaired nothing.
 TEST(ClientHardening, RepairsToCrashedReplicasAreNotCounted) {
   Bus bus(4);
-  QuorumClient::Options copts;
+  ClientOptions copts;
   copts.timeout = 200ms;
   copts.read_repair = true;
   QuorumClient client(bus, 3, {quorum::MajoritySystem(3)}, 0, copts);

@@ -76,7 +76,7 @@ void RunShardEquivalence(std::size_t shards, std::size_t iterations) {
   ReplicatedStore shard_store(std::move(shard_options));
   ASSERT_EQ(shard_store.ShardsPerReplica(), shards);
   auto shard_client = shard_store.MakeAsyncClient(
-      AsyncQuorumClient::Options{.window = 16, .max_batch = 8});
+      ClientOptions{.window = 16, .max_batch = 8});
 
   std::vector<std::pair<OpFuture, ClientResult>> pending;
   auto drain_and_compare = [&] {
@@ -186,7 +186,7 @@ void RunCrashHammer(std::size_t shards) {
   options.shards_per_replica = shards;
   ReplicatedStore store(std::move(options));
   auto client = store.MakeAsyncClient(
-      AsyncQuorumClient::Options{.window = 64, .max_batch = 16});
+      ClientOptions{.window = 64, .max_batch = 16});
 
   std::map<std::string, std::int64_t> expected;
   std::vector<OpFuture> futures;
@@ -469,7 +469,7 @@ TEST(ShardedStore, PerShardCountersSurfaceThroughPeek) {
   options.shards_per_replica = kShards;
   ReplicatedStore store(std::move(options));
   auto client = store.MakeAsyncClient(
-      AsyncQuorumClient::Options{.window = 32, .max_batch = 8});
+      ClientOptions{.window = 32, .max_batch = 8});
   constexpr int kKeys = 64;
   for (int i = 0; i < kKeys; ++i) {
     client->SubmitWrite("key" + std::to_string(i), i);

@@ -245,7 +245,7 @@ TEST(WireConfig, FencedClientInstallsConfigFromPayload) {
   // once, so this id is unused).
   auto foreign_table = std::make_shared<ConfigTable>(
       std::vector<quorum::QuorumSystem>{quorum::MajoritySystem(3)});
-  QuorumClient::Options copts;
+  ClientOptions copts;
   copts.max_attempts = 3;
   QuorumClient foreign(store.TransportRef(),
                        static_cast<NodeId>(3 + 4 - 1), foreign_table, 0,
@@ -441,7 +441,7 @@ TEST(StrategyAsync, PipelinedClientServesUnderRowa)
   options.strategy = "rowa";
   ReplicatedStore store(std::move(options));
   auto client = store.MakeAsyncClient(
-      AsyncQuorumClient::Options{.window = 8, .max_batch = 4});
+      ClientOptions{.window = 8, .max_batch = 4});
   std::vector<std::pair<OpFuture, std::int64_t>> expected;
   for (int i = 1; i <= 40; ++i) {
     const std::string key = "k" + std::to_string(i % 5);

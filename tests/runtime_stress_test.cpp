@@ -51,7 +51,7 @@ TEST(RuntimeStress, PipelinedClientsUnderCrashRecoverChaos) {
 
   std::vector<std::thread> clients;
   for (std::size_t t = 0; t < kClients; ++t) {
-    auto client = store.MakeAsyncClient(AsyncQuorumClient::Options{
+    auto client = store.MakeAsyncClient(ClientOptions{
         .timeout = 2000ms, .window = 16, .max_batch = 8});
     clients.emplace_back([client = std::move(client), t, &keys, &acked_mu,
                           &acked, &completed, &failed] {

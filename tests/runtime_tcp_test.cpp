@@ -20,7 +20,6 @@ StoreOptions TcpOptions(std::size_t replicas) {
   // Real sockets mean real (if tiny) latency; allow a retry so a slow CI
   // machine cannot fail a correctness test on timing.
   o.client_options.max_attempts = 3;
-  o.async_client_options.max_attempts = 3;
   return o;
 }
 

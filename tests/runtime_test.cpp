@@ -2,6 +2,8 @@
 // the blocking ReplicatedStore public API under crashes and reconfiguration.
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "runtime/store.hpp"
@@ -12,7 +14,7 @@ namespace {
 using namespace std::chrono_literals;
 
 TEST(Mailbox, PushPop) {
-  Mailbox mb;
+  net::Mailbox mb;
   mb.Push(Envelope{3, RtMessage{RtMessage::Kind::kReadReq, 7, "k", 0, 0, 0, 0}});
   auto e = mb.Pop(std::chrono::steady_clock::now() + 100ms);
   ASSERT_TRUE(e.has_value());
@@ -22,7 +24,7 @@ TEST(Mailbox, PushPop) {
 }
 
 TEST(Mailbox, PopTimesOut) {
-  Mailbox mb;
+  net::Mailbox mb;
   const auto t0 = std::chrono::steady_clock::now();
   auto e = mb.Pop(t0 + 50ms);
   EXPECT_FALSE(e.has_value());
@@ -30,7 +32,7 @@ TEST(Mailbox, PopTimesOut) {
 }
 
 TEST(Mailbox, CloseWakesWaiters) {
-  Mailbox mb;
+  net::Mailbox mb;
   std::thread closer([&] {
     std::this_thread::sleep_for(20ms);
     mb.Close();
@@ -41,7 +43,7 @@ TEST(Mailbox, CloseWakesWaiters) {
 }
 
 TEST(Mailbox, PopAllDrainsWholeQueueAtOnce) {
-  Mailbox mb;
+  net::Mailbox mb;
   for (std::uint64_t op = 1; op <= 5; ++op) {
     mb.Push(Envelope{1, RtMessage{RtMessage::Kind::kReadReq, op, "k",
                                   0, 0, 0, 0}});
@@ -55,7 +57,7 @@ TEST(Mailbox, PopAllDrainsWholeQueueAtOnce) {
 }
 
 TEST(Mailbox, TryPopAllNeverBlocks) {
-  Mailbox mb;
+  net::Mailbox mb;
   EXPECT_TRUE(mb.TryPopAll().empty());
   mb.Push(Envelope{2, RtMessage{RtMessage::Kind::kReadReq, 1, "k",
                                 0, 0, 0, 0}});
@@ -64,7 +66,7 @@ TEST(Mailbox, TryPopAllNeverBlocks) {
 }
 
 TEST(Mailbox, PushAfterCloseIgnored) {
-  Mailbox mb;
+  net::Mailbox mb;
   mb.Close();
   mb.Push(Envelope{});
   EXPECT_EQ(mb.Size(), 0u);
@@ -227,6 +229,44 @@ TEST(ReplicatedStore, ClientLimitEnforced) {
   ReplicatedStore store(StoreOptions{.replicas = 3, .max_clients = 1});
   auto c = store.MakeClient();
   EXPECT_ANY_THROW(store.MakeClient());
+}
+
+/// Clients may be created from several threads at once: each creation
+/// claims a distinct node id, and exactly max_clients of them succeed.
+TEST(ReplicatedStore, ConcurrentClientCreationClaimsDistinctSlots) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 4;
+  constexpr std::size_t kMaxClients = 20;
+  ReplicatedStore store(
+      StoreOptions{.replicas = 3, .max_clients = kMaxClients});
+  std::mutex mu;
+  std::vector<NodeId> ids;
+  std::size_t refused = 0;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        try {
+          // Alternate kinds: both draw from the one max_clients budget.
+          const NodeId id = (t + i) % 2 == 0 ? store.MakeClient()->Id()
+                                             : store.MakeAsyncClient()->Id();
+          const std::lock_guard<std::mutex> lock(mu);
+          ids.push_back(id);
+        } catch (const InvariantViolation&) {
+          const std::lock_guard<std::mutex> lock(mu);
+          ++refused;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(ids.size(), kMaxClients);
+  EXPECT_EQ(refused, kThreads * kPerThread - kMaxClients);
+  // Distinct ids, exactly the client slots [replicas, replicas + max).
+  const std::set<NodeId> distinct(ids.begin(), ids.end());
+  EXPECT_EQ(distinct.size(), kMaxClients);
+  EXPECT_EQ(*distinct.begin(), 3u);
+  EXPECT_EQ(*distinct.rbegin(), 3u + kMaxClients - 1);
 }
 
 }  // namespace

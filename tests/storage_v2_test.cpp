@@ -383,7 +383,11 @@ DurabilityOptions SmallThresholds(const std::string& dir) {
 void Apply(Backend& backend, Image& image, const std::string& key,
            std::uint64_t version, std::int64_t value) {
   image.ApplyWrite(key, version, value);
-  backend.ApplyWrite(key, version, value);
+  WalRecord r;
+  r.key = key;
+  r.version = version;
+  r.value = value;
+  backend.ApplyWriteBatch({r});  // a batch of one, as the replica sends
   backend.MaybeCompact(image);
 }
 

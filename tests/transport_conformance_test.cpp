@@ -199,7 +199,7 @@ TEST_P(TransportConformance, CrashDrainsPendingMessages) {
   for (std::uint64_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(Host(0).Send(0, 1, Tagged(i)));
   }
-  Mailbox& box = Host(1).MailboxOf(1);
+  net::Mailbox& box = Host(1).MailboxOf(1);
   const auto deadline = In(5000);
   while (box.Size() < 5 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
@@ -248,7 +248,7 @@ TEST_P(TransportConformance, CrashHookOwnsBacklogAndRecoverHookRuns) {
   std::atomic<int> recovered{0};
   std::atomic<std::size_t> size_at_hook{0};
   std::atomic<bool> down_at_hook{false};
-  Mailbox& box = Host(1).MailboxOf(1);
+  net::Mailbox& box = Host(1).MailboxOf(1);
   Host(1).SetCrashHook(1, [&] {
     down_at_hook.store(!Host(1).IsUp(1));
     size_at_hook.store(box.Size());
