@@ -11,6 +11,9 @@
 //   2. Pipelined throughput — the async client with a deep window and
 //      batching, ops/second. Batching amortizes framing as it amortizes
 //      mailbox wakeups, so the relative gap narrows vs. section 1.
+//   3. Event-loop syscalls per wire frame for the TCP runs of sections 1
+//      and 2 — epoll_wait turns, wake-pipe writes, send(2) and recv(2) —
+//      so a change to the loop shows where its per-frame cost went.
 //
 // The point of the experiment is honesty about deployment cost: the
 // repo's other benchmarks measure protocol effects on the Bus; this one
@@ -18,12 +21,15 @@
 // same hardware, with zero protocol changes (the transport is swapped
 // under an unchanged client/replica stack — the Transport abstraction is
 // doing the work). Results print as tables and are written as JSON
-// (argv[1], default "BENCH_transport.json") for CI archiving.
+// (argv[1], default "BENCH_transport.json", with host cores, build type
+// and git revision) for CI archiving.
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/store.hpp"
@@ -55,6 +61,43 @@ StoreOptions Options(bool tcp) {
   return o;
 }
 
+/// `git describe --always --dirty` of the working directory's checkout,
+/// or "unknown" outside one.
+std::string GitRevision() {
+  std::string rev;
+  if (FILE* p = ::popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr) rev += buf;
+    ::pclose(p);
+  }
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
+    rev.pop_back();
+  }
+  return rev.empty() ? "unknown" : rev;
+}
+
+/// Event-loop syscalls of one TCP run, per wire frame.
+struct SyscallRow {
+  std::string phase;
+  std::uint64_t frames = 0;
+  double loop_turns = 0;
+  double wake_writes = 0;
+  double send_calls = 0;
+  double recv_calls = 0;
+};
+
+SyscallRow PerFrame(const std::string& phase, const net::TcpStats& w) {
+  SyscallRow r;
+  r.phase = phase;
+  r.frames = w.frames_sent;
+  const double f = w.frames_sent == 0 ? 1.0 : static_cast<double>(w.frames_sent);
+  r.loop_turns = static_cast<double>(w.loop_turns) / f;
+  r.wake_writes = static_cast<double>(w.wake_writes) / f;
+  r.send_calls = static_cast<double>(w.send_calls) / f;
+  r.recv_calls = static_cast<double>(w.recv_calls) / f;
+  return r;
+}
+
 struct LatencyRow {
   std::string transport;
   std::string op;
@@ -70,7 +113,9 @@ double Percentile(std::vector<double>& v, double p) {
 }
 
 /// Mean/p50/p99 of kSyncOps blocking round trips per op type.
-std::vector<LatencyRow> SyncLatency(bool tcp) {
+/// A TCP run appends its syscall counters to `syscalls`.
+std::vector<LatencyRow> SyncLatency(bool tcp,
+                                    std::vector<SyscallRow>& syscalls) {
   ReplicatedStore store(Options(tcp));
   auto client = store.MakeClient();
   const char* name = tcp ? "tcp" : "bus";
@@ -83,6 +128,7 @@ std::vector<LatencyRow> SyncLatency(bool tcp) {
     auto r = client->Read(key);
     if (r.ok) read_us.push_back(static_cast<double>(r.latency.count()));
   }
+  if (tcp) syscalls.push_back(PerFrame("sync", store.WireStats()));
 
   auto row = [&](const char* op, std::vector<double>& v) {
     LatencyRow r;
@@ -106,7 +152,7 @@ struct ThroughputRow {
 };
 
 /// Pipelined mixed workload (50/50 read/write) through the async client.
-ThroughputRow AsyncThroughput(bool tcp) {
+ThroughputRow AsyncThroughput(bool tcp, std::vector<SyscallRow>& syscalls) {
   ReplicatedStore store(Options(tcp));
   ClientOptions aopts = Options(tcp).client_options;
   aopts.window = kWindow;
@@ -134,14 +180,20 @@ ThroughputRow AsyncThroughput(bool tcp) {
   r.transport = tcp ? "tcp" : "bus";
   r.wall_ms = wall.count();
   r.ops_per_sec = static_cast<double>(ok) / (wall.count() / 1000.0);
-  r.frames = store.WireStats().frames_sent;
+  const net::TcpStats wire = store.WireStats();
+  r.frames = wire.frames_sent;
+  if (tcp) syscalls.push_back(PerFrame("pipelined", wire));
   return r;
 }
 
 void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
-               const std::vector<ThroughputRow>& thr) {
+               const std::vector<ThroughputRow>& thr,
+               const std::vector<SyscallRow>& sys) {
   std::ofstream os(path);
   os << "{\n  \"experiment\": \"E18\",\n";
+  os << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n";
+  os << "  \"build_type\": \"" << QCNT_BUILD_TYPE << "\",\n";
+  os << "  \"git\": \"" << GitRevision() << "\",\n";
   os << "  \"replicas\": " << kReplicas << ",\n";
   os << "  \"sync_ops\": " << kSyncOps << ",\n";
   os << "  \"async_ops\": " << kAsyncOps << ",\n";
@@ -164,6 +216,16 @@ void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
        << ", \"wire_frames\": " << r.frames << "}"
        << (i + 1 < thr.size() ? "," : "") << "\n";
   }
+  os << "  ],\n  \"tcp_syscalls_per_frame\": [\n";
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    const SyscallRow& r = sys[i];
+    os << "    {\"phase\": \"" << r.phase << "\", \"wire_frames\": " << r.frames
+       << ", \"loop_turns\": " << bench::Table::Num(r.loop_turns, 3)
+       << ", \"wake_writes\": " << bench::Table::Num(r.wake_writes, 3)
+       << ", \"send_calls\": " << bench::Table::Num(r.send_calls, 3)
+       << ", \"recv_calls\": " << bench::Table::Num(r.recv_calls, 3) << "}"
+       << (i + 1 < sys.size() ? "," : "") << "\n";
+  }
   os << "  ]\n}\n";
 }
 
@@ -175,8 +237,9 @@ int main(int argc, char** argv) {
 
   bench::Banner("E18.1 — sync quorum op latency: bus vs loopback TCP");
   std::vector<LatencyRow> lat;
+  std::vector<SyscallRow> sys;
   for (bool tcp : {false, true}) {
-    auto rows = SyncLatency(tcp);
+    auto rows = SyncLatency(tcp, sys);
     lat.insert(lat.end(), rows.begin(), rows.end());
   }
   {
@@ -191,7 +254,7 @@ int main(int argc, char** argv) {
 
   bench::Banner("E18.2 — pipelined async throughput: bus vs loopback TCP");
   std::vector<ThroughputRow> thr;
-  for (bool tcp : {false, true}) thr.push_back(AsyncThroughput(tcp));
+  for (bool tcp : {false, true}) thr.push_back(AsyncThroughput(tcp, sys));
   {
     bench::Table t({"transport", "ops/s", "wall ms", "wire frames"});
     for (const ThroughputRow& r : thr) {
@@ -201,14 +264,28 @@ int main(int argc, char** argv) {
     t.Print();
   }
 
+  bench::Banner("E18.3 — TCP event-loop syscalls per wire frame");
+  {
+    bench::Table t({"phase", "wire frames", "loop turns", "wake writes",
+                    "send calls", "recv calls"});
+    for (const SyscallRow& r : sys) {
+      t.AddRow({r.phase, std::to_string(r.frames),
+                bench::Table::Num(r.loop_turns, 3),
+                bench::Table::Num(r.wake_writes, 3),
+                bench::Table::Num(r.send_calls, 3),
+                bench::Table::Num(r.recv_calls, 3)});
+    }
+    t.Print();
+  }
+
   // Shape checks: every section produced data, and the TCP path really
   // used the wire (nonzero frames) while the bus did not.
-  bool ok = lat.size() == 4 && thr.size() == 2;
+  bool ok = lat.size() == 4 && thr.size() == 2 && sys.size() == 2;
   for (const LatencyRow& r : lat) ok = ok && r.mean_us > 0;
   for (const ThroughputRow& r : thr) ok = ok && r.ops_per_sec > 0;
   ok = ok && thr[0].frames == 0 && thr[1].frames > 0;
 
-  WriteJson(json_path, lat, thr);
+  WriteJson(json_path, lat, thr, sys);
   std::cout << "\n" << (ok ? "OK" : "SHAPE CHECK FAILED") << "; wrote "
             << json_path << "\n";
   return ok ? 0 : 1;

@@ -5,13 +5,15 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 #include "common/check.hpp"
 
@@ -19,9 +21,11 @@ namespace qcnt::net {
 
 namespace {
 
+/// Every recv offers at least this much free buffer.
 constexpr std::size_t kReadChunk = 64 * 1024;
-/// Compact an inbound buffer once the decoded prefix exceeds this.
-constexpr std::size_t kCompactThreshold = 1 << 20;
+/// Ready events taken per epoll_wait; level-triggered, so the rest wait
+/// for the next turn.
+constexpr int kMaxEvents = 64;
 /// Default universe-capacity headroom beyond the construction-time nodes
 /// (see TcpTransportOptions::max_nodes).
 constexpr std::size_t kGrowthHeadroom = 32;
@@ -116,18 +120,19 @@ TcpTransport::TcpTransport(TcpTransportOptions options,
     mailboxes_[node] = std::make_unique<Mailbox>();
   }
 
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  QCNT_CHECK(epoll_fd_ >= 0);
   QCNT_CHECK(::pipe(wake_pipe_) == 0);
   SetNonBlocking(wake_pipe_[0]);
   SetNonBlocking(wake_pipe_[1]);
+  EpollCtl(EPOLL_CTL_ADD, wake_pipe_[0], EPOLLIN, FdKind::kWake, 0);
 
   // Bind every hosted node's listener before the loop (and before the
   // constructor returns), so a single-process universe can immediately
   // connect node-to-node and a multi-process replica is reachable the
   // moment its constructor finishes.
   for (NodeId node : local_nodes) {
-    const int fd = BindListenerOrThrow(node);
-    listen_fds_.push_back(fd);
-    listen_nodes_.push_back(node);
+    listen_fds_.push_back(BindListenerOrThrow(node));
   }
 
   loop_ = std::thread([this] { Loop(); });
@@ -135,7 +140,7 @@ TcpTransport::TcpTransport(TcpTransportOptions options,
 
 int TcpTransport::BindListenerOrThrow(NodeId node) {
   const ResolvedAddr addr = ResolveOrThrow(universe_[node], /*passive=*/true);
-  const int fd = ::socket(addr.family, SOCK_STREAM, 0);
+  const int fd = ::socket(addr.family, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw TransportIoError("tcp transport: socket() failed");
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -157,7 +162,17 @@ int TcpTransport::BindListenerOrThrow(NodeId node) {
   QCNT_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) ==
              0);
   universe_[node].port = PortOf(bound);
+  EpollCtl(EPOLL_CTL_ADD, fd, EPOLLIN, FdKind::kListen,
+           static_cast<std::uint32_t>(fd));
   return fd;
+}
+
+void TcpTransport::EpollCtl(int op, int fd, std::uint32_t events, FdKind kind,
+                            std::uint32_t id) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = (static_cast<std::uint64_t>(kind) << 32) | id;
+  QCNT_CHECK(::epoll_ctl(epoll_fd_, op, fd, &ev) == 0);
 }
 
 TcpTransport::~TcpTransport() {
@@ -167,6 +182,7 @@ TcpTransport::~TcpTransport() {
   for (int fd : listen_fds_) ::close(fd);
   for (Peer& p : peers_) CloseFd(p.fd);
   for (Inbound& in : inbound_) CloseFd(in.fd);
+  ::close(epoll_fd_);
   ::close(wake_pipe_[0]);
   ::close(wake_pipe_[1]);
 }
@@ -227,10 +243,20 @@ bool TcpTransport::Send(NodeId from, NodeId to, RtMessage msg) {
     const bool was_empty = peer.outbuf.size() == peer.out_off;
     EncodeFrame(WireFrame{from, to, std::move(msg)}, peer.outbuf);
     ++stats_.frames_sent;
-    // The loop needs a nudge when this peer had nothing pending (it may
-    // be sleeping with no interest in the peer's fd) — not on every
-    // frame of a burst.
-    wake = was_empty || peer.state != PeerState::kConnected;
+    // Kick the peer only when nothing else will make the loop look at
+    // it: an idle peer needs a connect, a connected one whose queue was
+    // empty a flush. A non-empty queue was already kicked or is armed for
+    // OUT, a connecting peer is armed for OUT, and a backing-off peer
+    // redials on the retry timer — so a burst, or a whole outage, costs
+    // one kick rather than one per frame. A loop that is not parked in
+    // epoll_wait services kicked_ before it parks again, so the wake
+    // pipe is written at most once per park.
+    if (was_empty && (peer.state == PeerState::kIdle ||
+                      peer.state == PeerState::kConnected)) {
+      kicked_.push_back(to);
+      wake = polling_;
+      polling_ = false;
+    }
   }
   if (wake) WakeLoop();
   return true;
@@ -311,6 +337,7 @@ void TcpTransport::SetPeerEndpoint(NodeId node, Endpoint endpoint) {
     // The loop owns every fd: flag the peer and let the loop tear the
     // old connection down and redial (buffered frames carry over).
     retarget_[node] = 1;
+    kicked_.push_back(node);
   }
   WakeLoop();
 }
@@ -322,7 +349,9 @@ void TcpTransport::AddLocalNode(NodeId node, Endpoint endpoint) {
     std::lock_guard<std::mutex> lock(mu_);
     QCNT_CHECK_MSG(!local_[node], "tcp transport: node already hosted");
     universe_[node] = std::move(endpoint);
-    const int fd = BindListenerOrThrow(node);  // resolves ephemeral port
+    // Resolves an ephemeral port and registers the listener: the loop
+    // accepts on it from its next epoll_wait, so no wake is needed.
+    const int fd = BindListenerOrThrow(node);
     local_[node] = 1;
     mailboxes_[node] = std::make_unique<Mailbox>();
     up_[node].store(true);
@@ -331,32 +360,38 @@ void TcpTransport::AddLocalNode(NodeId node, Endpoint endpoint) {
                    std::memory_order_release);
     }
     listen_fds_.push_back(fd);
-    listen_nodes_.push_back(node);
   }
-  WakeLoop();  // the loop re-snapshots listeners under mu_ each iteration
 }
 
 TcpStats TcpTransport::WireStats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  TcpStats s = stats_;
+  s.wake_writes = wake_writes_.load(std::memory_order_relaxed);
+  return s;
 }
 
 // --- Event loop -----------------------------------------------------------
 
 void TcpTransport::WakeLoop() {
   const char byte = 1;
+  wake_writes_.fetch_add(1, std::memory_order_relaxed);
   // Nonblocking: a full pipe already guarantees a pending wakeup.
   [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &byte, 1);
 }
 
 void TcpTransport::CloseFd(int& fd) {
   if (fd >= 0) {
+    // Deregister explicitly: epoll keys a registration on the open file,
+    // which outlives close(2) while a forked child still holds the socket
+    // — its events would then arrive tagged for a reused fd or node.
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
     ::close(fd);
     fd = -1;
   }
 }
 
-void TcpTransport::StartConnect(Peer& peer, NodeId node) {
+void TcpTransport::StartConnect(NodeId node) {
+  Peer& peer = peers_[node];
   const std::optional<ResolvedAddr> addr = ResolveEndpoint(
       universe_[node].host, universe_[node].port, /*passive=*/false);
   if (!addr) {
@@ -365,7 +400,7 @@ void TcpTransport::StartConnect(Peer& peer, NodeId node) {
     FailPeer(peer, /*count_attempt=*/true);
     return;
   }
-  const int fd = ::socket(addr->family, SOCK_STREAM, 0);
+  const int fd = ::socket(addr->family, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     FailPeer(peer, /*count_attempt=*/true);
     return;
@@ -375,24 +410,27 @@ void TcpTransport::StartConnect(Peer& peer, NodeId node) {
   ++stats_.reconnect_attempts;
   const int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr->addr),
                            addr->len);
+  if (rc != 0 && errno != EINPROGRESS) {
+    ::close(fd);
+    FailPeer(peer, /*count_attempt=*/false);  // already counted above
+    return;
+  }
+  peer.fd = fd;
   if (rc == 0) {
-    peer.fd = fd;
     peer.state = PeerState::kConnected;
     peer.failures = 0;
     ++stats_.connects;
-    FlushPeer(peer);
-  } else if (errno == EINPROGRESS) {
-    peer.fd = fd;
-    peer.state = PeerState::kConnecting;
+    FlushPeer(node);  // registers the fd
   } else {
-    ::close(fd);
-    FailPeer(peer, /*count_attempt=*/false);  // already counted above
+    peer.state = PeerState::kConnecting;
+    Rearm(node);
   }
 }
 
 void TcpTransport::FailPeer(Peer& peer, bool count_attempt) {
   if (count_attempt) ++stats_.reconnect_attempts;
   CloseFd(peer.fd);
+  peer.interest = 0;
   peer.state = PeerState::kBackoff;
   peer.failures = std::min(peer.failures + 1, 20u);
   auto backoff = options_.reconnect_base * (1u << std::min(peer.failures - 1,
@@ -401,10 +439,13 @@ void TcpTransport::FailPeer(Peer& peer, bool count_attempt) {
                      std::chrono::duration_cast<std::chrono::milliseconds>(
                          options_.reconnect_max));
   peer.retry_at = std::chrono::steady_clock::now() + backoff;
+  next_retry_ = std::min(next_retry_, peer.retry_at);
 }
 
-void TcpTransport::FlushPeer(Peer& peer) {
+void TcpTransport::FlushPeer(NodeId node) {
+  Peer& peer = peers_[node];
   while (peer.out_off < peer.outbuf.size()) {
+    ++stats_.send_calls;
     const ssize_t n =
         ::send(peer.fd, peer.outbuf.data() + peer.out_off,
                peer.outbuf.size() - peer.out_off, MSG_NOSIGNAL);
@@ -413,7 +454,10 @@ void TcpTransport::FlushPeer(Peer& peer) {
       stats_.bytes_sent += static_cast<std::uint64_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      Rearm(node);  // socket buffer full: wait for OUT
+      return;
+    }
     FailPeer(peer, /*count_attempt=*/false);
     return;
   }
@@ -421,68 +465,168 @@ void TcpTransport::FlushPeer(Peer& peer) {
   // sender appends frames into already-allocated memory.
   peer.outbuf.clear();
   peer.out_off = 0;
+  Rearm(node);
+}
+
+void TcpTransport::Rearm(NodeId node) {
+  Peer& peer = peers_[node];
+  std::uint32_t want = 0;
+  if (peer.state == PeerState::kConnecting) {
+    want = EPOLLOUT;
+  } else if (peer.state == PeerState::kConnected) {
+    want = EPOLLIN;  // EOF detection; peers never send on it
+    if (peer.out_off < peer.outbuf.size()) want |= EPOLLOUT;
+  }
+  if (peer.fd < 0 || want == peer.interest) return;
+  EpollCtl(peer.interest == 0 ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, peer.fd, want,
+           FdKind::kPeer, node);
+  peer.interest = want;
+}
+
+void TcpTransport::ServiceKicked() {
+  for (NodeId node : kicked_) {
+    Peer& peer = peers_[node];
+    if (retarget_[node]) {
+      // Tear the stale connection down, then take the normal "pending
+      // traffic → connect" path below.
+      retarget_[node] = 0;
+      CloseFd(peer.fd);
+      peer.interest = 0;
+      peer.state = PeerState::kIdle;
+      peer.failures = 0;
+    }
+    const bool pending = peer.out_off < peer.outbuf.size();
+    if (peer.state == PeerState::kIdle && pending &&
+        universe_[node].port != 0) {
+      StartConnect(node);
+    } else if (peer.state == PeerState::kConnected && pending) {
+      FlushPeer(node);
+    }
+  }
+  kicked_.clear();
+}
+
+void TcpTransport::RetryDuePeers(std::chrono::steady_clock::time_point now) {
+  if (now < next_retry_) return;
+  next_retry_ = std::chrono::steady_clock::time_point::max();
+  for (std::size_t node = 0; node < peers_.size(); ++node) {
+    Peer& peer = peers_[node];
+    if (peer.state != PeerState::kBackoff) continue;
+    if (now < peer.retry_at) {
+      next_retry_ = std::min(next_retry_, peer.retry_at);
+      continue;
+    }
+    peer.state = PeerState::kIdle;
+    if (peer.out_off < peer.outbuf.size() && universe_[node].port != 0) {
+      StartConnect(static_cast<NodeId>(node));  // a failure re-arms next_retry_
+    }
+  }
+}
+
+void TcpTransport::OnPeerEvent(NodeId node, std::uint32_t events) {
+  Peer& peer = peers_[node];
+  if (peer.fd < 0) return;  // closed earlier in this batch
+  if (peer.state == PeerState::kConnecting) {
+    int err = 0;
+    socklen_t len = sizeof(err);
+    ::getsockopt(peer.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+    if ((events & (EPOLLERR | EPOLLHUP)) != 0 || err != 0) {
+      FailPeer(peer, /*count_attempt=*/false);
+      return;
+    }
+    peer.state = PeerState::kConnected;
+    peer.failures = 0;
+    ++stats_.connects;
+    FlushPeer(node);
+    return;
+  }
+  if ((events & EPOLLIN) != 0) {
+    // Outbound connections are write-only at the frame level; readable
+    // means EOF (peer process died/restarted) or stray bytes we discard.
+    char scratch[1024];
+    ++stats_.recv_calls;
+    const ssize_t n = ::recv(peer.fd, scratch, sizeof(scratch), 0);
+    if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
+      FailPeer(peer, /*count_attempt=*/false);
+      return;
+    }
+  }
+  if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
+    FailPeer(peer, /*count_attempt=*/false);
+    return;
+  }
+  if ((events & EPOLLOUT) != 0) FlushPeer(node);
 }
 
 void TcpTransport::AcceptAll(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    const int fd = ::accept4(listen_fd, nullptr, nullptr,
+                                SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN, or a raced-away connection
-    SetNonBlocking(fd);
     SetNoDelay(fd);
-    Inbound in;
-    in.fd = fd;
-    inbound_.push_back(std::move(in));
+    const auto slot = static_cast<std::size_t>(fd);
+    if (slot >= inbound_.size()) inbound_.resize(slot + 1);
+    inbound_[slot].fd = fd;
+    EpollCtl(EPOLL_CTL_ADD, fd, EPOLLIN, FdKind::kInbound,
+             static_cast<std::uint32_t>(fd));
   }
 }
 
 bool TcpTransport::DrainInbound(Inbound& in) {
   for (;;) {
-    const std::size_t old = in.inbuf.size();
-    in.inbuf.resize(old + kReadChunk);
-    const ssize_t n = ::recv(in.fd, in.inbuf.data() + old, kReadChunk, 0);
+    if (in.cap - in.filled < kReadChunk) {
+      // Make room for a full chunk without zero-filling anything: slide
+      // the undecoded tail to the front when that frees enough, else
+      // move it into a buffer at least twice the size.
+      const std::size_t live = in.filled - in.off;
+      if (in.off > 0 && in.cap - live >= kReadChunk) {
+        std::memmove(in.buf.get(), in.buf.get() + in.off, live);
+      } else {
+        std::size_t cap = std::max(in.cap * 2, kReadChunk);
+        while (cap - live < kReadChunk) cap *= 2;
+        auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+        if (live > 0) std::memcpy(bigger.get(), in.buf.get() + in.off, live);
+        in.buf = std::move(bigger);
+        in.cap = cap;
+      }
+      in.off = 0;
+      in.filled = live;
+    }
+    const std::size_t room = in.cap - in.filled;
+    ++stats_.recv_calls;
+    const ssize_t n = ::recv(in.fd, in.buf.get() + in.filled, room, 0);
     if (n < 0) {
-      in.inbuf.resize(old);
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;
+      // Level-triggered: an interrupted read is simply reported again.
+      return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
     }
     if (n == 0) {
-      in.inbuf.resize(old);
-      // Peer closed. Any complete frames already buffered were decoded
-      // below on earlier iterations; a partial tail is a truncated frame
-      // and dies with the connection.
+      // Peer closed. Complete frames were decoded after earlier reads; a
+      // partial tail is a truncated frame and dies with the connection.
       return false;
     }
-    in.inbuf.resize(old + static_cast<std::size_t>(n));
+    in.filled += static_cast<std::size_t>(n);
     stats_.bytes_received += static_cast<std::uint64_t>(n);
-    if (static_cast<std::size_t>(n) < kReadChunk) break;
-  }
-  // Decode every complete frame in the unconsumed region.
-  for (;;) {
-    DecodeResult r =
-        DecodeFrame(in.inbuf.data() + in.in_off, in.inbuf.size() - in.in_off,
-                    options_.max_frame_bytes);
-    if (r.status == DecodeStatus::kOk) {
-      ++stats_.frames_received;
-      in.in_off += r.consumed;
-      DispatchFrame(std::move(r.frame));
-      continue;
+    // Decode every complete frame in the unconsumed region.
+    for (;;) {
+      DecodeResult r = DecodeFrame(in.buf.get() + in.off, in.filled - in.off,
+                                   options_.max_frame_bytes);
+      if (r.status == DecodeStatus::kOk) {
+        ++stats_.frames_received;
+        in.off += r.consumed;
+        DispatchFrame(std::move(r.frame));
+        continue;
+      }
+      if (r.status == DecodeStatus::kNeedMore) break;
+      // Typed decode error: the stream cannot be resynchronized — drop
+      // the connection (the sender will reconnect and retransmit at the
+      // quorum layer's pace).
+      ++stats_.decode_errors;
+      return false;
     }
-    if (r.status == DecodeStatus::kNeedMore) break;
-    // Typed decode error: the stream cannot be resynchronized — drop the
-    // connection (the sender will reconnect and retransmit at the quorum
-    // layer's pace).
-    ++stats_.decode_errors;
-    return false;
+    if (in.off == in.filled) in.off = in.filled = 0;
+    // A short read drained the socket; a full one may have left more.
+    if (static_cast<std::size_t>(n) < room) return true;
   }
-  if (in.in_off == in.inbuf.size()) {
-    in.inbuf.clear();
-    in.in_off = 0;
-  } else if (in.in_off > kCompactThreshold) {
-    in.inbuf.erase(in.inbuf.begin(),
-                   in.inbuf.begin() + static_cast<std::ptrdiff_t>(in.in_off));
-    in.in_off = 0;
-  }
-  return true;
 }
 
 void TcpTransport::DispatchFrame(WireFrame frame) {
@@ -500,162 +644,56 @@ void TcpTransport::DispatchFrame(WireFrame frame) {
   mailboxes_[frame.to]->Push(Envelope{frame.from, std::move(frame.msg)});
 }
 
-std::chrono::steady_clock::time_point TcpTransport::NextRetryDeadline()
-    const {
-  auto deadline = std::chrono::steady_clock::time_point::max();
-  for (const Peer& peer : peers_) {
-    if (peer.state == PeerState::kBackoff) {
-      deadline = std::min(deadline, peer.retry_at);
-    }
-  }
-  return deadline;
-}
-
 void TcpTransport::Loop() {
-  std::vector<pollfd> fds;
-  // Parallel map from fds index to what it is: listener i, peer node, or
-  // inbound index (rebuilt each iteration; sizes are small — ≤64 nodes).
-  enum class FdKind { kWake, kListen, kPeer, kInbound };
-  struct FdRef {
-    FdKind kind;
-    std::size_t index;
-  };
-  std::vector<FdRef> refs;
-
+  std::array<epoll_event, kMaxEvents> events;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (stop_.load()) return;
-    fds.clear();
-    refs.clear();
-    fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-    refs.push_back(FdRef{FdKind::kWake, 0});
-
+    ServiceKicked();
+    RetryDuePeers(std::chrono::steady_clock::now());
     int timeout_ms = -1;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Listener set is snapshotted under mu_: AddLocalNode may append a
-      // listener at runtime (membership change) and wakes the loop so the
-      // next snapshot includes it.
-      for (std::size_t i = 0; i < listen_fds_.size(); ++i) {
-        fds.push_back(pollfd{listen_fds_[i], POLLIN, 0});
-        refs.push_back(FdRef{FdKind::kListen, i});
-      }
-      // Apply pending retargets first: close the stale connection, then
-      // fall through to the normal "pending traffic → connect" path.
-      for (std::size_t node = 0; node < retarget_.size(); ++node) {
-        if (!retarget_[node]) continue;
-        retarget_[node] = 0;
-        Peer& peer = peers_[node];
-        CloseFd(peer.fd);
-        peer.state = PeerState::kIdle;
-        peer.failures = 0;
-      }
-      const auto now = std::chrono::steady_clock::now();
-      for (std::size_t node = 0; node < peers_.size(); ++node) {
-        Peer& peer = peers_[node];
-        const bool pending = peer.out_off < peer.outbuf.size();
-        if (peer.state == PeerState::kBackoff && now >= peer.retry_at) {
-          peer.state = PeerState::kIdle;
-        }
-        if (peer.state == PeerState::kIdle && pending &&
-            universe_[node].port != 0) {
-          StartConnect(peer, static_cast<NodeId>(node));
-        }
-        if (peer.state == PeerState::kConnected && pending) {
-          FlushPeer(peer);
-        }
-        short events = 0;
-        switch (peer.state) {
-          case PeerState::kConnecting:
-            events = POLLOUT;
-            break;
-          case PeerState::kConnected:
-            events = POLLIN;  // EOF detection; peers never send on it
-            if (peer.out_off < peer.outbuf.size()) events |= POLLOUT;
-            break;
-          case PeerState::kIdle:
-          case PeerState::kBackoff:
-            break;
-        }
-        if (events != 0 && peer.fd >= 0) {
-          fds.push_back(pollfd{peer.fd, events, 0});
-          refs.push_back(FdRef{FdKind::kPeer, node});
-        }
-      }
-      for (std::size_t i = 0; i < inbound_.size(); ++i) {
-        fds.push_back(pollfd{inbound_[i].fd, POLLIN, 0});
-        refs.push_back(FdRef{FdKind::kInbound, i});
-      }
-      const auto retry = NextRetryDeadline();
-      if (retry != std::chrono::steady_clock::time_point::max()) {
-        const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
-            retry - std::chrono::steady_clock::now());
-        timeout_ms = std::max<int>(0, static_cast<int>(until.count()) + 1);
-      }
+    if (next_retry_ != std::chrono::steady_clock::time_point::max()) {
+      const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
+          next_retry_ - std::chrono::steady_clock::now());
+      timeout_ms = std::max<int>(0, static_cast<int>(until.count()) + 1);
     }
-
-    ::poll(fds.data(), fds.size(), timeout_ms);
+    polling_ = true;
+    lock.unlock();
+    const int ready =
+        ::epoll_wait(epoll_fd_, events.data(), kMaxEvents, timeout_ms);
+    lock.lock();
+    polling_ = false;
     if (stop_.load()) return;
 
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
-      switch (refs[i].kind) {
+    ++stats_.loop_turns;
+    for (int i = 0; i < ready; ++i) {
+      const std::uint64_t tag = events[i].data.u64;
+      const auto id = static_cast<std::uint32_t>(tag);
+      switch (static_cast<FdKind>(tag >> 32)) {
         case FdKind::kWake: {
+          // One read clears any realistic backlog; a fuller pipe is
+          // reported again next turn.
           char buf[256];
-          while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-          }
+          [[maybe_unused]] ssize_t n = ::read(wake_pipe_[0], buf, sizeof(buf));
           break;
         }
         case FdKind::kListen:
-          AcceptAll(listen_fds_[refs[i].index]);
+          AcceptAll(static_cast<int>(id));
           break;
-        case FdKind::kPeer: {
-          Peer& peer = peers_[refs[i].index];
-          if (peer.fd != fds[i].fd) break;  // retargeted meanwhile
-          if (peer.state == PeerState::kConnecting) {
-            int err = 0;
-            socklen_t len = sizeof(err);
-            ::getsockopt(peer.fd, SOL_SOCKET, SO_ERROR, &err, &len);
-            if ((fds[i].revents & (POLLERR | POLLHUP)) != 0 || err != 0) {
-              FailPeer(peer, /*count_attempt=*/false);
-            } else {
-              peer.state = PeerState::kConnected;
-              peer.failures = 0;
-              ++stats_.connects;
-              FlushPeer(peer);
-            }
-            break;
-          }
-          if ((fds[i].revents & POLLIN) != 0) {
-            // Outbound connections are write-only at the frame level;
-            // readable means EOF (peer process died/restarted) or stray
-            // bytes we discard.
-            char scratch[1024];
-            const ssize_t n = ::recv(peer.fd, scratch, sizeof(scratch), 0);
-            if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
-              FailPeer(peer, /*count_attempt=*/false);
-              break;
-            }
-          }
-          if ((fds[i].revents & (POLLERR | POLLHUP)) != 0) {
-            FailPeer(peer, /*count_attempt=*/false);
-            break;
-          }
-          if ((fds[i].revents & POLLOUT) != 0) FlushPeer(peer);
+        case FdKind::kPeer:
+          OnPeerEvent(id, events[i].events);
           break;
-        }
         case FdKind::kInbound: {
-          Inbound& in = inbound_[refs[i].index];
-          if (in.fd != fds[i].fd) break;
-          if (!DrainInbound(in)) CloseFd(in.fd);
+          Inbound& in = inbound_[id];
+          if (in.fd < 0) break;  // closed earlier in this batch
+          if (!DrainInbound(in)) {
+            CloseFd(in.fd);
+            in = Inbound{};  // frees the buffer; the slot is reusable
+          }
           break;
         }
       }
     }
-    // Compact closed inbound connections outside the fd walk.
-    inbound_.erase(std::remove_if(inbound_.begin(), inbound_.end(),
-                                  [](const Inbound& in) { return in.fd < 0; }),
-                   inbound_.end());
   }
 }
 

@@ -11,13 +11,22 @@
 //
 //   Send(from, to, m)                    event-loop thread
 //   ───────────────────┐                 ┌──────────────────────────────
-//   encode frame onto  │   wake pipe     │ poll() over listeners, peer
-//   peer's write queue ├────────────────▶│ connections, wake pipe
-//   (reusable buffer)  │                 │  · flush write queues
-//   ───────────────────┘                 │  · read + decode frames,
+//   encode frame onto  │   wake pipe     │ epoll_wait on one persistent
+//   peer's write queue ├────────────────▶│ set (wake pipe, listeners,
+//   (reusable buffer)  │ (only when the  │ peer and accepted fds)
+//   ───────────────────┘  loop is parked)│  · flush kicked write queues
+//                                        │  · read + decode frames,
 //                                        │    Push into local mailboxes
 //                                        │  · run per-peer reconnect
 //                                        │    state machines (backoff)
+//
+// Every fd is registered once, when it is created, tagged with its kind
+// and its node (peers) or fd (listeners, accepted connections), and
+// deregistered when it is closed. A peer's interest changes only with
+// its state — OUT while connecting, IN once connected, plus OUT while
+// bytes are pending — so a loop turn touches only the fds that are
+// ready, never the whole set. Level-triggered: an fd with work left is
+// simply reported again on the next turn.
 //
 // Per-peer connection state machine:
 //
@@ -118,6 +127,11 @@ struct TcpStats {
   std::uint64_t decode_errors = 0;    // connections dropped on bad frames
   std::uint64_t backpressure_drops = 0;
   std::uint64_t unroutable_drops = 0;  // peer endpoint unknown (port 0)
+  // Syscall counters: what the event loop costs per frame.
+  std::uint64_t loop_turns = 0;   // epoll_wait returns
+  std::uint64_t wake_writes = 0;  // wake-pipe writes (senders nudging)
+  std::uint64_t send_calls = 0;   // send(2) on outbound peer streams
+  std::uint64_t recv_calls = 0;   // recv(2) on accepted and peer fds
 };
 
 class TcpTransport final : public Transport {
@@ -194,32 +208,49 @@ class TcpTransport final : public Transport {
     std::size_t out_off = 0;
     std::uint32_t failures = 0;  // consecutive, drives the backoff
     std::chrono::steady_clock::time_point retry_at{};
+    std::uint32_t interest = 0;  // epoll events registered for fd (0: none)
   };
 
   /// One accepted inbound connection (any remote process; frames carry
   /// their own routing, so inbound connections need no identity).
+  /// inbound_ is indexed by fd; fd == -1 marks a free slot.
   struct Inbound {
     int fd = -1;
-    std::vector<std::uint8_t> inbuf;
-    std::size_t in_off = 0;  // decoded prefix, compacted periodically
+    /// Grow-only receive buffer, never zero-filled: [off, filled) holds
+    /// received bytes not yet decoded, [filled, cap) is free.
+    std::unique_ptr<std::uint8_t[]> buf;
+    std::size_t cap = 0;
+    std::size_t filled = 0;
+    std::size_t off = 0;
   };
+
+  /// What an epoll registration points at (packed with an id into the
+  /// event's 64-bit tag).
+  enum class FdKind : std::uint32_t { kWake, kListen, kPeer, kInbound };
 
   void Loop();
   void WakeLoop();
   /// Bind + listen for `node` at universe_[node], resolving an ephemeral
-  /// port back into the table. Returns the listening fd; throws
-  /// TransportIoError on failure. Requires mu_ held (or pre-loop ctor).
+  /// port back into the table, and register the listener with the event
+  /// loop. Returns the listening fd; throws TransportIoError on failure.
+  /// Requires mu_ held (or pre-loop ctor).
   int BindListenerOrThrow(NodeId node);
+  void EpollCtl(int op, int fd, std::uint32_t events, FdKind kind,
+                std::uint32_t id);
   /// All helpers below require mu_ held (they run on the loop thread).
-  void StartConnect(Peer& peer, NodeId node);
+  void ServiceKicked();
+  void RetryDuePeers(std::chrono::steady_clock::time_point now);
+  void StartConnect(NodeId node);
   void FailPeer(Peer& peer, bool count_attempt);
-  void FlushPeer(Peer& peer);
+  void FlushPeer(NodeId node);
+  /// Bring the peer's epoll interest in line with its state.
+  void Rearm(NodeId node);
+  void OnPeerEvent(NodeId node, std::uint32_t events);
   void AcceptAll(int listen_fd);
   /// Read + decode everything available; false = close the connection.
   bool DrainInbound(Inbound& in);
   void DispatchFrame(WireFrame frame);
   void CloseFd(int& fd);
-  std::chrono::steady_clock::time_point NextRetryDeadline() const;
 
   // Every per-node container below is sized to Capacity() at construction
   // and never reallocated; membership growth only advances count_.
@@ -240,12 +271,22 @@ class TcpTransport final : public Transport {
   mutable std::mutex mu_;  // guards peers_, inbound_, stats_, universe_
   std::vector<Peer> peers_;  // index == destination NodeId
   std::vector<char> retarget_;  // SetPeerEndpoint → loop handshake
-  std::vector<Inbound> inbound_;
+  /// Peers the loop must look at on its next turn: a send that needs a
+  /// connect or a flush, or a retarget. Cleared (capacity kept) per turn.
+  std::vector<NodeId> kicked_;
+  /// The loop is parked in (or about to enter) epoll_wait with no wake
+  /// pending: the next kick must write the wake pipe.
+  bool polling_ = false;
+  /// No kBackoff peer retries before this (max() when none).
+  std::chrono::steady_clock::time_point next_retry_ =
+      std::chrono::steady_clock::time_point::max();
+  std::vector<Inbound> inbound_;  // index == accepted fd
   TcpStats stats_;
+  std::atomic<std::uint64_t> wake_writes_{0};  // WakeLoop runs unlocked
 
   // Guarded by mu_ once the loop runs (AddLocalNode appends at runtime).
-  std::vector<int> listen_fds_;        // parallel to hosted nodes
-  std::vector<NodeId> listen_nodes_;
+  std::vector<int> listen_fds_;
+  int epoll_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
   std::atomic<bool> stop_{false};
   std::thread loop_;

@@ -1,0 +1,176 @@
+// TcpTransport behavior the Bus has no analogue for: a corrupt byte
+// stream on one accepted connection, the event loop's accepted-fd reuse,
+// and how often senders wake the loop while a peer is unreachable.
+#include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "net/tcp_transport.hpp"
+
+namespace qcnt::net {
+namespace {
+
+using namespace std::chrono_literals;
+
+std::chrono::steady_clock::time_point In(std::chrono::milliseconds d) {
+  return std::chrono::steady_clock::now() + d;
+}
+
+RtMessage Op(std::uint64_t op) {
+  RtMessage m;
+  m.kind = RtMessage::Kind::kBatchReadReq;
+  m.op = op;
+  m.key = "k" + std::to_string(op);
+  return m;
+}
+
+/// A socket connected to 127.0.0.1:port, or -1.
+int DialLoopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval tv{5, 0};  // bounds the EOF wait below
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Three instances, one node each, wired to one another.
+class ThreeInstances : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    TcpTransportOptions o;
+    o.universe.resize(3);
+    for (NodeId n = 0; n < 3; ++n) {
+      t_.push_back(std::make_unique<TcpTransport>(o, std::vector<NodeId>{n}));
+    }
+    for (NodeId i = 0; i < 3; ++i) {
+      for (NodeId j = 0; j < 3; ++j) {
+        if (i != j) t_[i]->SetPeerEndpoint(j, t_[j]->ActualEndpoint(j));
+      }
+    }
+  }
+  void TearDown() override {
+    for (auto& t : t_) t->CloseAll();
+  }
+
+  void ExpectDelivery(NodeId from, NodeId to, std::uint64_t op) {
+    ASSERT_TRUE(t_[from]->Send(from, to, Op(op)));
+    auto e = t_[to]->MailboxOf(to).Pop(In(5000ms));
+    ASSERT_TRUE(e.has_value()) << "no delivery " << from << "->" << to;
+    EXPECT_EQ(e->from, from);
+    EXPECT_EQ(e->msg.op, op);
+  }
+
+  std::vector<std::unique_ptr<TcpTransport>> t_;
+};
+
+TEST_F(ThreeInstances, CorruptStreamDropsOnlyThatConnection) {
+  // Warm both links into node 1 so it holds two healthy accepted
+  // connections next to the corrupt ones.
+  ExpectDelivery(0, 1, 1);
+  ExpectDelivery(2, 1, 2);
+  const std::uint64_t connects0 = t_[0]->WireStats().connects;
+  const std::uint64_t connects2 = t_[2]->WireStats().connects;
+  const std::uint16_t port = t_[1]->ActualEndpoint(1).port;
+
+  // Connect, write garbage, close — ten times, so the listener keeps
+  // accepting onto fd numbers the loop just closed and deregistered.
+  for (int round = 0; round < 10; ++round) {
+    const std::uint64_t errors = t_[1]->WireStats().decode_errors;
+    const int fd = DialLoopback(port);
+    ASSERT_GE(fd, 0) << "round " << round;
+    const std::vector<std::uint8_t> garbage(64, 0xA5);  // bad magic
+    ASSERT_EQ(::send(fd, garbage.data(), garbage.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(garbage.size()));
+    // The transport drops the connection: our end reads EOF (or a reset).
+    char byte;
+    EXPECT_LE(::recv(fd, &byte, 1, 0), 0) << "round " << round;
+    ::close(fd);
+    EXPECT_EQ(t_[1]->WireStats().decode_errors, errors + 1)
+        << "round " << round;
+
+    // Traffic between the healthy instances is untouched and rides the
+    // same connections as before.
+    ExpectDelivery(0, 1, 100 + round);
+    ExpectDelivery(2, 1, 200 + round);
+    ExpectDelivery(1, 2, 300 + round);
+  }
+  EXPECT_EQ(t_[0]->WireStats().connects, connects0);
+  EXPECT_EQ(t_[2]->WireStats().connects, connects2);
+  EXPECT_EQ(t_[1]->WireStats().decode_errors, 10u);
+  EXPECT_EQ(t_[0]->WireStats().decode_errors, 0u);
+  EXPECT_EQ(t_[2]->WireStats().decode_errors, 0u);
+}
+
+TEST_F(ThreeInstances, SyscallCountersAdvance) {
+  const TcpStats before = t_[0]->WireStats();
+  ExpectDelivery(0, 1, 1);
+  ExpectDelivery(1, 0, 2);
+  const TcpStats after = t_[0]->WireStats();
+  EXPECT_GT(after.loop_turns, before.loop_turns);
+  EXPECT_GT(after.wake_writes, before.wake_writes);
+  EXPECT_GT(after.send_calls, before.send_calls);
+  EXPECT_GT(after.recv_calls, before.recv_calls);
+}
+
+TEST(TcpTransportWake, UnreachablePeerDoesNotWakeTheLoopPerFrame) {
+  // A port that refuses connections: bound, never listening, held open
+  // for the whole test so nothing else can take it.
+  const int hole = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(hole, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(hole, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(hole, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  TcpTransportOptions o;
+  o.universe.resize(2);
+  o.universe[1].port = ntohs(addr.sin_port);
+  TcpTransport t(o, {0});
+
+  const TcpStats before = t.WireStats();
+  constexpr int kFrames = 200;
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(t.Send(0, 1, Op(i)));  // buffered toward the dead peer
+  }
+  // Let a few backoff retries (5, 10, 20 ms ...) run off the timer.
+  const auto deadline = In(5000ms);
+  while (t.WireStats().reconnect_attempts < before.reconnect_attempts + 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  const TcpStats after = t.WireStats();
+  EXPECT_GE(after.reconnect_attempts, before.reconnect_attempts + 3)
+      << "backoff retries must run without senders waking the loop";
+  EXPECT_EQ(after.connects, 0u);
+  EXPECT_EQ(after.frames_sent - before.frames_sent,
+            static_cast<std::uint64_t>(kFrames));
+  EXPECT_LE(after.wake_writes - before.wake_writes, 3u)
+      << "one wake starts the connect; the rest must ride the retry timer";
+  t.CloseAll();
+  ::close(hole);
+}
+
+}  // namespace
+}  // namespace qcnt::net

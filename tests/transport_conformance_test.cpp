@@ -194,6 +194,60 @@ TEST_P(TransportConformance, BatchMessagesSurviveTransit) {
   EXPECT_EQ(e.msg.batch[31].value, 31000);
 }
 
+// --- Receive path: frames larger than one TCP read, and bursts large
+// enough that the receiver's buffer must make room under a partial tail.
+
+TEST_P(TransportConformance, BatchFrameLargerThanOneReadArrivesIntact) {
+  // ~200 KiB in one frame: TCP reads it in 64 KiB chunks and must
+  // reassemble it before decoding.
+  constexpr std::uint64_t kEntries = 2000;
+  RtMessage m;
+  m.kind = RtMessage::Kind::kBatchWriteReq;
+  m.op = 77;
+  for (std::uint64_t i = 0; i < kEntries; ++i) {
+    m.batch.push_back({i, std::string(80, static_cast<char>('a' + i % 26)) +
+                              std::to_string(i),
+                       i * 3, -static_cast<std::int64_t>(i)});
+  }
+  Envelope e = MustDeliver(0, 2, std::move(m));
+  EXPECT_EQ(e.msg.op, 77u);
+  ASSERT_EQ(e.msg.batch.size(), kEntries);
+  for (std::uint64_t i = 0; i < kEntries; ++i) {
+    const runtime::BatchEntry& b = e.msg.batch[i];
+    ASSERT_EQ(b.op, i);
+    ASSERT_EQ(b.key, std::string(80, static_cast<char>('a' + i % 26)) +
+                         std::to_string(i));
+    ASSERT_EQ(b.version, i * 3);
+    ASSERT_EQ(b.value, -static_cast<std::int64_t>(i));
+  }
+}
+
+TEST_P(TransportConformance, BurstBeyondOneMiBArrivesInOrderIntact) {
+  // Send ~1.5 MiB of ~1 KiB frames before the receiver pops anything.
+  // Read boundaries land mid-frame, so the receive buffer keeps making
+  // room while holding a partial tail; order and every field must
+  // survive that.
+  constexpr std::uint64_t kCount = 1500;
+  auto key_of = [](std::uint64_t i) {
+    return std::string(1000, static_cast<char>('A' + i % 26)) + "#" +
+           std::to_string(i);
+  };
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    RtMessage m = Tagged(i);
+    m.key = key_of(i);
+    ASSERT_TRUE(Host(1).Send(1, 0, std::move(m))) << "refused at " << i;
+  }
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    auto e = Host(0).MailboxOf(0).Pop(In(5000));
+    ASSERT_TRUE(e.has_value()) << "lost message " << i;
+    ASSERT_EQ(e->from, 1u);
+    ASSERT_EQ(e->msg.op, i) << "reordered at " << i;
+    ASSERT_EQ(e->msg.key, key_of(i));
+    ASSERT_EQ(e->msg.version, i * 2);
+    ASSERT_EQ(e->msg.value, static_cast<std::int64_t>(i) - 10);
+  }
+}
+
 TEST_P(TransportConformance, CrashDrainsPendingMessages) {
   // Queue deliveries into node 1's mailbox without popping them...
   for (std::uint64_t i = 0; i < 5; ++i) {
