@@ -41,7 +41,7 @@ int main() {
     // Fail-stop replica 2: its in-memory map is gone.
     store.Crash(2);
     client->Write("balance", 9999);  // replica 2 misses this write
-    store.Recover(2);                // replays snapshot + log from disk
+    store.Recover(2);                // replays checkpoints + log from disk
 
     const auto stats = store.ReplicaStorageStats(2);
     std::cout << "replica 2 recovered: " << stats.recoveries

@@ -37,13 +37,17 @@ ReplicaServer::ReplicaServer(Transport& transport, NodeId id,
   }
   wal_parts_.assign(shards, {});
   touched_flag_.assign(shards, 0);
+  // Recover before the hooks below capture `this`: a backend refusing its
+  // directory (storage::LayoutError) throws out of the constructor with
+  // nothing left registered on the transport.
+  RecoverShards();
   // The crash hook makes Transport::Crash a deterministic cut: it pushes
   // a kCrashDrain marker and waits until the loop passed it, so
   // everything delivered before the crash is applied and everything after
   // is refused. The recover hook re-arms the node for external work.
   transport_->SetCrashHook(id_, [this] { OnBusCrash(); });
   transport_->SetRecoverHook(id_, [this] { OnBusRecover(); });
-  Start();
+  StartLoop();
 }
 
 ReplicaServer::~ReplicaServer() {
@@ -52,10 +56,13 @@ ReplicaServer::~ReplicaServer() {
   transport_->SetRecoverHook(id_, nullptr);
 }
 
-void ReplicaServer::Start() {
+void ReplicaServer::RecoverShards() {
   for (auto& sh : shards_) {
     sh->image = sh->backend->Recover();
   }
+}
+
+void ReplicaServer::StartLoop() {
   crash_cut_.store(false, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
@@ -162,7 +169,8 @@ void ReplicaServer::CrashAndWipe() {
 
 void ReplicaServer::Restart() {
   if (thread_.joinable()) return;
-  Start();
+  RecoverShards();
+  StartLoop();
 }
 
 ReplicaSnapshot ReplicaServer::Peek() {

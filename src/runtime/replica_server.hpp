@@ -166,6 +166,7 @@ class ReplicaServer {
 
   /// Relaunch after CrashAndWipe (or Shutdown): recover each shard's image
   /// from its backend and restart the loop. No-op if already running.
+  /// Throws (and stays down) when a backend refuses its directory.
   void Restart();
 
   bool Running() const { return thread_.joinable(); }
@@ -188,7 +189,10 @@ class ReplicaServer {
     std::atomic<std::uint64_t> batches{0};
   };
 
-  void Start();
+  /// Rebuild every shard's image from its backend.
+  void RecoverShards();
+  /// Launch the loop thread over the recovered images.
+  void StartLoop();
   void Loop();
   void OnBusCrash();
   void OnBusRecover();

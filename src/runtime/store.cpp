@@ -7,6 +7,7 @@
 #include "common/check.hpp"
 #include "common/env.hpp"
 #include "net/error.hpp"
+#include "storage/recovery.hpp"
 
 namespace qcnt::runtime {
 
@@ -183,13 +184,13 @@ std::shared_ptr<storage::GroupCommitCoordinator> MakeCommitCoordinator(
 }
 
 /// Refuse to open a durability directory whose layout cannot host this
-/// replica: corrupt manifest, shard count changed, or a WAL segment the
-/// manifest names is gone. Recovering a subset silently would drop acked
-/// writes — the one thing the WAL exists to prevent.
+/// replica: corrupt or unsupported manifest, shard count changed, or a
+/// file the manifest names is gone. Recovering a subset silently would
+/// drop acked writes — the one thing the WAL exists to prevent.
 void ValidateDurableLayout(const StoreOptions& options, std::size_t replica) {
   const auto check = storage::RecoveryManager(ReplicaDir(options, replica))
                          .ValidateShardLayout(options.shards_per_replica);
-  QCNT_CHECK_MSG(check.ok, check.error);
+  if (!check.ok) throw storage::LayoutError(check.error);
 }
 }  // namespace
 

@@ -15,11 +15,10 @@
 //   store.Crash(4);                      // still within quorum
 //
 // With StoreOptions::durability set, each replica keeps a write-ahead log
-// and snapshots under `durability->directory/replica_<r>`; Crash() then
-// wipes the replica's volatile state (true fail-stop) and Recover()
-// rebuilds it from disk through storage::RecoveryManager — so quorum
-// reads after recovery genuinely exercise Lemma 8 rather than reading a
-// map that never died.
+// and checkpoints under `durability->directory/replica_<r>`; Crash()
+// then wipes the replica's volatile state (true fail-stop) and Recover()
+// rebuilds it from disk — so quorum reads after recovery genuinely
+// exercise Lemma 8 rather than reading a map that never died.
 #pragma once
 
 #include <atomic>
@@ -81,13 +80,16 @@ struct StoreOptions {
   /// replica_server.hpp). Under durability each shard keeps its own
   /// directory (`shard_<s>/`) of WAL segments and checkpoints; the
   /// replica's MANIFEST pins the count, and reopening with a different
-  /// explicit count is rejected (key striping is not self-rebalancing).
+  /// explicit count is refused with storage::LayoutError (key striping is
+  /// not self-rebalancing).
   /// 0 = auto: the count in an existing durability directory's MANIFEST,
   /// else the QCNT_SHARDS environment variable when set, else 1.
   std::size_t shards_per_replica = 0;
   /// When set, replicas persist to `directory/replica_<r>` and crashes
   /// lose volatile state; when unset, replicas are purely in-memory and a
-  /// crash is only a partition (the original semantics).
+  /// crash is only a partition (the original semantics). A directory the
+  /// storage engine cannot adopt throws storage::LayoutError from the
+  /// constructor (or from Recover).
   std::optional<storage::DurabilityOptions> durability;
   /// Test observability: replicas record every version-accepted write in
   /// application order (see AppliedWrite); read back via ReplicaPeek.
@@ -147,8 +149,10 @@ class ReplicatedStore {
   /// Crash / recover a replica (by node id: founding replicas are nodes
   /// [0, replicas); replicas added at runtime keep the id AddReplica
   /// assigned them). Under a durable backend, Crash discards the
-  /// replica's in-memory state and Recover replays snapshot + log before
-  /// the replica rejoins quorums.
+  /// replica's in-memory state and Recover replays checkpoints + log
+  /// before the replica rejoins quorums; a directory that lost a file its
+  /// MANIFEST names makes Recover throw storage::LayoutError, and the
+  /// replica stays down.
   void Crash(std::size_t replica);
   void Recover(std::size_t replica);
   bool IsUp(std::size_t replica) const;

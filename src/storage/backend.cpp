@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "storage/checkpoint.hpp"
 #include "storage/segment.hpp"
-#include "storage/snapshot.hpp"
 
 namespace qcnt::storage {
 
@@ -75,21 +74,22 @@ class DurableBackend final : public Backend {
   Image Recover() override {
     ReleaseAll();  // release any pre-crash handles before reopening
     const std::string& dir = manifest_->dir();
-    QCNT_CHECK_MSG(manifest_->info().ok, manifest_->info().error);
-    // Any valid on-disk manifest (v1 or v2) must agree on the shard
-    // count; migrating a subset of a differently-striped layout would
-    // silently orphan the other shards' data.
-    QCNT_CHECK_MSG(manifest_->info().version == 0 ||
-                       manifest_->info().disk_shard_count ==
-                           manifest_->shard_count(),
-                   "manifest shard count mismatch in " + dir);
+    if (!manifest_->info().ok) throw LayoutError(manifest_->info().error);
+    // The on-disk manifest must agree on the shard count; opening a
+    // subset of a differently-striped layout would silently orphan the
+    // other shards' data.
+    if (manifest_->info().version != 0 &&
+        manifest_->info().disk_shard_count != manifest_->shard_count()) {
+      throw LayoutError(
+          "shard count mismatch in " + dir + "/MANIFEST: manifest has " +
+          std::to_string(manifest_->info().disk_shard_count) +
+          ", configured " + std::to_string(manifest_->shard_count()));
+    }
     fs::create_directories(Manifest::ShardDirPath(dir, shard_));
     recoveries_.fetch_add(1, std::memory_order_relaxed);
 
     files_ = manifest_->Shard(shard_);
-    if (!files_.present) MigrateLegacy();
     SweepUnreferenced();
-    RemoveLegacyLeftovers();
 
     // Open the checkpoint chain footer-only; blocks, index, and bloom
     // stay on disk until a cold read wants them. This is the heart of
@@ -99,9 +99,10 @@ class DurableBackend final : public Backend {
     for (const std::uint64_t id : files_.checkpoints) {
       auto reader =
           CheckpointReader::Open(Manifest::CheckpointPath(dir, shard_, id));
-      QCNT_CHECK_MSG(reader != nullptr,
-                     "unreadable checkpoint: " +
-                         Manifest::CheckpointPath(dir, shard_, id));
+      if (reader == nullptr) {
+        throw LayoutError("unreadable checkpoint: " +
+                          Manifest::CheckpointPath(dir, shard_, id));
+      }
       if (reader->generation() >= generation_) {
         generation_ = reader->generation();
         config_id_ = reader->config_id();
@@ -127,8 +128,8 @@ class DurableBackend final : public Backend {
 
     Image image;
     if (!options_.spill_cold_reads) {
-      // Materialize the full map (v1-compatible serving mode). Oldest
-      // first so newer runs win ties through the normal merge rule.
+      // Materialize the full map. Oldest first so newer runs win ties
+      // through the normal merge rule.
       for (const auto& reader : readers_) {
         reader->Scan([&image](const std::string& key, const Versioned& v) {
           image.ApplyWrite(key, v.version, v.value);
@@ -295,7 +296,6 @@ class DurableBackend final : public Backend {
     s.bloom_misses = bloom_misses_.load(std::memory_order_relaxed);
     s.bloom_false_positives =
         bloom_false_positives_.load(std::memory_order_relaxed);
-    s.migrations = migrations_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -320,40 +320,6 @@ class DurableBackend final : public Backend {
     }
   }
 
-  /// First Recover() over a shard with no v2 entry but with v1 files:
-  /// rebuild the legacy image (snapshot + wal, torn-tail aware), persist
-  /// it as the shard's base checkpoint, and commit the v2 entry. The
-  /// legacy files are untouched until the manifest save lands, so a crash
-  /// anywhere in here just re-runs the migration next time.
-  void MigrateLegacy() {
-    const std::string& dir = manifest_->dir();
-    const bool sharded_files =
-        fs::exists(RecoveryManager::ShardWalPath(dir, shard_)) ||
-        fs::exists(RecoveryManager::ShardSnapshotPath(dir, shard_));
-    const bool unsharded_files =
-        shard_ == 0 && manifest_->shard_count() == 1 &&
-        (fs::exists(RecoveryManager::WalPath(dir)) ||
-         fs::exists(SnapshotPath(dir)));
-    if (!sharded_files && !unsharded_files) return;  // genuinely fresh
-
-    const RecoveryManager rm(dir);
-    const RecoveryManager::Result legacy =
-        sharded_files ? rm.RecoverShard(shard_) : rm.Recover();
-    recovery_replayed_.fetch_add(legacy.replayed, std::memory_order_relaxed);
-    if (legacy.torn_tail) torn_tails_.fetch_add(1, std::memory_order_relaxed);
-
-    files_.present = true;
-    if (!legacy.image.data.empty() || legacy.image.generation > 0 ||
-        legacy.image.config_id > 0) {
-      const std::uint64_t id = files_.next_file_id++;
-      WriteCheckpointFile(id, legacy.image.data, legacy.image.generation,
-                          legacy.image.config_id);
-      files_.checkpoints.push_back(id);
-    }
-    manifest_->Update(shard_, files_);  // the migration commit point
-    migrations_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Delete everything in the shard directory the manifest doesn't
   /// reference: `.tmp` orphans and files created after the last manifest
   /// save (both are redundant by the create→save→delete discipline).
@@ -372,20 +338,6 @@ class DurableBackend final : public Backend {
                          *id) != files_.checkpoints.end();
       }
       if (!keep) fs::remove(entry.path(), ec);
-    }
-  }
-
-  /// A crash between the migration's manifest save and the legacy delete
-  /// leaves v1 files next to a committed v2 entry; finish the job.
-  void RemoveLegacyLeftovers() {
-    if (!files_.present) return;
-    const std::string& dir = manifest_->dir();
-    std::error_code ec;
-    fs::remove(RecoveryManager::ShardWalPath(dir, shard_), ec);
-    fs::remove(RecoveryManager::ShardSnapshotPath(dir, shard_), ec);
-    if (shard_ == 0 && manifest_->shard_count() == 1) {
-      fs::remove(RecoveryManager::WalPath(dir), ec);
-      fs::remove(SnapshotPath(dir), ec);
     }
   }
 
@@ -520,7 +472,6 @@ class DurableBackend final : public Backend {
   std::atomic<std::uint64_t> cold_lookups_{0};
   std::atomic<std::uint64_t> bloom_hits_{0}, bloom_misses_{0};
   std::atomic<std::uint64_t> bloom_false_positives_{0};
-  std::atomic<std::uint64_t> migrations_{0};
 };
 
 }  // namespace

@@ -27,7 +27,6 @@
 #include "storage/commit.hpp"
 #include "storage/image.hpp"
 #include "storage/manifest.hpp"
-#include "storage/recovery.hpp"
 #include "storage/wal.hpp"
 
 namespace qcnt::storage {
@@ -47,9 +46,8 @@ struct DurabilityOptions {
   std::chrono::microseconds commit_window_min{100};
   std::chrono::microseconds commit_window_max{4000};
   /// Checkpoint (flush the dirty set, drop sealed segments) once the
-  /// shard's live segment chain exceeds this many bytes. The direct v2
-  /// successor of v1's snapshot_threshold_bytes — but the work done per
-  /// trigger is now O(tail), not O(total state).
+  /// shard's live segment chain exceeds this many bytes. The work done
+  /// per trigger is O(tail), not O(total state).
   std::uint64_t checkpoint_tail_bytes = 1u << 20;
   /// Seal + rotate the active segment at this size, bounding any single
   /// log file and the unit of wholesale reclamation.
@@ -87,7 +85,6 @@ struct StorageStats {
   std::uint64_t bloom_hits = 0;     // filter passed and the key was there
   std::uint64_t bloom_misses = 0;   // filter rejected the probe (no I/O)
   std::uint64_t bloom_false_positives = 0;  // filter passed, key absent
-  std::uint64_t migrations = 0;  // v1 shards upgraded in place
 
   StorageStats& operator+=(const StorageStats& o) {
     records_appended += o.records_appended;
@@ -106,7 +103,6 @@ struct StorageStats {
     bloom_hits += o.bloom_hits;
     bloom_misses += o.bloom_misses;
     bloom_false_positives += o.bloom_false_positives;
-    migrations += o.migrations;
     return *this;
   }
 };
@@ -120,7 +116,8 @@ class Backend {
 
   /// Rebuild the replica's state at (re)start. In spill mode the
   /// returned Image holds only the un-checkpointed tail; checkpointed
-  /// keys are served through Lookup/ScanAbove.
+  /// keys are served through Lookup/ScanAbove. A durable backend throws
+  /// LayoutError for a directory it cannot adopt (see manifest.hpp).
   virtual Image Recover() = 0;
 
   /// A batch of applied (i.e. version-accepted) writes, before the single
@@ -183,16 +180,14 @@ std::unique_ptr<Backend> MakeMemoryBackend();
 
 /// v2 persistence under `dir` (created if absent) for an unsharded
 /// replica — internally shard 0 of a one-shard layout with a private
-/// MANIFEST. A v1 unsharded store (`wal.log` / `snapshot.bin`) found in
-/// `dir` is migrated in place on first Recover().
+/// MANIFEST.
 std::unique_ptr<Backend> MakeDurableBackend(std::string dir,
                                             DurabilityOptions options);
 
 /// Persistence for one shard of a sharded replica: all shards share
 /// `dir`'s MANIFEST (v2), which pins the shard count and names every
 /// shard's segment chain + checkpoint chain. `manifest` must be the
-/// replica's shared Manifest. A v1 shard (`wal_<s>.log` /
-/// `snapshot_<s>.bin`) is migrated in place on first Recover().
+/// replica's shared Manifest.
 ///
 /// With a non-null `coordinator` and FsyncPolicy::kGroupCommit, fsync
 /// decisions move off the shard thread entirely: the active segment is

@@ -1,5 +1,5 @@
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for WAL and
-// snapshot framing. Self-contained so the storage layer carries no
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for WAL, checkpoint
+// and MANIFEST framing. Self-contained so the storage layer carries no
 // external dependency; the table is computed at compile time.
 #pragma once
 

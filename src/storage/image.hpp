@@ -3,8 +3,8 @@
 // A replica's durable state is exactly what the paper's DM holds: a
 // (version, value) pair per logical item plus one store-wide
 // (generation, configuration) stamp for Section-4 reconfiguration. An
-// Image is that state as a plain value — what a snapshot stores and what
-// recovery rebuilds.
+// Image is that state as a plain value — what a checkpoint chain plus the
+// WAL tail recovers.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,7 @@ struct Image {
 
   /// Merge one write under the runtime's total order: newer version wins;
   /// ties resolve toward the larger value. Replay uses the same rule as the
-  /// live server, so re-applying old log records over a newer snapshot is
+  /// live server, so re-applying old log records over a newer checkpoint is
   /// idempotent.
   void ApplyWrite(const std::string& key, std::uint64_t version,
                   std::int64_t value) {

@@ -1,5 +1,5 @@
 // Byte-level helpers shared by every on-disk format in src/storage
-// (WAL frames, snapshots, checkpoints, MANIFEST): little-endian integer
+// (WAL frames, checkpoints, MANIFEST): little-endian integer
 // put/get, full-write loops, and the fsync/rename choreography that makes
 // file installation atomic.
 #pragma once

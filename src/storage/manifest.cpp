@@ -13,7 +13,6 @@ namespace qcnt::storage {
 namespace {
 
 constexpr char kMagic[4] = {'Q', 'M', 'A', 'N'};
-constexpr std::uint32_t kV1 = 1;
 constexpr std::uint32_t kV2 = 2;
 constexpr std::uint32_t kMaxFilesPerShard = 1u << 20;
 
@@ -54,17 +53,11 @@ Manifest::Manifest(std::string dir, std::size_t shard_count)
   }
 
   info_.version = GetU32(payload);
-  if (info_.version == kV1) {
-    if (payload_len != 8) {
-      corrupt("bad v1 payload length");
-      return;
-    }
-    info_.disk_shard_count = GetU32(payload + 4);
-    // v1 names no files; shards stay non-present and migrate lazily.
-    return;
-  }
   if (info_.version != kV2) {
-    corrupt("unknown version " + std::to_string(info_.version));
+    info_.ok = false;
+    info_.error = "unsupported manifest " + ManifestFile(dir_) +
+                  ": format version " + std::to_string(info_.version) +
+                  " (only version 2 is readable)";
     return;
   }
 
@@ -187,9 +180,7 @@ std::optional<std::size_t> Manifest::ReadShardCount(const std::string& dir) {
   if (Crc32(payload, payload_len) != GetU32(bytes->data() + bytes->size() - 4)) {
     return std::nullopt;
   }
-  const std::uint32_t version = GetU32(payload);
-  if (version != kV1 && version != kV2) return std::nullopt;
-  if (version == kV1 && payload_len != 8) return std::nullopt;
+  if (GetU32(payload) != kV2) return std::nullopt;
   const std::uint32_t count = GetU32(payload + 4);
   if (count < 1) return std::nullopt;
   return static_cast<std::size_t>(count);

@@ -1,11 +1,10 @@
 // MANIFEST v2: the per-replica table of storage files.
 //
-// v1 pinned only the shard count. v2 additionally names, per shard, the
-// live WAL segments (`shard_<s>/seg_<id>.log`, oldest → newest, last one
-// active) and the live checkpoint chain (`shard_<s>/ckpt_<id>.blk`,
-// oldest → newest), plus the shard's monotone file-id counter. The
-// manifest is the single commit point for every storage-engine state
-// transition:
+// It pins the shard count and names, per shard, the live WAL segments
+// (`shard_<s>/seg_<id>.log`, oldest → newest, last one active) and the
+// live checkpoint chain (`shard_<s>/ckpt_<id>.blk`, oldest → newest),
+// plus the shard's monotone file-id counter. The manifest is the single
+// commit point for every storage-engine state transition:
 //
 //   create new files  →  manifest save (atomic rename)  →  delete old files
 //
@@ -16,22 +15,32 @@
 //
 // One Manifest object is shared by all shard backends of a replica
 // directory (like the GroupCommitCoordinator); a mutex serializes saves.
-// Shards that have no v2 entry yet but do have legacy v1 files
-// (`wal_<s>.log` + `snapshot_<s>.bin`, or unsharded `wal.log`) are
-// migrated lazily by their backend on first Recover().
+// Format version 1 (a bare shard count, written by the pre-v2 engine) is
+// not readable: such a directory is refused, never migrated.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace qcnt::storage {
 
+/// A durability directory the engine cannot open without losing acked
+/// state: a corrupt or unsupported MANIFEST, a shard count other than
+/// the configured one, or a file the MANIFEST names that is missing or
+/// unreadable. The message names the offending path (and, for a count
+/// mismatch, both counts).
+class LayoutError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// One shard's slice of the manifest.
 struct ShardFiles {
-  bool present = false;  // no v2 entry yet (fresh shard or pre-migration)
+  bool present = false;  // no entry yet (a shard never opened)
   std::uint64_t next_file_id = 1;  // ids below this are spent
   std::vector<std::uint64_t> segments;     // oldest..newest; back() active
   std::vector<std::uint64_t> checkpoints;  // oldest..newest
@@ -41,17 +50,17 @@ class Manifest {
  public:
   /// How the on-disk file parsed at construction time.
   struct LoadInfo {
-    bool ok = true;      // false only for a corrupt/unreadable manifest
+    bool ok = true;      // false for a corrupt or unsupported manifest
     std::string error;   // set when !ok
-    std::uint32_t version = 0;  // 0 = absent, 1 = legacy, 2 = current
+    std::uint32_t version = 0;  // 0 = absent, 2 = current (else !ok)
     std::size_t disk_shard_count = 0;  // meaningful when version != 0
   };
 
-  /// Reads `dir`/MANIFEST. An absent or v1 file yields an empty table of
-  /// `shard_count` non-present shards (v1 stores migrate shard by shard);
-  /// a v2 file's entries are adopted. A corrupt file or a v2 shard count
-  /// disagreeing with `shard_count` is reported via info() — callers
-  /// validate before wiring backends.
+  /// Reads `dir`/MANIFEST. An absent file yields an empty table of
+  /// `shard_count` non-present shards; a v2 file's entries are adopted. A
+  /// corrupt or version-1 file, or a shard count disagreeing with
+  /// `shard_count`, is reported via info() — callers validate before
+  /// wiring backends.
   Manifest(std::string dir, std::size_t shard_count);
 
   const LoadInfo& info() const { return info_; }
@@ -73,9 +82,8 @@ class Manifest {
   static std::string CheckpointPath(const std::string& dir, std::size_t shard,
                                     std::uint64_t id);
 
-  /// Shard count from any valid MANIFEST version (1 or 2); nullopt when
-  /// absent or corrupt. The v2-aware replacement for the old
-  /// RecoveryManager::ReadManifest.
+  /// Shard count of a valid v2 MANIFEST; nullopt when absent, corrupt or
+  /// of another format version.
   static std::optional<std::size_t> ReadShardCount(const std::string& dir);
 
  private:

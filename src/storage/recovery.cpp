@@ -1,153 +1,43 @@
 #include "storage/recovery.hpp"
 
 #include <filesystem>
+#include <memory>
 #include <utility>
-#include <vector>
 
-#include "common/check.hpp"
 #include "storage/checkpoint.hpp"
-#include "storage/crc32.hpp"
-#include "storage/io_util.hpp"
 #include "storage/manifest.hpp"
-#include "storage/snapshot.hpp"
+#include "storage/wal.hpp"
 
 namespace qcnt::storage {
-
-namespace {
-
-// Legacy v1 MANIFEST layout: "QMAN", format version u32 = 1, shard count
-// u32, CRC32(version || count). Kept only as a fixture writer: the live
-// engine persists v2 manifests through storage::Manifest.
-constexpr char kManifestMagic[4] = {'Q', 'M', 'A', 'N'};
-constexpr std::uint32_t kLegacyManifestVersion = 1;
-
-// Snapshot + WAL replay for one legacy (snapshot path, wal path) pair.
-RecoveryManager::Result RecoverPaths(const std::string& snap_path,
-                                     const std::string& wal_path) {
-  RecoveryManager::Result result;
-  if (std::optional<Image> snap = LoadSnapshotFile(snap_path)) {
-    result.image = std::move(*snap);
-    result.from_snapshot = true;
-  }
-  const Wal::ReplayResult replay =
-      Wal::Replay(wal_path, [&](const WalRecord& r) {
-        switch (r.type) {
-          case WalRecord::Type::kWrite:
-            result.image.ApplyWrite(r.key, r.version, r.value);
-            break;
-          case WalRecord::Type::kConfig:
-            result.image.ApplyConfig(r.generation, r.config_id);
-            break;
-        }
-      });
-  result.replayed = replay.records;
-  result.wal_valid_bytes = replay.valid_bytes;
-  result.torn_tail = replay.torn_tail;
-  return result;
-}
-
-}  // namespace
-
-std::string RecoveryManager::WalPath(const std::string& dir) {
-  return dir + "/wal.log";
-}
-
-std::string RecoveryManager::ShardWalPath(const std::string& dir,
-                                          std::size_t shard) {
-  return dir + "/wal_" + std::to_string(shard) + ".log";
-}
-
-std::string RecoveryManager::ShardSnapshotPath(const std::string& dir,
-                                               std::size_t shard) {
-  return dir + "/snapshot_" + std::to_string(shard) + ".bin";
-}
 
 std::string RecoveryManager::ManifestPath(const std::string& dir) {
   return dir + "/MANIFEST";
 }
 
-void RecoveryManager::WriteManifest(const std::string& dir,
-                                    std::size_t shard_count) {
-  QCNT_CHECK(shard_count >= 1);
-  std::vector<unsigned char> payload;
-  PutU32(payload, kLegacyManifestVersion);
-  PutU32(payload, static_cast<std::uint32_t>(shard_count));
-
-  std::vector<unsigned char> file;
-  file.insert(file.end(), kManifestMagic, kManifestMagic + 4);
-  file.insert(file.end(), payload.begin(), payload.end());
-  PutU32(file, Crc32(payload.data(), payload.size()));
-  AtomicWriteFile(ManifestPath(dir), file, "manifest");
-}
-
-std::optional<std::size_t> RecoveryManager::ReadManifest(
-    const std::string& dir) {
-  return Manifest::ReadShardCount(dir);
-}
-
 RecoveryManager::RecoveryManager(std::string dir) : dir_(std::move(dir)) {}
-
-RecoveryManager::Result RecoveryManager::Recover() const {
-  return RecoverPaths(SnapshotPath(dir_), WalPath(dir_));
-}
-
-RecoveryManager::Result RecoveryManager::RecoverShard(
-    std::size_t shard) const {
-  return RecoverPaths(ShardSnapshotPath(dir_, shard),
-                      ShardWalPath(dir_, shard));
-}
 
 RecoveryManager::LayoutCheck RecoveryManager::ValidateShardLayout(
     std::size_t expected_shards) const {
   LayoutCheck check;
-  const bool manifest_file = std::filesystem::exists(ManifestPath(dir_));
-  const std::optional<std::size_t> count = Manifest::ReadShardCount(dir_);
-  if (!count) {
-    if (manifest_file) {
-      check.ok = false;
-      check.error = "corrupt manifest: " + ManifestPath(dir_);
-      return check;
-    }
-    if (std::filesystem::exists(WalPath(dir_)) && expected_shards != 1) {
-      check.ok = false;
-      check.error = "unsharded layout (wal.log, no manifest) in " + dir_ +
-                    "; its keys were never striped, so a " +
-                    std::to_string(expected_shards) +
-                    "-shard replica cannot adopt it";
-      return check;
-    }
-    return check;  // fresh directory (or single-shard legacy: migrates)
-  }
-  check.manifest_present = true;
-  check.shard_count = *count;
-  if (*count != expected_shards) {
-    check.ok = false;
-    check.error = "shard count mismatch in " + dir_ + ": manifest has " +
-                  std::to_string(*count) + ", configured " +
-                  std::to_string(expected_shards);
-    return check;
-  }
-
   const Manifest manifest(dir_, expected_shards);
   if (!manifest.info().ok) {
     check.ok = false;
     check.error = manifest.info().error;
     return check;
   }
-  for (std::size_t s = 0; s < *count; ++s) {
+  if (manifest.info().version == 0) return check;  // fresh directory
+  check.manifest_present = true;
+  check.shard_count = manifest.info().disk_shard_count;
+  if (check.shard_count != expected_shards) {
+    check.ok = false;
+    check.error = "shard count mismatch in " + ManifestPath(dir_) +
+                  ": manifest has " + std::to_string(check.shard_count) +
+                  ", configured " + std::to_string(expected_shards);
+    return check;
+  }
+  for (std::size_t s = 0; s < expected_shards; ++s) {
+    // A non-present shard has simply not been opened yet.
     const ShardFiles files = manifest.Shard(s);
-    if (!files.present) {
-      // v1 manifest (or a shard that never committed its v2 entry): the
-      // legacy segment must exist — except under a v2 manifest, where a
-      // non-present shard is simply one that has not been opened yet.
-      if (manifest.info().version == 1 &&
-          !std::filesystem::exists(ShardWalPath(dir_, s))) {
-        check.ok = false;
-        check.error = "missing WAL segment: " + ShardWalPath(dir_, s);
-        return check;
-      }
-      continue;
-    }
     for (const std::uint64_t id : files.segments) {
       const std::string path = Manifest::SegmentPath(dir_, s, id);
       if (!std::filesystem::exists(path)) {
@@ -170,89 +60,57 @@ RecoveryManager::LayoutCheck RecoveryManager::ValidateShardLayout(
 
 RecoveryManager::ReplicaResult RecoveryManager::RecoverReplica() const {
   ReplicaResult out;
-  const bool manifest_file = std::filesystem::exists(ManifestPath(dir_));
-  const std::optional<std::size_t> count = Manifest::ReadShardCount(dir_);
-  if (!count) {
-    if (manifest_file) {
-      out.ok = false;
-      out.error = "corrupt manifest: " + ManifestPath(dir_);
-      return out;
-    }
-    // Legacy unsharded layout (or a fresh directory): the single log is
-    // the whole replica.
-    Result r = Recover();
-    out.image = std::move(r.image);
-    out.shard_count = 1;
-    out.replayed = r.replayed;
-    out.torn_segments = r.torn_tail ? 1 : 0;
-    return out;
-  }
-
-  const Manifest manifest(dir_, *count);
+  const std::size_t count = Manifest::ReadShardCount(dir_).value_or(1);
+  const Manifest manifest(dir_, count);
   if (!manifest.info().ok) {
     out.ok = false;
     out.error = manifest.info().error;
     return out;
   }
-  out.shard_count = *count;
-  for (std::size_t s = 0; s < *count; ++s) {
+  if (manifest.info().version == 0) return out;  // fresh: nothing durable
+  out.shard_count = count;
+  for (std::size_t s = 0; s < count; ++s) {
     const ShardFiles files = manifest.Shard(s);
     Image shard_image;
     std::uint64_t replayed = 0;
     std::size_t torn = 0;
-
-    if (!files.present) {
-      // Pre-migration shard: its state is the legacy pair. A v1 manifest
-      // promises the segment exists; refuse if it vanished.
-      if (manifest.info().version == 1 &&
-          !std::filesystem::exists(ShardWalPath(dir_, s))) {
+    // Materialize the checkpoint chain oldest → newest, then replay the
+    // segment chain over it. A non-present shard was never opened.
+    for (const std::uint64_t id : files.checkpoints) {
+      const std::string path = Manifest::CheckpointPath(dir_, s, id);
+      const std::unique_ptr<CheckpointReader> reader =
+          CheckpointReader::Open(path);
+      if (reader == nullptr) {
         out.ok = false;
-        out.error = "missing WAL segment: " + ShardWalPath(dir_, s);
+        out.error = "missing or corrupt checkpoint: " + path;
         return out;
       }
-      Result r = RecoverShard(s);
-      shard_image = std::move(r.image);
-      replayed = r.replayed;
-      torn = r.torn_tail ? 1 : 0;
-    } else {
-      // v2 shard: materialize the checkpoint chain oldest → newest, then
-      // replay the segment chain over it.
-      for (const std::uint64_t id : files.checkpoints) {
-        const std::string path = Manifest::CheckpointPath(dir_, s, id);
-        const std::unique_ptr<CheckpointReader> reader =
-            CheckpointReader::Open(path);
-        if (reader == nullptr) {
-          out.ok = false;
-          out.error = "missing or corrupt checkpoint: " + path;
-          return out;
-        }
-        reader->Scan([&shard_image](const std::string& key,
-                                    const Versioned& v) {
-          shard_image.ApplyWrite(key, v.version, v.value);
-        });
-        shard_image.ApplyConfig(reader->generation(), reader->config_id());
+      reader->Scan([&shard_image](const std::string& key,
+                                  const Versioned& v) {
+        shard_image.ApplyWrite(key, v.version, v.value);
+      });
+      shard_image.ApplyConfig(reader->generation(), reader->config_id());
+    }
+    for (const std::uint64_t id : files.segments) {
+      const std::string path = Manifest::SegmentPath(dir_, s, id);
+      if (!std::filesystem::exists(path)) {
+        out.ok = false;
+        out.error = "missing WAL segment: " + path;
+        return out;
       }
-      for (const std::uint64_t id : files.segments) {
-        const std::string path = Manifest::SegmentPath(dir_, s, id);
-        if (!std::filesystem::exists(path)) {
-          out.ok = false;
-          out.error = "missing WAL segment: " + path;
-          return out;
-        }
-        const Wal::ReplayResult replay =
-            Wal::Replay(path, [&shard_image](const WalRecord& r) {
-              switch (r.type) {
-                case WalRecord::Type::kWrite:
-                  shard_image.ApplyWrite(r.key, r.version, r.value);
-                  break;
-                case WalRecord::Type::kConfig:
-                  shard_image.ApplyConfig(r.generation, r.config_id);
-                  break;
-              }
-            });
-        replayed += replay.records;
-        if (replay.torn_tail) ++torn;
-      }
+      const Wal::ReplayResult replay =
+          Wal::Replay(path, [&shard_image](const WalRecord& r) {
+            switch (r.type) {
+              case WalRecord::Type::kWrite:
+                shard_image.ApplyWrite(r.key, r.version, r.value);
+                break;
+              case WalRecord::Type::kConfig:
+                shard_image.ApplyConfig(r.generation, r.config_id);
+                break;
+            }
+          });
+      replayed += replay.records;
+      if (replay.torn_tail) ++torn;
     }
 
     // Shards are key-disjoint, so this merge never conflicts on a key;

@@ -1,4 +1,4 @@
-// RecoveryManager: rebuild a replica's Image from its durability directory.
+// RecoveryManager: check and rebuild a replica's durability directory.
 //
 // v2 engine layout: `MANIFEST` (v2) names, per shard, a chain of WAL
 // segments (`shard_<s>/seg_<id>.log`) and a chain of sorted checkpoint
@@ -10,65 +10,24 @@
 // (Lemma 8: any read quorum still intersects every write quorum, so the
 // highest-versioned surviving copy is the logical state).
 //
-// Legacy layouts remain first-class inputs: a v1 unsharded store
-// (`wal.log` / `snapshot.bin`) or a v1 sharded store (`wal_<s>.log` +
-// `snapshot_<s>.bin` + MANIFEST v1) recovers here directly, and the
-// DurableBackend migrates it in place on first open (legacy image →
-// base checkpoint → v2 manifest entry → legacy files deleted).
-//
-// The manifest makes partial layouts detectable: recovery with a missing
-// referenced file, or a configured shard count that disagrees with the
-// manifest, is rejected outright instead of silently resurrecting a
-// subset of the acked state.
+// The manifest makes partial layouts detectable: a directory with a
+// corrupt or unsupported manifest, a missing referenced file, or a
+// configured shard count that disagrees with the manifest is rejected
+// outright instead of silently resurrecting a subset of the acked state.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "storage/image.hpp"
-#include "storage/wal.hpp"
 
 namespace qcnt::storage {
 
 class RecoveryManager {
  public:
-  /// `wal.log` inside `dir` (legacy unsharded layout).
-  static std::string WalPath(const std::string& dir);
-  /// `wal_<shard>.log` inside `dir` (legacy v1 sharded layout).
-  static std::string ShardWalPath(const std::string& dir, std::size_t shard);
-  /// `snapshot_<shard>.bin` inside `dir` (legacy v1 sharded layout).
-  static std::string ShardSnapshotPath(const std::string& dir,
-                                       std::size_t shard);
   /// `MANIFEST` inside `dir`.
   static std::string ManifestPath(const std::string& dir);
 
-  /// Atomically (tmp + rename) write a **v1** manifest pinning
-  /// `shard_count`. The live engine writes v2 manifests through
-  /// storage::Manifest; this writer exists so tests can fabricate
-  /// legacy stores and exercise the migration path.
-  static void WriteManifest(const std::string& dir, std::size_t shard_count);
-  /// The manifest's shard count, accepting either manifest version;
-  /// nullopt when the file is absent or fails validation (bad magic,
-  /// short file, CRC mismatch).
-  static std::optional<std::size_t> ReadManifest(const std::string& dir);
-
   explicit RecoveryManager(std::string dir);
-
-  struct Result {
-    Image image;
-    bool from_snapshot = false;       // a valid snapshot seeded the image
-    std::uint64_t replayed = 0;       // WAL records applied on top
-    std::uint64_t wal_valid_bytes = 0;  // well-formed WAL prefix length
-    bool torn_tail = false;           // trailing garbage detected and cut
-  };
-
-  /// Rebuild the image from the legacy unsharded layout (`wal.log`).
-  /// Does not modify any file; the caller decides whether to truncate
-  /// the WAL to `wal_valid_bytes` before appending.
-  Result Recover() const;
-
-  /// Rebuild one shard's image from its legacy v1 segment pair.
-  Result RecoverShard(std::size_t shard) const;
 
   struct LayoutCheck {
     bool ok = true;
@@ -78,12 +37,10 @@ class RecoveryManager {
   };
 
   /// Verify the directory can host a replica configured with
-  /// `expected_shards` shards. Passes: a fresh directory, a matching v2
-  /// layout (every referenced file present), or a matching v1 layout
-  /// (every legacy segment present — it will migrate on open). Fails
-  /// with a diagnostic: a corrupt manifest, a shard-count mismatch, a
-  /// referenced file missing, or a legacy unsharded log that a
-  /// multi-shard replica cannot adopt (its keys were never striped).
+  /// `expected_shards` shards. Passes: a fresh directory, or a matching
+  /// v2 layout with every referenced file present. Fails with a
+  /// diagnostic naming the path: a corrupt or version-1 manifest, a
+  /// shard-count mismatch, or a referenced file missing.
   LayoutCheck ValidateShardLayout(std::size_t expected_shards) const;
 
   struct ReplicaResult {
@@ -96,11 +53,10 @@ class RecoveryManager {
   };
 
   /// Rebuild the whole replica image offline by materializing every
-  /// shard the manifest names — v2 shards from checkpoint chain + segment
-  /// replay, pre-migration shards from their legacy files, and the legacy
-  /// single log when no manifest exists. Refuses — rather than recovering
-  /// a silent subset — when the manifest is corrupt or any referenced
-  /// file is missing.
+  /// shard the manifest names from its checkpoint chain + segment replay.
+  /// Refuses — rather than recovering a silent subset — when the
+  /// manifest is corrupt or unsupported or any referenced file is
+  /// missing. A directory without a manifest is fresh: empty image.
   ReplicaResult RecoverReplica() const;
 
  private:

@@ -1,10 +1,10 @@
 // SegmentedLog: the WAL tail of one shard as a chain of bounded segments.
 //
-// v1 kept a single ever-growing `wal_<s>.log` per shard. v2 stripes the
-// same frame format across `shard_<s>/seg_<id>.log` files: appends go to
-// the newest ("active") segment; once it exceeds `segment_bytes` it is
-// sealed and a fresh segment becomes active (create file → manifest save
-// → swap handles, so a crash at any point leaves either chain intact).
+// The WAL frame format is spread across `shard_<s>/seg_<id>.log` files:
+// appends go to the newest ("active") segment; once it exceeds
+// `segment_bytes` it is sealed and a fresh segment becomes active (create
+// file → manifest save → swap handles, so a crash at any point leaves
+// either chain intact).
 // Sealed segments are immutable; after a checkpoint persists their
 // contents they are dropped wholesale — which is what makes log
 // reclamation O(tail), no rewrite of surviving records.
@@ -53,7 +53,7 @@ class SegmentedLog {
   /// `apply`, truncates a torn tail on the active (last) segment, opens
   /// the active segment for append, and attaches it to the coordinator.
   /// Creates the first segment (manifest save included) when the list is
-  /// empty — a fresh or just-migrated shard.
+  /// empty — a fresh shard.
   ReplayStats OpenAndReplay(
       const std::function<void(const WalRecord&)>& apply);
 

@@ -175,8 +175,6 @@ void Wal::TruncateTo(std::uint64_t offset) {
   SyncLocked();
 }
 
-void Wal::Reset() { TruncateTo(0); }
-
 void Wal::Close() {
   if (fd_ < 0) return;
   std::lock_guard<std::mutex> lock(sync_mu_);

@@ -90,9 +90,6 @@ class Wal {
   /// Discard everything after `offset` bytes (recovery cuts a torn tail).
   void TruncateTo(std::uint64_t offset);
 
-  /// Empty the log (after a snapshot made its contents redundant).
-  void Reset();
-
   /// Flush and close the file; further Appends are invalid.
   void Close();
 

@@ -120,6 +120,10 @@ TEST_F(ThreeInstances, CorruptStreamDropsOnlyThatConnection) {
 }
 
 TEST_F(ThreeInstances, SyscallCountersAdvance) {
+  // A Send wakes the loop only when it is parked in epoll_wait; give the
+  // freshly started loops time to park, or the first Send can land while
+  // a loop is still in its opening turn and legitimately skip the wake.
+  std::this_thread::sleep_for(50ms);
   const TcpStats before = t_[0]->WireStats();
   ExpectDelivery(0, 1, 1);
   ExpectDelivery(1, 0, 2);

@@ -14,6 +14,8 @@
 
 #include "runtime/sharding.hpp"
 #include "runtime/store.hpp"
+#include "storage/crc32.hpp"
+#include "storage/io_util.hpp"
 #include "storage/manifest.hpp"
 #include "storage/recovery.hpp"
 
@@ -247,7 +249,8 @@ TEST(BatchCrash, ShardedRecoveryYieldsPerItemPrefix) {
 
 // A WAL segment that disappears while the replica is down must fail
 // recovery loudly — both through RecoverReplica and through the store's
-// own Recover path — never silently resurrect a subset of acked state.
+// own Recover path, with a typed error naming the file — never silently
+// resurrect a subset of acked state. The replica stays down.
 TEST(BatchCrash, MissingShardSegmentIsRejectedNotSilentlyDropped) {
   ScratchDir scratch("missing_segment");
   constexpr std::size_t kShards = 4;
@@ -274,11 +277,20 @@ TEST(BatchCrash, MissingShardSegmentIsRejectedNotSilentlyDropped) {
   EXPECT_FALSE(merged.ok);
   EXPECT_NE(merged.error.find("shard_2/seg_1.log"), std::string::npos)
       << merged.error;
-  EXPECT_ANY_THROW(store.Recover(2));
+  try {
+    store.Recover(2);
+    FAIL() << "recovered without a segment the MANIFEST names";
+  } catch (const storage::LayoutError& e) {
+    EXPECT_NE(std::string(e.what()).find("shard_2/seg_1.log"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(store.IsUp(2));
 }
 
 // A corrupt manifest is equally fatal: without a trustworthy shard count
-// the segment set cannot be proven complete.
+// the segment set cannot be proven complete. So is a format-version-1
+// MANIFEST (the pre-v2 engine's), which names no files at all.
 TEST(BatchCrash, CorruptManifestIsRejected) {
   ScratchDir scratch("corrupt_manifest");
   StoreOptions options;
@@ -298,11 +310,26 @@ TEST(BatchCrash, CorruptManifestIsRejected) {
     out << "garbage";
   }
   EXPECT_FALSE(storage::RecoveryManager(replica_dir).RecoverReplica().ok);
-  EXPECT_ANY_THROW(ReplicatedStore{std::move(options)});
+  EXPECT_THROW(ReplicatedStore{options}, storage::LayoutError);
+
+  std::vector<unsigned char> payload;
+  storage::PutU32(payload, 1);  // format version 1
+  storage::PutU32(payload, 2);  // shard count
+  std::vector<unsigned char> v1 = {'Q', 'M', 'A', 'N'};
+  v1.insert(v1.end(), payload.begin(), payload.end());
+  storage::PutU32(v1, storage::Crc32(payload.data(), payload.size()));
+  {
+    std::ofstream out(storage::RecoveryManager::ManifestPath(replica_dir),
+                      std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(v1.data()),
+              static_cast<std::streamsize>(v1.size()));
+  }
+  EXPECT_THROW(ReplicatedStore{std::move(options)}, storage::LayoutError);
 }
 
-// Reopening a directory with a different shard count must be rejected:
-// the key→segment striping is pinned at creation and not self-rebalancing.
+// Reopening a directory with a different shard count must be rejected
+// with a typed error naming both counts: the key→segment striping is
+// pinned at creation and not self-rebalancing.
 TEST(BatchCrash, ShardCountChangeIsRejected) {
   ScratchDir scratch("count_change");
   StoreOptions options;
@@ -316,7 +343,15 @@ TEST(BatchCrash, ShardCountChangeIsRejected) {
     ASSERT_TRUE(client->Write("x", 1).ok);
   }
   options.shards_per_replica = 2;
-  EXPECT_ANY_THROW(ReplicatedStore{std::move(options)});
+  try {
+    ReplicatedStore store(std::move(options));
+    FAIL() << "a 4-shard directory opened with 2 shards";
+  } catch (const storage::LayoutError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("MANIFEST"), std::string::npos) << what;
+    EXPECT_NE(what.find("manifest has 4, configured 2"), std::string::npos)
+        << what;
+  }
 }
 
 // shards_per_replica = 0 adopts the count an existing directory's MANIFEST
@@ -351,7 +386,7 @@ TEST(BatchCrash, AutoShardCountAdoptsOnDiskLayout) {
     }
   }
   options.shards_per_replica = 2;
-  EXPECT_ANY_THROW(ReplicatedStore{std::move(options)});
+  EXPECT_THROW(ReplicatedStore{std::move(options)}, storage::LayoutError);
 }
 
 // A torn tail in one segment is a normal crash artifact, not corruption:

@@ -1,7 +1,7 @@
 // Store-level coverage for the v2 storage engine: spill-mode cold reads
 // through the full quorum path, Peek overlaying the checkpoint chain,
-// O(tail) crash recovery, the adaptive group-commit window end to end,
-// and in-place upgrade of a legacy v1 store directory.
+// O(tail) crash recovery, and the adaptive group-commit window end to
+// end.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -9,10 +9,6 @@
 #include <string>
 
 #include "runtime/store.hpp"
-#include "storage/manifest.hpp"
-#include "storage/recovery.hpp"
-#include "storage/snapshot.hpp"
-#include "storage/wal.hpp"
 
 namespace qcnt::runtime {
 namespace {
@@ -174,55 +170,6 @@ TEST(StorageV2Store, AdaptiveGroupCommitWindowEndToEnd) {
   const storage::StorageStats stats = store.TotalStorageStats();
   EXPECT_GT(stats.fsyncs, 0u);
   EXPECT_LT(stats.fsyncs, stats.records_appended);
-}
-
-TEST(StorageV2Store, LegacyV1DirectoryUpgradesInPlaceOnOpen) {
-  ScratchDir dir("v1_upgrade");
-  // Fabricate the pre-v2 on-disk layout: each replica holds an unsharded
-  // `wal.log` (+ snapshot for replica 0) with the same acked history.
-  for (std::size_t r = 0; r < 3; ++r) {
-    const std::string rdir = dir.path + "/replica_" + std::to_string(r);
-    fs::create_directories(rdir);
-    if (r == 0) {
-      storage::Image snap;
-      for (int i = 0; i < 10; ++i) snap.ApplyWrite(Pk(i), 1, -1);
-      storage::WriteSnapshot(rdir, snap);
-    }
-    storage::Wal wal(storage::RecoveryManager::WalPath(rdir), {});
-    for (int i = 0; i < 30; ++i) {
-      storage::WalRecord rec;
-      rec.key = Pk(i);
-      rec.version = 2;
-      rec.value = 100 + i;
-      wal.Append(rec);
-    }
-  }
-
-  StoreOptions options;
-  options.replicas = 3;
-  options.shards_per_replica = 1;  // the legacy layout was unsharded
-  storage::DurabilityOptions durability;
-  durability.directory = dir.path;
-  options.durability = durability;
-  ReplicatedStore store(options);
-
-  // Every shard migrated exactly once and the acked history survived.
-  EXPECT_EQ(store.TotalStorageStats().migrations, 3u);
-  auto client = store.MakeClient();
-  for (int i = 0; i < 30; ++i) {
-    const ClientResult r = client->Read(Pk(i));
-    ASSERT_TRUE(r.ok) << Pk(i);
-    EXPECT_EQ(r.value, 100 + i);
-  }
-
-  // The directories are now v2: MANIFEST present, legacy files gone.
-  for (std::size_t r = 0; r < 3; ++r) {
-    const std::string rdir = dir.path + "/replica_" + std::to_string(r);
-    EXPECT_EQ(storage::Manifest::ReadShardCount(rdir),
-              std::optional<std::size_t>(1));
-    EXPECT_FALSE(fs::exists(storage::RecoveryManager::WalPath(rdir)));
-    EXPECT_FALSE(fs::exists(storage::SnapshotPath(rdir)));
-  }
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-// Unit tests for the durability subsystem: Wal framing and replay,
-// snapshot write/load, and RecoveryManager composition of the two.
+// Unit tests for the durability subsystem: Wal framing and replay, and
+// recovery's composition of the checkpoint chain with the WAL tail.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 
+#include "storage/backend.hpp"
+#include "storage/checkpoint.hpp"
 #include "storage/crc32.hpp"
-#include "storage/recovery.hpp"
-#include "storage/snapshot.hpp"
+#include "storage/manifest.hpp"
 #include "storage/wal.hpp"
 
 namespace qcnt::storage {
@@ -275,76 +277,70 @@ TEST(Wal, GroupCommitBatchesWithinWindow) {
   EXPECT_EQ(eager.Fsyncs(), 5u);
 }
 
-TEST(Snapshot, RoundTrip) {
-  ScratchDir dir("snap_roundtrip");
+// Recovery composes the checkpoint chain with the WAL tail. Each case lays
+// a one-shard replica directory down by hand — checkpoint ckpt_1, segment
+// seg_2, and the MANIFEST naming them — then recovers it through the
+// durable backend.
+
+std::string SegmentPath(const std::string& dir, std::uint64_t id) {
+  return Manifest::SegmentPath(dir, 0, id);
+}
+
+/// Writes `image` as checkpoint `id` of `dir`'s chain.
+void WriteCheckpointFile(const std::string& dir, std::uint64_t id,
+                         const Image& image) {
+  std::map<std::string, Versioned> sorted(image.data.begin(),
+                                          image.data.end());
+  CheckpointWriter writer(Manifest::CheckpointPath(dir, 0, id),
+                          sorted.size());
+  for (const auto& [key, v] : sorted) writer.Add(key, v);
+  writer.Finish(image.generation, image.config_id);
+}
+
+/// Commits a chain of the given checkpoint and segment ids.
+void CommitChain(const std::string& dir, std::vector<std::uint64_t> ckpts,
+                 std::vector<std::uint64_t> segs) {
+  ShardFiles files;
+  files.present = true;
+  files.next_file_id = 3;
+  files.checkpoints = std::move(ckpts);
+  files.segments = std::move(segs);
+  Manifest(dir, 1).Update(0, files);
+}
+
+struct Recovered {
   Image image;
-  image.generation = 7;
-  image.config_id = 2;
-  image.data["x"] = {3, 30};
-  image.data["y"] = {1, -5};
-  WriteSnapshot(dir.path, image);
-  const std::optional<Image> loaded = LoadSnapshot(dir.path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->generation, 7u);
-  EXPECT_EQ(loaded->config_id, 2u);
-  ASSERT_EQ(loaded->data.size(), 2u);
-  EXPECT_EQ(loaded->data.at("x").version, 3u);
-  EXPECT_EQ(loaded->data.at("x").value, 30);
-  EXPECT_EQ(loaded->data.at("y").value, -5);
-}
+  StorageStats stats;
+};
 
-TEST(Snapshot, MissingReturnsNullopt) {
-  ScratchDir dir("snap_missing");
-  EXPECT_FALSE(LoadSnapshot(dir.path).has_value());
-}
-
-TEST(Snapshot, CorruptionDetectedByCrc) {
-  ScratchDir dir("snap_corrupt");
-  Image image;
-  image.data["x"] = {1, 1};
-  WriteSnapshot(dir.path, image);
-  {
-    std::fstream f(SnapshotPath(dir.path),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(12);
-    f.put('\x7F');
-  }
-  EXPECT_FALSE(LoadSnapshot(dir.path).has_value());
-}
-
-TEST(Snapshot, ReinstallReplacesAtomically) {
-  ScratchDir dir("snap_reinstall");
-  Image a;
-  a.data["x"] = {1, 1};
-  WriteSnapshot(dir.path, a);
-  Image b;
-  b.data["x"] = {2, 2};
-  WriteSnapshot(dir.path, b);
-  const std::optional<Image> loaded = LoadSnapshot(dir.path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->data.at("x").version, 2u);
-  EXPECT_FALSE(fs::exists(dir.path + "/snapshot.tmp"));
+Recovered RecoverDir(const std::string& dir) {
+  auto backend = MakeDurableBackend(dir, {});
+  Recovered r;
+  r.image = backend->Recover();
+  r.stats = backend->Stats();
+  return r;
 }
 
 TEST(Recovery, EmptyDirectoryYieldsEmptyImage) {
   ScratchDir dir("rec_empty");
-  const RecoveryManager::Result r = RecoveryManager(dir.path).Recover();
+  const Recovered r = RecoverDir(dir.path);
   EXPECT_TRUE(r.image.data.empty());
-  EXPECT_FALSE(r.from_snapshot);
-  EXPECT_EQ(r.replayed, 0u);
+  EXPECT_EQ(r.image.generation, 0u);
+  EXPECT_EQ(r.stats.recovery_replayed, 0u);
 }
 
 TEST(Recovery, LogOnly) {
   ScratchDir dir("rec_log");
+  fs::create_directories(Manifest::ShardDirPath(dir.path, 0));
   {
-    Wal wal(RecoveryManager::WalPath(dir.path), {});
+    Wal wal(SegmentPath(dir.path, 2), {});
     wal.Append(Write("x", 1, 10));
     wal.Append(Write("x", 2, 20));
     wal.Append(Config(1, 1));
   }
-  const RecoveryManager::Result r = RecoveryManager(dir.path).Recover();
-  EXPECT_FALSE(r.from_snapshot);
-  EXPECT_EQ(r.replayed, 3u);
+  CommitChain(dir.path, {}, {2});
+  const Recovered r = RecoverDir(dir.path);
+  EXPECT_EQ(r.stats.recovery_replayed, 3u);
   EXPECT_EQ(r.image.data.at("x").version, 2u);
   EXPECT_EQ(r.image.data.at("x").value, 20);
   EXPECT_EQ(r.image.generation, 1u);
@@ -353,34 +349,37 @@ TEST(Recovery, LogOnly) {
 
 TEST(Recovery, SnapshotOnly) {
   ScratchDir dir("rec_snap");
+  fs::create_directories(Manifest::ShardDirPath(dir.path, 0));
   Image image;
   image.generation = 4;
   image.config_id = 1;
   image.data["x"] = {9, 90};
-  WriteSnapshot(dir.path, image);
-  const RecoveryManager::Result r = RecoveryManager(dir.path).Recover();
-  EXPECT_TRUE(r.from_snapshot);
-  EXPECT_EQ(r.replayed, 0u);
+  WriteCheckpointFile(dir.path, 1, image);
+  CommitChain(dir.path, {1}, {});
+  const Recovered r = RecoverDir(dir.path);
+  EXPECT_EQ(r.stats.recovery_replayed, 0u);
   EXPECT_EQ(r.image.data.at("x").version, 9u);
   EXPECT_EQ(r.image.generation, 4u);
+  EXPECT_EQ(r.image.config_id, 1u);
 }
 
 TEST(Recovery, SnapshotPlusLogTail) {
   ScratchDir dir("rec_snap_tail");
+  fs::create_directories(Manifest::ShardDirPath(dir.path, 0));
   Image image;
   image.data["x"] = {5, 50};
-  WriteSnapshot(dir.path, image);
+  WriteCheckpointFile(dir.path, 1, image);
   {
-    Wal wal(RecoveryManager::WalPath(dir.path), {});
-    // One record the snapshot already covers (idempotent overlap) and two
-    // genuinely newer ones.
+    Wal wal(SegmentPath(dir.path, 2), {});
+    // One record the checkpoint already covers (idempotent overlap) and
+    // two genuinely newer ones.
     wal.Append(Write("x", 5, 50));
     wal.Append(Write("x", 6, 60));
     wal.Append(Write("y", 1, 11));
   }
-  const RecoveryManager::Result r = RecoveryManager(dir.path).Recover();
-  EXPECT_TRUE(r.from_snapshot);
-  EXPECT_EQ(r.replayed, 3u);
+  CommitChain(dir.path, {1}, {2});
+  const Recovered r = RecoverDir(dir.path);
+  EXPECT_EQ(r.stats.recovery_replayed, 3u);
   EXPECT_EQ(r.image.data.at("x").version, 6u);
   EXPECT_EQ(r.image.data.at("x").value, 60);
   EXPECT_EQ(r.image.data.at("y").value, 11);
@@ -388,7 +387,8 @@ TEST(Recovery, SnapshotPlusLogTail) {
 
 TEST(Recovery, TornLogTailIgnored) {
   ScratchDir dir("rec_torn");
-  const std::string wal_path = RecoveryManager::WalPath(dir.path);
+  fs::create_directories(Manifest::ShardDirPath(dir.path, 0));
+  const std::string wal_path = SegmentPath(dir.path, 2);
   std::uint64_t full_size = 0;
   {
     Wal wal(wal_path, {});
@@ -397,28 +397,29 @@ TEST(Recovery, TornLogTailIgnored) {
     full_size = wal.SizeBytes();
   }
   fs::resize_file(wal_path, full_size - 1);
-  const RecoveryManager::Result r = RecoveryManager(dir.path).Recover();
-  EXPECT_TRUE(r.torn_tail);
-  EXPECT_EQ(r.replayed, 1u);
+  CommitChain(dir.path, {}, {2});
+  const Recovered r = RecoverDir(dir.path);
+  EXPECT_EQ(r.stats.torn_tails_discarded, 1u);
+  EXPECT_EQ(r.stats.recovery_replayed, 1u);
   EXPECT_EQ(r.image.data.at("x").value, 10);
   EXPECT_EQ(r.image.data.count("y"), 0u);
 }
 
 TEST(Recovery, StaleLogOverNewerSnapshotIsHarmless) {
-  // Compaction resets the log after installing a snapshot; if a crash hit
-  // between the install and the reset, recovery replays records the
-  // snapshot already absorbed. The newer-version-wins merge makes this a
-  // no-op rather than a rollback.
+  // Tail records older than what the checkpoint chain holds replay over
+  // it; the newer-version-wins merge makes them a no-op, not a rollback.
   ScratchDir dir("rec_stale_log");
+  fs::create_directories(Manifest::ShardDirPath(dir.path, 0));
   {
-    Wal wal(RecoveryManager::WalPath(dir.path), {});
+    Wal wal(SegmentPath(dir.path, 2), {});
     wal.Append(Write("x", 1, 10));
     wal.Append(Write("x", 2, 20));
   }
   Image newer;
   newer.data["x"] = {3, 30};
-  WriteSnapshot(dir.path, newer);
-  const RecoveryManager::Result r = RecoveryManager(dir.path).Recover();
+  WriteCheckpointFile(dir.path, 1, newer);
+  CommitChain(dir.path, {1}, {2});
+  const Recovered r = RecoverDir(dir.path);
   EXPECT_EQ(r.image.data.at("x").version, 3u);
   EXPECT_EQ(r.image.data.at("x").value, 30);
 }

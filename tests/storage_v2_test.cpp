@@ -1,7 +1,7 @@
 // Unit tests for the v2 storage engine: bloom filters, sorted-block
 // checkpoint files, the v2 MANIFEST, the adaptive group-commit window,
-// the DurableBackend's rotation/checkpoint/compaction machinery, the
-// spill-mode cold-read layer, and in-place migration of v1 layouts.
+// the DurableBackend's rotation/checkpoint/compaction machinery, and the
+// spill-mode cold-read layer.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -15,9 +15,10 @@
 #include "storage/bloom.hpp"
 #include "storage/checkpoint.hpp"
 #include "storage/commit.hpp"
+#include "storage/crc32.hpp"
+#include "storage/io_util.hpp"
 #include "storage/manifest.hpp"
 #include "storage/recovery.hpp"
-#include "storage/snapshot.hpp"
 #include "storage/wal.hpp"
 
 namespace qcnt::storage {
@@ -294,14 +295,31 @@ TEST(ManifestV2, UpdatePersistsAndReloads) {
 
 TEST(ManifestV2, LegacyV1ManifestIsRecognizedNotAdopted) {
   ScratchDir dir("manifest_v1");
-  RecoveryManager::WriteManifest(dir.path, 3);
+  // A format-version-1 MANIFEST, as the pre-v2 engine wrote it: magic,
+  // version, shard count, CRC — it names no files.
+  std::vector<unsigned char> payload;
+  PutU32(payload, 1);
+  PutU32(payload, 3);
+  std::vector<unsigned char> file = {'Q', 'M', 'A', 'N'};
+  file.insert(file.end(), payload.begin(), payload.end());
+  PutU32(file, Crc32(payload.data(), payload.size()));
+  {
+    std::ofstream out(RecoveryManager::ManifestPath(dir.path),
+                      std::ios::binary);
+    out.write(reinterpret_cast<const char*>(file.data()),
+              static_cast<std::streamsize>(file.size()));
+  }
+  // Recognized and reported as unsupported — never adopted as a layout.
   Manifest m(dir.path, 3);
-  EXPECT_TRUE(m.info().ok);
-  EXPECT_EQ(m.info().version, 1u);
-  EXPECT_EQ(m.info().disk_shard_count, 3u);
-  // v1 pins only the shard count; every shard still migrates lazily.
+  EXPECT_FALSE(m.info().ok);
+  EXPECT_NE(m.info().error.find("format version 1"), std::string::npos)
+      << m.info().error;
+  EXPECT_NE(m.info().error.find(RecoveryManager::ManifestPath(dir.path)),
+            std::string::npos)
+      << m.info().error;
   for (std::size_t s = 0; s < 3; ++s) EXPECT_FALSE(m.Shard(s).present);
-  EXPECT_EQ(Manifest::ReadShardCount(dir.path), std::optional<std::size_t>(3));
+  EXPECT_EQ(Manifest::ReadShardCount(dir.path), std::nullopt);
+  EXPECT_FALSE(RecoveryManager(dir.path).ValidateShardLayout(3).ok);
 }
 
 TEST(ManifestV2, CorruptManifestReportedNotSilentlyEmpty) {
@@ -518,6 +536,30 @@ TEST(DurableBackendV2, UnreferencedFilesSweptOnRecovery) {
   for (int i = 0; i < 40; ++i) EXPECT_EQ(image.data.at(Pk(i)).value, i);
 }
 
+TEST(DurableBackendV2, UnreadableCheckpointIsRefused) {
+  ScratchDir dir("be_bad_ckpt");
+  DurabilityOptions o = SmallThresholds(dir.path);
+  {
+    auto backend = MakeDurableBackend(dir.path, o);
+    Image image = backend->Recover();
+    for (int i = 0; i < 40; ++i) Apply(*backend, image, Pk(i), 1, i);
+    backend->ForceCheckpoint(image);
+  }
+  // A checkpoint the MANIFEST names lost its footer: recovering without
+  // it would silently drop every key it holds.
+  const std::uint64_t id = Manifest(dir.path, 1).Shard(0).checkpoints.back();
+  const std::string path = Manifest::CheckpointPath(dir.path, 0, id);
+  fs::resize_file(path, 16);
+  auto backend = MakeDurableBackend(dir.path, o);
+  try {
+    backend->Recover();
+    FAIL() << "recovered over an unreadable checkpoint";
+  } catch (const LayoutError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(DurableBackendV2, TornActiveSegmentTailCutOnRecovery) {
   ScratchDir dir("be_torn");
   DurabilityOptions o = SmallThresholds(dir.path);
@@ -709,164 +751,6 @@ TEST(SpillMode, ColdApisAreNoOpsWithoutSpill) {
   });
   EXPECT_EQ(visits, 0);
   EXPECT_EQ(backend->Stats().cold_lookups, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Legacy v1 layouts migrate in place
-// ---------------------------------------------------------------------------
-
-TEST(Migration, UnshardedV1StoreUpgradesInPlace) {
-  ScratchDir dir("mig_unsharded");
-  // Fabricate a v1 store: snapshot + wal records on top.
-  Image snapshot;
-  for (int i = 0; i < 10; ++i) {
-    snapshot.ApplyWrite(Pk(i), 1, i);
-  }
-  snapshot.ApplyConfig(3, 1);
-  WriteSnapshot(dir.path, snapshot);
-  {
-    Wal wal(RecoveryManager::WalPath(dir.path), {});
-    for (int i = 5; i < 15; ++i) {
-      WalRecord r;
-      r.key = Pk(i);
-      r.version = 2;
-      r.value = 100 + i;
-      wal.Append(r);
-    }
-  }
-
-  DurabilityOptions o = SmallThresholds(dir.path);
-  auto backend = MakeDurableBackend(dir.path, o);
-  const Image image = backend->Recover();
-  EXPECT_EQ(backend->Stats().migrations, 1u);
-  ASSERT_EQ(image.data.size(), 15u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(image.data.at(Pk(i)).value, i);
-  for (int i = 5; i < 15; ++i) {
-    EXPECT_EQ(image.data.at(Pk(i)).version, 2u);
-    EXPECT_EQ(image.data.at(Pk(i)).value, 100 + i);
-  }
-  EXPECT_EQ(image.generation, 3u);
-  EXPECT_EQ(image.config_id, 1u);
-
-  // Upgraded in place: legacy files gone, v2 manifest + checkpoint live.
-  EXPECT_FALSE(fs::exists(RecoveryManager::WalPath(dir.path)));
-  EXPECT_FALSE(fs::exists(SnapshotPath(dir.path)));
-  Manifest m(dir.path, 1);
-  EXPECT_EQ(m.info().version, 2u);
-  ASSERT_TRUE(m.Shard(0).present);
-  ASSERT_EQ(m.Shard(0).checkpoints.size(), 1u);
-  EXPECT_TRUE(fs::exists(Manifest::CheckpointPath(
-      dir.path, 0, m.Shard(0).checkpoints[0])));
-
-  // Second open: no re-migration, same state.
-  auto again = MakeDurableBackend(dir.path, o);
-  const Image reimage = again->Recover();
-  EXPECT_EQ(again->Stats().migrations, 0u);
-  EXPECT_EQ(reimage.data.size(), 15u);
-}
-
-TEST(Migration, ShardedV1StoreUpgradesShardByShard) {
-  ScratchDir dir("mig_sharded");
-  RecoveryManager::WriteManifest(dir.path, 2);  // v1 manifest
-  Image s1_snapshot;
-  s1_snapshot.ApplyWrite("odd_a", 1, 11);
-  WriteSnapshotFile(RecoveryManager::ShardSnapshotPath(dir.path, 1),
-                    s1_snapshot);
-  {
-    Wal w0(RecoveryManager::ShardWalPath(dir.path, 0), {});
-    WalRecord r;
-    r.key = "even_a";
-    r.version = 1;
-    r.value = 10;
-    w0.Append(r);
-    r.key = "even_b";
-    r.value = 20;
-    w0.Append(r);
-  }
-  {
-    Wal w1(RecoveryManager::ShardWalPath(dir.path, 1), {});
-    WalRecord r;
-    r.key = "odd_a";
-    r.version = 2;
-    r.value = 12;
-    w1.Append(r);
-  }
-
-  DurabilityOptions o = SmallThresholds(dir.path);
-  auto manifest = std::make_shared<Manifest>(dir.path, 2);
-  EXPECT_EQ(manifest->info().version, 1u);
-  auto b0 = MakeDurableShardBackend(manifest, o, 0);
-  auto b1 = MakeDurableShardBackend(manifest, o, 1);
-  const Image i0 = b0->Recover();
-  const Image i1 = b1->Recover();
-  EXPECT_EQ(b0->Stats().migrations, 1u);
-  EXPECT_EQ(b1->Stats().migrations, 1u);
-  ASSERT_EQ(i0.data.size(), 2u);
-  EXPECT_EQ(i0.data.at("even_a").value, 10);
-  EXPECT_EQ(i0.data.at("even_b").value, 20);
-  ASSERT_EQ(i1.data.size(), 1u);
-  EXPECT_EQ(i1.data.at("odd_a").version, 2u);
-  EXPECT_EQ(i1.data.at("odd_a").value, 12);
-
-  for (std::size_t s = 0; s < 2; ++s) {
-    EXPECT_FALSE(fs::exists(RecoveryManager::ShardWalPath(dir.path, s)));
-    EXPECT_FALSE(fs::exists(RecoveryManager::ShardSnapshotPath(dir.path, s)));
-  }
-  EXPECT_EQ(Manifest::ReadShardCount(dir.path), std::optional<std::size_t>(2));
-}
-
-TEST(Migration, TornLegacyTailDiscardedDuringMigration) {
-  ScratchDir dir("mig_torn");
-  const std::string wal_path = RecoveryManager::WalPath(dir.path);
-  {
-    Wal wal(wal_path, {});
-    WalRecord r;
-    r.key = "kept";
-    r.version = 1;
-    r.value = 42;
-    wal.Append(r);
-  }
-  {
-    std::ofstream out(wal_path, std::ios::binary | std::ios::app);
-    out << "\xff\xffhalf a frame";
-  }
-  auto backend = MakeDurableBackend(dir.path, SmallThresholds(dir.path));
-  const Image image = backend->Recover();
-  EXPECT_EQ(backend->Stats().migrations, 1u);
-  EXPECT_EQ(backend->Stats().torn_tails_discarded, 1u);
-  ASSERT_EQ(image.data.size(), 1u);
-  EXPECT_EQ(image.data.at("kept").value, 42);
-}
-
-TEST(Migration, CrashMidMigrationRerunsCleanly) {
-  ScratchDir dir("mig_crash");
-  {
-    Wal wal(RecoveryManager::WalPath(dir.path), {});
-    WalRecord r;
-    r.key = "survivor";
-    r.version = 1;
-    r.value = 7;
-    wal.Append(r);
-  }
-  // A crash after the migration wrote its base checkpoint but before the
-  // manifest save leaves an orphan ckpt file; the legacy files are still
-  // the source of truth and the migration must simply run again.
-  fs::create_directories(Manifest::ShardDirPath(dir.path, 0));
-  {
-    std::ofstream out(Manifest::CheckpointPath(dir.path, 0, 1),
-                      std::ios::binary);
-    out << "partial checkpoint from the interrupted migration";
-  }
-  auto backend = MakeDurableBackend(dir.path, SmallThresholds(dir.path));
-  const Image image = backend->Recover();
-  EXPECT_EQ(backend->Stats().migrations, 1u);
-  ASSERT_EQ(image.data.size(), 1u);
-  EXPECT_EQ(image.data.at("survivor").value, 7);
-  EXPECT_FALSE(fs::exists(RecoveryManager::WalPath(dir.path)));
-  // And a third open after the completed migration is a plain v2 open.
-  auto again = MakeDurableBackend(dir.path, SmallThresholds(dir.path));
-  EXPECT_EQ(again->Recover().data.at("survivor").value, 7);
-  EXPECT_EQ(again->Stats().migrations, 0u);
 }
 
 }  // namespace
