@@ -11,9 +11,10 @@
 //   2. Pipelined throughput — the async client with a deep window and
 //      batching, ops/second. Batching amortizes framing as it amortizes
 //      mailbox wakeups, so the relative gap narrows vs. section 1.
-//   3. Event-loop syscalls per wire frame for the TCP runs of sections 1
-//      and 2 — epoll_wait turns, wake-pipe writes, send(2) and recv(2) —
-//      so a change to the loop shows where its per-frame cost went.
+//   3. Syscalls per wire frame for the TCP runs of sections 1 and 2 —
+//      epoll_wait turns, wake-pipe writes, send(2) (made by senders
+//      writing through and by the loop alike) and recv(2) — so a change
+//      to the send or receive path shows where its per-frame cost went.
 //
 // The point of the experiment is honesty about deployment cost: the
 // repo's other benchmarks measure protocol effects on the Bus; this one
@@ -264,7 +265,7 @@ int main(int argc, char** argv) {
     t.Print();
   }
 
-  bench::Banner("E18.3 — TCP event-loop syscalls per wire frame");
+  bench::Banner("E18.3 — TCP syscalls per wire frame");
   {
     bench::Table t({"phase", "wire frames", "loop turns", "wake writes",
                     "send calls", "recv calls"});

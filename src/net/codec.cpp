@@ -13,26 +13,45 @@ using runtime::BatchEntry;
 constexpr std::uint8_t kMaxKind =
     static_cast<std::uint8_t>(RtMessage::Kind::kJoinReq);
 
-void PutU8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+/// Exact encoded size of a frame, so EncodeFrame grows `out` once and
+/// writes through a pointer (see the layout in codec.hpp).
+std::size_t FrameBytes(const WireFrame& frame) {
+  const RtMessage& m = frame.msg;
+  // from, to, kind, op, version, value, generation, config_id, key length,
+  // batch_count, has_config.
+  std::size_t n = kFrameHeaderBytes + 4 + 4 + 1 + 8 * 4 + 4 + 4 + m.key.size() +
+                  4 + 1;
+  for (const BatchEntry& e : m.batch) n += 8 * 3 + 4 + e.key.size();
+  if (m.config) {
+    // strategy_kind, a, b, read/write thresholds, vote and member counts.
+    n += 1 + 4 * 4 + 4 + 4 * m.config->descriptor.votes.size() + 4 +
+         4 * m.config->members.size();
+  }
+  return n;
 }
 
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
+/// Little-endian writer over space EncodeFrame has already sized.
+struct Writer {
+  std::uint8_t* p;
 
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  PutU32(out, static_cast<std::uint32_t>(v));
-  PutU32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void PutString(std::vector<std::uint8_t>& out, const std::string& s) {
-  PutU32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
+  void U8(std::uint8_t v) { *p++ = v; }
+  void U32(std::uint32_t v) {
+    p[0] = static_cast<std::uint8_t>(v);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
+    p[2] = static_cast<std::uint8_t>(v >> 16);
+    p[3] = static_cast<std::uint8_t>(v >> 24);
+    p += 4;
+  }
+  void U64(std::uint64_t v) {
+    U32(static_cast<std::uint32_t>(v));
+    U32(static_cast<std::uint32_t>(v >> 32));
+  }
+  void String(const std::string& s) {
+    U32(static_cast<std::uint32_t>(s.size()));
+    if (!s.empty()) std::memcpy(p, s.data(), s.size());
+    p += s.size();
+  }
+};
 
 /// Bounded little-endian reader over the payload. Every Get checks the
 /// remaining length and latches `ok = false` on underrun, so the decode
@@ -114,56 +133,54 @@ const char* ToString(DecodeStatus status) {
 }
 
 void EncodeFrame(const WireFrame& frame, std::vector<std::uint8_t>& out) {
-  const std::size_t header_at = out.size();
-  PutU32(out, kFrameMagic);
-  PutU8(out, kWireVersion);
-  PutU32(out, 0);  // payload_len, patched below
-  PutU32(out, 0);  // crc32, patched below
+  const std::size_t frame_at = out.size();
+  const std::size_t frame_bytes = FrameBytes(frame);
+  out.resize(frame_at + frame_bytes);
+  std::uint8_t* const header = out.data() + frame_at;
+  std::uint8_t* const payload = header + kFrameHeaderBytes;
+  const auto payload_len =
+      static_cast<std::uint32_t>(frame_bytes - kFrameHeaderBytes);
 
-  const std::size_t payload_at = out.size();
-  PutU32(out, frame.from);
-  PutU32(out, frame.to);
-  PutU8(out, static_cast<std::uint8_t>(frame.msg.kind));
-  PutU64(out, frame.msg.op);
-  PutU64(out, frame.msg.version);
-  PutU64(out, static_cast<std::uint64_t>(frame.msg.value));
-  PutU64(out, frame.msg.generation);
-  PutU32(out, frame.msg.config_id);
-  PutString(out, frame.msg.key);
-  PutU32(out, static_cast<std::uint32_t>(frame.msg.batch.size()));
+  Writer w{payload};
+  w.U32(frame.from);
+  w.U32(frame.to);
+  w.U8(static_cast<std::uint8_t>(frame.msg.kind));
+  w.U64(frame.msg.op);
+  w.U64(frame.msg.version);
+  w.U64(static_cast<std::uint64_t>(frame.msg.value));
+  w.U64(frame.msg.generation);
+  w.U32(frame.msg.config_id);
+  w.String(frame.msg.key);
+  w.U32(static_cast<std::uint32_t>(frame.msg.batch.size()));
   for (const BatchEntry& e : frame.msg.batch) {
-    PutU64(out, e.op);
-    PutU64(out, e.version);
-    PutU64(out, static_cast<std::uint64_t>(e.value));
-    PutString(out, e.key);
+    w.U64(e.op);
+    w.U64(e.version);
+    w.U64(static_cast<std::uint64_t>(e.value));
+    w.String(e.key);
   }
-  PutU8(out, frame.msg.config.has_value() ? 1 : 0);
+  w.U8(frame.msg.config.has_value() ? 1 : 0);
   if (frame.msg.config) {
     const runtime::ConfigPayload& c = *frame.msg.config;
-    PutU8(out, static_cast<std::uint8_t>(c.descriptor.kind));
-    PutU32(out, c.descriptor.a);
-    PutU32(out, c.descriptor.b);
-    PutU32(out, c.descriptor.read_threshold);
-    PutU32(out, c.descriptor.write_threshold);
-    PutU32(out, static_cast<std::uint32_t>(c.descriptor.votes.size()));
-    for (std::uint32_t v : c.descriptor.votes) PutU32(out, v);
-    PutU32(out, static_cast<std::uint32_t>(c.members.size()));
-    for (NodeId m : c.members) PutU32(out, m);
+    w.U8(static_cast<std::uint8_t>(c.descriptor.kind));
+    w.U32(c.descriptor.a);
+    w.U32(c.descriptor.b);
+    w.U32(c.descriptor.read_threshold);
+    w.U32(c.descriptor.write_threshold);
+    w.U32(static_cast<std::uint32_t>(c.descriptor.votes.size()));
+    for (std::uint32_t v : c.descriptor.votes) w.U32(v);
+    w.U32(static_cast<std::uint32_t>(c.members.size()));
+    for (NodeId m : c.members) w.U32(m);
   }
 
-  const std::uint32_t payload_len =
-      static_cast<std::uint32_t>(out.size() - payload_at);
-  const std::uint32_t crc =
-      storage::Crc32(out.data() + payload_at, payload_len);
-  std::uint8_t* header = out.data() + header_at;
-  header[5] = static_cast<std::uint8_t>(payload_len);
-  header[6] = static_cast<std::uint8_t>(payload_len >> 8);
-  header[7] = static_cast<std::uint8_t>(payload_len >> 16);
-  header[8] = static_cast<std::uint8_t>(payload_len >> 24);
-  header[9] = static_cast<std::uint8_t>(crc);
-  header[10] = static_cast<std::uint8_t>(crc >> 8);
-  header[11] = static_cast<std::uint8_t>(crc >> 16);
-  header[12] = static_cast<std::uint8_t>(crc >> 24);
+  Writer h{header};
+  h.U32(kFrameMagic);
+  h.U8(kWireVersion);
+  h.U32(payload_len);
+  h.U32(storage::Crc32(payload, payload_len));
+}
+
+std::size_t EncodedFrameBytes(const std::uint8_t* header) {
+  return kFrameHeaderBytes + ReadHeaderU32(header + 5);
 }
 
 DecodeResult DecodeFrame(const std::uint8_t* data, std::size_t size,

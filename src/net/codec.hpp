@@ -90,10 +90,16 @@ struct WireFrame {
   RtMessage msg;
 };
 
-/// Append the encoded frame to `out`. `out` is not cleared — the event
-/// loop encodes straight onto a peer's pending write buffer, and a
-/// caller reusing one vector across frames amortizes allocation.
+/// Append the encoded frame to `out`, growing it once by the frame's exact
+/// size. `out` is not cleared — TcpTransport::Send encodes straight onto a
+/// peer's pending write buffer, and a caller reusing one vector across
+/// frames amortizes allocation.
 void EncodeFrame(const WireFrame& frame, std::vector<std::uint8_t>& out);
+
+/// Size (header plus payload) of the frame EncodeFrame wrote at `header`,
+/// read back from its payload_len field: how a sender walks the frames
+/// of its own write queue. Bytes from the wire go through DecodeFrame.
+std::size_t EncodedFrameBytes(const std::uint8_t* header);
 
 struct DecodeResult {
   DecodeStatus status = DecodeStatus::kNeedMore;

@@ -59,6 +59,15 @@ ResolvedAddr ResolveOrThrow(const Endpoint& ep, bool passive) {
                          error);
 }
 
+/// The first frame boundary at or after `off` in a write queue that
+/// starts on one.
+std::size_t NextFrameBoundary(const std::vector<std::uint8_t>& buf,
+                              std::size_t off) {
+  std::size_t at = 0;
+  while (at < off) at += EncodedFrameBytes(buf.data() + at);
+  return at;
+}
+
 std::uint16_t PortOf(const sockaddr_storage& ss) {
   if (ss.ss_family == AF_INET6) {
     return ntohs(reinterpret_cast<const sockaddr_in6&>(ss).sin6_port);
@@ -105,8 +114,7 @@ TcpTransport::TcpTransport(TcpTransportOptions options,
       up_(CapacityOf(options_)),
       crash_hooks_(CapacityOf(options_)),
       recover_hooks_(CapacityOf(options_)),
-      peers_(CapacityOf(options_)),
-      retarget_(CapacityOf(options_), 0) {
+      peers_(CapacityOf(options_)) {
   QCNT_CHECK_MSG(!universe_.empty(), "tcp transport: empty universe");
   QCNT_CHECK_MSG(!local_nodes.empty(), "tcp transport: no hosted nodes");
   const std::size_t nodes = universe_.size();
@@ -226,6 +234,31 @@ bool TcpTransport::Send(NodeId from, NodeId to, RtMessage msg) {
   // Every cross-node message rides the wire, even when the destination
   // is hosted by this same instance: a loopback universe then measures
   // (and tests) the genuine codec + socket path.
+  Peer& peer = peers_[to];
+  {
+    // Connected: write through on this thread under the peer's lock
+    // alone. A queue that was not empty is already being flushed — by a
+    // sender ahead of us, or by the loop on OUT after EAGAIN — so the
+    // frame just joins it.
+    std::unique_lock<std::mutex> plock(peer.mu);
+    if (peer.state == PeerState::kConnected && !peer.retarget) {
+      const bool was_empty = peer.outbuf.size() == peer.out_off;
+      if (!Enqueue(peer, from, to, msg)) return false;
+      if (!was_empty || TryFlush(to)) return true;
+      // Hard socket error. Failing the peer means arming its backoff
+      // timer, which is the loop's: hand the peer over instead. The
+      // unsent bytes stay queued, so later senders only append.
+      plock.unlock();
+      bool wake = false;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        wake = Kick(to);
+      }
+      if (wake) WakeLoop();
+      return true;
+    }
+  }
+  // Not connected: the loop connects, or is connecting or backing off.
   bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -234,32 +267,44 @@ bool TcpTransport::Send(NodeId from, NodeId to, RtMessage msg) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    Peer& peer = peers_[to];
-    if (peer.outbuf.size() - peer.out_off >= options_.max_write_queue_bytes) {
-      ++stats_.backpressure_drops;
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+    std::lock_guard<std::mutex> plock(peer.mu);
     const bool was_empty = peer.outbuf.size() == peer.out_off;
-    EncodeFrame(WireFrame{from, to, std::move(msg)}, peer.outbuf);
-    ++stats_.frames_sent;
+    if (!Enqueue(peer, from, to, msg)) return false;
     // Kick the peer only when nothing else will make the loop look at
-    // it: an idle peer needs a connect, a connected one whose queue was
-    // empty a flush. A non-empty queue was already kicked or is armed for
-    // OUT, a connecting peer is armed for OUT, and a backing-off peer
-    // redials on the retry timer — so a burst, or a whole outage, costs
-    // one kick rather than one per frame. A loop that is not parked in
-    // epoll_wait services kicked_ before it parks again, so the wake
-    // pipe is written at most once per park.
+    // it: an idle peer needs a connect (a connected one got here only
+    // across a state change or a pending retarget, and needs a flush). A
+    // non-empty queue was already kicked or is armed for OUT, a
+    // connecting peer is armed for OUT, and a backing-off peer redials
+    // on the retry timer — so a burst, or a whole outage, costs one kick
+    // rather than one per frame.
     if (was_empty && (peer.state == PeerState::kIdle ||
                       peer.state == PeerState::kConnected)) {
-      kicked_.push_back(to);
-      wake = polling_;
-      polling_ = false;
+      wake = Kick(to);
     }
   }
   if (wake) WakeLoop();
   return true;
+}
+
+bool TcpTransport::Enqueue(Peer& peer, NodeId from, NodeId to,
+                           RtMessage& msg) {
+  if (peer.outbuf.size() - peer.out_off >= options_.max_write_queue_bytes) {
+    ++peer.backpressure_drops;
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  EncodeFrame(WireFrame{from, to, std::move(msg)}, peer.outbuf);
+  ++peer.frames_sent;
+  return true;
+}
+
+bool TcpTransport::Kick(NodeId node) {
+  kicked_.push_back(node);
+  // A loop that is not parked in epoll_wait services kicked_ before it
+  // parks again, so the wake pipe is written at most once per park.
+  const bool wake = polling_;
+  polling_ = false;
+  return wake;
 }
 
 void TcpTransport::Crash(NodeId node) {
@@ -324,6 +369,7 @@ Endpoint TcpTransport::ActualEndpoint(NodeId node) const {
 void TcpTransport::SetPeerEndpoint(NodeId node, Endpoint endpoint) {
   QCNT_CHECK_MSG(node < peers_.size(),
                  "tcp transport: peer id beyond universe capacity");
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // A brand-new peer (membership change): admit it into the logical
@@ -336,10 +382,13 @@ void TcpTransport::SetPeerEndpoint(NodeId node, Endpoint endpoint) {
     universe_[node] = std::move(endpoint);
     // The loop owns every fd: flag the peer and let the loop tear the
     // old connection down and redial (buffered frames carry over).
-    retarget_[node] = 1;
-    kicked_.push_back(node);
+    {
+      std::lock_guard<std::mutex> plock(peers_[node].mu);
+      peers_[node].retarget = true;
+    }
+    wake = Kick(node);
   }
-  WakeLoop();
+  if (wake) WakeLoop();
 }
 
 void TcpTransport::AddLocalNode(NodeId node, Endpoint endpoint) {
@@ -367,6 +416,13 @@ TcpStats TcpTransport::WireStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   TcpStats s = stats_;
   s.wake_writes = wake_writes_.load(std::memory_order_relaxed);
+  for (const Peer& peer : peers_) {
+    std::lock_guard<std::mutex> plock(peer.mu);
+    s.frames_sent += peer.frames_sent;
+    s.bytes_sent += peer.bytes_sent;
+    s.send_calls += peer.send_calls;
+    s.backpressure_drops += peer.backpressure_drops;
+  }
   return s;
 }
 
@@ -420,17 +476,29 @@ void TcpTransport::StartConnect(NodeId node) {
     peer.state = PeerState::kConnected;
     peer.failures = 0;
     ++stats_.connects;
-    FlushPeer(node);  // registers the fd
+    if (!TryFlush(node)) FailPeer(peer, /*count_attempt=*/false);
   } else {
     peer.state = PeerState::kConnecting;
     Rearm(node);
   }
 }
 
-void TcpTransport::FailPeer(Peer& peer, bool count_attempt) {
-  if (count_attempt) ++stats_.reconnect_attempts;
+void TcpTransport::ClosePeerConnection(Peer& peer) {
   CloseFd(peer.fd);
   peer.interest = 0;
+  // A frame the closed connection carried only part of is dropped whole:
+  // the next connection must open on a frame boundary, or the receiver
+  // would read the frame's tail as a corrupt header.
+  peer.out_off = NextFrameBoundary(peer.outbuf, peer.out_off);
+  if (peer.out_off == peer.outbuf.size()) {
+    peer.outbuf.clear();
+    peer.out_off = 0;
+  }
+}
+
+void TcpTransport::FailPeer(Peer& peer, bool count_attempt) {
+  if (count_attempt) ++stats_.reconnect_attempts;
+  ClosePeerConnection(peer);
   peer.state = PeerState::kBackoff;
   peer.failures = std::min(peer.failures + 1, 20u);
   auto backoff = options_.reconnect_base * (1u << std::min(peer.failures - 1,
@@ -442,30 +510,31 @@ void TcpTransport::FailPeer(Peer& peer, bool count_attempt) {
   next_retry_ = std::min(next_retry_, peer.retry_at);
 }
 
-void TcpTransport::FlushPeer(NodeId node) {
+bool TcpTransport::TryFlush(NodeId node) {
   Peer& peer = peers_[node];
   while (peer.out_off < peer.outbuf.size()) {
-    ++stats_.send_calls;
+    ++peer.send_calls;
     const ssize_t n =
         ::send(peer.fd, peer.outbuf.data() + peer.out_off,
                peer.outbuf.size() - peer.out_off, MSG_NOSIGNAL);
     if (n > 0) {
       peer.out_off += static_cast<std::size_t>(n);
-      stats_.bytes_sent += static_cast<std::uint64_t>(n);
+      peer.bytes_sent += static_cast<std::uint64_t>(n);
       continue;
     }
+    if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      Rearm(node);  // socket buffer full: wait for OUT
-      return;
+      Rearm(node);  // socket buffer full: the loop flushes the rest on OUT
+      return true;
     }
-    FailPeer(peer, /*count_attempt=*/false);
-    return;
+    return false;
   }
   // Fully drained: recycle the buffer — capacity kept, so a steady-state
   // sender appends frames into already-allocated memory.
   peer.outbuf.clear();
   peer.out_off = 0;
   Rearm(node);
+  return true;
 }
 
 void TcpTransport::Rearm(NodeId node) {
@@ -486,12 +555,12 @@ void TcpTransport::Rearm(NodeId node) {
 void TcpTransport::ServiceKicked() {
   for (NodeId node : kicked_) {
     Peer& peer = peers_[node];
-    if (retarget_[node]) {
+    std::lock_guard<std::mutex> plock(peer.mu);
+    if (peer.retarget) {
       // Tear the stale connection down, then take the normal "pending
       // traffic → connect" path below.
-      retarget_[node] = 0;
-      CloseFd(peer.fd);
-      peer.interest = 0;
+      peer.retarget = false;
+      ClosePeerConnection(peer);
       peer.state = PeerState::kIdle;
       peer.failures = 0;
     }
@@ -499,8 +568,9 @@ void TcpTransport::ServiceKicked() {
     if (peer.state == PeerState::kIdle && pending &&
         universe_[node].port != 0) {
       StartConnect(node);
-    } else if (peer.state == PeerState::kConnected && pending) {
-      FlushPeer(node);
+    } else if (peer.state == PeerState::kConnected && pending &&
+               !TryFlush(node)) {
+      FailPeer(peer, /*count_attempt=*/false);  // a sender's hard error
     }
   }
   kicked_.clear();
@@ -511,6 +581,7 @@ void TcpTransport::RetryDuePeers(std::chrono::steady_clock::time_point now) {
   next_retry_ = std::chrono::steady_clock::time_point::max();
   for (std::size_t node = 0; node < peers_.size(); ++node) {
     Peer& peer = peers_[node];
+    std::lock_guard<std::mutex> plock(peer.mu);
     if (peer.state != PeerState::kBackoff) continue;
     if (now < peer.retry_at) {
       next_retry_ = std::min(next_retry_, peer.retry_at);
@@ -525,6 +596,7 @@ void TcpTransport::RetryDuePeers(std::chrono::steady_clock::time_point now) {
 
 void TcpTransport::OnPeerEvent(NodeId node, std::uint32_t events) {
   Peer& peer = peers_[node];
+  std::lock_guard<std::mutex> plock(peer.mu);
   if (peer.fd < 0) return;  // closed earlier in this batch
   if (peer.state == PeerState::kConnecting) {
     int err = 0;
@@ -537,7 +609,7 @@ void TcpTransport::OnPeerEvent(NodeId node, std::uint32_t events) {
     peer.state = PeerState::kConnected;
     peer.failures = 0;
     ++stats_.connects;
-    FlushPeer(node);
+    if (!TryFlush(node)) FailPeer(peer, /*count_attempt=*/false);
     return;
   }
   if ((events & EPOLLIN) != 0) {
@@ -555,7 +627,9 @@ void TcpTransport::OnPeerEvent(NodeId node, std::uint32_t events) {
     FailPeer(peer, /*count_attempt=*/false);
     return;
   }
-  if ((events & EPOLLOUT) != 0) FlushPeer(node);
+  if ((events & EPOLLOUT) != 0 && !TryFlush(node)) {
+    FailPeer(peer, /*count_attempt=*/false);
+  }
 }
 
 void TcpTransport::AcceptAll(int listen_fd) {

@@ -9,16 +9,27 @@
 //
 // Architecture (DESIGN.md §10):
 //
-//   Send(from, to, m)                    event-loop thread
-//   ───────────────────┐                 ┌──────────────────────────────
-//   encode frame onto  │   wake pipe     │ epoll_wait on one persistent
-//   peer's write queue ├────────────────▶│ set (wake pipe, listeners,
-//   (reusable buffer)  │ (only when the  │ peer and accepted fds)
-//   ───────────────────┘  loop is parked)│  · flush kicked write queues
-//                                        │  · read + decode frames,
-//                                        │    Push into local mailboxes
-//                                        │  · run per-peer reconnect
-//                                        │    state machines (backoff)
+//   Send(from, to, m), caller's thread   event-loop thread
+//   ──────────────────────────────────   ─────────────────────────────────
+//   under the peer's own lock only:      epoll_wait on one persistent set
+//    encode the frame onto the peer's    (wake pipe, listeners, peer and
+//    reusable write queue; connected     accepted fds), then under mu_:
+//    and the queue was empty → send(2)    · receive + decode every frame,
+//    it right here (write-through)          Push into local mailboxes
+//    · EAGAIN → arm the fd for OUT        · connect / backoff / retarget
+//    · hard error → kick ─┐                 the kicked and due peers
+//   not connected → kick ─┤  wake pipe    · flush the EPOLLOUT backlog a
+//   (under mu_)           └──────────────▶  blocked send left behind
+//                          (only when the
+//                           loop is parked)
+//
+// So a connected peer's frames leave on the thread that produced them,
+// and the loop never makes a send(2) on the hot path; it owns what only
+// it can do: connects and their backoff timer, retargets, the backlog
+// after EAGAIN, and the whole receive side. Lock order is mu_ → Peer::mu;
+// a sender holds only its peer's mu while it writes, and hands a hard
+// socket error to the loop (kicked_ + wake) instead of failing the peer
+// itself, because the backoff timer (next_retry_) is the loop's.
 //
 // Every fd is registered once, when it is created, tagged with its kind
 // and its node (peers) or fd (listeners, accepted connections), and
@@ -127,10 +138,11 @@ struct TcpStats {
   std::uint64_t decode_errors = 0;    // connections dropped on bad frames
   std::uint64_t backpressure_drops = 0;
   std::uint64_t unroutable_drops = 0;  // peer endpoint unknown (port 0)
-  // Syscall counters: what the event loop costs per frame.
+  // Syscall counters: what the wire costs per frame.
   std::uint64_t loop_turns = 0;   // epoll_wait returns
   std::uint64_t wake_writes = 0;  // wake-pipe writes (senders nudging)
-  std::uint64_t send_calls = 0;   // send(2) on outbound peer streams
+  std::uint64_t send_calls = 0;   // send(2) on outbound peer streams, by
+                                  // senders and the loop alike
   std::uint64_t recv_calls = 0;   // recv(2) on accepted and peer fds
 };
 
@@ -197,18 +209,32 @@ class TcpTransport final : public Transport {
     kBackoff,     // connect failed / connection died; retry at retry_at
   };
 
-  /// Outbound connection state machine toward one remote node.
+  /// Outbound connection state machine toward one remote node. Every
+  /// field is guarded by `mu`: senders hold it to write through on their
+  /// own threads, and the loop takes it before touching the fd, the
+  /// queue or the state.
   struct Peer {
+    mutable std::mutex mu;  // lock order: TcpTransport::mu_ → mu
     PeerState state = PeerState::kIdle;
+    /// SetPeerEndpoint moved the peer: the loop must drop the connection
+    /// and redial. Senders stop writing through until it has.
+    bool retarget = false;
     int fd = -1;
     /// Pending encoded frames; [out_off, size) is unsent. The vector is
     /// reused across flushes (cleared, capacity kept), so a steady-state
-    /// sender allocates nothing per message.
+    /// sender allocates nothing per message. It always starts on a frame
+    /// boundary.
     std::vector<std::uint8_t> outbuf;
     std::size_t out_off = 0;
     std::uint32_t failures = 0;  // consecutive, drives the backoff
     std::chrono::steady_clock::time_point retry_at{};
     std::uint32_t interest = 0;  // epoll events registered for fd (0: none)
+    // Write-side counters, kept here so the send path touches no shared
+    // state; WireStats sums them.
+    std::uint64_t frames_sent = 0;
+    std::uint64_t bytes_sent = 0;
+    std::uint64_t send_calls = 0;
+    std::uint64_t backpressure_drops = 0;
   };
 
   /// One accepted inbound connection (any remote process; frames carry
@@ -237,14 +263,32 @@ class TcpTransport final : public Transport {
   int BindListenerOrThrow(NodeId node);
   void EpollCtl(int op, int fd, std::uint32_t events, FdKind kind,
                 std::uint32_t id);
-  /// All helpers below require mu_ held (they run on the loop thread).
+  /// Encode the frame onto the peer's queue unless the queue is at its
+  /// cap (then count the drop and return false). Requires peer.mu held.
+  bool Enqueue(Peer& peer, NodeId from, NodeId to, RtMessage& msg);
+  /// Queue `node` for the loop's next turn; true when the caller must
+  /// then WakeLoop (the loop is parked with no wake pending). Requires
+  /// mu_ held.
+  bool Kick(NodeId node);
+  /// send(2) the queued bytes until drained, or until EAGAIN (then the fd
+  /// is armed for OUT and the loop flushes the rest). Runs on a sender's
+  /// thread or on the loop's, with the peer's mu held. False on a hard
+  /// socket error: the loop then fails the peer; a sender kicks it to the
+  /// loop.
+  bool TryFlush(NodeId node);
+  /// Bring the peer's epoll interest in line with its state. Requires
+  /// the peer's mu held.
+  void Rearm(NodeId node);
+  /// The helpers below run on the loop thread with mu_ held. ServiceKicked,
+  /// RetryDuePeers and OnPeerEvent take each peer's mu themselves;
+  /// StartConnect, ClosePeerConnection and FailPeer require it held.
   void ServiceKicked();
   void RetryDuePeers(std::chrono::steady_clock::time_point now);
   void StartConnect(NodeId node);
+  /// Close the peer's connection, keeping its queue from the first whole
+  /// frame the connection did not finish.
+  void ClosePeerConnection(Peer& peer);
   void FailPeer(Peer& peer, bool count_attempt);
-  void FlushPeer(NodeId node);
-  /// Bring the peer's epoll interest in line with its state.
-  void Rearm(NodeId node);
   void OnPeerEvent(NodeId node, std::uint32_t events);
   void AcceptAll(int listen_fd);
   /// Read + decode everything available; false = close the connection.
@@ -268,11 +312,14 @@ class TcpTransport final : public Transport {
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> dropped_{0};
 
-  mutable std::mutex mu_;  // guards peers_, inbound_, stats_, universe_
+  /// Guards universe_, kicked_, polling_, next_retry_, inbound_, stats_
+  /// and listen_fds_; the loop holds it for its whole turn. A Peer's
+  /// fields are under the Peer's own mu.
+  mutable std::mutex mu_;
   std::vector<Peer> peers_;  // index == destination NodeId
-  std::vector<char> retarget_;  // SetPeerEndpoint → loop handshake
   /// Peers the loop must look at on its next turn: a send that needs a
-  /// connect or a flush, or a retarget. Cleared (capacity kept) per turn.
+  /// connect, a sender's hard socket error, or a retarget. Cleared
+  /// (capacity kept) per turn.
   std::vector<NodeId> kicked_;
   /// The loop is parked in (or about to enter) epoll_wait with no wake
   /// pending: the next kick must write the wake pipe.

@@ -432,6 +432,75 @@ TEST(Codec, ConfigPayloadRoundTrips) {
   }
 }
 
+/// A frame's encoded size, read off the layout in codec.hpp rather than
+/// asked of the encoder.
+std::size_t LayoutBytes(const WireFrame& f) {
+  std::size_t n = 4 + 1 + 4 + 4;                // magic version len crc
+  n += 4 + 4 + 1 + 8 + 8 + 8 + 8 + 4;           // from .. config_id
+  n += 4 + f.msg.key.size() + 4;                // key, batch_count
+  for (const BatchEntry& e : f.msg.batch) n += 8 + 8 + 8 + 4 + e.key.size();
+  n += 1;                                       // has_config
+  if (f.msg.config) {
+    n += 1 + 4 + 4 + 4 + 4;                     // kind a b thresholds
+    n += 4 + 4 * f.msg.config->descriptor.votes.size();
+    n += 4 + 4 * f.msg.config->members.size();
+  }
+  return n;
+}
+
+TEST(Codec, EncodeGrowsTheBufferByExactlyTheFrameSize) {
+  // The encoder sizes the buffer once, up front, and writes through a
+  // pointer: a miscounted field would leave a gap or run past the end.
+  // Worst-case fields for every kind: an empty and a 64 KiB key, empty
+  // and 1000-entry batches, with and without a configuration payload.
+  for (RtMessage::Kind kind : AllKinds()) {
+    for (std::size_t key_bytes : {std::size_t{0}, std::size_t{64 * 1024}}) {
+      for (std::size_t entries : {std::size_t{0}, std::size_t{1000}}) {
+        for (bool with_config : {false, true}) {
+          WireFrame f;
+          f.from = 1;
+          f.to = 0xfffffffeu;
+          f.msg = FullMessage(kind);
+          f.msg.key.assign(key_bytes, 'k');
+          for (std::size_t i = 0; i < entries; ++i) {
+            // Entry keys from empty up to 37 bytes.
+            f.msg.batch.push_back(BatchEntry{
+                i, std::string(i % 38, static_cast<char>('a' + i % 26)),
+                ~i, -static_cast<std::int64_t>(i)});
+          }
+          if (with_config) {
+            runtime::ConfigPayload c;
+            c.descriptor.kind = quorum::StrategyKind::kWeighted;
+            c.descriptor.votes = {3, 1, 1, 2, 5};
+            c.descriptor.read_threshold = 6;
+            c.descriptor.write_threshold = 7;
+            c.members = {0, 1, 2, 9, 4000000000u};
+            f.msg.config = std::move(c);
+          }
+          const std::string what =
+              "kind " + std::to_string(static_cast<int>(kind)) + " key " +
+              std::to_string(f.msg.key.size()) + " entries " +
+              std::to_string(entries) + " config " +
+              std::to_string(with_config);
+
+          std::vector<std::uint8_t> buf = {0x11, 0x22, 0x33};
+          EncodeFrame(f, buf);
+          ASSERT_EQ(buf.size() - 3, LayoutBytes(f)) << what;
+          EXPECT_EQ(buf[0], 0x11);
+          EXPECT_EQ(buf[2], 0x33);
+          DecodeResult r = DecodeFrame(buf.data() + 3, buf.size() - 3);
+          ASSERT_EQ(r.status, DecodeStatus::kOk)
+              << what << ": " << ToString(r.status);
+          EXPECT_EQ(r.consumed, LayoutBytes(f)) << what;
+          EXPECT_EQ(r.frame.from, f.from);
+          EXPECT_EQ(r.frame.to, f.to);
+          ExpectEqual(r.frame.msg, f.msg);
+        }
+      }
+    }
+  }
+}
+
 TEST(Codec, ConfigPayloadEveryTruncationPrefixNeedsMore) {
   const auto buf = Encode(ConfigFrame());
   for (std::size_t len = 0; len < buf.size(); ++len) {

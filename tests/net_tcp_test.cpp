@@ -1,6 +1,8 @@
 // TcpTransport behavior the Bus has no analogue for: a corrupt byte
 // stream on one accepted connection, the event loop's accepted-fd reuse,
-// and how often senders wake the loop while a peer is unreachable.
+// how often senders wake the loop (never once a peer is connected; once
+// per outage while it is unreachable), and a peer that dies under a
+// sender writing through to it or with a frame half sent.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -132,6 +134,147 @@ TEST_F(ThreeInstances, SyscallCountersAdvance) {
   EXPECT_GT(after.wake_writes, before.wake_writes);
   EXPECT_GT(after.send_calls, before.send_calls);
   EXPECT_GT(after.recv_calls, before.recv_calls);
+}
+
+TEST_F(ThreeInstances, ConnectedPeerTakesNoWakes) {
+  // The first frame has the loop connect; after that every send(2) is
+  // made on the sending thread, so the loop is never woken to flush.
+  ExpectDelivery(0, 1, 0);
+  const TcpStats before = t_[0]->WireStats();
+  constexpr std::uint64_t kFrames = 1000;
+  for (std::uint64_t op = 1; op <= kFrames; ++op) {
+    ASSERT_TRUE(t_[0]->Send(0, 1, Op(op)));
+  }
+  for (std::uint64_t op = 1; op <= kFrames; ++op) {
+    auto e = t_[1]->MailboxOf(1).Pop(In(5000ms));
+    ASSERT_TRUE(e.has_value()) << "frame " << op;
+    EXPECT_EQ(e->msg.op, op);
+  }
+  const TcpStats after = t_[0]->WireStats();
+  EXPECT_EQ(after.wake_writes, before.wake_writes);
+  EXPECT_EQ(after.connects, before.connects);
+  EXPECT_EQ(after.frames_sent - before.frames_sent, kFrames);
+  EXPECT_GE(after.send_calls - before.send_calls, 1u);
+}
+
+TEST_F(ThreeInstances, PeerKilledMidStreamIsRedialedAfterItsRestart) {
+  ExpectDelivery(0, 1, 0);
+  const TcpStats before = t_[0]->WireStats();
+  t_[1].reset();  // node 1's process dies; its end of the stream closes
+
+  // Keep writing into the dead stream. The burst right after the close
+  // races the loop to the EOF, so the write that fails is, nearly every
+  // run, a hard error on this thread, which hands the peer to the loop;
+  // either way the loop fails the peer and redials the now-closed port
+  // on its backoff timer.
+  std::uint64_t op = 1;
+  for (; op <= 8; ++op) ASSERT_TRUE(t_[0]->Send(0, 1, Op(op)));
+  const auto deadline = In(5000ms);
+  while (t_[0]->WireStats().reconnect_attempts <
+             before.reconnect_attempts + 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    ASSERT_TRUE(t_[0]->Send(0, 1, Op(op++)));
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_GE(t_[0]->WireStats().reconnect_attempts,
+            before.reconnect_attempts + 2)
+      << "the dead peer was never failed and redialed";
+
+  // Restart node 1 on a fresh port and re-target it both ways.
+  TcpTransportOptions o;
+  o.universe.resize(3);
+  t_[1] = std::make_unique<TcpTransport>(o, std::vector<NodeId>{1});
+  for (NodeId j : {NodeId{0}, NodeId{2}}) {
+    t_[1]->SetPeerEndpoint(j, t_[j]->ActualEndpoint(j));
+    t_[j]->SetPeerEndpoint(1, t_[1]->ActualEndpoint(1));
+  }
+
+  // Frames sent after the restart arrive, all of them, in order. Frames
+  // queued during the outage may arrive ahead of them (the queue carries
+  // over to the new connection); none may arrive torn.
+  constexpr std::uint64_t kAfter = 1u << 30;
+  constexpr std::uint64_t kFrames = 200;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(t_[0]->Send(0, 1, Op(kAfter + i)));
+  }
+  std::uint64_t next = kAfter;
+  while (next < kAfter + kFrames) {
+    auto e = t_[1]->MailboxOf(1).Pop(In(5000ms));
+    ASSERT_TRUE(e.has_value()) << "missing frame " << next;
+    if (e->msg.op < kAfter) continue;  // sent during the outage
+    ASSERT_EQ(e->msg.op, next);
+    EXPECT_EQ(e->msg.key, "k" + std::to_string(next));
+    ++next;
+  }
+  EXPECT_GT(t_[0]->WireStats().connects, before.connects);
+  EXPECT_EQ(t_[1]->WireStats().decode_errors, 0u);
+}
+
+TEST(TcpTransportStream, FrameTornByADeadConnectionIsNotResent) {
+  // Node 1 starts as a raw socket that accepts node 0's stream and never
+  // reads it, so node 0's writes stall partway through a frame once the
+  // socket buffers fill.
+  const int raw = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(raw, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(raw, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(raw, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(raw, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  TcpTransportOptions o;
+  o.universe.resize(2);
+  o.universe[1].port = ntohs(addr.sin_port);
+  TcpTransport a(o, {0});
+  auto big = [](std::uint64_t op) {
+    RtMessage m = Op(op);
+    m.key.assign(60013, 'x');
+    return m;
+  };
+  for (std::uint64_t op = 0; op < 128; ++op) {
+    a.Send(0, 1, big(op));  // past the queue cap some are dropped
+  }
+  // Wait for the stream to stall: the kernel takes no more bytes.
+  std::uint64_t sent = 0;
+  for (int stable = 0; stable < 5;) {
+    std::this_thread::sleep_for(20ms);
+    const std::uint64_t now = a.WireStats().bytes_sent;
+    stable = now == sent && now > 0 ? stable + 1 : 0;
+    sent = now;
+  }
+  const std::uint64_t frame_bytes = kFrameHeaderBytes + 4 + 4 + 1 + 8 * 4 +
+                                    4 + 4 + 60013 + 4 + 1;
+  ASSERT_NE(sent % frame_bytes, 0u) << "the stream stalled on a boundary";
+
+  // Reset the connection with the torn frame in it, then bring node 1 up
+  // for real and re-target node 0 to it.
+  const int conn = ::accept(raw, nullptr, nullptr);
+  ASSERT_GE(conn, 0);
+  ::close(conn);  // unread data: the close resets the connection
+  ::close(raw);
+  TcpTransportOptions ob;
+  ob.universe.resize(2);
+  TcpTransport b(ob, {1});
+  a.SetPeerEndpoint(1, b.ActualEndpoint(1));
+  constexpr std::uint64_t kMarker = 1u << 30;
+  ASSERT_TRUE(a.Send(0, 1, Op(kMarker)));
+
+  // The new connection opens on a frame boundary: everything that
+  // arrives decodes, whole, and the marker arrives after the queued
+  // frames.
+  for (;;) {
+    auto e = b.MailboxOf(1).Pop(In(5000ms));
+    ASSERT_TRUE(e.has_value()) << "the marker frame never arrived";
+    if (e->msg.op == kMarker) break;
+    EXPECT_EQ(e->msg.key.size(), 60013u);
+  }
+  EXPECT_EQ(b.WireStats().decode_errors, 0u);
+  a.CloseAll();
+  b.CloseAll();
 }
 
 TEST(TcpTransportWake, UnreachablePeerDoesNotWakeTheLoopPerFrame) {

@@ -248,6 +248,46 @@ TEST_P(TransportConformance, BurstBeyondOneMiBArrivesInOrderIntact) {
   }
 }
 
+TEST_P(TransportConformance, ConcurrentSendersToOnePeerArriveOnceInSenderOrder) {
+  // Several threads of one node send to the same peer at once: over TCP
+  // they share one connection and one write queue, and each writes
+  // through it on its own thread.
+  constexpr std::uint64_t kSenders = 4;
+  constexpr std::uint64_t kPerSender = 2000;
+  Transport& host = universe_->HostOf(0);
+  std::atomic<std::uint64_t> refused{0};
+  std::vector<std::thread> senders;
+  for (std::uint64_t s = 0; s < kSenders; ++s) {
+    senders.emplace_back([&, s] {
+      for (std::uint64_t i = 0; i < kPerSender; ++i) {
+        if (!host.Send(0, 1, Tagged(s << 32 | i))) ++refused;
+      }
+    });
+  }
+  std::vector<RtMessage> got;
+  Mailbox& mb = universe_->HostOf(1).MailboxOf(1);
+  while (got.size() < kSenders * kPerSender) {
+    auto e = mb.Pop(In(10000));
+    if (!e) break;
+    got.push_back(std::move(e->msg));
+  }
+  for (std::thread& t : senders) t.join();
+  EXPECT_EQ(refused.load(), 0u);
+  ASSERT_EQ(got.size(), kSenders * kPerSender);
+  std::vector<std::uint64_t> next(kSenders, 0);
+  for (const RtMessage& m : got) {
+    const std::uint64_t s = m.op >> 32;
+    ASSERT_LT(s, kSenders) << "op " << m.op;
+    ASSERT_EQ(m.op & 0xffffffffu, next[s]) << "sender " << s;
+    ++next[s];
+    const RtMessage want = Tagged(m.op);
+    EXPECT_EQ(m.key, want.key);
+    EXPECT_EQ(m.version, want.version);
+    EXPECT_EQ(m.value, want.value);
+  }
+  EXPECT_FALSE(mb.Pop(In(50)).has_value()) << "a frame arrived twice";
+}
+
 TEST_P(TransportConformance, CrashDrainsPendingMessages) {
   // Queue deliveries into node 1's mailbox without popping them...
   for (std::uint64_t i = 0; i < 5; ++i) {
