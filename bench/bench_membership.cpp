@@ -11,8 +11,9 @@
 //
 // The gate: during_join throughput must stay at or above 50% of steady.
 // Catchup chunks are bounded and donor-side reads interleave with live
-// writes per shard, so a join should cost a fraction of throughput, not
-// an outage — this experiment is the regression fence for that claim.
+// writes on the donor's loop, so a join should cost a fraction of
+// throughput, not an outage — this experiment is the regression fence for
+// that claim.
 // Results print as a table and are written as JSON (argv[1], default
 // "BENCH_membership.json") for CI archiving, like the other bench gates.
 #include <algorithm>

@@ -1,6 +1,6 @@
 // E20 — storage engine v2: bounded recovery and the cold-read layer.
 //
-// Four sections, run against a single-shard DurableBackend in spill mode
+// Five sections, run against one replica's DurableBackend in spill mode
 // (the configuration built for keyspaces larger than RAM):
 //
 //   1. Recovery vs total state, fixed WAL tail. v1 recovery reloaded the
@@ -18,15 +18,24 @@
 //   4. Group-commit sanity: the full ReplicatedStore write path under
 //      the fixed window vs the adaptive window — the adaptive knob must
 //      stay within noise of the E14/E15 baseline it generalizes.
+//   5. Merge pacing: load every key in 1000-write batches (fewer for
+//      small loads) with MaybeCompact after each, as the replica loop
+//      does, and time each batch. The checkpoint-chain merge runs in slices, so the worst
+//      batch stall tracks the tail, not total state; the merged entries
+//      written by any one call must stay within that call's budget (the
+//      newest checkpoint's entry count). Then a full Recover() of the
+//      loaded replica.
 //
 // Emits BENCH_storage.json (argv[1] overrides the path) for
 // tools/check_bench_storage.py. Scale with QCNT_E20_KEYS (default
 // 200'000 so CI stays fast; 10'000'000 reproduces the ISSUE's target —
 // at ~35 bytes/record plan ~400 MiB of scratch disk).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -69,33 +78,43 @@ storage::DurabilityOptions SpillOptions() {
   return o;
 }
 
-/// Populate `dir` with `keys` distinct keys through the normal apply +
-/// threshold path (batched like the replica's group apply), leaving a
-/// checkpointed chain; then append exactly `tail` more records so the
-/// un-checkpointed tail is a controlled size.
-void Populate(const std::string& dir, std::uint64_t keys,
-              std::uint64_t tail) {
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  auto backend = storage::MakeDurableBackend(dir, SpillOptions());
-  storage::Image image = backend->Recover();
+/// Write keys [0, keys) at version 1 in `batch_records`-write batches
+/// through the normal apply + threshold path (one ApplyWriteBatch and one
+/// MaybeCompact per batch, like the replica loop); `on_batch` gets each
+/// batch's wall time in ms.
+void LoadKeys(storage::Backend& backend, storage::Image& image,
+              std::uint64_t keys, std::uint64_t batch_records,
+              const std::function<void(double)>& on_batch) {
   std::vector<storage::WalRecord> batch;
-  batch.reserve(1000);
+  batch.reserve(batch_records);
   for (std::uint64_t i = 0; i < keys; ++i) {
     storage::WalRecord r;
     r.key = Key(i);
     r.version = 1;
     r.value = static_cast<std::int64_t>(i);
     batch.push_back(std::move(r));
-    if (batch.size() == 1000 || i + 1 == keys) {
-      for (const storage::WalRecord& rec : batch) {
-        image.ApplyWrite(rec.key, rec.version, rec.value);
-      }
-      backend->ApplyWriteBatch(batch);
-      backend->MaybeCompact(image);
-      batch.clear();
+    if (batch.size() < batch_records && i + 1 < keys) continue;
+    const auto t0 = Clock::now();
+    for (const storage::WalRecord& rec : batch) {
+      image.ApplyWrite(rec.key, rec.version, rec.value);
     }
+    backend.ApplyWriteBatch(batch);
+    backend.MaybeCompact(image);
+    on_batch(MsSince(t0));
+    batch.clear();
   }
+}
+
+/// Populate `dir` with `keys` distinct keys, leaving a checkpointed
+/// chain; then append exactly `tail` more records so the un-checkpointed
+/// tail is a controlled size.
+void Populate(const std::string& dir, std::uint64_t keys,
+              std::uint64_t tail) {
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  auto backend = storage::MakeDurableBackend(dir, SpillOptions());
+  storage::Image image = backend->Recover();
+  LoadKeys(*backend, image, keys, 1000, [](double) {});
   backend->ForceCheckpoint(image);  // tail now empty
   for (std::uint64_t i = 0; i < tail; ++i) {
     // Overwrite low keys at version 2: a realistic hot tail.
@@ -237,6 +256,80 @@ double StoreWriteRate(bool adaptive, std::uint64_t* fsyncs) {
   return rate;
 }
 
+struct PacingPoint {
+  std::uint64_t batches = 0;
+  double worst_stall_ms = 0;
+  double p99_stall_ms = 0;
+  double load_s = 0;
+  std::uint64_t merges = 0;
+  std::uint64_t merge_entries = 0;
+  std::uint64_t max_merge_entries_per_call = 0;
+  /// Largest budget any call had: the newest checkpoint's entry count.
+  std::uint64_t merge_budget_entries = 0;
+  double recover_ms = 0;
+};
+
+PacingPoint MeasureMergePacing(std::uint64_t keys) {
+  const std::string dir = std::string(kScratch) + "/pacing";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // SpillOptions and 1000-write batches at scale (4 MiB tail, 1 MiB
+  // segments, an 8-file chain). A load too small to fill ~64 such tails
+  // (~40 B per record) gets a proportionally smaller tail and batches, so
+  // the CI-sized run still merges several times with ~100 batches per
+  // checkpoint interval, as at 10M keys.
+  storage::DurabilityOptions options = SpillOptions();
+  options.checkpoint_tail_bytes =
+      std::min<std::uint64_t>(options.checkpoint_tail_bytes, keys * 40 / 64);
+  options.segment_bytes = std::min<std::uint64_t>(
+      options.segment_bytes, options.checkpoint_tail_bytes / 4);
+  const std::uint64_t batch_records =
+      std::clamp<std::uint64_t>(keys / 8192, 1, 1000);
+  PacingPoint p;
+  std::vector<double> stalls;
+  {
+    auto backend = storage::MakeDurableBackend(dir, options);
+    storage::Image image = backend->Recover();
+    storage::StorageStats last = backend->Stats();
+    std::uint64_t newest_checkpoint = 0;
+    const auto load0 = Clock::now();
+    LoadKeys(*backend, image, keys, batch_records, [&](double ms) {
+      stalls.push_back(ms);
+      const storage::StorageStats now = backend->Stats();
+      // A call's merge slice is sized before it checkpoints, so its
+      // budget is the checkpoint that was newest when it started.
+      if (now.merge_entries > last.merge_entries) {
+        p.max_merge_entries_per_call =
+            std::max(p.max_merge_entries_per_call,
+                     now.merge_entries - last.merge_entries);
+        p.merge_budget_entries =
+            std::max(p.merge_budget_entries, newest_checkpoint);
+      }
+      if (now.checkpoints_written > last.checkpoints_written) {
+        newest_checkpoint = now.checkpoint_entries - last.checkpoint_entries;
+      }
+      last = now;
+    });
+    p.load_s = MsSince(load0) / 1000.0;
+    p.merges = last.checkpoint_merges;
+    p.merge_entries = last.merge_entries;
+  }
+  p.batches = stalls.size();
+  std::sort(stalls.begin(), stalls.end());
+  if (!stalls.empty()) {
+    p.worst_stall_ms = stalls.back();
+    p.p99_stall_ms = stalls[(stalls.size() - 1) * 99 / 100];
+  }
+  {
+    auto backend = storage::MakeDurableBackend(dir, options);
+    const auto t0 = Clock::now();
+    backend->Recover();
+    p.recover_ms = MsSince(t0);
+  }
+  fs::remove_all(dir);
+  return p;
+}
+
 void EmitRecoveryRows(std::ofstream& os, const char* name,
                       const std::vector<RecoveryPoint>& rows) {
   os << "  \"" << name << "\": [\n";
@@ -357,6 +450,28 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // --- 5. Merge pacing: per-batch stall while the chain merges ---------
+  bench::Banner("E20: per-batch stall over a " + std::to_string(keys) +
+                "-key load (merges paced in slices)");
+  const PacingPoint pacing = MeasureMergePacing(keys);
+  {
+    bench::Table table({"batches", "worst stall ms", "p99 stall ms",
+                        "load s", "merges", "max merged/call",
+                        "budget/call", "Recover() ms"});
+    table.AddRow({std::to_string(pacing.batches),
+                  bench::Table::Num(pacing.worst_stall_ms, 2),
+                  bench::Table::Num(pacing.p99_stall_ms, 2),
+                  bench::Table::Num(pacing.load_s, 1),
+                  std::to_string(pacing.merges),
+                  std::to_string(pacing.max_merge_entries_per_call),
+                  std::to_string(pacing.merge_budget_entries),
+                  bench::Table::Num(pacing.recover_ms, 2)});
+    table.Print();
+    std::cout << "\nShape check: no call writes more merged entries than "
+                 "the newest checkpoint holds,\nso the worst batch stall "
+                 "is bounded by the tail, not by total state.\n";
+  }
+
   // --- JSON ------------------------------------------------------------
   std::ofstream os(json_path);
   os << "{\n";
@@ -377,7 +492,17 @@ int main(int argc, char** argv) {
      << gc.fixed_writes_per_sec
      << ", \"adaptive_writes_per_sec\": " << gc.adaptive_writes_per_sec
      << ", \"fixed_fsyncs\": " << gc.fixed_fsyncs
-     << ", \"adaptive_fsyncs\": " << gc.adaptive_fsyncs << "}\n";
+     << ", \"adaptive_fsyncs\": " << gc.adaptive_fsyncs << "},\n";
+  os << "  \"merge_pacing\": {\"batches\": " << pacing.batches
+     << ", \"worst_stall_ms\": " << pacing.worst_stall_ms
+     << ", \"p99_stall_ms\": " << pacing.p99_stall_ms
+     << ", \"load_s\": " << pacing.load_s
+     << ", \"merges\": " << pacing.merges
+     << ", \"merge_entries\": " << pacing.merge_entries
+     << ", \"max_merge_entries_per_call\": "
+     << pacing.max_merge_entries_per_call
+     << ", \"merge_budget_entries\": " << pacing.merge_budget_entries
+     << ", \"recover_ms\": " << pacing.recover_ms << "}\n";
   os << "}\n";
   os.close();
   std::cout << "\nwrote " << json_path << "\n";

@@ -1,8 +1,8 @@
 // Checked environment-variable parsing.
 //
 // Several knobs are overridable from the environment so a CI matrix can
-// vary them without editing tests (QCNT_SHARDS, QCNT_FAULT_SEED,
-// QCNT_TCP_PORT_BASE). They all follow one contract, implemented once
+// vary them without editing tests (QCNT_FAULT_SEED, QCNT_TCP_PORT_BASE,
+// QCNT_E20_KEYS). They all follow one contract, implemented once
 // here: the variable must hold a complete base-10 unsigned integer within
 // the caller's [lo, hi] range, or it is ignored and the built-in default
 // applies. Ignoring (rather than aborting on) a malformed value is

@@ -76,12 +76,12 @@ bool MembershipCoordinator::Prime(MembershipReport& report) {
 }
 
 bool MembershipCoordinator::RunBulkCatchup(
-    NodeId joiner, const std::vector<NodeId>& donors, std::uint64_t shards,
+    NodeId joiner, const std::vector<NodeId>& donors,
     MembershipReport& report) {
   QCNT_CHECK_MSG(!donors.empty(), "bulk catchup needs at least one donor");
   // Each attempt (re-)issues the join against the next donor and waits
   // one progress window for the joiner's done report. A re-issued join
-  // with the same shard layout *resumes* from the joiner's cursor, so a
+  // *resumes* from the joiner's cursor, so a
   // timeout mid-transfer (slow or crashed donor) costs only the chunk in
   // flight, never the stream so far.
   std::vector<std::uint64_t> issued;
@@ -94,7 +94,6 @@ bool MembershipCoordinator::RunBulkCatchup(
     join.kind = RtMessage::Kind::kJoinReq;
     join.op = op;
     join.value = static_cast<std::int64_t>(donor);
-    join.version = shards;
     transport_->Send(id_, joiner, std::move(join));
 
     const auto deadline = Deadline(options_.step_timeout);
@@ -113,11 +112,7 @@ bool MembershipCoordinator::RunBulkCatchup(
       for (std::uint64_t o : issued) ours |= o == e->msg.op;
       if (!ours) continue;
       if (e->msg.value != runtime::kJoinOk) {
-        report.error =
-            e->msg.value == runtime::kJoinErrShardMismatch
-                ? "joiner refused: donor shard layout differs from the "
-                  "promised manifest"
-                : "joiner refused the catchup stream";
+        report.error = "joiner refused the catchup stream";
         return false;
       }
       report.catchup_entries = e->msg.version;
@@ -128,9 +123,8 @@ bool MembershipCoordinator::RunBulkCatchup(
   return false;
 }
 
-bool MembershipCoordinator::PullChunk(NodeId source, std::uint32_t shard,
-                                      std::uint64_t shards,
-                                      std::string& cursor, bool& more,
+bool MembershipCoordinator::PullChunk(NodeId source, std::string& cursor,
+                                      bool& more,
                                       std::vector<BatchEntry>& entries,
                                       std::string& error) {
   for (std::size_t attempt = 0; attempt < options_.max_step_attempts;
@@ -140,7 +134,6 @@ bool MembershipCoordinator::PullChunk(NodeId source, std::uint32_t shard,
     req.kind = RtMessage::Kind::kCatchupReq;
     req.op = op;
     req.key = cursor;
-    req.version = shard;
     req.value = static_cast<std::int64_t>(options_.chunk_entries);
     transport_->Send(id_, source, std::move(req));
 
@@ -157,10 +150,6 @@ bool MembershipCoordinator::PullChunk(NodeId source, std::uint32_t shard,
       if (e->from != source) continue;
       if (e->msg.kind != RtMessage::Kind::kCatchupChunk) continue;
       if (e->msg.op != op) continue;  // stale earlier attempt
-      if (e->msg.version != shards) {
-        error = "source shard layout differs from the promised manifest";
-        return false;
-      }
       entries = std::move(e->msg.batch);
       if (!entries.empty()) cursor = e->msg.key;
       more = e->msg.value != 0;
@@ -235,31 +224,26 @@ bool MembershipCoordinator::InstallEntries(
 bool MembershipCoordinator::StreamImage(NodeId source,
                                         const std::vector<NodeId>& targets,
                                         const MemberConfig& quorum_of,
-                                        std::uint64_t shards,
                                         std::uint64_t generation,
                                         MembershipReport& report) {
-  for (std::uint32_t shard = 0; shard < shards; ++shard) {
-    std::string cursor;
-    bool more = true;
-    while (more) {
-      std::vector<BatchEntry> entries;
-      if (!PullChunk(source, shard, shards, cursor, more, entries,
-                     report.error)) {
-        return false;
-      }
-      if (!InstallEntries(entries, targets, quorum_of, generation,
-                          report.error)) {
-        return false;
-      }
-      report.seal_entries += entries.size();
+  std::string cursor;
+  bool more = true;
+  while (more) {
+    std::vector<BatchEntry> entries;
+    if (!PullChunk(source, cursor, more, entries, report.error)) {
+      return false;
     }
+    if (!InstallEntries(entries, targets, quorum_of, generation,
+                        report.error)) {
+      return false;
+    }
+    report.seal_entries += entries.size();
   }
   return true;
 }
 
 MembershipReport MembershipCoordinator::Join(
-    NodeId joiner, const std::vector<NodeId>& donors, std::uint64_t shards,
-    std::uint32_t target) {
+    NodeId joiner, const std::vector<NodeId>& donors, std::uint32_t target) {
   MembershipReport report;
   const auto target_cfg = table_->TryAt(target);
   if (target_cfg == nullptr) {
@@ -267,7 +251,7 @@ MembershipReport MembershipCoordinator::Join(
     return report;
   }
   if (!Prime(report)) return report;
-  if (!RunBulkCatchup(joiner, donors, shards, report)) return report;
+  if (!RunBulkCatchup(joiner, donors, report)) return report;
 
   std::uint64_t s_acked = 0;
   const runtime::ClientResult r = client_.Reconfigure(target, &s_acked);
@@ -287,7 +271,7 @@ MembershipReport MembershipCoordinator::Join(
   const MemberConfig joiner_only = runtime::ConfigTable::Singleton(joiner);
   for (NodeId member = 0; member < 64; ++member) {
     if ((s_acked & (1ull << member)) == 0) continue;
-    if (!StreamImage(member, {joiner}, joiner_only, shards,
+    if (!StreamImage(member, {joiner}, joiner_only,
                      client_.BelievedGeneration(), report)) {
       report.error = "seal from member " + std::to_string(member) +
                      " failed: " + report.error;
@@ -302,7 +286,6 @@ MembershipReport MembershipCoordinator::Join(
 }
 
 MembershipReport MembershipCoordinator::Leave(NodeId leaver,
-                                              std::uint64_t shards,
                                               std::uint32_t target) {
   MembershipReport report;
   if (table_->TryAt(target) == nullptr) {
@@ -319,7 +302,7 @@ MembershipReport MembershipCoordinator::Leave(NodeId leaver,
   // write availability — the §4 point. A drain that fails midway leaves
   // only idempotent re-installs behind, so it degrades to the same case.
   MembershipReport drain;
-  if (StreamImage(leaver, old_cfg->members, *old_cfg, shards,
+  if (StreamImage(leaver, old_cfg->members, *old_cfg,
                   client_.BelievedGeneration(), drain)) {
     report.drained = true;
     report.seal_entries = drain.seal_entries;
@@ -369,7 +352,7 @@ MembershipReport AddReplica(runtime::ReplicatedStore& store,
                                     store.ConfigTableRef(),
                                     store.CurrentConfigId(), options);
   const MembershipReport join = coordinator.Join(
-      joiner, donors, store.ShardsPerReplica(), target);
+      joiner, donors, target);
   report.ok = join.ok;
   report.config_id = join.config_id;
   report.generation = join.generation;
@@ -421,7 +404,7 @@ MembershipReport RemoveReplica(runtime::ReplicatedStore& store, NodeId node,
                                     store.ConfigTableRef(),
                                     store.CurrentConfigId(), options);
   const MembershipReport leave =
-      coordinator.Leave(node, store.ShardsPerReplica(), target);
+      coordinator.Leave(node, target);
   report.ok = leave.ok;
   report.config_id = leave.config_id;
   report.generation = leave.generation;

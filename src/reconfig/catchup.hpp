@@ -11,8 +11,8 @@
 //      (kJoinReq -> kCatchupReq/kCatchupChunk -> kCatchupDone), while
 //      client traffic keeps flowing. The pull is cursor-driven and
 //      stateless on the donor, so a donor crash mid-stream is recovered
-//      by re-issuing the join (same shard layout => the joiner resumes
-//      from its cursor, against the same donor or a different one).
+//      by re-issuing the join (the joiner resumes from its cursor,
+//      against the same donor or a different one).
 //   B. Stamp — the embedded QuorumClient runs the paper's Reconfigure:
 //      (target, g+1) to a write quorum of the old configuration,
 //      capturing the exact old-member set S_acked that acked the stamp.
@@ -61,7 +61,7 @@ struct MembershipOptions {
   /// Retries per step (lost messages, donor failover) before giving up.
   std::size_t max_step_attempts = 8;
   /// Entries per seal/drain chunk (bounds both message size and the time
-  /// a donor shard thread spends serving one chunk).
+  /// a donor's loop spends serving one chunk).
   std::size_t chunk_entries = 128;
   /// Options for the embedded reconfigure/priming client. Defaults to
   /// retrying (unlike the bare client's single-shot default): a membership
@@ -110,17 +110,15 @@ class MembershipCoordinator {
   /// Grow: stream `joiner` current (phase A, trying `donors` in order
   /// with failover), install `target` (phase B), seal (phase C). The
   /// target configuration must already be appended to the table and its
-  /// member set must be exactly the old members plus `joiner`. `shards`
-  /// is the store-wide shard layout every replica uses.
+  /// member set must be exactly the old members plus `joiner`.
   MembershipReport Join(runtime::NodeId joiner,
                         const std::vector<runtime::NodeId>& donors,
-                        std::uint64_t shards, std::uint32_t target);
+                        std::uint32_t target);
 
   /// Shrink: drain `leaver` into a write quorum of the old configuration,
   /// then install `target` (already appended; old members minus the
   /// leaver). The caller stops the leaver afterwards.
-  MembershipReport Leave(runtime::NodeId leaver, std::uint64_t shards,
-                         std::uint32_t target);
+  MembershipReport Leave(runtime::NodeId leaver, std::uint32_t target);
 
   std::uint32_t BelievedConfig() const { return client_.BelievedConfig(); }
   std::uint64_t BelievedGeneration() const {
@@ -136,19 +134,17 @@ class MembershipCoordinator {
   /// `donors`; each retry resumes from the joiner's cursor.
   bool RunBulkCatchup(runtime::NodeId joiner,
                       const std::vector<runtime::NodeId>& donors,
-                      std::uint64_t shards, MembershipReport& report);
-  /// Stream every shard of `source`'s image into `targets`, chunk by
+                      MembershipReport& report);
+  /// Stream `source`'s image into `targets`, chunk by
   /// chunk, each chunk installed under `generation` and acked by
   /// `quorum_of` before the next is pulled. Adds to report.seal_entries.
   bool StreamImage(runtime::NodeId source,
                    const std::vector<runtime::NodeId>& targets,
                    const runtime::MemberConfig& quorum_of,
-                   std::uint64_t shards, std::uint64_t generation,
-                   MembershipReport& report);
-  /// Pull one chunk (with per-step retries). Returns false on timeout or
-  /// layout mismatch; out params: entries, next cursor, more-remaining.
-  bool PullChunk(runtime::NodeId source, std::uint32_t shard,
-                 std::uint64_t shards, std::string& cursor, bool& more,
+                   std::uint64_t generation, MembershipReport& report);
+  /// Pull one chunk (with per-step retries). Returns false on timeout;
+  /// out params: entries, next cursor, more-remaining.
+  bool PullChunk(runtime::NodeId source, std::string& cursor, bool& more,
                  std::vector<runtime::BatchEntry>& entries,
                  std::string& error);
   /// Install `entries` at every target, retrying until `quorum_of`'s

@@ -61,26 +61,23 @@ struct RtMessage {
     kBatchWriteAck,  // batch: acks every entry's op id
     kShutdown,       // internal: stop a server loop
     kImagePeek,      // internal: copy the replica's state for observers
-                     // (`generation` carries the peek epoch on sharded
-                     // replicas so a retried peek is served exactly once)
+                     // (`generation` carries the peek epoch so a retried
+                     // peek is served exactly once)
     // --- Membership change / streaming catchup (DESIGN.md §11). The four
     // kinds reuse the existing fields; no new struct members.
     kCatchupReq,     // puller -> donor: `key` = resume cursor (exclusive;
-                     // "" = shard start), `value` = max entries per chunk,
-                     // `version` = donor shard index to pull from,
-                     // `op` = pull op id
+                     // "" = start), `value` = max entries per chunk,
+                     // `version` = 0 (a nonzero stripe index is refused
+                     // with an empty, final chunk), `op` = pull op id
     kCatchupChunk,   // donor -> puller: `batch` = (key, version, value)
                      // entries in ascending key order, `key` = next cursor,
                      // `value` = 1 if more remain else 0, `generation` /
-                     // `config_id` = donor's current stamp, `version` =
-                     // donor shard count; `op` echoes the request. A
-                     // `version` of 0 with empty batch signals a typed
-                     // refusal (donor down or manifest mismatch).
+                     // `config_id` = donor's current stamp; `op` echoes
+                     // the request
     kCatchupDone,    // joiner -> coordinator: `value` = 0 ok, nonzero =
-                     // typed error code; `version` = entries streamed
-    kJoinReq,        // coordinator -> joiner: start pulling; `value` =
-                     // donor node id, `version` = expected shard count,
-                     // `op` = join op id
+                     // refused; `version` = entries streamed
+    kJoinReq,        // coordinator -> joiner: start (or resume) pulling;
+                     // `value` = donor node id, `op` = join op id
     kCrashDrain,     // internal: fail-stop marker. Crash(node) enqueues it
                      // at the tail of the node's mailbox; everything ahead
                      // of it is applied, everything behind it is refused,
@@ -88,10 +85,8 @@ struct RtMessage {
                      // instead of a timing race. Never encoded on the wire
                      // (codec kMaxKind = kJoinReq rejects it).
   };
-  // Sharded replicas (StoreOptions::shards_per_replica > 1) resolve each
-  // key to its shard internally; a kBatch* request still gets exactly one
-  // response per replica, and a kConfigWriteReq is acked once, after
-  // every shard applied it (the stamp is store-wide state).
+  // A kBatch* request gets exactly one response per replica, and a
+  // kConfigWriteReq is acked once, after the replica logged the stamp.
   Kind kind = Kind::kReadReq;
   std::uint64_t op = 0;
   std::string key;

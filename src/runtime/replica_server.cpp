@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "common/check.hpp"
-#include "runtime/sharding.hpp"
 
 namespace qcnt::runtime {
 
@@ -18,29 +17,20 @@ constexpr std::size_t kCatchupChunkCeiling = 4096;
 }  // namespace
 
 ReplicaServer::ReplicaServer(Transport& transport, NodeId id)
-    : ReplicaServer(transport, id, 1, [](std::size_t) {
-        return storage::MakeMemoryBackend();
-      }) {}
+    : ReplicaServer(transport, id, storage::MakeMemoryBackend()) {}
 
 ReplicaServer::ReplicaServer(Transport& transport, NodeId id,
-                             const std::size_t shards,
-                             const BackendFactory& make_backend,
+                             std::unique_ptr<storage::Backend> backend,
                              bool record_history)
-    : transport_(&transport), id_(id), record_history_(record_history) {
-  QCNT_CHECK(shards >= 1);
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->backend = make_backend(s);
-    QCNT_CHECK(shard->backend != nullptr);
-    shards_.push_back(std::move(shard));
-  }
-  wal_parts_.assign(shards, {});
-  touched_flag_.assign(shards, 0);
+    : transport_(&transport),
+      id_(id),
+      record_history_(record_history),
+      backend_(std::move(backend)) {
+  QCNT_CHECK(backend_ != nullptr);
   // Recover before the hooks below capture `this`: a backend refusing its
   // directory (storage::LayoutError) throws out of the constructor with
   // nothing left registered on the transport.
-  RecoverShards();
+  image_ = backend_->Recover();
   // The crash hook makes Transport::Crash a deterministic cut: it pushes
   // a kCrashDrain marker and waits until the loop passed it, so
   // everything delivered before the crash is applied and everything after
@@ -54,12 +44,6 @@ ReplicaServer::~ReplicaServer() {
   Shutdown();
   transport_->SetCrashHook(id_, nullptr);
   transport_->SetRecoverHook(id_, nullptr);
-}
-
-void ReplicaServer::RecoverShards() {
-  for (auto& sh : shards_) {
-    sh->image = sh->backend->Recover();
-  }
 }
 
 void ReplicaServer::StartLoop() {
@@ -160,16 +144,14 @@ void ReplicaServer::CrashAndWipe() {
     config_payload_gen_ = 0;
     config_payload_id_ = 0;
   }
-  for (auto& sh : shards_) {
-    sh->image = storage::Image{};
-    sh->history.clear();  // volatile, dies with the node
-    sh->backend->OnCrash();
-  }
+  image_ = storage::Image{};
+  history_.clear();  // volatile, dies with the node
+  backend_->OnCrash();
 }
 
 void ReplicaServer::Restart() {
   if (thread_.joinable()) return;
-  RecoverShards();
+  image_ = backend_->Recover();
   StartLoop();
 }
 
@@ -207,32 +189,23 @@ void ReplicaServer::ServePeek(std::uint64_t epoch) {
     return;  // stale epoch or a retry already served
   }
   ReplicaSnapshot& out = peek_slot_;
-  for (const auto& sh : shards_) {
-    // Shard images are key-disjoint; the stamp merge takes the newest.
-    for (const auto& [key, v] : sh->image.data) {
-      out.image.data.emplace(key, v);
-    }
-    out.image.ApplyConfig(sh->image.generation, sh->image.config_id);
-    // Spill mode: the in-memory image is only the un-checkpointed tail.
-    // Overlay the checkpoint chain so observers still see the full map;
-    // the image merge rule keeps the hot copy wherever both layers hold a
-    // key. Non-spill backends visit nothing here.
-    sh->backend->ScanAll(
-        [&out](const std::string& key, const storage::Versioned& v) {
-          out.image.ApplyWrite(key, v.version, v.value);
-        });
-    out.history.insert(out.history.end(), sh->history.begin(),
-                       sh->history.end());
-    out.storage += sh->backend->Stats();
-  }
+  out.image = image_;
+  // Spill mode: the in-memory image is only the un-checkpointed tail.
+  // Overlay the checkpoint chain so observers still see the full map; the
+  // image merge rule keeps the hot copy wherever both layers hold a key.
+  // Non-spill backends visit nothing here.
+  backend_->ScanAll(
+      [&out](const std::string& key, const storage::Versioned& v) {
+        out.image.ApplyWrite(key, v.version, v.value);
+      });
+  out.history = history_;
+  out.storage = backend_->Stats();
   peek_served_ = epoch;
   peek_cv_.notify_all();
 }
 
 storage::StorageStats ReplicaServer::StorageStats() const {
-  storage::StorageStats total;
-  for (const auto& sh : shards_) total += sh->backend->Stats();
-  return total;
+  return backend_->Stats();
 }
 
 BatchStats ReplicaServer::BatchStats() const {
@@ -242,14 +215,10 @@ BatchStats ReplicaServer::BatchStats() const {
   s.max_batch = max_batch_.load(std::memory_order_relaxed);
   s.read_ops = read_ops_.load(std::memory_order_relaxed);
   s.write_ops = write_ops_.load(std::memory_order_relaxed);
-  const std::uint64_t queue_peak =
-      queue_peak_.load(std::memory_order_relaxed);
-  for (const auto& sh : shards_) {
-    s.per_shard.push_back(ShardCounters{
-        sh->ops.load(std::memory_order_relaxed),
-        sh->batches.load(std::memory_order_relaxed),
-        sh->backend->Stats().fsyncs, queue_peak});
-  }
+  s.per_shard.push_back(
+      ShardCounters{ops_.load(std::memory_order_relaxed), s.batches_applied,
+                    backend_->Stats().fsyncs,
+                    queue_peak_.load(std::memory_order_relaxed)});
   const net::Mailbox& inbox = transport_->MailboxOf(id_);
   s.mailbox_handoffs = inbox.Handoffs();
   s.mailbox_wakeups = inbox.Wakeups();
@@ -286,7 +255,7 @@ void ReplicaServer::Loop() {
 void ReplicaServer::NoteConfigPayload(const RtMessage& m) {
   if (!m.config) return;
   std::lock_guard<std::mutex> lock(config_payload_mu_);
-  // Same (generation, config_id) order as the shard stamps: an orphaned
+  // Same (generation, config_id) order as the image stamp: an orphaned
   // stamp from a lost reconfigure attempt is superseded, a duplicated
   // install is a no-op.
   if (m.generation > config_payload_gen_ ||
@@ -314,10 +283,10 @@ void ReplicaServer::MaybeAttachConfig(const RtMessage& req,
   }
 }
 
-bool ReplicaServer::ApplyToImage(Shard& sh, const std::string& key,
+void ReplicaServer::ApplyToImage(const std::string& key,
                                  std::uint64_t version, std::int64_t value) {
-  auto it = sh.image.data.find(key);
-  if (it == sh.image.data.end()) {
+  auto it = image_.data.find(key);
+  if (it == image_.data.end()) {
     // Spill mode: a key absent from the in-memory map may still hold a
     // durable version in the checkpoint chain — install that before the
     // merge below, or a retried/stale install could regress an acked
@@ -325,8 +294,8 @@ bool ReplicaServer::ApplyToImage(Shard& sh, const std::string& key,
     // miss (memory backends and non-spill durables return false
     // immediately), reproducing the old default-insert.
     storage::Versioned cold;
-    sh.backend->Lookup(key, &cold);
-    it = sh.image.data.emplace(key, cold).first;
+    backend_->Lookup(key, &cold);
+    it = image_.data.emplace(key, cold).first;
   }
   storage::Versioned& v = it->second;
   // (version, value) is a total order: concurrent writers that race to
@@ -334,16 +303,20 @@ bool ReplicaServer::ApplyToImage(Shard& sh, const std::string& key,
   // layer shows a concurrency-control layer prevents such races; the
   // runtime stays safe without one). Strictly-greater on the value leg
   // makes the apply idempotent: a re-delivered copy of an already-held
-  // (version, value) is a no-op — no duplicate history entry, and (in the
-  // batch path) no duplicate WAL record — while still being acked, which
-  // is what lets a lossy/duplicating bus retry writes safely.
+  // (version, value) is a no-op — no duplicate history entry and no
+  // duplicate WAL record — while still being acked, which is what lets a
+  // lossy/duplicating bus retry writes safely.
   if (version > v.version || (version == v.version && value > v.value)) {
     v.version = version;
     v.value = value;
-    if (record_history_) sh.history.push_back({key, version, value});
-    return true;
+    if (record_history_) history_.push_back({key, version, value});
+    storage::WalRecord rec;
+    rec.type = storage::WalRecord::Type::kWrite;
+    rec.key = key;
+    rec.version = version;
+    rec.value = value;
+    wal_batch_.push_back(std::move(rec));
   }
-  return false;
 }
 
 void ReplicaServer::TrackPeak(std::atomic<std::uint64_t>& peak,
@@ -354,32 +327,16 @@ void ReplicaServer::TrackPeak(std::atomic<std::uint64_t>& peak,
   }
 }
 
-void ReplicaServer::NoteTouched(std::size_t s) {
-  if (!touched_flag_[s]) {
-    touched_flag_[s] = 1;
-    touched_.push_back(s);
+void ReplicaServer::FinishBatch(std::size_t entries) {
+  if (!wal_batch_.empty()) {
+    // One write(2) and one group-commit fsync decision per batch, before
+    // the single ack that covers it — write-ahead still holds: the ack
+    // covers exactly the records the backend accepted.
+    backend_->ApplyWriteBatch(wal_batch_);
+    backend_->MaybeCompact(image_);
+    wal_batch_.clear();
   }
-}
-
-void ReplicaServer::FlushTouched() {
-  for (const std::size_t s : touched_) {
-    Shard& sh = *shards_[s];
-    sh.batches.fetch_add(1, std::memory_order_relaxed);
-    if (!wal_parts_[s].empty()) {
-      // One write(2) and one group-commit fsync decision per shard the
-      // batch touched, before the single ack that covers them all —
-      // write-ahead still holds: the ack covers exactly the records the
-      // backends accepted.
-      sh.backend->ApplyWriteBatch(wal_parts_[s]);
-      sh.backend->MaybeCompact(sh.image);
-      wal_parts_[s].clear();
-    }
-    touched_flag_[s] = 0;
-  }
-  touched_.clear();
-}
-
-void ReplicaServer::CountBatchTotals(std::size_t entries) {
+  ops_.fetch_add(entries, std::memory_order_relaxed);
   batches_applied_.fetch_add(1, std::memory_order_relaxed);
   batched_ops_.fetch_add(entries, std::memory_order_relaxed);
   TrackPeak(max_batch_, entries);
@@ -388,40 +345,25 @@ void ReplicaServer::CountBatchTotals(std::size_t entries) {
 void ReplicaServer::HandleBatchRead(const RtMessage& m, RtMessage& reply) {
   reply.kind = RtMessage::Kind::kBatchReadResp;
   reply.batch.reserve(m.batch.size());
-  // The header stamp teaches the client the store's configuration. Shards
-  // can only disagree after a process died between logging a config write
-  // on one shard and the next, so report the newest stamp seen across the
-  // touched shards.
-  std::uint64_t gen = 0;
-  std::uint32_t cfg = 0;
   for (const BatchEntry& entry : m.batch) {
-    const std::size_t s = ShardForKey(entry.key, shards_.size());
-    Shard& sh = *shards_[s];
-    NoteTouched(s);
-    if (sh.image.generation > gen ||
-        (sh.image.generation == gen && sh.image.config_id > cfg)) {
-      gen = sh.image.generation;
-      cfg = sh.image.config_id;
-    }
     // find(), not operator[]: a read must not grow the image (spill mode
     // keeps it bounded), and a miss falls through to the cold layer —
     // which reports {0, 0} for keys absent everywhere.
     storage::Versioned v;
-    if (const auto it = sh.image.data.find(entry.key);
-        it != sh.image.data.end()) {
+    if (const auto it = image_.data.find(entry.key);
+        it != image_.data.end()) {
       v = it->second;
     } else {
-      sh.backend->Lookup(entry.key, &v);
+      backend_->Lookup(entry.key, &v);
     }
     reply.batch.push_back(
         BatchEntry{entry.op, entry.key, v.version, v.value});
-    sh.ops.fetch_add(1, std::memory_order_relaxed);
   }
-  reply.generation = gen;
-  reply.config_id = cfg;
+  // The header stamp teaches the client the store's configuration.
+  reply.generation = image_.generation;
+  reply.config_id = image_.config_id;
   MaybeAttachConfig(m, reply);
-  FlushTouched();
-  CountBatchTotals(m.batch.size());
+  FinishBatch(m.batch.size());
   read_ops_.fetch_add(m.batch.size(), std::memory_order_relaxed);
 }
 
@@ -429,42 +371,23 @@ void ReplicaServer::HandleBatchWrite(const RtMessage& m,
                                      RtMessage& reply) {
   reply.kind = RtMessage::Kind::kBatchWriteAck;
   reply.batch.reserve(m.batch.size());
-  std::uint64_t gen = 0;
-  std::uint32_t cfg = 0;
+  // Generation fence against the replica's stamp: refused entries ack
+  // with value = 1 (NACK) and the header stamp teaches the client the
+  // configuration that fenced them. This is what guarantees that once a
+  // configuration stamp is acked, no write can complete under the old
+  // generation purely on fenced replicas — the seal pass of a membership
+  // change (DESIGN.md §11) relies on it.
+  const bool fenced = m.generation < image_.generation;
   for (const BatchEntry& entry : m.batch) {
-    const std::size_t s = ShardForKey(entry.key, shards_.size());
-    Shard& sh = *shards_[s];
-    NoteTouched(s);
-    if (sh.image.generation > gen ||
-        (sh.image.generation == gen && sh.image.config_id > cfg)) {
-      gen = sh.image.generation;
-      cfg = sh.image.config_id;
-    }
-    // Generation fence per entry against its shard's stamp: refused
-    // entries ack with value = 1 (NACK) and the header stamp teaches the
-    // client the configuration that fenced them. This is what guarantees
-    // that once a configuration stamp is acked, no write can complete
-    // under the old generation purely on fenced replicas — the seal pass
-    // of a membership change (DESIGN.md §11) relies on it.
-    const bool fenced = m.generation < sh.image.generation;
-    if (!fenced && ApplyToImage(sh, entry.key, entry.version, entry.value)) {
-      storage::WalRecord rec;
-      rec.type = storage::WalRecord::Type::kWrite;
-      rec.key = entry.key;
-      rec.version = entry.version;
-      rec.value = entry.value;
-      wal_parts_[s].push_back(std::move(rec));
-    }
+    if (!fenced) ApplyToImage(entry.key, entry.version, entry.value);
     reply.batch.push_back(BatchEntry{entry.op, {}, 0, fenced ? 1 : 0});
-    sh.ops.fetch_add(1, std::memory_order_relaxed);
   }
-  reply.generation = gen;
-  reply.config_id = cfg;
+  reply.generation = image_.generation;
+  reply.config_id = image_.config_id;
   MaybeAttachConfig(m, reply);
-  // Accepted records reach the backends (one batch append + one
-  // group-commit decision per touched shard) before the single ack below.
-  FlushTouched();
-  CountBatchTotals(m.batch.size());
+  // Accepted records reach the backend (one batch append + one
+  // group-commit decision) before the single ack below.
+  FinishBatch(m.batch.size());
   write_ops_.fetch_add(m.batch.size(), std::memory_order_relaxed);
 }
 
@@ -475,25 +398,21 @@ void ReplicaServer::Handle(Envelope& e) {
   reply.key = m.key;
   switch (m.kind) {
     case RtMessage::Kind::kConfigWriteReq: {
-      // The stamp is store-wide: every shard applies and logs it before
-      // the single ack. Stamps order by (generation, config_id) — config
-      // ids are append-ordered, so an equal-generation install of a newer
-      // configuration (an orphaned stamp from a timed-out reconfigure
-      // attempt colliding with the attempt that won) supersedes, while a
-      // duplicated install stays a no-op (no re-log), mirroring
-      // ApplyToImage's idempotence.
-      for (auto& shard : shards_) {
-        Shard& sh = *shard;
-        if (m.generation > sh.image.generation ||
-            (m.generation == sh.image.generation &&
-             m.config_id > sh.image.config_id)) {
-          sh.image.generation = m.generation;
-          sh.image.config_id = m.config_id;
-          sh.backend->ApplyConfig(sh.image.generation, sh.image.config_id);
-          sh.backend->MaybeCompact(sh.image);
-        }
-        sh.ops.fetch_add(1, std::memory_order_relaxed);
+      // The stamp is logged before the single ack. Stamps order by
+      // (generation, config_id) — config ids are append-ordered, so an
+      // equal-generation install of a newer configuration (an orphaned
+      // stamp from a timed-out reconfigure attempt colliding with the
+      // attempt that won) supersedes, while a duplicated install stays a
+      // no-op (no re-log), mirroring ApplyToImage's idempotence.
+      if (m.generation > image_.generation ||
+          (m.generation == image_.generation &&
+           m.config_id > image_.config_id)) {
+        image_.generation = m.generation;
+        image_.config_id = m.config_id;
+        backend_->ApplyConfig(image_.generation, image_.config_id);
+        backend_->MaybeCompact(image_);
       }
+      ops_.fetch_add(1, std::memory_order_relaxed);
       NoteConfigPayload(m);
       reply.kind = RtMessage::Kind::kConfigWriteAck;
       reply.config = m.config;  // echo: the ack is self-describing too
@@ -528,28 +447,27 @@ void ReplicaServer::ServeCatchup(const Envelope& e) {
   RtMessage reply;
   reply.kind = RtMessage::Kind::kCatchupChunk;
   reply.op = m.op;
-  reply.version = shards_.size();  // layout check on the puller side
-  if (m.version >= shards_.size()) {
-    // A shard beyond this replica's layout: the empty chunk's shard count
-    // exposes the mismatch, and the puller refuses the join.
+  if (m.version != 0) {
+    // A stripe index from a puller that expects a striped layout: this
+    // replica keeps one chain, so the request gets an empty, final chunk
+    // rather than a copy of the whole image under the wrong index.
     transport_->Send(id_, e.from, std::move(reply));
     return;
   }
-  Shard& sh = *shards_[m.version];
-  reply.generation = sh.image.generation;
-  reply.config_id = sh.image.config_id;
+  reply.generation = image_.generation;
+  reply.config_id = image_.config_id;
   const std::size_t limit =
       m.value > 0 && static_cast<std::uint64_t>(m.value) <= kCatchupChunkCeiling
           ? static_cast<std::size_t>(m.value)
           : kCatchupChunkEntries;
   // Hot half: the `limit` smallest in-memory keys strictly beyond the
-  // cursor (an empty cursor starts the shard; the empty key itself, if
+  // cursor (an empty cursor starts the image; the empty key itself, if
   // present, rides in the first chunk — re-sending it on a resume is a
   // harmless idempotent merge). The image is hash-ordered, so this is
-  // O(shard keys) per chunk; it runs on the loop, between live writes.
+  // O(image keys) per chunk; it runs on the loop, between live writes.
   std::vector<const std::pair<const std::string, storage::Versioned>*> cand;
-  cand.reserve(sh.image.data.size());
-  for (const auto& kv : sh.image.data) {
+  cand.reserve(image_.data.size());
+  for (const auto& kv : image_.data) {
     if (m.key.empty() || kv.first > m.key) cand.push_back(&kv);
   }
   const bool hot_more = cand.size() > limit;
@@ -568,9 +486,9 @@ void ReplicaServer::ServeCatchup(const Envelope& e) {
   // image evicted. ScanAbove yields ascending keys, newest version per
   // key; asking for limit+1 detects a deeper cold tail. The chunk's
   // `limit` smallest keys are a subset of hot[0..limit) ∪ cold[0..limit],
-  // so the two bounded sorted runs merge without a full shard scan.
+  // so the two bounded sorted runs merge without a full scan.
   std::vector<std::pair<std::string, storage::Versioned>> cold;
-  sh.backend->ScanAbove(
+  backend_->ScanAbove(
       m.key, limit + 1,
       [&cold](const std::string& key, const storage::Versioned& v) {
         cold.emplace_back(key, v);
@@ -601,7 +519,7 @@ void ReplicaServer::ServeCatchup(const Envelope& e) {
   const bool more = hot_more || i < cand.size() || j < cold.size();
   if (!reply.batch.empty()) reply.key = reply.batch.back().key;  // cursor
   reply.value = more ? 1 : 0;
-  sh.ops.fetch_add(1, std::memory_order_relaxed);
+  ops_.fetch_add(1, std::memory_order_relaxed);
   transport_->Send(id_, e.from, std::move(reply));
 }
 
@@ -610,41 +528,26 @@ void ReplicaServer::SendCatchupReq() {
   req.kind = RtMessage::Kind::kCatchupReq;
   req.op = ++join_.pull_seq;  // invalidates any in-flight stale chunk
   req.key = join_.cursor;
-  req.version = join_.shard;
   req.value = static_cast<std::int64_t>(kCatchupChunkEntries);
   transport_->Send(id_, join_.donor, std::move(req));
 }
 
 void ReplicaServer::HandleJoinReq(const Envelope& e) {
   const RtMessage& m = e.msg;
-  // Same expected layout → resume from (shard, cursor): this is the
-  // donor-crash recovery path — the coordinator re-issues the join with
-  // the same or a different donor, and the stream continues where it
-  // stopped (shard layouts agree, so cursors transfer between donors).
-  if (!join_.active ||
-      join_.expected_shards != m.version) {
+  // An active pull *resumes* from its cursor: this is the donor-crash
+  // recovery path — the coordinator re-issues the join with the same or a
+  // different donor, and the stream continues where it stopped.
+  if (!join_.active) {
     // pull_seq survives the reset: it must stay monotone against chunks
     // still in flight from an abandoned stream.
     const std::uint64_t seq = join_.pull_seq;
     join_ = JoinState{};
     join_.pull_seq = seq;
-    join_.expected_shards = m.version;
   }
   join_.active = true;
   join_.op = m.op;
   join_.donor = static_cast<NodeId>(m.value);
   join_.coordinator = e.from;
-  if (join_.shard >= join_.expected_shards) {
-    // Nothing left to pull (a done report the coordinator missed).
-    RtMessage done;
-    done.kind = RtMessage::Kind::kCatchupDone;
-    done.op = join_.op;
-    done.value = kJoinOk;
-    done.version = join_.entries;
-    transport_->Send(id_, join_.coordinator, std::move(done));
-    join_ = JoinState{};
-    return;
-  }
   SendCatchupReq();
 }
 
@@ -652,44 +555,24 @@ void ReplicaServer::HandleJoinChunk(Envelope& e) {
   RtMessage& m = e.msg;
   // Accept only the answer to the latest outstanding request: duplicates
   // and stale-stream chunks (older pull_seq) are dropped, so a duplicated
-  // final chunk can never double-increment the shard counter and skip a
-  // shard's remainder.
+  // final chunk can never end the pull twice.
   if (!join_.active || m.op != join_.pull_seq) return;
-  if (m.version != join_.expected_shards) {
-    // Shard-layout mismatch: a shard-by-shard stream would land keys on
-    // the wrong shard (and the wrong WAL segment). Refuse the join with
-    // a typed error; nothing already merged needs undoing (it is all
-    // legitimate replicated state).
-    RtMessage done;
-    done.kind = RtMessage::Kind::kCatchupDone;
-    done.op = join_.op;
-    done.value = kJoinErrShardMismatch;
-    done.version = join_.entries;
-    transport_->Send(id_, join_.coordinator, std::move(done));
-    join_ = JoinState{};
-    return;
-  }
   join_.entries += m.batch.size();
-  const bool more = m.value != 0;
   if (!m.batch.empty()) join_.cursor = m.key;
-  if (!more) {
-    ++join_.shard;
-    join_.cursor.clear();
-  }
-  // Chunk k is merged before chunk k+1 is requested below, so per-shard
-  // order is preserved and at most one chunk is ever in flight.
+  // Chunk k is merged before chunk k+1 is requested below, so order is
+  // preserved and at most one chunk is ever in flight.
   if (!m.batch.empty()) ApplyCatchupEntries(m.batch);
-  if (join_.shard >= join_.expected_shards) {
-    RtMessage done;
-    done.kind = RtMessage::Kind::kCatchupDone;
-    done.op = join_.op;
-    done.value = kJoinOk;
-    done.version = join_.entries;
-    transport_->Send(id_, join_.coordinator, std::move(done));
-    join_ = JoinState{};
+  if (m.value != 0) {
+    SendCatchupReq();
     return;
   }
-  SendCatchupReq();
+  RtMessage done;
+  done.kind = RtMessage::Kind::kCatchupDone;
+  done.op = join_.op;
+  done.value = kJoinOk;
+  done.version = join_.entries;
+  transport_->Send(id_, join_.coordinator, std::move(done));
+  join_ = JoinState{};
 }
 
 void ReplicaServer::ApplyCatchupEntries(
@@ -698,24 +581,10 @@ void ReplicaServer::ApplyCatchupEntries(
   // batch install: a pulled entry can never regress a version a
   // concurrent client write already placed here, which is exactly the
   // per-key monotonicity Lemma 8's envelope needs across the handover.
-  // Entries route per key like any batch — a chunk's keys all hash to
-  // one shard, but re-resolving keeps this path layout-agnostic.
   for (const BatchEntry& entry : entries) {
-    const std::size_t s = ShardForKey(entry.key, shards_.size());
-    Shard& sh = *shards_[s];
-    NoteTouched(s);
-    if (ApplyToImage(sh, entry.key, entry.version, entry.value)) {
-      storage::WalRecord rec;
-      rec.type = storage::WalRecord::Type::kWrite;
-      rec.key = entry.key;
-      rec.version = entry.version;
-      rec.value = entry.value;
-      wal_parts_[s].push_back(std::move(rec));
-    }
-    sh.ops.fetch_add(1, std::memory_order_relaxed);
+    ApplyToImage(entry.key, entry.version, entry.value);
   }
-  FlushTouched();
-  CountBatchTotals(entries.size());
+  FinishBatch(entries.size());
 }
 
 }  // namespace qcnt::runtime

@@ -1,22 +1,16 @@
 // Replica server: one thread per replica, applying every message to the
-// key-hash shard that owns its key.
+// replica's state in arrival order.
 //
 // The state per key is a (version, value) pair — a Section-3 DM — plus one
-// store-wide (generation, configuration) stamp for Section-4
-// reconfiguration, held together as storage::Image fragments, one per
-// shard. Keys are independent logical items (their per-item version orders
-// are what Lemmas 7/8 constrain), so splitting them across shards changes
-// no protocol-visible behavior.
-//
-// A *shard* is a durable layout unit only: its own Image fragment, WAL
-// segment chain and checkpoint chain (`shard_<s>/`), pinned by the
-// directory MANIFEST. The shard count cannot change without restriping
-// disk. It is not an execution unit: one loop thread drains the transport
-// mailbox in PopAll bursts and handles each message in arrival order,
-// resolving every key to its shard with ShardForKey. A batch therefore gets
-// exactly one reply however many shards it spans, and a config write
-// stamps every shard before its single ack (DESIGN.md §8 records why the
-// earlier dispatch stage and worker pool were removed).
+// replica-wide (generation, configuration) stamp for Section-4
+// reconfiguration, held together as one storage::Image. Under durability
+// the image is backed by one WAL segment chain and one checkpoint chain
+// (`replica_<r>/shard_0/`, anchored by the replica's MANIFEST). One loop
+// thread drains the transport mailbox in PopAll bursts and handles each
+// message in arrival order, so a batch gets exactly one reply and one WAL
+// append, and a config write is logged before its single ack (DESIGN.md
+// §8 records why the earlier dispatch stage, worker pool and key-hash
+// shards were removed).
 //
 // Crash semantics are fail-stop at replica granularity with a
 // *deterministic cut*: Transport::Crash marks the node down (so nothing
@@ -28,14 +22,13 @@
 // of its delivered message stream ending exactly at Crash() — not at
 // whatever message the loop happened to be holding. Bus::Send's up-check
 // guarantees no ack escapes after the crash. CrashAndWipe() additionally
-// stops the loop and discards every shard's image; Restart() rebuilds each
-// shard from its own backend (under durability: its own WAL segment chain
-// and checkpoints) and relaunches the loop.
+// stops the loop and discards the image; Restart() rebuilds it from the
+// backend (under durability: the WAL segment chain and checkpoints) and
+// relaunches the loop.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -55,12 +48,10 @@ struct AppliedWrite {
   std::int64_t value = 0;
 };
 
-/// Per-shard execution counters (volatile, unlike StorageStats). `ops`
-/// counts operations applied (batch entries and config stamps);
-/// `batches` counts batch messages that touched the shard; `queue_peak`
-/// is the loop's high-water mark of messages moved by one mailbox drain.
-/// Ops and fsyncs are genuinely per shard; queue_peak is the same for
-/// every shard of a replica.
+/// Execution counters of a replica's one chain (volatile, unlike
+/// StorageStats). `ops` counts operations applied (batch entries and
+/// config stamps); `batches` counts batch messages; `queue_peak` is the
+/// loop's high-water mark of messages moved by one mailbox drain.
 struct ShardCounters {
   std::uint64_t ops = 0;
   std::uint64_t batches = 0;
@@ -94,9 +85,8 @@ struct BatchStats {
   std::uint64_t mailbox_wakeups = 0;
   std::uint64_t worker_handoffs = 0;  // always 0: no dispatch→worker hop
   std::uint64_t worker_wakeups = 0;   // always 0: no dispatch→worker hop
-  /// One slot per shard; merging stats from replicas with different shard
-  /// counts aligns slots by index (shard balance only means something
-  /// within one replica, but aggregate totals still add up).
+  /// Always one entry: the replica's chain. Kept only because qbench
+  /// reads per-stripe counters; it goes with the next benchmark change.
   std::vector<ShardCounters> per_shard;
 
   BatchStats& operator+=(const BatchStats& o) {
@@ -120,33 +110,27 @@ struct BatchStats {
 };
 
 /// Point-in-time copy of a replica's volatile state, taken on the loop
-/// thread between messages (never mid-batch); the shard images are
-/// key-disjoint, so the merged image is a consistent snapshot. History is
-/// concatenated shard-by-shard: per-key order is exact (a key lives in one
-/// shard); cross-key interleaving is not preserved.
+/// thread between messages (never mid-batch), so it is consistent.
 struct ReplicaSnapshot {
-  /// Merged key map. Under a spill-mode durable backend the shard images
-  /// hold only the un-checkpointed tail; Peek overlays the checkpoint
+  /// The key map. Under a spill-mode durable backend the in-memory image
+  /// holds only the un-checkpointed tail; Peek overlays the checkpoint
   /// chain (Backend::ScanAll) so this is always the full logical map.
   storage::Image image;
   std::vector<AppliedWrite> history;  // empty unless record_history
-  BatchStats stats;                   // includes per-shard counters
-  storage::StorageStats storage;      // summed across the shard backends
+  BatchStats stats;
+  storage::StorageStats storage;
 };
 
 class ReplicaServer {
  public:
-  /// Builds the backend for one shard (called once per shard index).
-  using BackendFactory =
-      std::function<std::unique_ptr<storage::Backend>(std::size_t)>;
-
-  /// Single shard, in-memory backend; starts the server thread. The
-  /// transport may be the in-process Bus or a net::TcpTransport hosting
-  /// this node — the server only uses the Transport surface.
+  /// In-memory backend; starts the server thread. The transport may be
+  /// the in-process Bus or a net::TcpTransport hosting this node — the
+  /// server only uses the Transport surface.
   ReplicaServer(Transport& transport, NodeId id);
-  /// `shards` key-hash shards, each recovering from its own backend.
-  ReplicaServer(Transport& transport, NodeId id, std::size_t shards,
-                const BackendFactory& make_backend,
+  /// Recovers from `backend` before starting the loop; a backend refusing
+  /// its directory (storage::LayoutError) throws out of the constructor.
+  ReplicaServer(Transport& transport, NodeId id,
+                std::unique_ptr<storage::Backend> backend,
                 bool record_history = false);
   ~ReplicaServer();
 
@@ -154,7 +138,6 @@ class ReplicaServer {
   ReplicaServer& operator=(const ReplicaServer&) = delete;
 
   NodeId Id() const { return id_; }
-  std::size_t ShardCount() const { return shards_.size(); }
 
   /// Ask the loop to exit and join its thread.
   void Shutdown();
@@ -164,14 +147,14 @@ class ReplicaServer {
   /// of an in-flight request cannot escape.
   void CrashAndWipe();
 
-  /// Relaunch after CrashAndWipe (or Shutdown): recover each shard's image
-  /// from its backend and restart the loop. No-op if already running.
+  /// Relaunch after CrashAndWipe (or Shutdown): recover the image from
+  /// the backend and restart the loop. No-op if already running.
   /// Throws (and stays down) when a backend refuses its directory.
   void Restart();
 
   bool Running() const { return thread_.joinable(); }
 
-  /// Consistent merged copy of the replica's state (see ReplicaSnapshot).
+  /// Consistent copy of the replica's state (see ReplicaSnapshot).
   /// Must only be called while the server is running.
   ReplicaSnapshot Peek();
 
@@ -179,18 +162,6 @@ class ReplicaServer {
   runtime::BatchStats BatchStats() const;
 
  private:
-  /// A durable layout unit: image fragment + backend (WAL segment chain).
-  /// Only the loop thread touches image/history/backend.
-  struct Shard {
-    storage::Image image;
-    std::vector<AppliedWrite> history;
-    std::unique_ptr<storage::Backend> backend;
-    std::atomic<std::uint64_t> ops{0};
-    std::atomic<std::uint64_t> batches{0};
-  };
-
-  /// Rebuild every shard's image from its backend.
-  void RecoverShards();
   /// Launch the loop thread over the recovered images.
   void StartLoop();
   void Loop();
@@ -207,33 +178,30 @@ class ReplicaServer {
   void Handle(Envelope& e);
   void HandleBatchRead(const RtMessage& m, RtMessage& reply);
   void HandleBatchWrite(const RtMessage& m, RtMessage& reply);
-  /// Mark shard `s` touched by the batch in flight.
-  void NoteTouched(std::size_t s);
-  /// Per touched shard: bump its batch counter, flush staged WAL records
-  /// with one ApplyWriteBatch, and reset the touched set.
-  void FlushTouched();
-  void CountBatchTotals(std::size_t entries);
-  /// Donor side of streaming catchup: serve one bounded chunk of the shard
-  /// named by `m.version` — the smallest `m.value` keys strictly greater
-  /// than the cursor `m.key` — ascending, with the shard count and the
-  /// replica's stamp on the reply. It runs on the loop, so chunks
-  /// interleave with live writes without any extra locking.
+  /// Close one batch: append the staged WAL records with one
+  /// ApplyWriteBatch (before the single ack that covers them), let the
+  /// backend compact, and count the batch.
+  void FinishBatch(std::size_t entries);
+  /// Donor side of streaming catchup: serve one bounded chunk — the
+  /// smallest `m.value` keys strictly greater than the cursor `m.key` —
+  /// ascending, with the replica's stamp on the reply. It runs on the
+  /// loop, so chunks interleave with live writes without any extra
+  /// locking.
   void ServeCatchup(const Envelope& e);
-  /// Joiner side: start (or resume) pulling the donor's image shard by
-  /// shard.
+  /// Joiner side: start (or resume) pulling the donor's image.
   void HandleJoinReq(const Envelope& e);
-  /// Joiner side: one arrived chunk — verify the shard layout, merge the
-  /// entries, advance the cursor, request the next chunk or report
-  /// kCatchupDone to the coordinator.
+  /// Joiner side: one arrived chunk — merge the entries, advance the
+  /// cursor, request the next chunk or report kCatchupDone to the
+  /// coordinator.
   void HandleJoinChunk(Envelope& e);
   void SendCatchupReq();
   /// Merge pulled entries under the same newer-version-wins order as live
   /// writes (so a chunk can never regress a version a concurrent install
   /// already placed), write-ahead logging the accepted ones.
   void ApplyCatchupEntries(const std::vector<BatchEntry>& entries);
-  /// Newer-version-wins merge of one write into the shard image; true when
-  /// the write was accepted (and therefore must reach the backend).
-  bool ApplyToImage(Shard& sh, const std::string& key, std::uint64_t version,
+  /// Newer-version-wins merge of one write into the image; an accepted
+  /// write is staged in wal_batch_ for the batch's one backend append.
+  void ApplyToImage(const std::string& key, std::uint64_t version,
                     std::int64_t value);
   void ServePeek(std::uint64_t epoch);
   static void TrackPeak(std::atomic<std::uint64_t>& peak, std::uint64_t v);
@@ -249,15 +217,17 @@ class ReplicaServer {
   Transport* transport_;
   NodeId id_;
   bool record_history_ = false;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // Only the loop thread touches image_, history_ and backend_ (Stats()
+  // on the backend is safe from any thread).
+  storage::Image image_;
+  std::vector<AppliedWrite> history_;
+  std::unique_ptr<storage::Backend> backend_;
   std::thread thread_;  // the loop
 
-  // The loop's scratch, reused across batches: batch handlers regroup
-  // accepted WAL records per shard (indexed by shard) for one
-  // ApplyWriteBatch each, and track which shards the batch touched.
-  std::vector<std::vector<storage::WalRecord>> wal_parts_;
-  std::vector<std::size_t> touched_;
-  std::vector<char> touched_flag_;
+  // The loop's scratch, reused across batches: the batch's accepted WAL
+  // records, appended with one ApplyWriteBatch.
+  std::vector<storage::WalRecord> wal_batch_;
+  std::atomic<std::uint64_t> ops_{0};
   std::atomic<std::uint64_t> queue_peak_{0};
 
   // Crash-drain handshake: OnBusCrash (an external thread, inside
@@ -305,23 +275,21 @@ class ReplicaServer {
   std::uint32_t config_payload_id_ = 0;
 
   /// Joiner-side pull progress. Touched only by the loop, so it needs no
-  /// lock. A fresh kJoinReq with the same expected shard layout *resumes*
-  /// from (shard, cursor): that is what makes a donor crash mid-stream
-  /// recoverable, from the same donor or a different one.
+  /// lock. A fresh kJoinReq during an active pull *resumes* from the
+  /// cursor: that is what makes a donor crash mid-stream recoverable, from
+  /// the same donor or a different one.
   struct JoinState {
     bool active = false;
     std::uint64_t op = 0;
     NodeId donor = 0;
     NodeId coordinator = 0;
-    std::uint64_t expected_shards = 0;
-    std::uint32_t shard = 0;     // shard currently being pulled
     std::string cursor;          // last key received (exclusive)
     std::uint64_t entries = 0;   // total entries streamed so far
     /// Monotone per-request id (rides in kCatchupReq::op, echoed by the
     /// donor). Only the chunk answering the *latest outstanding* request
     /// advances the cursor — a duplicated or reordered chunk (fault
-    /// injection, donor failover races) is dropped instead of double-
-    /// advancing the shard counter or resurrecting a stale cursor.
+    /// injection, donor failover races) is dropped instead of ending the
+    /// pull early or resurrecting a stale cursor.
     /// Survives a resume (it must stay monotone against in-flight stale
     /// chunks); cleared only by CrashAndWipe.
     std::uint64_t pull_seq = 0;
@@ -329,11 +297,7 @@ class ReplicaServer {
   JoinState join_;
 };
 
-/// kCatchupDone error codes (RtMessage::value).
+/// kCatchupDone status (RtMessage::value): the pull completed.
 inline constexpr std::int64_t kJoinOk = 0;
-/// Donor's shard count differs from the layout the coordinator promised:
-/// a shard-by-shard stream would land keys on the wrong shard (and, under
-/// durability, the wrong WAL segment), so the join is refused outright.
-inline constexpr std::int64_t kJoinErrShardMismatch = 1;
 
 }  // namespace qcnt::runtime

@@ -17,28 +17,6 @@ std::string ReplicaDir(const StoreOptions& options, std::size_t replica) {
          std::to_string(replica);
 }
 
-std::size_t ResolveShards(const StoreOptions& options) {
-  // An existing durable layout decides: the MANIFEST pins the count the
-  // directory was striped with, whatever wrote it.
-  if (options.durability) {
-    for (std::size_t r = 0; r < options.replicas; ++r) {
-      if (const auto n =
-              storage::Manifest::ReadShardCount(ReplicaDir(options, r))) {
-        return *n;
-      }
-    }
-  }
-  // QCNT_SHARDS lets a test matrix (CI runs the runtime suite under TSan
-  // with 4 shards) force a count without touching every StoreOptions
-  // literal; out-of-range values fall back to the default.
-  if (const auto v = common::EnvU64("QCNT_SHARDS", 1, 64)) {
-    return static_cast<std::size_t>(*v);
-  }
-  // One shard: more shards only add WAL segments and fsyncs to the one
-  // loop (DESIGN.md §8).
-  return 1;
-}
-
 StoreOptions Normalize(StoreOptions options) {
   QCNT_CHECK(options.replicas >= 1 && options.replicas <= 63);
   QCNT_CHECK(options.max_clients >= 1);
@@ -82,11 +60,6 @@ StoreOptions Normalize(StoreOptions options) {
     QCNT_CHECK_MSG(!options.durability->directory.empty(),
                    "durability requires a directory");
   }
-  if (options.shards_per_replica == 0) {
-    options.shards_per_replica = ResolveShards(options);
-  }
-  QCNT_CHECK_MSG(options.shards_per_replica <= 64,
-                 "shards_per_replica out of range");
   if (options.faults && options.tcp) {
     // Loud and typed, not a silently ignored plan: the seeded injector
     // lives in the Bus, and a TCP store never routes through it.
@@ -104,7 +77,7 @@ StoreOptions Normalize(StoreOptions options) {
                        f.delay_min <= f.delay_max,
                    "delay_min must be in [0, delay_max]");
     // QCNT_FAULT_SEED lets a CI chaos matrix vary the seed per run
-    // without editing tests (same pattern as QCNT_SHARDS above).
+    // without editing tests.
     if (const auto v = common::EnvU64("QCNT_FAULT_SEED", 0,
                                       std::numeric_limits<std::uint64_t>::max())) {
       f.seed = *v;
@@ -146,29 +119,8 @@ std::unique_ptr<net::TcpTransport> MakeLoopbackTransport(
                                              std::move(local));
 }
 
-std::unique_ptr<storage::Backend> MakeShardBackend(
-    const StoreOptions& options,
-    const std::shared_ptr<storage::Manifest>& manifest, std::size_t shard,
-    std::shared_ptr<storage::GroupCommitCoordinator> coordinator) {
-  if (!options.durability) return storage::MakeMemoryBackend();
-  return storage::MakeDurableShardBackend(manifest, *options.durability,
-                                          shard, std::move(coordinator));
-}
-
-/// One manifest per durable replica directory, shared by every shard
-/// backend: it is the single commit point for the replica's segment and
-/// checkpoint chains, and pins the shard count the first time any shard
-/// persists its file list.
-std::shared_ptr<storage::Manifest> MakeReplicaManifest(
-    const StoreOptions& options, std::size_t replica) {
-  if (!options.durability) return nullptr;
-  return std::make_shared<storage::Manifest>(ReplicaDir(options, replica),
-                                             options.shards_per_replica);
-}
-
 /// One coordinator per group-commit-durable replica: a single fsync
-/// decision per window across all of the replica's shard segments,
-/// instead of one independent timer per shard.
+/// decision per window, off the replica's loop thread.
 std::shared_ptr<storage::GroupCommitCoordinator> MakeCommitCoordinator(
     const StoreOptions& options) {
   if (!options.durability ||
@@ -184,13 +136,24 @@ std::shared_ptr<storage::GroupCommitCoordinator> MakeCommitCoordinator(
 }
 
 /// Refuse to open a durability directory whose layout cannot host this
-/// replica: corrupt or unsupported manifest, shard count changed, or a
-/// file the manifest names is gone. Recovering a subset silently would
+/// replica: corrupt or unsupported manifest (a striped one included), or
+/// a file the manifest names is gone. Recovering a subset silently would
 /// drop acked writes — the one thing the WAL exists to prevent.
 void ValidateDurableLayout(const StoreOptions& options, std::size_t replica) {
-  const auto check = storage::RecoveryManager(ReplicaDir(options, replica))
-                         .ValidateShardLayout(options.shards_per_replica);
+  const auto check =
+      storage::RecoveryManager(ReplicaDir(options, replica)).ValidateLayout();
   if (!check.ok) throw storage::LayoutError(check.error);
+}
+
+/// The replica's backend: durable under `replica_<id>/` when the store
+/// is, else in-memory.
+std::unique_ptr<storage::Backend> MakeReplicaBackend(
+    const StoreOptions& options, std::size_t replica,
+    std::shared_ptr<storage::GroupCommitCoordinator> coordinator) {
+  if (!options.durability) return storage::MakeMemoryBackend();
+  return storage::MakeDurableBackend(ReplicaDir(options, replica),
+                                     *options.durability,
+                                     std::move(coordinator));
 }
 }  // namespace
 
@@ -219,18 +182,11 @@ ReplicatedStore::ReplicatedStore(StoreOptions options)
     if (Durable()) ValidateDurableLayout(options_, r);
     auto gc = MakeCommitCoordinator(options_);
     if (gc) commit_coordinators_.emplace(static_cast<NodeId>(r), gc);
-    // The shared manifest pins the shard count the moment the first
-    // shard's backend commits its file list (inside Recover below), so a
-    // manifest never names segments that were not yet laid down.
-    auto manifest = MakeReplicaManifest(options_, r);
-    replicas_.emplace(
-        static_cast<NodeId>(r),
-        std::make_unique<ReplicaServer>(
-            *transport_, static_cast<NodeId>(r), options_.shards_per_replica,
-            [this, manifest, gc](std::size_t shard) {
-              return MakeShardBackend(options_, manifest, shard, gc);
-            },
-            options_.record_applied_history));
+    replicas_.emplace(static_cast<NodeId>(r),
+                      std::make_unique<ReplicaServer>(
+                          *transport_, static_cast<NodeId>(r),
+                          MakeReplicaBackend(options_, r, gc),
+                          options_.record_applied_history));
     members_.push_back(static_cast<NodeId>(r));
   }
 }
@@ -397,12 +353,8 @@ NodeId ReplicatedStore::SpawnReplica() {
   if (Durable()) ValidateDurableLayout(options_, id);
   auto gc = MakeCommitCoordinator(options_);
   if (gc) commit_coordinators_.emplace(id, gc);
-  auto manifest = MakeReplicaManifest(options_, id);
   auto server = std::make_unique<ReplicaServer>(
-      *transport_, id, options_.shards_per_replica,
-      [this, manifest, gc](std::size_t shard) {
-        return MakeShardBackend(options_, manifest, shard, gc);
-      },
+      *transport_, id, MakeReplicaBackend(options_, id, gc),
       options_.record_applied_history);
   replicas_.emplace(id, std::move(server));
   return id;

@@ -75,21 +75,12 @@ struct StoreOptions {
   /// Options of every client the store hands out (MakeClient runs them
   /// at window 1; MakeAsyncClient() uses them as given).
   ClientOptions client_options;
-  /// Key-hash shards per replica: the durable layout unit, not a thread
-  /// (each replica runs one loop over all its shards; see
-  /// replica_server.hpp). Under durability each shard keeps its own
-  /// directory (`shard_<s>/`) of WAL segments and checkpoints; the
-  /// replica's MANIFEST pins the count, and reopening with a different
-  /// explicit count is refused with storage::LayoutError (key striping is
-  /// not self-rebalancing).
-  /// 0 = auto: the count in an existing durability directory's MANIFEST,
-  /// else the QCNT_SHARDS environment variable when set, else 1.
-  std::size_t shards_per_replica = 0;
   /// When set, replicas persist to `directory/replica_<r>` and crashes
   /// lose volatile state; when unset, replicas are purely in-memory and a
   /// crash is only a partition (the original semantics). A directory the
-  /// storage engine cannot adopt throws storage::LayoutError from the
-  /// constructor (or from Recover).
+  /// storage engine cannot adopt — including one a replica striped over
+  /// several chains — throws storage::LayoutError from the constructor
+  /// (or from Recover).
   std::optional<storage::DurabilityOptions> durability;
   /// Test observability: replicas record every version-accepted write in
   /// application order (see AppliedWrite); read back via ReplicaPeek.
@@ -130,11 +121,9 @@ class ReplicatedStore {
   bool OverTcp() const { return tcp_ != nullptr; }
   /// "bus" or "tcp".
   const char* TransportName() const { return transport_->Name(); }
-  /// Resolved shard count (after the 0 = auto default is applied).
-  std::size_t ShardsPerReplica() const {
-    return options_.shards_per_replica;
-  }
-  /// Always 1: every replica runs one loop thread over all its shards.
+  /// Always 1 (one chain, one loop thread per replica). Kept only for
+  /// qbench, which reports both; they go with the next benchmark change.
+  std::size_t ShardsPerReplica() const { return 1; }
   std::size_t ReplicaWorkerCount(std::size_t) const { return 1; }
 
   /// Create a client (each client must be used from one thread at a time).
@@ -193,8 +182,8 @@ class ReplicatedStore {
   storage::StorageStats TotalStorageStats() const;
 
   /// Fsync passes made by the replica's group-commit coordinator — the
-  /// number of cross-shard fsync *decisions* (each pass syncs every dirty
-  /// shard segment once). 0 when the replica is not group-commit durable.
+  /// number of fsync *decisions* (each pass syncs every dirty segment
+  /// once). 0 when the replica is not group-commit durable.
   std::uint64_t ReplicaCommitPasses(std::size_t replica) const;
 
   /// Replica-side batching counters, alongside the storage counters.
@@ -258,9 +247,9 @@ class ReplicatedStore {
   net::TcpTransport* tcp_ = nullptr;
   /// Per-replica group-commit coordinators (group-commit durability
   /// only): one committer thread per replica making the fsync decision
-  /// across all of that replica's shard WAL segments. Declared before
-  /// replicas_ so it is destroyed after the backends that reference it
-  /// (each backend also holds a shared_ptr, so this is belt and braces).
+  /// for its WAL segments. Declared before replicas_ so it is destroyed
+  /// after the backends that reference it (each backend also holds a
+  /// shared_ptr, so this is belt and braces).
   std::map<NodeId, std::shared_ptr<storage::GroupCommitCoordinator>>
       commit_coordinators_;
   /// Replica servers keyed by node id: founding replicas occupy [0,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -42,7 +43,8 @@ std::optional<std::uint64_t> ParseFileId(const std::string& name,
   return id;
 }
 
-// The v2 engine for one shard. See backend.hpp for the contract and
+// The v2 engine: one replica's segment chain and checkpoint chain. See
+// backend.hpp for the contract and
 // DESIGN.md §12 for the invariants; the short version:
 //
 //   * dirty_ mirrors every record in the live segment chain (it IS the
@@ -57,15 +59,11 @@ std::optional<std::uint64_t> ParseFileId(const std::string& name,
 //     Wal through its own internal locking).
 class DurableBackend final : public Backend {
  public:
-  DurableBackend(std::shared_ptr<Manifest> manifest, DurabilityOptions options,
-                 std::size_t shard,
+  DurableBackend(std::string dir, DurabilityOptions options,
                  std::shared_ptr<GroupCommitCoordinator> coordinator)
-      : manifest_(std::move(manifest)),
+      : manifest_(std::move(dir)),
         options_(std::move(options)),
-        shard_(shard),
-        gc_(std::move(coordinator)) {
-    QCNT_CHECK(shard_ < manifest_->shard_count());
-  }
+        gc_(std::move(coordinator)) {}
 
   ~DurableBackend() override { ReleaseAll(); }
 
@@ -73,22 +71,12 @@ class DurableBackend final : public Backend {
 
   Image Recover() override {
     ReleaseAll();  // release any pre-crash handles before reopening
-    const std::string& dir = manifest_->dir();
-    if (!manifest_->info().ok) throw LayoutError(manifest_->info().error);
-    // The on-disk manifest must agree on the shard count; opening a
-    // subset of a differently-striped layout would silently orphan the
-    // other shards' data.
-    if (manifest_->info().version != 0 &&
-        manifest_->info().disk_shard_count != manifest_->shard_count()) {
-      throw LayoutError(
-          "shard count mismatch in " + dir + "/MANIFEST: manifest has " +
-          std::to_string(manifest_->info().disk_shard_count) +
-          ", configured " + std::to_string(manifest_->shard_count()));
-    }
-    fs::create_directories(Manifest::ShardDirPath(dir, shard_));
+    const std::string& dir = manifest_.dir();
+    if (!manifest_.info().ok) throw LayoutError(manifest_.info().error);
+    fs::create_directories(Manifest::ChainDirPath(dir));
     recoveries_.fetch_add(1, std::memory_order_relaxed);
 
-    files_ = manifest_->Shard(shard_);
+    files_ = manifest_.Files();
     SweepUnreferenced();
 
     // Open the checkpoint chain footer-only; blocks, index, and bloom
@@ -97,11 +85,10 @@ class DurableBackend final : public Backend {
     generation_ = 0;
     config_id_ = 0;
     for (const std::uint64_t id : files_.checkpoints) {
-      auto reader =
-          CheckpointReader::Open(Manifest::CheckpointPath(dir, shard_, id));
+      auto reader = CheckpointReader::Open(Manifest::CheckpointPath(dir, id));
       if (reader == nullptr) {
         throw LayoutError("unreadable checkpoint: " +
-                          Manifest::CheckpointPath(dir, shard_, id));
+                          Manifest::CheckpointPath(dir, id));
       }
       if (reader->generation() >= generation_) {
         generation_ = reader->generation();
@@ -111,9 +98,8 @@ class DurableBackend final : public Backend {
     }
 
     // Replay the segment tail into the dirty set.
-    log_ = std::make_unique<SegmentedLog>(
-        manifest_, shard_, &files_, WalOptions(),
-        Coordinated() ? gc_ : nullptr);
+    log_ = std::make_unique<SegmentedLog>(&manifest_, &files_, WalOptions(),
+                                          Coordinated() ? gc_ : nullptr);
     const SegmentedLog::ReplayStats replay =
         log_->OpenAndReplay([this](const WalRecord& rec) {
           if (rec.type == WalRecord::Type::kWrite) {
@@ -175,6 +161,9 @@ class DurableBackend final : public Backend {
 
   void MaybeCompact(Image& image) override {
     if (!log_) return;
+    // One slice of an open merge per call, sized by the newest
+    // checkpoint's entry count: O(tail) work, whatever the total state.
+    if (merge_) AdvanceMerge(readers_.back()->entry_count());
     if (log_->TailBytes() >= options_.checkpoint_tail_bytes) {
       DoCheckpoint(image);
     } else if (log_->ActiveBytes() >= options_.segment_bytes) {
@@ -225,30 +214,9 @@ class DurableBackend final : public Backend {
                                    : reader->SeekAbove(cursor));
     }
     std::size_t emitted = 0;
-    while (emitted < limit) {
-      const std::string* min_key = nullptr;
-      for (const auto& it : its) {
-        if (it.Valid() && (min_key == nullptr || it.key() < *min_key)) {
-          min_key = &it.key();
-        }
-      }
-      if (min_key == nullptr) return;
-      const std::string key = *min_key;
-      Versioned best{};
-      bool have = false;
-      for (auto& it : its) {
-        while (it.Valid() && it.key() == key) {
-          const Versioned& v = it.value();
-          if (!have || v.version > best.version ||
-              (v.version == best.version && v.value >= best.value)) {
-            best = v;
-            have = true;
-          }
-          it.Next();
-        }
-      }
-      fn(key, best);
-      ++emitted;
+    for (MergeCursor cur(std::move(its)); cur.Valid() && emitted < limit;
+         cur.Next(), ++emitted) {
+      fn(cur.key(), cur.value());
     }
   }
 
@@ -291,6 +259,7 @@ class DurableBackend final : public Backend {
     s.checkpoint_entries =
         checkpoint_entries_.load(std::memory_order_relaxed);
     s.checkpoint_merges = merges_.load(std::memory_order_relaxed);
+    s.merge_entries = merge_entries_.load(std::memory_order_relaxed);
     s.cold_lookups = cold_lookups_.load(std::memory_order_relaxed);
     s.bloom_hits = bloom_hits_.load(std::memory_order_relaxed);
     s.bloom_misses = bloom_misses_.load(std::memory_order_relaxed);
@@ -320,14 +289,13 @@ class DurableBackend final : public Backend {
     }
   }
 
-  /// Delete everything in the shard directory the manifest doesn't
+  /// Delete everything in the chain directory the manifest doesn't
   /// reference: `.tmp` orphans and files created after the last manifest
   /// save (both are redundant by the create→save→delete discipline).
   void SweepUnreferenced() {
-    const std::string sdir =
-        Manifest::ShardDirPath(manifest_->dir(), shard_);
     std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(sdir, ec)) {
+    for (const auto& entry :
+         fs::directory_iterator(Manifest::ChainDirPath(manifest_.dir()), ec)) {
       const std::string name = entry.path().filename().string();
       bool keep = false;
       if (const auto id = ParseFileId(name, "seg_", ".log")) {
@@ -352,9 +320,8 @@ class DurableBackend final : public Backend {
               [](const std::string* a, const std::string* b) {
                 return *a < *b;
               });
-    CheckpointWriter writer(
-        Manifest::CheckpointPath(manifest_->dir(), shard_, id),
-        entries.size());
+    CheckpointWriter writer(Manifest::CheckpointPath(manifest_.dir(), id),
+                            entries.size());
     for (const std::string* key : keys) writer.Add(*key, entries.at(*key));
     writer.Finish(generation, config_id);
   }
@@ -364,6 +331,19 @@ class DurableBackend final : public Backend {
   /// replica's loop thread — cost is O(|dirty|) = O(tail), so inline
   /// execution is what bounds the pause, not a background thread.
   void DoCheckpoint(Image& image) {
+    if (merge_) {
+      // Pacing floor: by the k-th checkpoint landing since the merge
+      // opened, k/max_checkpoints of its input entries are out. The
+      // per-call slices normally finish far sooner; the floor only binds
+      // when few batches separate checkpoints, and at k = max_checkpoints
+      // it completes the merge before the chain can grow past 2×.
+      ChainMerge& m = *merge_;
+      const std::uint64_t due =
+          (m.input_entries * (m.landed + 1) + MaxChain() - 1) / MaxChain();
+      if (due > m.emitted) AdvanceMerge(due - m.emitted);
+      if (merge_) ++merge_->landed;
+    }
+
     log_->Rotate();  // everything the checkpoint covers is now sealed
     rotated_.fetch_add(1, std::memory_order_relaxed);
 
@@ -371,15 +351,12 @@ class DurableBackend final : public Backend {
     WriteCheckpointFile(id, dirty_, generation_, config_id_);
     files_.checkpoints.push_back(id);
     files_.segments = {files_.segments.back()};
-    manifest_->Update(shard_, files_);  // commit point
+    manifest_.Update(files_);  // commit point
     compacted_.fetch_add(log_->DropSealed(), std::memory_order_relaxed);
 
     checkpoints_.fetch_add(1, std::memory_order_relaxed);
     checkpoint_entries_.fetch_add(dirty_.size(), std::memory_order_relaxed);
-    auto reader = CheckpointReader::Open(
-        Manifest::CheckpointPath(manifest_->dir(), shard_, id));
-    QCNT_CHECK_MSG(reader != nullptr, "just-written checkpoint unreadable");
-    readers_.push_back(std::move(reader));
+    readers_.push_back(OpenOwnCheckpoint(id));
 
     if (options_.spill_cold_reads) {
       // Every image entry is now durable in the checkpoint chain; evict
@@ -394,39 +371,78 @@ class DurableBackend final : public Backend {
     }
     dirty_.clear();
 
-    if (files_.checkpoints.size() > options_.max_checkpoints) MergeChain();
+    if (!merge_ && files_.checkpoints.size() > MaxChain()) OpenMerge();
   }
 
-  /// k-way merge of the whole checkpoint chain into one base run.
-  void MergeChain() {
-    const std::uint64_t id = files_.next_file_id++;
-    std::uint64_t expected = 0;
-    std::vector<CheckpointReader*> raw;
-    raw.reserve(readers_.size());
-    for (const auto& r : readers_) {
-      expected += r->entry_count();
-      raw.push_back(r.get());
-    }
-    CheckpointWriter writer(
-        Manifest::CheckpointPath(manifest_->dir(), shard_, id), expected);
-    MergeCheckpoints(raw, [&writer](const std::string& key,
-                                    const Versioned& v) {
-      writer.Add(key, v);
-    });
-    writer.Finish(generation_, config_id_);
+  std::size_t MaxChain() const {
+    return std::max<std::size_t>(options_.max_checkpoints, 1);
+  }
 
-    const std::vector<std::uint64_t> old_ids = files_.checkpoints;
-    files_.checkpoints = {id};
-    manifest_->Update(shard_, files_);  // commit point
-    readers_.clear();
+  std::unique_ptr<CheckpointReader> OpenOwnCheckpoint(std::uint64_t id) {
+    auto reader =
+        CheckpointReader::Open(Manifest::CheckpointPath(manifest_.dir(), id));
+    QCNT_CHECK_MSG(reader != nullptr, "just-written checkpoint unreadable");
+    return reader;
+  }
+
+  /// Start a k-way merge of the whole current chain into one new run.
+  /// Nothing is written yet beyond the output's `.tmp`.
+  void OpenMerge() {
+    auto m = std::make_unique<ChainMerge>();
+    m->id = files_.next_file_id++;
+    m->inputs = readers_.size();
+    std::vector<CheckpointReader::Iterator> its;
+    its.reserve(readers_.size());
+    for (const auto& r : readers_) {
+      m->input_entries += r->entry_count();
+      its.push_back(r->Begin());
+    }
+    m->writer = std::make_unique<CheckpointWriter>(
+        Manifest::CheckpointPath(manifest_.dir(), m->id), m->input_entries);
+    m->cursor = std::make_unique<MergeCursor>(std::move(its));
+    merge_ = std::move(m);
+  }
+
+  /// Write up to `budget` merged entries; commit when the inputs run dry.
+  void AdvanceMerge(std::uint64_t budget) {
+    ChainMerge& m = *merge_;
+    std::uint64_t n = 0;
+    for (; n < budget && m.cursor->Valid(); ++n, m.cursor->Next()) {
+      m.writer->Add(m.cursor->key(), m.cursor->value());
+    }
+    m.emitted += n;
+    merge_entries_.fetch_add(n, std::memory_order_relaxed);
+    if (!m.cursor->Valid()) CommitMerge();
+  }
+
+  /// Seal the merged run and swap it in for its inputs through one
+  /// manifest save; the inputs are deleted only after it. Checkpoints
+  /// that landed while the merge ran keep their places behind it.
+  void CommitMerge() {
+    ChainMerge& m = *merge_;
+    // Checkpoint stamps never decrease along the chain, so the newest
+    // input carries the stamp the merged run stands for.
+    const CheckpointReader& newest = *readers_[m.inputs - 1];
+    m.writer->Finish(newest.generation(), newest.config_id());
+
+    const auto first = files_.checkpoints.begin();
+    const std::vector<std::uint64_t> old_ids(
+        first, first + static_cast<std::ptrdiff_t>(m.inputs));
+    files_.checkpoints.erase(first,
+                             first + static_cast<std::ptrdiff_t>(m.inputs));
+    files_.checkpoints.insert(files_.checkpoints.begin(), m.id);
+    manifest_.Update(files_);  // commit point
+
+    std::unique_ptr<CheckpointReader> merged = OpenOwnCheckpoint(m.id);
+    const std::size_t inputs = m.inputs;
+    merge_.reset();  // its iterators point into the input readers
+    readers_.erase(readers_.begin(),
+                   readers_.begin() + static_cast<std::ptrdiff_t>(inputs));
+    readers_.insert(readers_.begin(), std::move(merged));
     std::error_code ec;
     for (const std::uint64_t old : old_ids) {
-      fs::remove(Manifest::CheckpointPath(manifest_->dir(), shard_, old), ec);
+      fs::remove(Manifest::CheckpointPath(manifest_.dir(), old), ec);
     }
-    auto reader = CheckpointReader::Open(
-        Manifest::CheckpointPath(manifest_->dir(), shard_, id));
-    QCNT_CHECK_MSG(reader != nullptr, "just-merged checkpoint unreadable");
-    readers_.push_back(std::move(reader));
     merges_.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -434,6 +450,8 @@ class DurableBackend final : public Backend {
   /// detaches from the coordinator), roll its fsync count into the base,
   /// then drop every handle.
   void ReleaseAll() {
+    // An open merge dies here; its `.tmp` output is swept at Recover.
+    merge_.reset();
     if (log_) {
       log_->Release();
       std::lock_guard<std::mutex> lock(log_mu_);
@@ -444,15 +462,27 @@ class DurableBackend final : public Backend {
     dirty_.clear();
   }
 
-  std::shared_ptr<Manifest> manifest_;
+  Manifest manifest_;
   DurabilityOptions options_;
-  std::size_t shard_;
   std::shared_ptr<GroupCommitCoordinator> gc_;
 
-  ShardFiles files_;
+  ChainFiles files_;
   mutable std::mutex log_mu_;  // Stats vs ReleaseAll on log_
   std::unique_ptr<SegmentedLog> log_;
   std::vector<std::unique_ptr<CheckpointReader>> readers_;  // oldest..newest
+
+  /// An open chain merge: readers_[0, inputs) — the chain as it stood at
+  /// open — stream through `cursor` into `writer`, one slice per call.
+  struct ChainMerge {
+    std::uint64_t id = 0;             // the output's ckpt_<id>.blk
+    std::size_t inputs = 0;
+    std::uint64_t input_entries = 0;  // Σ input entry counts ≥ output
+    std::uint64_t emitted = 0;        // entries written so far
+    std::size_t landed = 0;           // checkpoints written since open
+    std::unique_ptr<CheckpointWriter> writer;
+    std::unique_ptr<MergeCursor> cursor;
+  };
+  std::unique_ptr<ChainMerge> merge_;
   std::unordered_map<std::string, Versioned> dirty_;  // tail, as a map
   std::uint64_t generation_ = 0;
   std::uint32_t config_id_ = 0;
@@ -468,7 +498,7 @@ class DurableBackend final : public Backend {
   std::atomic<std::uint64_t> recovery_replayed_{0}, torn_tails_{0};
   std::atomic<std::uint64_t> rotated_{0}, compacted_{0};
   std::atomic<std::uint64_t> checkpoints_{0}, checkpoint_entries_{0};
-  std::atomic<std::uint64_t> merges_{0};
+  std::atomic<std::uint64_t> merges_{0}, merge_entries_{0};
   std::atomic<std::uint64_t> cold_lookups_{0};
   std::atomic<std::uint64_t> bloom_hits_{0}, bloom_misses_{0};
   std::atomic<std::uint64_t> bloom_false_positives_{0};
@@ -480,19 +510,11 @@ std::unique_ptr<Backend> MakeMemoryBackend() {
   return std::make_unique<MemoryBackend>();
 }
 
-std::unique_ptr<Backend> MakeDurableBackend(std::string dir,
-                                            DurabilityOptions options) {
+std::unique_ptr<Backend> MakeDurableBackend(
+    std::string dir, DurabilityOptions options,
+    std::shared_ptr<GroupCommitCoordinator> coordinator) {
   std::filesystem::create_directories(dir);
-  auto manifest = std::make_shared<Manifest>(std::move(dir), 1);
-  return std::make_unique<DurableBackend>(std::move(manifest),
-                                          std::move(options), 0, nullptr);
-}
-
-std::unique_ptr<Backend> MakeDurableShardBackend(
-    std::shared_ptr<Manifest> manifest, DurabilityOptions options,
-    std::size_t shard, std::shared_ptr<GroupCommitCoordinator> coordinator) {
-  return std::make_unique<DurableBackend>(std::move(manifest),
-                                          std::move(options), shard,
+  return std::make_unique<DurableBackend>(std::move(dir), std::move(options),
                                           std::move(coordinator));
 }
 

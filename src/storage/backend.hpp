@@ -34,8 +34,8 @@ namespace qcnt::storage {
 /// Knobs for the durable backend (embedded in runtime StoreOptions).
 struct DurabilityOptions {
   /// Store-wide root; replica r keeps its files under
-  /// `<directory>/replica_<r>` (per-shard subdirectories `shard_<s>/`
-  /// hold the segment chain and checkpoint blocks).
+  /// `<directory>/replica_<r>` (its `shard_0/` subdirectory holds the
+  /// segment chain and checkpoint blocks).
   std::string directory;
   FsyncPolicy fsync = FsyncPolicy::kAlways;
   std::chrono::microseconds group_commit_window{500};
@@ -46,14 +46,17 @@ struct DurabilityOptions {
   std::chrono::microseconds commit_window_min{100};
   std::chrono::microseconds commit_window_max{4000};
   /// Checkpoint (flush the dirty set, drop sealed segments) once the
-  /// shard's live segment chain exceeds this many bytes. The work done
+  /// replica's live segment chain exceeds this many bytes. The work done
   /// per trigger is O(tail), not O(total state).
   std::uint64_t checkpoint_tail_bytes = 1u << 20;
   /// Seal + rotate the active segment at this size, bounding any single
   /// log file and the unit of wholesale reclamation.
   std::uint64_t segment_bytes = 256u << 10;
   /// Merge the checkpoint chain into one base file once it grows past
-  /// this many files (k-way newest-wins merge).
+  /// this many files (k-way newest-wins merge). The merge runs in slices
+  /// on the replica loop — each MaybeCompact advances it by the newest
+  /// checkpoint's entry count — and always commits before this many more
+  /// checkpoints land, so the chain never exceeds twice this length.
   std::size_t max_checkpoints = 6;
   /// Serve cold reads from checkpoint blocks (bloom + index + one block
   /// decode) instead of materializing every checkpointed key into the
@@ -80,6 +83,7 @@ struct StorageStats {
   std::uint64_t checkpoints_written = 0;
   std::uint64_t checkpoint_entries = 0;  // keys flushed across checkpoints
   std::uint64_t checkpoint_merges = 0;   // chain compactions (k-way merges)
+  std::uint64_t merge_entries = 0;       // entries those merges wrote
   // Cold-read layer (spill mode): per-file probe outcomes.
   std::uint64_t cold_lookups = 0;   // Lookup calls that missed the image
   std::uint64_t bloom_hits = 0;     // filter passed and the key was there
@@ -99,6 +103,7 @@ struct StorageStats {
     checkpoints_written += o.checkpoints_written;
     checkpoint_entries += o.checkpoint_entries;
     checkpoint_merges += o.checkpoint_merges;
+    merge_entries += o.merge_entries;
     cold_lookups += o.cold_lookups;
     bloom_hits += o.bloom_hits;
     bloom_misses += o.bloom_misses;
@@ -131,8 +136,8 @@ class Backend {
                            std::uint32_t config_id) = 0;
 
   /// Called after each apply; the backend may rotate the active segment,
-  /// checkpoint the dirty set, or merge the checkpoint chain when its
-  /// thresholds trip. In spill mode it may also evict clean (checkpointed)
+  /// checkpoint the dirty set, or open or advance a checkpoint-chain merge
+  /// when its thresholds trip. In spill mode it may also evict clean (checkpointed)
   /// entries from `image` to bound the in-memory map.
   virtual void MaybeCompact(Image& image) { (void)image; }
 
@@ -178,26 +183,17 @@ class Backend {
 /// The seed's semantics: nothing persists, nothing is lost.
 std::unique_ptr<Backend> MakeMemoryBackend();
 
-/// v2 persistence under `dir` (created if absent) for an unsharded
-/// replica — internally shard 0 of a one-shard layout with a private
-/// MANIFEST.
-std::unique_ptr<Backend> MakeDurableBackend(std::string dir,
-                                            DurabilityOptions options);
-
-/// Persistence for one shard of a sharded replica: all shards share
-/// `dir`'s MANIFEST (v2), which pins the shard count and names every
-/// shard's segment chain + checkpoint chain. `manifest` must be the
-/// replica's shared Manifest.
+/// v2 persistence under `dir` (created if absent): one segment chain and
+/// one checkpoint chain, anchored by `dir`/MANIFEST.
 ///
 /// With a non-null `coordinator` and FsyncPolicy::kGroupCommit, fsync
-/// decisions move off the shard thread entirely: the active segment is
-/// appended with kNever and registered with the replica's shared
-/// GroupCommitCoordinator, which makes one fsync decision per window
-/// across the whole shard set (see commit.hpp). kAlways ignores the
-/// coordinator and stays inline-synchronous.
-std::unique_ptr<Backend> MakeDurableShardBackend(
-    std::shared_ptr<Manifest> manifest, DurabilityOptions options,
-    std::size_t shard,
+/// decisions move off the replica's loop thread entirely: the active
+/// segment is appended with kNever and registered with the replica's
+/// GroupCommitCoordinator, which makes one fsync decision per window (see
+/// commit.hpp). kAlways ignores the coordinator and stays
+/// inline-synchronous.
+std::unique_ptr<Backend> MakeDurableBackend(
+    std::string dir, DurabilityOptions options,
     std::shared_ptr<GroupCommitCoordinator> coordinator = nullptr);
 
 }  // namespace qcnt::storage

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "common/check.hpp"
 #include "storage/crc32.hpp"
@@ -364,7 +365,40 @@ void CheckpointReader::Scan(
 }
 
 // ---------------------------------------------------------------------------
-// MergeCheckpoints
+// MergeCursor
+
+MergeCursor::MergeCursor(std::vector<CheckpointReader::Iterator> inputs)
+    : its_(std::move(inputs)) {
+  Next();
+}
+
+void MergeCursor::Next() {
+  // The chain is short (bounded by max_checkpoints), so a linear min-scan
+  // beats heap bookkeeping.
+  const std::string* min_key = nullptr;
+  for (const auto& it : its_) {
+    if (it.Valid() && (min_key == nullptr || it.key() < *min_key)) {
+      min_key = &it.key();
+    }
+  }
+  valid_ = min_key != nullptr;
+  if (!valid_) return;
+  key_ = *min_key;  // copy: iterators advance below
+  bool have = false;
+  for (auto& it : its_) {
+    while (it.Valid() && it.key() == key_) {
+      const Versioned& v = it.value();
+      // Same ordering as Image::ApplyWrite: higher version wins; equal
+      // versions resolve by value so replicas converge byte-for-byte.
+      if (!have || v.version > value_.version ||
+          (v.version == value_.version && v.value >= value_.value)) {
+        value_ = v;
+        have = true;
+      }
+      it.Next();
+    }
+  }
+}
 
 void MergeCheckpoints(
     const std::vector<CheckpointReader*>& readers,
@@ -372,35 +406,8 @@ void MergeCheckpoints(
   std::vector<CheckpointReader::Iterator> its;
   its.reserve(readers.size());
   for (CheckpointReader* r : readers) its.push_back(r->Begin());
-
-  // The chain is short (bounded by max_checkpoints), so a linear min-scan
-  // beats heap bookkeeping.
-  for (;;) {
-    const std::string* min_key = nullptr;
-    for (const auto& it : its) {
-      if (it.Valid() && (min_key == nullptr || it.key() < *min_key)) {
-        min_key = &it.key();
-      }
-    }
-    if (min_key == nullptr) return;
-    const std::string key = *min_key;  // copy: iterators advance below
-
-    Versioned best{};
-    bool have = false;
-    for (auto& it : its) {
-      while (it.Valid() && it.key() == key) {
-        const Versioned& v = it.value();
-        // Same ordering as Image::ApplyWrite: higher version wins; equal
-        // versions resolve by value so replicas converge byte-for-byte.
-        if (!have || v.version > best.version ||
-            (v.version == best.version && v.value >= best.value)) {
-          best = v;
-          have = true;
-        }
-        it.Next();
-      }
-    }
-    emit(key, best);
+  for (MergeCursor cur(std::move(its)); cur.Valid(); cur.Next()) {
+    emit(cur.key(), cur.value());
   }
 }
 

@@ -18,9 +18,11 @@
 //
 // Readers probe newest file first: the bloom filter (≈1% false positives
 // at 10 bits/key) rejects most absent keys without touching a block; a
-// hit binary-searches the index and decodes one block. Compaction streams
-// several files through `MergeCheckpoints` (per-key newest-version-wins,
-// the same ordering as Image::ApplyWrite) into a single replacement run.
+// hit binary-searches the index and decodes one block. Every ordered walk
+// over several files — compaction, catchup scans, spill-mode peeks — goes
+// through one `MergeCursor` (per-key newest-version-wins, the same
+// ordering as Image::ApplyWrite). The cursor is resumable, so compaction
+// can advance it a slice at a time between the replica's batches.
 #pragma once
 
 #include <cstdint>
@@ -170,10 +172,29 @@ class CheckpointReader {
   std::vector<std::pair<std::string, Versioned>> cached_entries_;
 };
 
-/// Streaming k-way merge of checkpoint runs into a single emit stream in
-/// ascending key order. When the same key appears in several inputs the
-/// surviving entry is the newest by the engine's write order
-/// (version, then value — identical to Image::ApplyWrite).
+/// Resumable k-way merge over checkpoint runs, in ascending key order.
+/// When the same key appears in several inputs the surviving entry is the
+/// newest by the engine's write order (version, then value — identical to
+/// Image::ApplyWrite). The cursor owns its iterators and may sit idle
+/// between steps; the readers behind them must outlive it.
+class MergeCursor {
+ public:
+  /// `inputs` are positioned iterators, one per run (order irrelevant).
+  explicit MergeCursor(std::vector<CheckpointReader::Iterator> inputs);
+
+  bool Valid() const { return valid_; }
+  const std::string& key() const { return key_; }
+  const Versioned& value() const { return value_; }
+  void Next();
+
+ private:
+  std::vector<CheckpointReader::Iterator> its_;
+  std::string key_;
+  Versioned value_{};
+  bool valid_ = false;
+};
+
+/// Emits every key of `readers` through a MergeCursor, in one pass.
 void MergeCheckpoints(
     const std::vector<CheckpointReader*>& readers,
     const std::function<void(const std::string&, const Versioned&)>& emit);

@@ -1,20 +1,19 @@
-// Cross-shard group-commit coordination.
+// Group-commit coordination: the fsync decision, off the replica loop.
 //
-// A sharded durable replica owns one WAL segment per shard. With the
-// per-segment group-commit policy each segment made its *own* fsync
-// decision inside Append — so a batch touching S shards paid up to S
-// inline fsyncs, every one of them stalling the replica loop, and a quiet
-// segment's tail was never synced at all (the window check only ran on
-// the next append).
+// With a per-segment group-commit policy the segment makes its *own*
+// fsync decision inside Append — every sync stalls the replica loop, and
+// a quiet segment's tail is never synced at all (the window check only
+// runs on the next append).
 //
-// The coordinator replaces those per-segment decisions with one shared
-// commit ticket per replica: the replica loop appends with FsyncPolicy::
-// kNever and just marks the ticket dirty (an atomic flag + a notify —
-// never a syscall on the append path). A dedicated committer thread
-// wakes, lets the group-commit window fill so appends to every shard pile
-// onto the same ticket, then walks every registered segment and fsyncs
-// exactly the dirty ones. One fsync *decision* per window covers the
-// whole shard set, and the replica loop never blocks behind the disk.
+// The coordinator replaces those per-segment decisions with one commit
+// ticket per replica: the replica loop appends with FsyncPolicy::kNever
+// and just marks the ticket dirty (an atomic flag + a notify — never a
+// syscall on the append path). A dedicated committer thread wakes, lets
+// the group-commit window fill so appends pile onto the same ticket, then
+// walks every registered segment (the active one, plus a just-sealed one
+// a rotation has not yet detached) and fsyncs exactly the dirty ones. One
+// fsync *decision* per window, and the replica loop never blocks behind
+// the disk.
 //
 // Adaptive windows (optional): the fixed window is a compromise — too
 // narrow under load (fsyncs amortize few appends), too wide when idle
@@ -27,9 +26,8 @@
 //
 // Durability bound is unchanged from per-segment group commit: an acked
 // write can predate its fsync by at most the window (plus the sync pass
-// itself) — the classic group-commit trade, now paid once per replica
-// instead of once per shard, with the window floor/ceiling bounding the
-// adaptive case.
+// itself) — the classic group-commit trade, with the window
+// floor/ceiling bounding the adaptive case.
 #pragma once
 
 #include <atomic>
@@ -83,7 +81,7 @@ class GroupCommitCoordinator {
   void MarkDirty();
 
   /// Commit passes that fsynced at least one segment — the number of
-  /// fsync *decisions* taken for the whole shard set.
+  /// fsync *decisions* taken for the replica.
   std::uint64_t Passes() const {
     return passes_.load(std::memory_order_relaxed);
   }

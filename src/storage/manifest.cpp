@@ -3,9 +3,9 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <utility>
 
-#include "common/check.hpp"
 #include "storage/crc32.hpp"
 #include "storage/io_util.hpp"
 
@@ -14,7 +14,7 @@ namespace {
 
 constexpr char kMagic[4] = {'Q', 'M', 'A', 'N'};
 constexpr std::uint32_t kV2 = 2;
-constexpr std::uint32_t kMaxFilesPerShard = 1u << 20;
+constexpr std::uint32_t kMaxFiles = 1u << 20;
 
 std::string ManifestFile(const std::string& dir) { return dir + "/MANIFEST"; }
 
@@ -27,11 +27,7 @@ std::optional<std::vector<unsigned char>> ReadWhole(const std::string& path) {
 
 }  // namespace
 
-Manifest::Manifest(std::string dir, std::size_t shard_count)
-    : dir_(std::move(dir)) {
-  QCNT_CHECK(shard_count >= 1);
-  shards_.resize(shard_count);
-
+Manifest::Manifest(std::string dir) : dir_(std::move(dir)) {
   const std::optional<std::vector<unsigned char>> bytes =
       ReadWhole(ManifestFile(dir_));
   if (!bytes) return;  // absent: fresh directory (version stays 0)
@@ -67,35 +63,44 @@ Manifest::Manifest(std::string dir, std::size_t shard_count)
     corrupt("truncated v2 header");
     return;
   }
-  info_.disk_shard_count = GetU32(payload + pos);
+  const std::uint32_t chains = GetU32(payload + pos);
   pos += 4;
-  if (info_.disk_shard_count < 1) {
-    corrupt("zero shard count");
+  if (chains < 1) {
+    corrupt("zero chain count");
+    return;
+  }
+  if (chains != 1) {
+    // A replica striped over several chains: opening one of them would
+    // silently orphan the others' acked writes.
+    info_.ok = false;
+    info_.error = "unsupported layout in " + ManifestFile(dir_) +
+                  ": manifest has " + std::to_string(chains) +
+                  " shards, this engine keeps 1";
     return;
   }
 
-  std::vector<ShardFiles> parsed(info_.disk_shard_count);
-  for (ShardFiles& sf : parsed) {
-    if (!need(1)) {
-      corrupt("truncated shard entry");
-      return;
-    }
-    sf.present = payload[pos++] != 0;
-    if (!sf.present) continue;
+  ChainFiles parsed;
+  if (!need(1)) {
+    corrupt("truncated chain entry");
+    return;
+  }
+  parsed.present = payload[pos++] != 0;
+  if (parsed.present) {
     if (!need(8 + 4)) {
-      corrupt("truncated shard entry");
+      corrupt("truncated chain entry");
       return;
     }
-    sf.next_file_id = GetU64(payload + pos);
+    parsed.next_file_id = GetU64(payload + pos);
     pos += 8;
-    for (std::vector<std::uint64_t>* list : {&sf.segments, &sf.checkpoints}) {
+    for (std::vector<std::uint64_t>* list :
+         {&parsed.segments, &parsed.checkpoints}) {
       if (!need(4)) {
         corrupt("truncated file list");
         return;
       }
       const std::uint32_t n = GetU32(payload + pos);
       pos += 4;
-      if (n > kMaxFilesPerShard || !need(std::size_t{n} * 8)) {
+      if (n > kMaxFiles || !need(std::size_t{n} * 8)) {
         corrupt("oversized file list");
         return;
       }
@@ -110,38 +115,19 @@ Manifest::Manifest(std::string dir, std::size_t shard_count)
     corrupt("trailing bytes");
     return;
   }
-
-  if (info_.disk_shard_count == shard_count) {
-    shards_ = std::move(parsed);
-  }
-  // On a count mismatch the caller's layout validation rejects the
-  // directory before any backend touches it; keep the empty table so a
-  // mis-wired Manifest cannot silently operate on the wrong stripes.
+  files_ = std::move(parsed);
 }
 
-ShardFiles Manifest::Shard(std::size_t shard) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  QCNT_CHECK(shard < shards_.size());
-  return shards_[shard];
-}
-
-void Manifest::Update(std::size_t shard, const ShardFiles& files) {
-  std::lock_guard<std::mutex> lock(mu_);
-  QCNT_CHECK(shard < shards_.size());
-  shards_[shard] = files;
-  SaveLocked();
-}
-
-void Manifest::SaveLocked() {
+void Manifest::Update(const ChainFiles& files) {
+  files_ = files;
   std::vector<unsigned char> payload;
   PutU32(payload, kV2);
-  PutU32(payload, static_cast<std::uint32_t>(shards_.size()));
-  for (const ShardFiles& sf : shards_) {
-    payload.push_back(sf.present ? 1 : 0);
-    if (!sf.present) continue;
-    PutU64(payload, sf.next_file_id);
+  PutU32(payload, 1);  // one chain per replica
+  payload.push_back(files_.present ? 1 : 0);
+  if (files_.present) {
+    PutU64(payload, files_.next_file_id);
     for (const std::vector<std::uint64_t>* list :
-         {&sf.segments, &sf.checkpoints}) {
+         {&files_.segments, &files_.checkpoints}) {
       PutU32(payload, static_cast<std::uint32_t>(list->size()));
       for (const std::uint64_t id : *list) PutU64(payload, id);
     }
@@ -154,36 +140,17 @@ void Manifest::SaveLocked() {
   AtomicWriteFile(ManifestFile(dir_), file, "manifest");
 }
 
-std::string Manifest::ShardDirPath(const std::string& dir, std::size_t shard) {
-  return dir + "/shard_" + std::to_string(shard);
+std::string Manifest::ChainDirPath(const std::string& dir) {
+  return dir + "/shard_0";
 }
 
-std::string Manifest::SegmentPath(const std::string& dir, std::size_t shard,
-                                  std::uint64_t id) {
-  return ShardDirPath(dir, shard) + "/seg_" + std::to_string(id) + ".log";
+std::string Manifest::SegmentPath(const std::string& dir, std::uint64_t id) {
+  return ChainDirPath(dir) + "/seg_" + std::to_string(id) + ".log";
 }
 
-std::string Manifest::CheckpointPath(const std::string& dir, std::size_t shard,
+std::string Manifest::CheckpointPath(const std::string& dir,
                                      std::uint64_t id) {
-  return ShardDirPath(dir, shard) + "/ckpt_" + std::to_string(id) + ".blk";
-}
-
-std::optional<std::size_t> Manifest::ReadShardCount(const std::string& dir) {
-  const std::optional<std::vector<unsigned char>> bytes =
-      ReadWhole(ManifestFile(dir));
-  if (!bytes || bytes->size() < 4 + 8 + 4 ||
-      std::memcmp(bytes->data(), kMagic, 4) != 0) {
-    return std::nullopt;
-  }
-  const unsigned char* payload = bytes->data() + 4;
-  const std::size_t payload_len = bytes->size() - 8;
-  if (Crc32(payload, payload_len) != GetU32(bytes->data() + bytes->size() - 4)) {
-    return std::nullopt;
-  }
-  if (GetU32(payload) != kV2) return std::nullopt;
-  const std::uint32_t count = GetU32(payload + 4);
-  if (count < 1) return std::nullopt;
-  return static_cast<std::size_t>(count);
+  return ChainDirPath(dir) + "/ckpt_" + std::to_string(id) + ".blk";
 }
 
 }  // namespace qcnt::storage

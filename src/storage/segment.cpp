@@ -8,12 +8,10 @@
 
 namespace qcnt::storage {
 
-SegmentedLog::SegmentedLog(std::shared_ptr<Manifest> manifest,
-                           std::size_t shard, ShardFiles* files,
+SegmentedLog::SegmentedLog(Manifest* manifest, ChainFiles* files,
                            Wal::Options wal_options,
                            std::shared_ptr<GroupCommitCoordinator> coordinator)
-    : manifest_(std::move(manifest)),
-      shard_(shard),
+    : manifest_(manifest),
       files_(files),
       wal_options_(wal_options),
       coordinator_(std::move(coordinator)) {}
@@ -33,14 +31,14 @@ SegmentedLog::ReplayStats SegmentedLog::OpenAndReplay(
     // Create the file before the manifest names it: an unreferenced empty
     // segment is recoverable garbage, a referenced missing file is not.
     OpenActive(id, /*create=*/true);
-    manifest_->Update(shard_, *files_);
+    manifest_->Update(*files_);
     return stats;
   }
 
   std::uint64_t active_valid_bytes = 0;
   for (std::size_t i = 0; i < files_->segments.size(); ++i) {
     const std::string path =
-        Manifest::SegmentPath(manifest_->dir(), shard_, files_->segments[i]);
+        Manifest::SegmentPath(manifest_->dir(), files_->segments[i]);
     const Wal::ReplayResult r = Wal::Replay(path, apply);
     stats.records += r.records;
     if (r.torn_tail) ++stats.torn_tails;
@@ -63,7 +61,7 @@ SegmentedLog::ReplayStats SegmentedLog::OpenAndReplay(
 }
 
 void SegmentedLog::OpenActive(std::uint64_t id, bool create) {
-  const std::string path = Manifest::SegmentPath(manifest_->dir(), shard_, id);
+  const std::string path = Manifest::SegmentPath(manifest_->dir(), id);
   (void)create;  // Wal's O_CREAT covers both cases
   auto next = std::make_unique<Wal>(path, wal_options_);
   SwapActive(std::move(next));
@@ -99,8 +97,8 @@ void SegmentedLog::Rotate() {
   // names it, and the old active handle is swapped out only after the
   // commit — a crash anywhere here recovers the full chain.
   auto next = std::make_unique<Wal>(
-      Manifest::SegmentPath(manifest_->dir(), shard_, id), wal_options_);
-  manifest_->Update(shard_, *files_);
+      Manifest::SegmentPath(manifest_->dir(), id), wal_options_);
+  manifest_->Update(*files_);
   SwapActive(std::move(next));
   sealed_bytes_ += sealed_size;
 }
@@ -110,11 +108,11 @@ std::size_t SegmentedLog::DropSealed() {
                  "DropSealed before the manifest shrank the chain");
   std::size_t dropped = 0;
   // The manifest no longer references anything but the active id; delete
-  // every other seg_ file in the shard directory.
+  // every other seg_ file in the chain directory.
   namespace fs = std::filesystem;
-  const std::string dir = Manifest::ShardDirPath(manifest_->dir(), shard_);
+  const std::string dir = Manifest::ChainDirPath(manifest_->dir());
   const std::string keep =
-      Manifest::SegmentPath(manifest_->dir(), shard_, files_->segments[0]);
+      Manifest::SegmentPath(manifest_->dir(), files_->segments[0]);
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();

@@ -1,6 +1,6 @@
-// SegmentedLog: the WAL tail of one shard as a chain of bounded segments.
+// SegmentedLog: a replica's WAL tail as a chain of bounded segments.
 //
-// The WAL frame format is spread across `shard_<s>/seg_<id>.log` files:
+// The WAL frame format is spread across `shard_0/seg_<id>.log` files:
 // appends go to the newest ("active") segment; once it exceeds
 // `segment_bytes` it is sealed and a fresh segment becomes active (create
 // file → manifest save → swap handles, so a crash at any point leaves
@@ -34,10 +34,10 @@ class SegmentedLog {
  public:
   /// `files` is the backend's live manifest entry; the log mutates its
   /// `segments` / `next_file_id` fields and persists every transition
-  /// through `manifest->Update(shard, *files)`. The caller keeps `files`
-  /// alive for the lifetime of the log.
-  SegmentedLog(std::shared_ptr<Manifest> manifest, std::size_t shard,
-               ShardFiles* files, Wal::Options wal_options,
+  /// through `manifest->Update(*files)`. The caller keeps `manifest` and
+  /// `files` alive for the lifetime of the log.
+  SegmentedLog(Manifest* manifest, ChainFiles* files,
+               Wal::Options wal_options,
                std::shared_ptr<GroupCommitCoordinator> coordinator);
   ~SegmentedLog();
 
@@ -53,7 +53,7 @@ class SegmentedLog {
   /// `apply`, truncates a torn tail on the active (last) segment, opens
   /// the active segment for append, and attaches it to the coordinator.
   /// Creates the first segment (manifest save included) when the list is
-  /// empty — a fresh shard.
+  /// empty — a fresh replica.
   ReplayStats OpenAndReplay(
       const std::function<void(const WalRecord&)>& apply);
 
@@ -93,9 +93,8 @@ class SegmentedLog {
   void OpenActive(std::uint64_t id, bool create);
   void SwapActive(std::unique_ptr<Wal> next);
 
-  std::shared_ptr<Manifest> manifest_;
-  std::size_t shard_;
-  ShardFiles* files_;
+  Manifest* manifest_;
+  ChainFiles* files_;
   Wal::Options wal_options_;
   std::shared_ptr<GroupCommitCoordinator> coordinator_;
 

@@ -1,4 +1,4 @@
-// EnvU64: the one checked parser behind QCNT_SHARDS, QCNT_FAULT_SEED and
+// EnvU64: the one checked parser behind QCNT_FAULT_SEED, QCNT_E20_KEYS and
 // QCNT_TCP_PORT_BASE. Contract: strict base-10, full-string match, range
 // checked — anything else reads as "not set" so a typo'd variable can
 // never smuggle a half-parsed value into a test matrix.

@@ -1,6 +1,6 @@
 // Mailbox hot-path contract: waiter-gated notify (no lost wakeups against
 // concurrent TryPopAll draining), move-only Push/PushAll, and the
-// handoff/wakeup counters the sharding bench records.
+// handoff/wakeup counters qbench records.
 #include "net/mailbox.hpp"
 
 #include <atomic>

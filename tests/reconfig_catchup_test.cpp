@@ -6,9 +6,7 @@
 //     the test playing coordinator and donors: a donor crash mid-stream
 //     resumes from the exact cursor against a different donor (no entry
 //     re-pulled, no entry skipped), a stale in-flight chunk from the
-//     abandoned stream is dropped by the pull_seq guard, and a donor
-//     whose shard count differs from the promised manifest is refused
-//     with the typed kJoinErrShardMismatch.
+//     abandoned stream is dropped by the pull_seq guard.
 //   * CatchupProperty — store-level random interleavings of live client
 //     writes with a concurrent AddReplica: the joined replica's applied
 //     versions never regress, its image never holds a (key, version,
@@ -73,7 +71,7 @@ std::string Pk(int i) {
 // ---------------------------------------------------------------------------
 
 TEST(CatchupProtocol, DonorCrashMidStreamResumesFromExactCursor) {
-  // Node 1 is a real single-shard joiner; the test plays donor 0, donor 2,
+  // Node 1 is a real joiner; the test plays donor 0, donor 2,
   // and the coordinator 3, so the crash point is fully deterministic.
   Bus bus(4);
   runtime::ReplicaServer joiner(bus, 1);
@@ -83,7 +81,6 @@ TEST(CatchupProtocol, DonorCrashMidStreamResumesFromExactCursor) {
     RtMessage chunk;
     chunk.kind = RtMessage::Kind::kCatchupChunk;
     chunk.op = req.msg.op;  // echo: answers the latest outstanding request
-    chunk.version = 1;      // single-shard layout, as promised
     for (int i = first; i <= last; ++i) {
       chunk.batch.push_back(runtime::BatchEntry{0, Pk(i), 1, 100 + i});
     }
@@ -95,14 +92,13 @@ TEST(CatchupProtocol, DonorCrashMidStreamResumesFromExactCursor) {
   RtMessage join;
   join.kind = RtMessage::Kind::kJoinReq;
   join.op = 77;
-  join.value = 0;    // donor 0
-  join.version = 1;  // expected shard layout
+  join.value = 0;  // donor 0
   bus.Send(3, 1, join);
 
   // Two chunks flow from donor 0.
   std::optional<Envelope> req = Await(bus, 0, RtMessage::Kind::kCatchupReq);
   ASSERT_TRUE(req);
-  EXPECT_EQ(req->msg.key, "");  // shard start
+  EXPECT_EQ(req->msg.key, "");  // image start
   EXPECT_EQ(req->msg.version, 0u);
   serve(0, *req, 0, 3, true);
   req = Await(bus, 0, RtMessage::Kind::kCatchupReq);
@@ -125,7 +121,6 @@ TEST(CatchupProtocol, DonorCrashMidStreamResumesFromExactCursor) {
   RtMessage stale;
   stale.kind = RtMessage::Kind::kCatchupChunk;
   stale.op = orphaned_op;
-  stale.version = 1;
   stale.batch.push_back(runtime::BatchEntry{0, "k99", 1, 999});
   stale.key = "k99";
   stale.value = 0;
@@ -158,32 +153,6 @@ TEST(CatchupProtocol, DonorCrashMidStreamResumesFromExactCursor) {
   joiner.Shutdown();
 }
 
-TEST(CatchupProtocol, JoinRejectedOnShardManifestMismatch) {
-  // Real donor with 3 shards, real joiner with 2: the coordinator promises
-  // the joiner's layout, the donor's first chunk reveals the truth, and
-  // the joiner must refuse with the typed error rather than striping keys
-  // onto the wrong workers.
-  Bus bus(3);
-  const auto mem = [](std::size_t) { return storage::MakeMemoryBackend(); };
-  runtime::ReplicaServer donor(bus, 0, 3, mem);
-  runtime::ReplicaServer joiner(bus, 1, 2, mem);
-
-  RtMessage join;
-  join.kind = RtMessage::Kind::kJoinReq;
-  join.op = 5;
-  join.value = 0;    // donor 0
-  join.version = 2;  // the (wrong) promised layout
-  bus.Send(2, 1, join);
-
-  std::optional<Envelope> done = Await(bus, 2, RtMessage::Kind::kCatchupDone);
-  ASSERT_TRUE(done);
-  EXPECT_EQ(done->from, 1u);
-  EXPECT_EQ(done->msg.op, 5u);
-  EXPECT_EQ(done->msg.value, runtime::kJoinErrShardMismatch);
-  donor.Shutdown();
-  joiner.Shutdown();
-}
-
 // ---------------------------------------------------------------------------
 // Property: live writes racing a join, varied interleavings.
 // ---------------------------------------------------------------------------
@@ -203,7 +172,6 @@ TEST(CatchupProperty, LiveWritesDuringJoinNeverRegressAndLeaveNoGaps) {
     StoreOptions options;
     options.replicas = 3;
     options.max_clients = 4;
-    options.shards_per_replica = 2;
     options.record_applied_history = true;
     ReplicatedStore store(options);
 
@@ -362,7 +330,6 @@ TEST_P(MembershipE2E, GrowToFiveShrinkToThreeUnderPipelinedTraffic) {
   options.max_clients = 4;
   // Pinned above one so the dispatch/split/config-barrier paths run even
   // on single-core machines where the auto default resolves to 1.
-  options.shards_per_replica = 2;
   if (std::string(GetParam()) == "tcp") {
     options.tcp = runtime::TcpStoreOptions{};
   }
@@ -495,7 +462,6 @@ TEST(CatchupSpill, JoinerPullsColdCheckpointStateFromDonors) {
   {
     StoreOptions options;
     options.replicas = 3;
-    options.shards_per_replica = 2;
     storage::DurabilityOptions durability;
     durability.directory = dir;
     durability.fsync = storage::FsyncPolicy::kAlways;

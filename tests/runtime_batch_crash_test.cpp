@@ -12,12 +12,12 @@
 #include <fstream>
 #include <map>
 
-#include "runtime/sharding.hpp"
 #include "runtime/store.hpp"
 #include "storage/crc32.hpp"
 #include "storage/io_util.hpp"
 #include "storage/manifest.hpp"
 #include "storage/recovery.hpp"
+#include "storage/wal.hpp"
 
 namespace qcnt::runtime {
 namespace {
@@ -44,7 +44,6 @@ TEST(BatchCrash, RecoveryYieldsPerItemPrefixOfTheBatchStream) {
 
   StoreOptions options;
   options.replicas = kReplicas;
-  options.shards_per_replica = 1;  // single segment: the whole stream
   options.durability = storage::DurabilityOptions{
       .directory = scratch.path,
       .fsync = storage::FsyncPolicy::kAlways,
@@ -92,10 +91,10 @@ TEST(BatchCrash, RecoveryYieldsPerItemPrefixOfTheBatchStream) {
   //    nothing interleaved out of order and nothing past the crash point
   //    it could not have applied.
   std::map<std::string, std::uint64_t> last_version;
-  // No rotation or checkpoint at these thresholds: the shard's whole
+  // No rotation or checkpoint at these thresholds: the replica's whole
   // stream is its first segment (file id 1).
   const std::string wal_path =
-      storage::Manifest::SegmentPath(scratch.path + "/replica_2", 0, 1);
+      storage::Manifest::SegmentPath(scratch.path + "/replica_2", 1);
   std::uint64_t replayed = 0;
   storage::Wal::Replay(wal_path, [&](const storage::WalRecord& rec) {
     ASSERT_EQ(rec.type, storage::WalRecord::Type::kWrite);
@@ -139,39 +138,33 @@ TEST(BatchCrash, RecoveryYieldsPerItemPrefixOfTheBatchStream) {
   EXPECT_GT(store.ReplicaStorageStats(0).batch_appends, 0u);
 }
 
-// Sharded edition of the prefix property: with 4 worker shards the crash
-// cuts 4 independent WAL segments at 4 independent points, but each
-// segment must still be a per-item gapless prefix, every item must live in
-// exactly the segment its hash names, and the merged recovery must equal
-// what the segments say.
-TEST(BatchCrash, ShardedRecoveryYieldsPerItemPrefix) {
-  ScratchDir scratch("sharded_prefix");
+// The prefix property across the whole engine: thresholds small enough
+// that the crash lands in a chain that rotates, checkpoints and merges in
+// slices between batches. Whatever the crash cut off — a half-written
+// checkpoint, an open merge — the recovered replica holds, per item, a
+// version no newer than the last one written, the offline rebuild agrees
+// with it, and quorum reads still return every acked value.
+TEST(BatchCrash, CheckpointedRecoveryYieldsPerItemPrefix) {
+  ScratchDir scratch("checkpointed_prefix");
   constexpr std::size_t kReplicas = 3;
-  constexpr std::size_t kShards = 4;
-  constexpr std::size_t kOps = 400;
-  constexpr std::size_t kCrashAt = 200;
-  // Enough keys that every shard owns at least one.
+  constexpr std::size_t kOps = 1200;
+  constexpr std::size_t kCrashAt = 700;
   std::vector<std::string> keys;
-  for (int i = 0; i < 12; ++i) keys.push_back("key" + std::to_string(i));
+  for (int i = 0; i < 64; ++i) keys.push_back("key" + std::to_string(i));
 
   StoreOptions options;
   options.replicas = kReplicas;
-  options.shards_per_replica = kShards;
   options.durability = storage::DurabilityOptions{
       .directory = scratch.path,
       .fsync = storage::FsyncPolicy::kAlways,
       .group_commit_window = 500us,
-      .checkpoint_tail_bytes = 64u << 20,  // never checkpoint mid-test
-      .segment_bytes = 64u << 20,          // ... and never rotate
+      .checkpoint_tail_bytes = 1024,
+      .segment_bytes = 512,
+      .max_checkpoints = 3,
   };
   ReplicatedStore store(std::move(options));
-  ASSERT_EQ(store.ShardsPerReplica(), kShards);
   auto client = store.MakeAsyncClient(
-      ClientOptions{
-          .window = 32, .max_batch = 16,
-          // The test audits one replica's WAL stream, so every write
-          // must reach every replica — disable minimal-quorum targeting.
-          .target_minimal = false});
+      ClientOptions{.window = 32, .max_batch = 16, .target_minimal = false});
 
   const auto payload = [&](std::size_t key_idx, std::uint64_t version) {
     return static_cast<std::int64_t>(key_idx * 1'000'000 + version);
@@ -190,54 +183,32 @@ TEST(BatchCrash, ShardedRecoveryYieldsPerItemPrefix) {
   for (auto& f : futures) ASSERT_TRUE(f.Get().ok);
 
   store.Recover(2);
+  const storage::StorageStats stats = store.ReplicaStorageStats(2);
+  EXPECT_GT(stats.checkpoints_written, 0u);
+  EXPECT_GT(stats.checkpoint_merges, 0u);
 
-  // 1. Every segment is a per-item gapless prefix holding only the keys
-  //    its shard owns.
+  // 1. The offline rebuild of the recovered directory holds, per item, a
+  //    payload-consistent version no newer than the last one written.
   const std::string replica_dir = scratch.path + "/replica_2";
-  std::map<std::string, std::uint64_t> last_version;
-  std::uint64_t replayed = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const std::string wal_path =
-        storage::Manifest::SegmentPath(replica_dir, s, 1);
-    ASSERT_TRUE(fs::exists(wal_path)) << wal_path;
-    storage::Wal::Replay(wal_path, [&](const storage::WalRecord& rec) {
-      ASSERT_EQ(rec.type, storage::WalRecord::Type::kWrite);
-      ASSERT_EQ(ShardForKey(rec.key, kShards), s)
-          << "key " << rec.key << " logged in the wrong segment";
-      const std::uint64_t expect = last_version[rec.key] + 1;
-      ASSERT_EQ(rec.version, expect)
-          << "torn interleaving: key " << rec.key << " jumped to version "
-          << rec.version;
-      ASSERT_LE(rec.version, writes_per_key[rec.key]);
-      last_version[rec.key] = rec.version;
-      ++replayed;
-    });
-  }
-  ASSERT_GT(replayed, 0u);
-  ASSERT_LT(replayed, kOps);
+  const auto rebuilt = storage::RecoveryManager(replica_dir).RecoverReplica();
+  ASSERT_TRUE(rebuilt.ok) << rebuilt.error;
 
-  // 2. RecoverReplica's merged image agrees with the segments.
-  const auto merged =
-      storage::RecoveryManager(replica_dir).RecoverReplica();
-  ASSERT_TRUE(merged.ok) << merged.error;
-  EXPECT_EQ(merged.shard_count, kShards);
-  for (const auto& [key, version] : last_version) {
-    if (version == 0) continue;
-    const auto it = merged.image.data.find(key);
-    ASSERT_NE(it, merged.image.data.end()) << key;
-    EXPECT_EQ(it->second.version, version) << key;
-  }
-
-  // 3. The live recovered replica serves exactly that state, and quorum
-  //    reads still return every acked value.
+  // 2. The live recovered replica serves exactly that state.
   const ReplicaSnapshot snap = store.ReplicaPeek(2);
   for (std::size_t k = 0; k < keys.size(); ++k) {
     const auto it = snap.image.data.find(keys[k]);
     const storage::Versioned v =
         it == snap.image.data.end() ? storage::Versioned{} : it->second;
-    EXPECT_EQ(v.version, last_version[keys[k]]) << keys[k];
+    EXPECT_LE(v.version, writes_per_key[keys[k]]) << keys[k];
     if (v.version > 0) EXPECT_EQ(v.value, payload(k, v.version));
+    const auto rt = rebuilt.image.data.find(keys[k]);
+    const storage::Versioned rv =
+        rt == rebuilt.image.data.end() ? storage::Versioned{} : rt->second;
+    EXPECT_EQ(rv.version, v.version) << keys[k];
+    EXPECT_EQ(rv.value, v.value) << keys[k];
   }
+
+  // 3. Quorum reads still return every acked value.
   auto reader = store.MakeClient();
   for (std::size_t k = 0; k < keys.size(); ++k) {
     const ClientResult r = reader->Read(keys[k]);
@@ -253,10 +224,8 @@ TEST(BatchCrash, ShardedRecoveryYieldsPerItemPrefix) {
 // resurrect a subset of acked state. The replica stays down.
 TEST(BatchCrash, MissingShardSegmentIsRejectedNotSilentlyDropped) {
   ScratchDir scratch("missing_segment");
-  constexpr std::size_t kShards = 4;
   StoreOptions options;
   options.replicas = 3;
-  options.shards_per_replica = kShards;
   options.durability = storage::DurabilityOptions{
       .directory = scratch.path,
       .fsync = storage::FsyncPolicy::kAlways,
@@ -270,32 +239,31 @@ TEST(BatchCrash, MissingShardSegmentIsRejectedNotSilentlyDropped) {
 
   store.Crash(2);
   const std::string replica_dir = scratch.path + "/replica_2";
-  fs::remove(storage::Manifest::SegmentPath(replica_dir, 2, 1));
+  fs::remove(storage::Manifest::SegmentPath(replica_dir, 1));
 
   const auto merged =
       storage::RecoveryManager(replica_dir).RecoverReplica();
   EXPECT_FALSE(merged.ok);
-  EXPECT_NE(merged.error.find("shard_2/seg_1.log"), std::string::npos)
+  EXPECT_NE(merged.error.find("shard_0/seg_1.log"), std::string::npos)
       << merged.error;
   try {
     store.Recover(2);
     FAIL() << "recovered without a segment the MANIFEST names";
   } catch (const storage::LayoutError& e) {
-    EXPECT_NE(std::string(e.what()).find("shard_2/seg_1.log"),
+    EXPECT_NE(std::string(e.what()).find("shard_0/seg_1.log"),
               std::string::npos)
         << e.what();
   }
   EXPECT_FALSE(store.IsUp(2));
 }
 
-// A corrupt manifest is equally fatal: without a trustworthy shard count
+// A corrupt manifest is equally fatal: without a trustworthy file list
 // the segment set cannot be proven complete. So is a format-version-1
 // MANIFEST (the pre-v2 engine's), which names no files at all.
 TEST(BatchCrash, CorruptManifestIsRejected) {
   ScratchDir scratch("corrupt_manifest");
   StoreOptions options;
   options.replicas = 1;
-  options.shards_per_replica = 2;
   options.durability =
       storage::DurabilityOptions{.directory = scratch.path};
   {
@@ -314,7 +282,7 @@ TEST(BatchCrash, CorruptManifestIsRejected) {
 
   std::vector<unsigned char> payload;
   storage::PutU32(payload, 1);  // format version 1
-  storage::PutU32(payload, 2);  // shard count
+  storage::PutU32(payload, 2);  // stripe count
   std::vector<unsigned char> v1 = {'Q', 'M', 'A', 'N'};
   v1.insert(v1.end(), payload.begin(), payload.end());
   storage::PutU32(v1, storage::Crc32(payload.data(), payload.size()));
@@ -327,89 +295,112 @@ TEST(BatchCrash, CorruptManifestIsRejected) {
   EXPECT_THROW(ReplicatedStore{std::move(options)}, storage::LayoutError);
 }
 
-// Reopening a directory with a different shard count must be rejected
-// with a typed error naming both counts: the key→segment striping is
-// pinned at creation and not self-rebalancing.
+/// Write `payload` as `dir`/MANIFEST: magic, payload, CRC.
+void WriteRawManifest(const std::string& dir,
+                      const std::vector<unsigned char>& payload) {
+  std::vector<unsigned char> file = {'Q', 'M', 'A', 'N'};
+  file.insert(file.end(), payload.begin(), payload.end());
+  storage::PutU32(file, storage::Crc32(payload.data(), payload.size()));
+  std::ofstream out(storage::RecoveryManager::ManifestPath(dir),
+                    std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(file.data()),
+            static_cast<std::streamsize>(file.size()));
+}
+
+// A directory a replica striped over several shards (as a store
+// configured with four shards per replica once wrote it) cannot be
+// opened by the one-chain engine without orphaning three of them: the
+// store constructor refuses it with a typed error naming the MANIFEST
+// and both counts.
 TEST(BatchCrash, ShardCountChangeIsRejected) {
   ScratchDir scratch("count_change");
+  const std::string replica_dir = scratch.path + "/replica_0";
+  fs::create_directories(replica_dir);
+  std::vector<unsigned char> payload;
+  storage::PutU32(payload, 2);  // format version
+  storage::PutU32(payload, 4);  // shard count
+  for (int s = 0; s < 4; ++s) {
+    payload.push_back(1);  // present
+    storage::PutU64(payload, 2);  // next file id
+    storage::PutU32(payload, 1);  // one segment ...
+    storage::PutU64(payload, 1);  // ... seg_1.log
+    storage::PutU32(payload, 0);  // no checkpoints
+  }
+  WriteRawManifest(replica_dir, payload);
+
   StoreOptions options;
   options.replicas = 1;
-  options.shards_per_replica = 4;
   options.durability =
       storage::DurabilityOptions{.directory = scratch.path};
-  {
-    ReplicatedStore store(options);
-    auto client = store.MakeClient();
-    ASSERT_TRUE(client->Write("x", 1).ok);
-  }
-  options.shards_per_replica = 2;
   try {
     ReplicatedStore store(std::move(options));
-    FAIL() << "a 4-shard directory opened with 2 shards";
+    FAIL() << "a 4-shard directory opened as one chain";
   } catch (const storage::LayoutError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("MANIFEST"), std::string::npos) << what;
-    EXPECT_NE(what.find("manifest has 4, configured 2"), std::string::npos)
+    EXPECT_NE(what.find(storage::RecoveryManager::ManifestPath(replica_dir)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("manifest has 4 shards, this engine keeps 1"),
+              std::string::npos)
         << what;
   }
+  EXPECT_FALSE(storage::RecoveryManager(replica_dir).RecoverReplica().ok);
 }
 
-// shards_per_replica = 0 adopts the count an existing directory's MANIFEST
-// pins, ahead of QCNT_SHARDS and the default: a directory striped with
-// another count (say, under an older default on a bigger host) reopens
-// with default options and serves every key. An explicit different count
-// is still refused.
-TEST(BatchCrash, AutoShardCountAdoptsOnDiskLayout) {
-  ScratchDir scratch("auto_adopt");
-  constexpr int kKeys = 32;
-  StoreOptions options;
-  options.replicas = 3;
-  options.shards_per_replica = 4;
-  options.durability =
-      storage::DurabilityOptions{.directory = scratch.path};
+// The one-chain engine keeps the v2 encoding (a table of one) and the
+// `shard_0/` paths, so a directory written by the default one-shard
+// layout opens as it is. Laid down byte for byte as that layout wrote
+// it: MANIFEST v2 with one present entry naming `shard_0/seg_1.log`.
+TEST(BatchCrash, DefaultLayoutDirectoryOpensAsIs) {
+  ScratchDir scratch("default_layout");
+  const std::string replica_dir = scratch.path + "/replica_0";
+  fs::create_directories(replica_dir + "/shard_0");
   {
-    ReplicatedStore store(options);
-    auto client = store.MakeClient();
-    for (int i = 0; i < kKeys; ++i) {
-      ASSERT_TRUE(client->Write("key" + std::to_string(i), i).ok);
+    storage::Wal wal(replica_dir + "/shard_0/seg_1.log", {});
+    for (int i = 0; i < 8; ++i) {
+      storage::WalRecord rec;
+      rec.key = "key" + std::to_string(i);
+      rec.version = 3;
+      rec.value = 100 + i;
+      wal.Append(rec);
     }
   }
-  options.shards_per_replica = 0;
-  {
-    ReplicatedStore store(options);
-    EXPECT_EQ(store.ShardsPerReplica(), 4u);
-    auto client = store.MakeClient();
-    for (int i = 0; i < kKeys; ++i) {
-      const ClientResult r = client->Read("key" + std::to_string(i));
-      ASSERT_TRUE(r.ok) << i;
-      EXPECT_EQ(r.value, i) << i;
-    }
-  }
-  options.shards_per_replica = 2;
-  EXPECT_THROW(ReplicatedStore{std::move(options)}, storage::LayoutError);
-}
+  std::vector<unsigned char> payload;
+  storage::PutU32(payload, 2);  // format version
+  storage::PutU32(payload, 1);  // one shard
+  payload.push_back(1);         // present
+  storage::PutU64(payload, 2);  // next file id
+  storage::PutU32(payload, 1);  // one segment ...
+  storage::PutU64(payload, 1);  // ... seg_1.log
+  storage::PutU32(payload, 0);  // no checkpoints
+  WriteRawManifest(replica_dir, payload);
 
-// A torn tail in one segment is a normal crash artifact, not corruption:
-// recovery truncates that segment's tail and reports it, while the other
-// segments replay in full.
-TEST(BatchCrash, TornSegmentTailIsTruncatedAndReported) {
-  ScratchDir scratch("torn_segment");
-  constexpr std::size_t kShards = 2;
   StoreOptions options;
   options.replicas = 1;
-  options.shards_per_replica = kShards;
   options.durability =
       storage::DurabilityOptions{.directory = scratch.path};
-  // Two keys in different shards, so both segments hold data.
-  std::string key_a, key_b;
-  for (int i = 0; key_a.empty() || key_b.empty(); ++i) {
-    const std::string k = "key" + std::to_string(i);
-    if (ShardForKey(k, kShards) == 0) {
-      if (key_a.empty()) key_a = k;
-    } else if (key_b.empty()) {
-      key_b = k;
-    }
+  ReplicatedStore store(std::move(options));
+  EXPECT_EQ(store.ReplicaStorageStats(0).recovery_replayed, 8u);
+  auto client = store.MakeClient();
+  for (int i = 0; i < 8; ++i) {
+    const ClientResult r = client->Read("key" + std::to_string(i));
+    ASSERT_TRUE(r.ok) << i;
+    EXPECT_EQ(r.version, 3u) << i;
+    EXPECT_EQ(r.value, 100 + i) << i;
   }
+}
+
+// A torn tail on the active segment is a normal crash artifact, not
+// corruption: recovery truncates the torn record, reports it, and keeps
+// every record before it.
+TEST(BatchCrash, TornSegmentTailIsTruncatedAndReported) {
+  ScratchDir scratch("torn_segment");
+  StoreOptions options;
+  options.replicas = 1;
+  options.durability =
+      storage::DurabilityOptions{.directory = scratch.path};
+  const std::string key_a = "key_a";
+  const std::string key_b = "key_b";
   {
     ReplicatedStore store(options);
     auto client = store.MakeClient();
@@ -419,14 +410,14 @@ TEST(BatchCrash, TornSegmentTailIsTruncatedAndReported) {
   }
   const std::string replica_dir = scratch.path + "/replica_0";
   const std::string torn =
-      storage::Manifest::SegmentPath(replica_dir, 1, 1);
+      storage::Manifest::SegmentPath(replica_dir, 1);
   fs::resize_file(torn, fs::file_size(torn) - 2);
 
   const auto merged =
       storage::RecoveryManager(replica_dir).RecoverReplica();
   ASSERT_TRUE(merged.ok) << merged.error;
   EXPECT_EQ(merged.torn_segments, 1u);
-  // Shard 0's key is intact; shard 1 lost exactly its torn final record.
+  // Only the torn final record is lost.
   EXPECT_EQ(merged.image.data.at(key_a).value, 10);
   EXPECT_EQ(merged.image.data.at(key_b).value, 20);
 

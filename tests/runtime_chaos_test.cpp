@@ -220,7 +220,6 @@ TEST(ChaosSoak, MembershipChurnUnderDropDupDelayReorderPartitionAndCrash) {
   options.replicas = 3;
   options.max_clients = kClients;
   options.record_applied_history = true;
-  options.shards_per_replica = 2;
   FaultPlan plan;
   // Gentler than the static soak: the coordinator's bulk-catchup window
   // retries whole-join steps, so heavy loss mostly costs wall clock.

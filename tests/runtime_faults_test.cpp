@@ -406,10 +406,8 @@ TEST(ClientHardening, RepairsToCrashedReplicasAreNotCounted) {
 /// history entry (and, via the same accepted-set, no second WAL record).
 TEST(ReplicaIdempotence, DuplicatedBatchWriteDoesNotDoubleApply) {
   Bus bus(2);
-  ReplicaServer replica(
-      bus, 0, /*shards=*/1,
-      [](std::size_t) { return storage::MakeMemoryBackend(); },
-      /*record_history=*/true);
+  ReplicaServer replica(bus, 0, storage::MakeMemoryBackend(),
+                        /*record_history=*/true);
   RtMessage m;
   m.kind = RtMessage::Kind::kBatchWriteReq;
   m.op = 1;

@@ -150,8 +150,8 @@ TEST(DurableStore, CrashLosesStateRecoveryRestoresIt) {
 
   store.Recover(2);
   const auto stats = store.ReplicaStorageStats(2);
-  // Initial start + this recovery, each recovering every shard segment.
-  EXPECT_EQ(stats.recoveries, 2u * store.ShardsPerReplica());
+  // Initial start + this recovery.
+  EXPECT_EQ(stats.recoveries, 2u);
   EXPECT_GT(stats.recovery_replayed, 0u);
 
   // Force read quorums to include the recovered replica: {1, 2}.
@@ -235,9 +235,7 @@ TEST(DurableStore, RestartRecoversFromCheckpointPlusTail) {
 /// discarded; the quorum absorbs the lost tail.
 TEST(DurableStore, TornFinalRecordDiscardedOnRecovery) {
   ScratchDir dir("torn_tail");
-  // One shard pinned so "x" lands in a known WAL segment to tear.
   StoreOptions options = DurableOptions(dir.path);
-  options.shards_per_replica = 1;
   {
     ReplicatedStore store(options);
     auto client = store.MakeClient();
@@ -249,7 +247,7 @@ TEST(DurableStore, TornFinalRecordDiscardedOnRecovery) {
   // No rotation happened at the default thresholds, so the chain is just
   // the first segment (file id 1).
   const std::string wal =
-      storage::Manifest::SegmentPath(dir.path + "/replica_2", 0, 1);
+      storage::Manifest::SegmentPath(dir.path + "/replica_2", 1);
   ASSERT_TRUE(fs::exists(wal));
   fs::resize_file(wal, fs::file_size(wal) - 2);
 
@@ -372,8 +370,8 @@ TEST(DurableStore, StatsSurfaceCountsAppendsAndFsyncs) {
   EXPECT_EQ(stats.records_appended, 6u);  // 2 writes x 3 replicas
   EXPECT_EQ(stats.fsyncs, 6u);            // kAlways default
   EXPECT_GT(stats.bytes_appended, 0u);
-  // One initial recovery per shard segment per replica.
-  EXPECT_EQ(stats.recoveries, 3u * store.ShardsPerReplica());
+  // One initial recovery per replica.
+  EXPECT_EQ(stats.recoveries, 3u);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Tests for sharded replicas (shards are the durable layout; one loop
-// thread per replica serves them all): key→shard routing stability, the
-// sequential-vs-sharded equivalence property (identical per-operation
-// results, final images, and per-item version sequences with shards ∈
-// {1, 2, 4, 8}), atomic fail-stop of all shards under Crash hammered
-// mid-batch, one reply and one commit pass per cross-shard batch, config
-// writes stamping every shard before the ack, and the per-shard counters
+// Tests for the replica's one loop over one chain (the suite names date
+// from when a replica could stripe its keys over several shards): the
+// batched-vs-sequential equivalence property (identical per-operation
+// results, final images, and per-item version sequences), fail-stop under
+// Crash hammered mid-batch, one reply and one commit pass per batch,
+// config writes fencing older batches before the ack, the refusal chunk
+// for a stripe index a one-chain donor does not have, and the counters
 // surfaced through Peek().
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "common/rng.hpp"
-#include "runtime/sharding.hpp"
 #include "runtime/store.hpp"
 
 namespace qcnt::runtime {
@@ -21,26 +20,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using namespace std::chrono_literals;
-
-TEST(Sharding, HashIsPinnedAcrossProcesses) {
-  // Durable shard segments are only self-consistent if key→shard never
-  // changes between runs, so the hash is pinned to FNV-1a 64 — these are
-  // its published constants, not values we measured once and froze.
-  EXPECT_EQ(ShardHash(""), 14695981039346656037ull);
-  EXPECT_EQ(ShardHash("a"), 0xaf63dc4c8601ec8cull);
-  EXPECT_EQ(ShardForKey("anything", 1), 0u);
-}
-
-TEST(Sharding, SpreadsKeysOverAllShards) {
-  constexpr std::size_t kShards = 4;
-  std::vector<std::size_t> hits(kShards, 0);
-  for (int i = 0; i < 256; ++i) {
-    ++hits[ShardForKey("key" + std::to_string(i), kShards)];
-  }
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_GT(hits[s], 0u) << "shard " << s << " owns no keys";
-  }
-}
 
 /// Project a replica's applied-write history onto one key.
 std::vector<std::pair<std::uint64_t, std::int64_t>> KeyHistory(
@@ -52,35 +31,32 @@ std::vector<std::pair<std::uint64_t, std::int64_t>> KeyHistory(
   return out;
 }
 
-/// The central equivalence property, parameterized by shard count: a
-/// random workload against a sharded, batched store must produce the same
-/// per-operation results, final replica images, and per-item version
-/// sequences as an unsharded sequential store — sharding may change
-/// thread interleavings but never anything Lemma 7/8 constrain.
-void RunShardEquivalence(std::size_t shards, std::size_t iterations) {
+/// The central equivalence property: a random workload against a
+/// pipelined, batched store must produce the same per-operation results,
+/// final replica images, and per-item version sequences as a sequential
+/// store — batching may change interleavings but never anything Lemma 7/8
+/// constrain.
+void RunBatchedEquivalence(std::size_t iterations) {
   constexpr std::size_t kReplicas = 3;
   const std::vector<std::string> keys = {"a", "b", "c", "d",
                                          "e", "f", "g", "h"};
 
   StoreOptions seq_options;
   seq_options.replicas = kReplicas;
-  seq_options.shards_per_replica = 1;
   seq_options.record_applied_history = true;
   ReplicatedStore seq_store(std::move(seq_options));
   auto seq_client = seq_store.MakeClient();
 
-  StoreOptions shard_options;
-  shard_options.replicas = kReplicas;
-  shard_options.shards_per_replica = shards;
-  shard_options.record_applied_history = true;
-  ReplicatedStore shard_store(std::move(shard_options));
-  ASSERT_EQ(shard_store.ShardsPerReplica(), shards);
-  auto shard_client = shard_store.MakeAsyncClient(
+  StoreOptions batched_options;
+  batched_options.replicas = kReplicas;
+  batched_options.record_applied_history = true;
+  ReplicatedStore batched_store(std::move(batched_options));
+  auto batched_client = batched_store.MakeAsyncClient(
       ClientOptions{.window = 16, .max_batch = 8});
 
   std::vector<std::pair<OpFuture, ClientResult>> pending;
   auto drain_and_compare = [&] {
-    ASSERT_TRUE(shard_client->Drain());
+    ASSERT_TRUE(batched_client->Drain());
     for (auto& [future, want] : pending) {
       ASSERT_TRUE(future.Ready());
       const ClientResult got = future.Get();
@@ -94,26 +70,26 @@ void RunShardEquivalence(std::size_t shards, std::size_t iterations) {
   auto compare_replica_states = [&] {
     for (std::size_t r = 0; r < kReplicas; ++r) {
       const ReplicaSnapshot seq_snap = seq_store.ReplicaPeek(r);
-      const ReplicaSnapshot shard_snap = shard_store.ReplicaPeek(r);
+      const ReplicaSnapshot batched_snap = batched_store.ReplicaPeek(r);
       for (const std::string& key : keys) {
         const auto si = seq_snap.image.data.find(key);
-        const auto bi = shard_snap.image.data.find(key);
+        const auto bi = batched_snap.image.data.find(key);
         const storage::Versioned sv =
             si == seq_snap.image.data.end() ? storage::Versioned{}
                                             : si->second;
         const storage::Versioned bv =
-            bi == shard_snap.image.data.end() ? storage::Versioned{}
+            bi == batched_snap.image.data.end() ? storage::Versioned{}
                                               : bi->second;
         ASSERT_EQ(sv.version, bv.version)
             << "replica " << r << " key " << key;
         ASSERT_EQ(sv.value, bv.value) << "replica " << r << " key " << key;
-        ASSERT_EQ(KeyHistory(seq_snap, key), KeyHistory(shard_snap, key))
+        ASSERT_EQ(KeyHistory(seq_snap, key), KeyHistory(batched_snap, key))
             << "replica " << r << " key " << key;
       }
     }
   };
 
-  qcnt::Rng rng(20260806 + shards);
+  qcnt::Rng rng(20260807);
   bool crashed = false;
   for (std::size_t i = 0; i < iterations; ++i) {
     // Crash/recover a replica at drain boundaries, identically in both
@@ -123,10 +99,10 @@ void RunShardEquivalence(std::size_t shards, std::size_t iterations) {
       drain_and_compare();
       if (!crashed) {
         seq_store.Crash(2);
-        shard_store.Crash(2);
+        batched_store.Crash(2);
       } else {
         seq_store.Recover(2);
-        shard_store.Recover(2);
+        batched_store.Recover(2);
       }
       crashed = !crashed;
     }
@@ -134,11 +110,11 @@ void RunShardEquivalence(std::size_t shards, std::size_t iterations) {
     const std::string& key = keys[rng.Index(keys.size())];
     if (rng.Chance(0.3)) {
       const ClientResult want = seq_client->Read(key);
-      pending.emplace_back(shard_client->SubmitRead(key), want);
+      pending.emplace_back(batched_client->SubmitRead(key), want);
     } else {
       const auto value = static_cast<std::int64_t>(i + 1);
       const ClientResult want = seq_client->Write(key, value);
-      pending.emplace_back(shard_client->SubmitWrite(key, value), want);
+      pending.emplace_back(batched_client->SubmitWrite(key, value), want);
     }
 
     if (pending.size() >= 16) drain_and_compare();
@@ -152,30 +128,13 @@ void RunShardEquivalence(std::size_t shards, std::size_t iterations) {
 }
 
 TEST(ShardedEquivalence, OneShardMatchesSequential) {
-  RunShardEquivalence(1, 600);
+  RunBatchedEquivalence(600);
 }
 
-// Multi-shard replicas multiplex every shard on the one loop, which
-// re-resolves each entry's shard itself: per-key results, images, and
-// version sequences must still match the sequential store.
-TEST(ShardedEquivalence, TwoShardsMatchSequential) {
-  RunShardEquivalence(2, 600);
-}
-
-TEST(ShardedEquivalence, FourShardsMatchSequential) {
-  RunShardEquivalence(4, 600);
-}
-
-// All eight shards on the replica's one loop thread.
-TEST(ShardedEquivalence, EightShardsOneWorkerMatchesSequential) {
-  RunShardEquivalence(8, 400);
-}
-
-// Regression (shard-aware atomic Crash): hammer Crash while batches
-// spanning several shards are streaming at a replica. The crash must kill
-// all shards atomically — no hung crash drain, no lost acked writes, and
-// a clean rejoin on Recover. Swept over the shard layouts {1, 2, 4, 8}.
-void RunCrashHammer(std::size_t shards) {
+// Regression (atomic Crash): hammer Crash while batches are streaming at
+// a replica. The crash must cut the stream atomically — no hung crash
+// drain, no lost acked writes, and a clean rejoin on Recover.
+TEST(ShardedCrash, CrashHammeredDuringBatchesOneShard) {
   constexpr std::size_t kRounds = 12;
   constexpr std::size_t kWritesPerRound = 48;
   std::vector<std::string> keys;
@@ -183,7 +142,6 @@ void RunCrashHammer(std::size_t shards) {
 
   StoreOptions options;
   options.replicas = 3;
-  options.shards_per_replica = shards;
   ReplicatedStore store(std::move(options));
   auto client = store.MakeAsyncClient(
       ClientOptions{.window = 64, .max_batch = 16});
@@ -216,18 +174,6 @@ void RunCrashHammer(std::size_t shards) {
   }
 }
 
-TEST(ShardedCrash, CrashHammeredDuringBatchesOneShard) { RunCrashHammer(1); }
-
-TEST(ShardedCrash, CrashHammeredDuringSplitBatchesTwoShards) {
-  RunCrashHammer(2);
-}
-
-TEST(ShardedCrash, CrashHammeredDuringSplitBatches) { RunCrashHammer(4); }
-
-TEST(ShardedCrash, CrashHammeredDuringSplitBatchesEightShards) {
-  RunCrashHammer(8);
-}
-
 struct ScratchDir {
   explicit ScratchDir(const std::string& name)
       : path("runtime_shard_scratch/" + name) {
@@ -238,23 +184,10 @@ struct ScratchDir {
   std::string path;
 };
 
-/// The first `per_shard` keys of the form "key<i>" on each of `shards`
-/// shards, grouped by shard.
-std::vector<std::string> KeysOnEveryShard(std::size_t shards,
-                                          std::size_t per_shard) {
-  std::vector<std::vector<std::string>> by_shard(shards);
-  std::size_t filled = 0;
-  for (int i = 0; filled < shards; ++i) {
-    const std::string k = "key" + std::to_string(i);
-    auto& bucket = by_shard[ShardForKey(k, shards)];
-    if (bucket.size() == per_shard) continue;
-    bucket.push_back(k);
-    if (bucket.size() == per_shard) ++filled;
-  }
+/// `n` keys of the form "key<i>".
+std::vector<std::string> Keys(std::size_t n) {
   std::vector<std::string> out;
-  for (const auto& bucket : by_shard) {
-    out.insert(out.end(), bucket.begin(), bucket.end());
-  }
+  for (std::size_t i = 0; i < n; ++i) out.push_back("key" + std::to_string(i));
   return out;
 }
 
@@ -282,12 +215,10 @@ RtMessage BatchWrite(const std::vector<std::string>& keys,
   return req;
 }
 
-/// A one-replica store under group commit with `shards` shards.
-StoreOptions DurableShardedOptions(const std::string& directory,
-                                   std::size_t shards) {
+/// A one-replica store under group commit.
+StoreOptions DurableOptions(const std::string& directory) {
   StoreOptions options;
   options.replicas = 1;
-  options.shards_per_replica = shards;
   options.durability = storage::DurabilityOptions{
       .directory = directory,
       .fsync = storage::FsyncPolicy::kGroupCommit,
@@ -310,23 +241,16 @@ void ExpectOneCommitPass(ReplicatedStore& store, std::uint64_t passes_before) {
       << "a second fsync decision fired with nothing dirty";
 }
 
-// A batch whose keys all hash to one shard is one mailbox handoff, touches
-// only that shard's counters, and under group commit costs one cross-shard
-// fsync decision that syncs the single dirty segment once.
+// A batch is one mailbox handoff in, counted once in the replica's one
+// counter slot, and under group commit costs one fsync decision that
+// syncs the single dirty segment once.
 TEST(ShardedStore, SingleShardBatchIsOneHandoffAndOneFsyncDecision) {
   ScratchDir scratch("single");
-  constexpr std::size_t kShards = 4;
-  ReplicatedStore store(DurableShardedOptions(scratch.path, kShards));
-
-  const std::size_t target = ShardForKey("key0", kShards);
-  std::vector<std::string> keys;
-  for (int i = 0; keys.size() < 4; ++i) {
-    const std::string k = "key" + std::to_string(i);
-    if (ShardForKey(k, kShards) == target) keys.push_back(k);
-  }
+  ReplicatedStore store(DurableOptions(scratch.path));
+  const std::vector<std::string> keys = Keys(4);
 
   const BatchStats before = store.ReplicaBatchStats(0);
-  ASSERT_EQ(before.per_shard.size(), kShards);
+  ASSERT_EQ(before.per_shard.size(), 1u);
   const std::uint64_t passes_before = store.ReplicaCommitPasses(0);
 
   const RtMessage ack = RoundTrip(store, 0, BatchWrite(keys, 1, 0));
@@ -336,31 +260,26 @@ TEST(ShardedStore, SingleShardBatchIsOneHandoffAndOneFsyncDecision) {
   const BatchStats after = store.ReplicaBatchStats(0);
   EXPECT_EQ(after.mailbox_handoffs - before.mailbox_handoffs, 1u)
       << "whole batch must be one mailbox handoff";
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const std::uint64_t want = s == target ? 1u : 0u;
-    EXPECT_EQ(after.per_shard[s].batches - before.per_shard[s].batches, want)
-        << "shard " << s;
-  }
+  EXPECT_EQ(after.per_shard[0].batches - before.per_shard[0].batches, 1u);
 
   ExpectOneCommitPass(store, passes_before);
   EXPECT_EQ(store.ReplicaStorageStats(0).fsyncs, 1u)
       << "one dirty segment, one fsync";
 }
 
-// One batch spanning every shard of a durable replica is one message all
-// the way through: one mailbox handoff in, one kBatchWriteAck out (at
-// most one reply per replica per batch), and under group commit one
-// cross-shard fsync decision that syncs each dirty shard segment once.
-// Counter-based via ReplicaBatchStats (direct atomic reads — no peek
-// traffic perturbing the handoff counts).
+// One batch of many keys to a durable replica is one message all the way
+// through: one mailbox handoff in, one kBatchWriteAck out (at most one
+// reply per replica per batch), one WAL append, and under group commit
+// one fsync decision. Counter-based via ReplicaBatchStats (direct atomic
+// reads — no peek traffic perturbing the handoff counts).
 TEST(ShardedStore, CrossShardBatchIsOneAckOneHandoffOneCommitPass) {
   ScratchDir scratch("fastpath");
-  constexpr std::size_t kShards = 4;
-  ReplicatedStore store(DurableShardedOptions(scratch.path, kShards));
-  const std::vector<std::string> keys = KeysOnEveryShard(kShards, 2);
+  ReplicatedStore store(DurableOptions(scratch.path));
+  const std::vector<std::string> keys = Keys(8);
 
   const BatchStats before = store.ReplicaBatchStats(0);
-  ASSERT_EQ(before.per_shard.size(), kShards);
+  const std::uint64_t appends_before =
+      store.ReplicaStorageStats(0).batch_appends;
   const std::uint64_t passes_before = store.ReplicaCommitPasses(0);
 
   const RtMessage ack = RoundTrip(store, 0, BatchWrite(keys, 1, 0));
@@ -375,28 +294,22 @@ TEST(ShardedStore, CrossShardBatchIsOneAckOneHandoffOneCommitPass) {
 
   const BatchStats after = store.ReplicaBatchStats(0);
   EXPECT_EQ(after.mailbox_handoffs - before.mailbox_handoffs, 1u);
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(after.per_shard[s].batches - before.per_shard[s].batches, 1u)
-        << "shard " << s;
-    EXPECT_EQ(after.per_shard[s].ops - before.per_shard[s].ops, 2u)
-        << "shard " << s;
-  }
+  EXPECT_EQ(after.per_shard[0].batches - before.per_shard[0].batches, 1u);
+  EXPECT_EQ(after.per_shard[0].ops - before.per_shard[0].ops, keys.size());
+  EXPECT_EQ(store.ReplicaStorageStats(0).batch_appends - appends_before, 1u)
+      << "one WAL append per batch";
 
   // Exactly one group-commit pass serves the whole batch.
   ExpectOneCommitPass(store, passes_before);
-  EXPECT_EQ(store.ReplicaStorageStats(0).fsyncs, kShards)
-      << "one fsync per dirty shard segment";
+  EXPECT_EQ(store.ReplicaStorageStats(0).fsyncs, 1u);
 }
 
-// A config write acked by a sharded replica implies *every* shard applied
-// the stamp: writes under the new config proceed, the merged peek carries
-// the new generation, and a batch staged under the old generation is
-// fenced on every shard.
+// A config write acked by a replica implies it applied the stamp: writes
+// under the new config proceed, the peek carries the new generation, and
+// every entry of a batch staged under the old generation is fenced.
 TEST(ShardedStore, ReconfigureBarriersAcrossAllShards) {
-  constexpr std::size_t kShards = 4;
   StoreOptions options;
   options.replicas = 3;
-  options.shards_per_replica = kShards;
   options.configs = {quorum::MajoritySystem(3), quorum::MajoritySystem(3)};
   ReplicatedStore store(std::move(options));
   auto client = store.MakeClient();
@@ -410,11 +323,10 @@ TEST(ShardedStore, ReconfigureBarriersAcrossAllShards) {
     EXPECT_EQ(snap.image.generation, 1u) << "replica " << r;
     EXPECT_EQ(snap.image.config_id, 1u) << "replica " << r;
   }
-  // Per shard: re-send the same stamp raw (a no-op where the client's copy
-  // already landed, but acked either way), then, once it is acked, a
-  // generation-0 batch with keys on every shard must be fenced entry by
-  // entry — each entry is checked against its own shard's stamp.
-  const std::vector<std::string> keys = KeysOnEveryShard(kShards, 1);
+  // Re-send the same stamp raw (a no-op where the client's copy already
+  // landed, but acked either way), then, once it is acked, a
+  // generation-0 batch must be fenced entry by entry.
+  const std::vector<std::string> keys = Keys(4);
   for (NodeId r = 0; r < store.ReplicaCount(); ++r) {
     RtMessage stamp;
     stamp.kind = RtMessage::Kind::kConfigWriteReq;
@@ -426,10 +338,10 @@ TEST(ShardedStore, ReconfigureBarriersAcrossAllShards) {
     const RtMessage ack = RoundTrip(store, r, BatchWrite(keys, 100, 0));
     ASSERT_EQ(ack.kind, RtMessage::Kind::kBatchWriteAck);
     EXPECT_EQ(ack.generation, 1u);
-    ASSERT_EQ(ack.batch.size(), kShards);
-    for (std::size_t s = 0; s < kShards; ++s) {
-      EXPECT_EQ(ack.batch[s].value, 1)
-          << "replica " << r << " shard " << s << " kept the old stamp";
+    ASSERT_EQ(ack.batch.size(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(ack.batch[i].value, 1)
+          << "replica " << r << " entry " << i << " kept the old stamp";
     }
   }
   // The store keeps working under the new configuration.
@@ -437,36 +349,41 @@ TEST(ShardedStore, ReconfigureBarriersAcrossAllShards) {
   EXPECT_EQ(client->Read("after").value, 99);
 }
 
-// Streaming catchup names a shard per request; one beyond the donor's
-// layout is answered with an empty chunk carrying the donor's shard count,
-// which the puller turns into a typed join refusal.
+// A catchup request naming a nonzero stripe index (a puller that expects
+// a striped layout) is answered with an empty, final chunk: the donor
+// keeps one chain and never serves its image under another index.
 TEST(ShardedStore, CatchupBeyondLayoutGetsRefusalChunk) {
   StoreOptions options;
   options.replicas = 1;
-  options.shards_per_replica = 4;
   ReplicatedStore store(std::move(options));
   auto client = store.MakeClient();
   ASSERT_TRUE(client->Write("x", 1).ok);
   RtMessage req;
   req.kind = RtMessage::Kind::kCatchupReq;
   req.op = 3;
-  req.version = 4;  // shards are 0..3
+  req.version = 1;  // the only chain is index 0
   req.value = 16;
-  const RtMessage chunk = RoundTrip(store, 0, std::move(req));
+  const RtMessage chunk = RoundTrip(store, 0, req);
   ASSERT_EQ(chunk.kind, RtMessage::Kind::kCatchupChunk);
   EXPECT_EQ(chunk.op, 3u);
-  EXPECT_EQ(chunk.version, 4u);
   EXPECT_TRUE(chunk.batch.empty());
   EXPECT_EQ(chunk.value, 0);
+
+  // Index 0 is the chain itself: the same request serves the key.
+  req.op = 4;
+  req.version = 0;
+  const RtMessage served = RoundTrip(store, 0, std::move(req));
+  ASSERT_EQ(served.kind, RtMessage::Kind::kCatchupChunk);
+  EXPECT_EQ(served.op, 4u);
+  ASSERT_EQ(served.batch.size(), 1u);
+  EXPECT_EQ(served.batch[0].key, "x");
 }
 
-// Satellite: per-shard counters (ops, batches, fsyncs, queue peak) are
-// surfaced through Peek() so benches can report shard balance.
+// The replica's counters (ops, batches, fsyncs, queue peak) surface
+// through Peek() in the one `per_shard` slot benches still read.
 TEST(ShardedStore, PerShardCountersSurfaceThroughPeek) {
-  constexpr std::size_t kShards = 4;
   StoreOptions options;
   options.replicas = 1;
-  options.shards_per_replica = kShards;
   ReplicatedStore store(std::move(options));
   auto client = store.MakeAsyncClient(
       ClientOptions{.window = 32, .max_batch = 8});
@@ -477,44 +394,28 @@ TEST(ShardedStore, PerShardCountersSurfaceThroughPeek) {
   ASSERT_TRUE(client->Drain());
 
   const ReplicaSnapshot snap = store.ReplicaPeek(0);
-  ASSERT_EQ(snap.stats.per_shard.size(), kShards);
-  std::uint64_t total_ops = 0, shards_hit = 0;
-  for (const ShardCounters& c : snap.stats.per_shard) {
-    total_ops += c.ops;
-    if (c.ops > 0) {
-      ++shards_hit;
-      EXPECT_GT(c.queue_peak, 0u);
-    }
-    EXPECT_EQ(c.fsyncs, 0u);  // memory backend
-  }
+  ASSERT_EQ(snap.stats.per_shard.size(), 1u);
+  const ShardCounters& c = snap.stats.per_shard[0];
   // Each op runs a read probe and a write install: ≥ 2 applied ops each.
-  EXPECT_GE(total_ops, static_cast<std::uint64_t>(2 * kKeys));
-  EXPECT_EQ(shards_hit, kShards) << "64 keys left a shard idle";
+  EXPECT_GE(c.ops, static_cast<std::uint64_t>(2 * kKeys));
+  EXPECT_GT(c.queue_peak, 0u);
+  EXPECT_EQ(c.fsyncs, 0u);  // memory backend
   EXPECT_GT(snap.stats.batches_applied, 0u);
+  EXPECT_EQ(c.batches, snap.stats.batches_applied);
 
-  // The aggregate surface carries the same slots.
+  // The aggregate surface carries the same slot.
   const BatchStats total = store.TotalBatchStats();
-  ASSERT_EQ(total.per_shard.size(), kShards);
+  ASSERT_EQ(total.per_shard.size(), 1u);
   EXPECT_EQ(total.batches_applied, snap.stats.batches_applied);
 }
 
 TEST(ShardedStore, PerShardFsyncCountersUnderDurability) {
   ScratchDir scratch("fsync");
-
-  constexpr std::size_t kShards = 2;
-  std::string key_a, key_b;  // one key per shard
-  for (int i = 0; key_a.empty() || key_b.empty(); ++i) {
-    const std::string k = "key" + std::to_string(i);
-    if (ShardForKey(k, kShards) == 0) {
-      if (key_a.empty()) key_a = k;
-    } else if (key_b.empty()) {
-      key_b = k;
-    }
-  }
+  const std::string key_a = "key_a";
+  const std::string key_b = "key_b";
 
   StoreOptions options;
   options.replicas = 1;
-  options.shards_per_replica = kShards;
   options.durability = storage::DurabilityOptions{
       .directory = scratch.path,
       .fsync = storage::FsyncPolicy::kAlways,
@@ -526,18 +427,16 @@ TEST(ShardedStore, PerShardFsyncCountersUnderDurability) {
   ASSERT_TRUE(client->Write(key_b, 3).ok);
 
   const BatchStats stats = store.ReplicaBatchStats(0);
-  ASSERT_EQ(stats.per_shard.size(), kShards);
-  // kAlways: one fsync per appended record, attributed to the owning shard.
-  EXPECT_EQ(stats.per_shard[0].fsyncs, 2u);
-  EXPECT_EQ(stats.per_shard[1].fsyncs, 1u);
+  ASSERT_EQ(stats.per_shard.size(), 1u);
+  // kAlways: one fsync per appended record.
+  EXPECT_EQ(stats.per_shard[0].fsyncs, 3u);
 }
 
-// Peeking a sharded replica keeps working while the node is bus-crashed
-// (memory mode: the loop stays up) and crashes race the peek requests.
+// Peeking a replica keeps working while the node is bus-crashed (memory
+// mode: the loop stays up) and crashes race the peek requests.
 TEST(ShardedStore, PeekSurvivesConcurrentCrashes) {
   StoreOptions options;
   options.replicas = 3;
-  options.shards_per_replica = 4;
   ReplicatedStore store(std::move(options));
   auto client = store.MakeClient();
   for (int i = 0; i < 16; ++i) {

@@ -35,7 +35,6 @@ std::string Pk(int i) {
 StoreOptions SpillOptions(const std::string& dir) {
   StoreOptions options;
   options.replicas = 3;
-  options.shards_per_replica = 2;
   storage::DurabilityOptions durability;
   durability.directory = dir;
   durability.fsync = storage::FsyncPolicy::kAlways;
@@ -146,7 +145,6 @@ TEST(StorageV2Store, AdaptiveGroupCommitWindowEndToEnd) {
   ScratchDir dir("adaptive_gc");
   StoreOptions options;
   options.replicas = 3;
-  options.shards_per_replica = 2;
   storage::DurabilityOptions durability;
   durability.directory = dir.path;
   durability.fsync = storage::FsyncPolicy::kGroupCommit;

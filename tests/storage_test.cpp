@@ -327,12 +327,12 @@ TEST(Wal, GroupCommitBatchesWithinWindow) {
 }
 
 // Recovery composes the checkpoint chain with the WAL tail. Each case lays
-// a one-shard replica directory down by hand — checkpoint ckpt_1, segment
+// a replica directory down by hand — checkpoint ckpt_1, segment
 // seg_2, and the MANIFEST naming them — then recovers it through the
 // durable backend.
 
 std::string SegmentPath(const std::string& dir, std::uint64_t id) {
-  return Manifest::SegmentPath(dir, 0, id);
+  return Manifest::SegmentPath(dir, id);
 }
 
 /// Writes `image` as checkpoint `id` of `dir`'s chain.
@@ -340,7 +340,7 @@ void WriteCheckpointFile(const std::string& dir, std::uint64_t id,
                          const Image& image) {
   std::map<std::string, Versioned> sorted(image.data.begin(),
                                           image.data.end());
-  CheckpointWriter writer(Manifest::CheckpointPath(dir, 0, id),
+  CheckpointWriter writer(Manifest::CheckpointPath(dir, id),
                           sorted.size());
   for (const auto& [key, v] : sorted) writer.Add(key, v);
   writer.Finish(image.generation, image.config_id);
@@ -349,12 +349,12 @@ void WriteCheckpointFile(const std::string& dir, std::uint64_t id,
 /// Commits a chain of the given checkpoint and segment ids.
 void CommitChain(const std::string& dir, std::vector<std::uint64_t> ckpts,
                  std::vector<std::uint64_t> segs) {
-  ShardFiles files;
+  ChainFiles files;
   files.present = true;
   files.next_file_id = 3;
   files.checkpoints = std::move(ckpts);
   files.segments = std::move(segs);
-  Manifest(dir, 1).Update(0, files);
+  Manifest(dir).Update(files);
 }
 
 struct Recovered {
@@ -380,7 +380,7 @@ TEST(Recovery, EmptyDirectoryYieldsEmptyImage) {
 
 TEST(Recovery, LogOnly) {
   ScratchDir dir("rec_log");
-  fs::create_directories(Manifest::ShardDirPath(dir.path, 0));
+  fs::create_directories(Manifest::ChainDirPath(dir.path));
   {
     Wal wal(SegmentPath(dir.path, 2), {});
     wal.Append(Write("x", 1, 10));
@@ -398,7 +398,7 @@ TEST(Recovery, LogOnly) {
 
 TEST(Recovery, SnapshotOnly) {
   ScratchDir dir("rec_snap");
-  fs::create_directories(Manifest::ShardDirPath(dir.path, 0));
+  fs::create_directories(Manifest::ChainDirPath(dir.path));
   Image image;
   image.generation = 4;
   image.config_id = 1;
@@ -414,7 +414,7 @@ TEST(Recovery, SnapshotOnly) {
 
 TEST(Recovery, SnapshotPlusLogTail) {
   ScratchDir dir("rec_snap_tail");
-  fs::create_directories(Manifest::ShardDirPath(dir.path, 0));
+  fs::create_directories(Manifest::ChainDirPath(dir.path));
   Image image;
   image.data["x"] = {5, 50};
   WriteCheckpointFile(dir.path, 1, image);
@@ -436,7 +436,7 @@ TEST(Recovery, SnapshotPlusLogTail) {
 
 TEST(Recovery, TornLogTailIgnored) {
   ScratchDir dir("rec_torn");
-  fs::create_directories(Manifest::ShardDirPath(dir.path, 0));
+  fs::create_directories(Manifest::ChainDirPath(dir.path));
   const std::string wal_path = SegmentPath(dir.path, 2);
   std::uint64_t full_size = 0;
   {
@@ -458,7 +458,7 @@ TEST(Recovery, StaleLogOverNewerSnapshotIsHarmless) {
   // Tail records older than what the checkpoint chain holds replay over
   // it; the newer-version-wins merge makes them a no-op, not a rollback.
   ScratchDir dir("rec_stale_log");
-  fs::create_directories(Manifest::ShardDirPath(dir.path, 0));
+  fs::create_directories(Manifest::ChainDirPath(dir.path));
   {
     Wal wal(SegmentPath(dir.path, 2), {});
     wal.Append(Write("x", 1, 10));

@@ -259,12 +259,10 @@ TEST(Checkpoint, MergeKeepsNewestVersionPerKey) {
 
 TEST(ManifestV2, FreshDirectoryYieldsEmptyNonPresentShards) {
   ScratchDir dir("manifest_fresh");
-  Manifest m(dir.path, 2);
+  Manifest m(dir.path);
   EXPECT_TRUE(m.info().ok);
   EXPECT_EQ(m.info().version, 0u);
-  EXPECT_EQ(m.shard_count(), 2u);
-  EXPECT_FALSE(m.Shard(0).present);
-  EXPECT_FALSE(m.Shard(1).present);
+  EXPECT_FALSE(m.Files().present);
   // Nothing was persisted just by constructing.
   EXPECT_FALSE(fs::exists(RecoveryManager::ManifestPath(dir.path)));
 }
@@ -272,54 +270,77 @@ TEST(ManifestV2, FreshDirectoryYieldsEmptyNonPresentShards) {
 TEST(ManifestV2, UpdatePersistsAndReloads) {
   ScratchDir dir("manifest_roundtrip");
   {
-    Manifest m(dir.path, 2);
-    ShardFiles files;
+    Manifest m(dir.path);
+    ChainFiles files;
     files.present = true;
     files.next_file_id = 5;
     files.segments = {2, 4};
     files.checkpoints = {1, 3};
-    m.Update(1, files);
+    m.Update(files);
   }
-  Manifest reloaded(dir.path, 2);
+  Manifest reloaded(dir.path);
   EXPECT_TRUE(reloaded.info().ok);
   EXPECT_EQ(reloaded.info().version, 2u);
-  EXPECT_EQ(reloaded.info().disk_shard_count, 2u);
-  EXPECT_FALSE(reloaded.Shard(0).present);
-  const ShardFiles s1 = reloaded.Shard(1);
-  EXPECT_TRUE(s1.present);
-  EXPECT_EQ(s1.next_file_id, 5u);
-  EXPECT_EQ(s1.segments, (std::vector<std::uint64_t>{2, 4}));
-  EXPECT_EQ(s1.checkpoints, (std::vector<std::uint64_t>{1, 3}));
-  EXPECT_EQ(Manifest::ReadShardCount(dir.path), std::optional<std::size_t>(2));
+  const ChainFiles& files = reloaded.Files();
+  EXPECT_TRUE(files.present);
+  EXPECT_EQ(files.next_file_id, 5u);
+  EXPECT_EQ(files.segments, (std::vector<std::uint64_t>{2, 4}));
+  EXPECT_EQ(files.checkpoints, (std::vector<std::uint64_t>{1, 3}));
+}
+
+/// Write `dir`/MANIFEST by hand: magic, `payload`, CRC.
+void WriteRawManifest(const std::string& dir,
+                      const std::vector<unsigned char>& payload) {
+  std::vector<unsigned char> file = {'Q', 'M', 'A', 'N'};
+  file.insert(file.end(), payload.begin(), payload.end());
+  PutU32(file, Crc32(payload.data(), payload.size()));
+  std::ofstream out(RecoveryManager::ManifestPath(dir), std::ios::binary);
+  out.write(reinterpret_cast<const char*>(file.data()),
+            static_cast<std::streamsize>(file.size()));
 }
 
 TEST(ManifestV2, LegacyV1ManifestIsRecognizedNotAdopted) {
   ScratchDir dir("manifest_v1");
   // A format-version-1 MANIFEST, as the pre-v2 engine wrote it: magic,
-  // version, shard count, CRC — it names no files.
+  // version, stripe count, CRC — it names no files.
   std::vector<unsigned char> payload;
   PutU32(payload, 1);
   PutU32(payload, 3);
-  std::vector<unsigned char> file = {'Q', 'M', 'A', 'N'};
-  file.insert(file.end(), payload.begin(), payload.end());
-  PutU32(file, Crc32(payload.data(), payload.size()));
-  {
-    std::ofstream out(RecoveryManager::ManifestPath(dir.path),
-                      std::ios::binary);
-    out.write(reinterpret_cast<const char*>(file.data()),
-              static_cast<std::streamsize>(file.size()));
-  }
+  WriteRawManifest(dir.path, payload);
   // Recognized and reported as unsupported — never adopted as a layout.
-  Manifest m(dir.path, 3);
+  Manifest m(dir.path);
   EXPECT_FALSE(m.info().ok);
   EXPECT_NE(m.info().error.find("format version 1"), std::string::npos)
       << m.info().error;
   EXPECT_NE(m.info().error.find(RecoveryManager::ManifestPath(dir.path)),
             std::string::npos)
       << m.info().error;
-  for (std::size_t s = 0; s < 3; ++s) EXPECT_FALSE(m.Shard(s).present);
-  EXPECT_EQ(Manifest::ReadShardCount(dir.path), std::nullopt);
-  EXPECT_FALSE(RecoveryManager(dir.path).ValidateShardLayout(3).ok);
+  EXPECT_FALSE(m.Files().present);
+  EXPECT_FALSE(RecoveryManager(dir.path).ValidateLayout().ok);
+}
+
+// A v2 MANIFEST whose table stripes the replica over four chains (as a
+// replica configured with four shards once wrote it) is refused, naming
+// the path and both counts: opening one chain would orphan the others.
+TEST(ManifestV2, MultiChainManifestIsRefusedNamingBothCounts) {
+  ScratchDir dir("manifest_striped");
+  std::vector<unsigned char> payload;
+  PutU32(payload, 2);  // format version
+  PutU32(payload, 4);  // chain count
+  for (int s = 0; s < 4; ++s) payload.push_back(0);  // never opened
+  WriteRawManifest(dir.path, payload);
+
+  Manifest m(dir.path);
+  EXPECT_FALSE(m.info().ok);
+  const std::string& error = m.info().error;
+  EXPECT_NE(error.find(RecoveryManager::ManifestPath(dir.path)),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("has 4 shards"), std::string::npos) << error;
+  EXPECT_NE(error.find("keeps 1"), std::string::npos) << error;
+  EXPECT_FALSE(RecoveryManager(dir.path).ValidateLayout().ok);
+  auto backend = MakeDurableBackend(dir.path, DurabilityOptions{});
+  EXPECT_THROW(backend->Recover(), LayoutError);
 }
 
 TEST(ManifestV2, CorruptManifestReportedNotSilentlyEmpty) {
@@ -329,10 +350,10 @@ TEST(ManifestV2, CorruptManifestReportedNotSilentlyEmpty) {
                       std::ios::binary);
     out << "garbage that is definitely not a manifest";
   }
-  Manifest m(dir.path, 1);
+  Manifest m(dir.path);
   EXPECT_FALSE(m.info().ok);
   EXPECT_FALSE(m.info().error.empty());
-  EXPECT_EQ(Manifest::ReadShardCount(dir.path), std::nullopt);
+  EXPECT_FALSE(RecoveryManager(dir.path).ValidateLayout().ok);
 }
 
 // ---------------------------------------------------------------------------
@@ -423,16 +444,16 @@ TEST(DurableBackendV2, CheckpointsOnTailThresholdAndReclaimsSegments) {
 
   // The manifest names a bounded live set: exactly one active segment
   // right after a checkpoint, at most a few since.
-  Manifest m(dir.path, 1);
+  Manifest m(dir.path);
   EXPECT_EQ(m.info().version, 2u);
-  const ShardFiles files = m.Shard(0);
+  const ChainFiles files = m.Files();
   ASSERT_TRUE(files.present);
   EXPECT_GE(files.checkpoints.size(), 1u);
   for (const std::uint64_t id : files.segments) {
-    EXPECT_TRUE(fs::exists(Manifest::SegmentPath(dir.path, 0, id)));
+    EXPECT_TRUE(fs::exists(Manifest::SegmentPath(dir.path, id)));
   }
   for (const std::uint64_t id : files.checkpoints) {
-    EXPECT_TRUE(fs::exists(Manifest::CheckpointPath(dir.path, 0, id)));
+    EXPECT_TRUE(fs::exists(Manifest::CheckpointPath(dir.path, id)));
   }
 }
 
@@ -467,8 +488,8 @@ TEST(DurableBackendV2, RotatesWithoutCheckpointWhenTailAllowed) {
     const StorageStats stats = backend->Stats();
     EXPECT_GE(stats.segments_rotated, 2u);
     EXPECT_EQ(stats.checkpoints_written, 0u);
-    Manifest m(dir.path, 1);
-    EXPECT_GE(m.Shard(0).segments.size(), 3u);
+    Manifest m(dir.path);
+    EXPECT_GE(m.Files().segments.size(), 3u);
   }
   // Every segment in the chain replays, oldest to newest.
   auto backend = MakeDurableBackend(dir.path, o);
@@ -495,8 +516,8 @@ TEST(DurableBackendV2, ChainMergesAtMaxCheckpoints) {
   const StorageStats stats = backend->Stats();
   EXPECT_EQ(stats.checkpoints_written, 4u);
   EXPECT_GE(stats.checkpoint_merges, 1u);
-  Manifest m(dir.path, 1);
-  EXPECT_LE(m.Shard(0).checkpoints.size(), 2u);
+  Manifest m(dir.path);
+  EXPECT_LE(m.Files().checkpoints.size(), 2u);
 
   // Newest round survives the k-way merges.
   auto reopened = MakeDurableBackend(dir.path, o);
@@ -519,10 +540,10 @@ TEST(DurableBackendV2, UnreferencedFilesSweptOnRecovery) {
   }
   // A crash between "create new files" and "manifest save" leaves
   // orphans the manifest never adopted; recovery must sweep them.
-  const std::string shard_dir = Manifest::ShardDirPath(dir.path, 0);
-  const std::string orphan_seg = shard_dir + "/seg_99.log";
-  const std::string orphan_ckpt = shard_dir + "/ckpt_99.blk";
-  const std::string orphan_tmp = shard_dir + "/ckpt_100.blk.tmp";
+  const std::string chain_dir = Manifest::ChainDirPath(dir.path);
+  const std::string orphan_seg = chain_dir + "/seg_99.log";
+  const std::string orphan_ckpt = chain_dir + "/ckpt_99.blk";
+  const std::string orphan_tmp = chain_dir + "/ckpt_100.blk.tmp";
   for (const std::string& p : {orphan_seg, orphan_ckpt, orphan_tmp}) {
     std::ofstream out(p, std::ios::binary);
     out << "orphaned by a simulated crash";
@@ -547,8 +568,8 @@ TEST(DurableBackendV2, UnreadableCheckpointIsRefused) {
   }
   // A checkpoint the MANIFEST names lost its footer: recovering without
   // it would silently drop every key it holds.
-  const std::uint64_t id = Manifest(dir.path, 1).Shard(0).checkpoints.back();
-  const std::string path = Manifest::CheckpointPath(dir.path, 0, id);
+  const std::uint64_t id = Manifest(dir.path).Files().checkpoints.back();
+  const std::string path = Manifest::CheckpointPath(dir.path, id);
   fs::resize_file(path, 16);
   auto backend = MakeDurableBackend(dir.path, o);
   try {
@@ -574,9 +595,9 @@ TEST(DurableBackendV2, TornActiveSegmentTailCutOnRecovery) {
   }
   // Half a frame of garbage lands on the active segment — the classic
   // crash mid-append.
-  const std::uint64_t active = Manifest(dir.path, 1).Shard(0).segments.back();
+  const std::uint64_t active = Manifest(dir.path).Files().segments.back();
   {
-    std::ofstream out(Manifest::SegmentPath(dir.path, 0, active),
+    std::ofstream out(Manifest::SegmentPath(dir.path, active),
                       std::ios::binary | std::ios::app);
     out << "\x13\x37garbage";
   }
@@ -751,6 +772,251 @@ TEST(SpillMode, ColdApisAreNoOpsWithoutSpill) {
   });
   EXPECT_EQ(visits, 0);
   EXPECT_EQ(backend->Stats().cold_lookups, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Bounded merge: the chain merge runs in slices between batches
+// ---------------------------------------------------------------------------
+
+std::size_t ChainLength(const std::string& dir) {
+  return Manifest(dir).Files().checkpoints.size();
+}
+
+/// One batch of `records` (as the replica sends), then the thresholds.
+void ApplyBatch(Backend& backend, Image& image,
+                const std::vector<WalRecord>& records) {
+  for (const WalRecord& r : records) image.ApplyWrite(r.key, r.version, r.value);
+  backend.ApplyWriteBatch(records);
+  backend.MaybeCompact(image);
+}
+
+WalRecord Rec(const std::string& key, std::uint64_t version,
+              std::int64_t value) {
+  WalRecord r;
+  r.key = key;
+  r.version = version;
+  r.value = value;
+  return r;
+}
+
+/// Every file in the chain directory is one the MANIFEST names.
+void ExpectOnlyReferencedFiles(const std::string& dir) {
+  const ChainFiles files = Manifest(dir).Files();
+  std::set<std::string> referenced;
+  for (const std::uint64_t id : files.segments) {
+    referenced.insert(fs::path(Manifest::SegmentPath(dir, id)).filename());
+  }
+  for (const std::uint64_t id : files.checkpoints) {
+    referenced.insert(fs::path(Manifest::CheckpointPath(dir, id)).filename());
+  }
+  for (const auto& entry :
+       fs::directory_iterator(Manifest::ChainDirPath(dir))) {
+    EXPECT_TRUE(referenced.count(entry.path().filename().string()))
+        << "unreferenced file " << entry.path();
+  }
+}
+
+// Over a long load of small batches, no MaybeCompact call writes more
+// merged entries than its budget — the entry count of the checkpoint that
+// was newest when the call began — and the chain never grows past twice
+// max_checkpoints. A whole-chain merge inside one call (O(total state))
+// fails the first check as soon as the base outgrows one checkpoint.
+TEST(BoundedMerge, NoCallMergesMoreThanTheNewestCheckpointHolds) {
+  ScratchDir dir("merge_budget");
+  DurabilityOptions o = SmallThresholds(dir.path);
+  o.checkpoint_tail_bytes = 2048;
+  o.segment_bytes = 1024;
+  o.max_checkpoints = 4;
+  auto backend = MakeDurableBackend(dir.path, o);
+  Image image = backend->Recover();
+
+  constexpr int kKeys = 3000;
+  StorageStats last = backend->Stats();
+  std::uint64_t newest = 0;  // entries in the newest checkpoint
+  std::size_t longest = 0;
+  for (int i = 0; i < kKeys; ++i) {
+    Apply(*backend, image, Pk(i), 1, i);
+    const StorageStats now = backend->Stats();
+    ASSERT_LE(now.merge_entries - last.merge_entries, newest)
+        << "call " << i << " merged past its budget";
+    if (now.checkpoints_written > last.checkpoints_written) {
+      newest = now.checkpoint_entries - last.checkpoint_entries;
+    }
+    longest = std::max(longest, ChainLength(dir.path));
+    ASSERT_LE(ChainLength(dir.path), 2 * o.max_checkpoints) << "call " << i;
+    last = now;
+  }
+  EXPECT_GE(last.checkpoint_merges, 2u);
+  EXPECT_GT(longest, o.max_checkpoints) << "no merge ever overlapped";
+
+  auto reopened = MakeDurableBackend(dir.path, o);
+  const Image recovered = reopened->Recover();
+  ASSERT_EQ(recovered.data.size(), static_cast<std::size_t>(kKeys));
+  for (int i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(recovered.data.at(Pk(i)).value, i) << Pk(i);
+  }
+}
+
+// When every call lands a checkpoint (batches larger than the tail
+// threshold), the per-call slices alone cannot keep up with a growing
+// base; the pacing floor at each landing still finishes every merge
+// before max_checkpoints more files land.
+TEST(BoundedMerge, ChainStaysWithinTwiceMaxCheckpointsWhenBatchesAreLarge) {
+  ScratchDir dir("merge_floor");
+  DurabilityOptions o = SmallThresholds(dir.path);
+  o.checkpoint_tail_bytes = 2048;
+  o.segment_bytes = 1u << 30;
+  o.max_checkpoints = 3;
+  auto backend = MakeDurableBackend(dir.path, o);
+  Image image = backend->Recover();
+
+  constexpr int kBatches = 40;
+  constexpr int kPerBatch = 100;
+  for (int b = 0; b < kBatches; ++b) {
+    std::vector<WalRecord> batch;
+    for (int i = 0; i < kPerBatch; ++i) {
+      const int k = b * kPerBatch + i;
+      batch.push_back(Rec(Pk(k), 1, k));
+    }
+    ApplyBatch(*backend, image, batch);
+    ASSERT_LE(ChainLength(dir.path), 2 * o.max_checkpoints) << "batch " << b;
+  }
+  const StorageStats stats = backend->Stats();
+  EXPECT_EQ(stats.checkpoints_written, static_cast<std::uint64_t>(kBatches));
+  EXPECT_GE(stats.checkpoint_merges, 5u);
+
+  auto reopened = MakeDurableBackend(dir.path, o);
+  const Image recovered = reopened->Recover();
+  ASSERT_EQ(recovered.data.size(),
+            static_cast<std::size_t>(kBatches * kPerBatch));
+  for (int k = 0; k < kBatches * kPerBatch; ++k) {
+    EXPECT_EQ(recovered.data.at(Pk(k)).value, k) << Pk(k);
+  }
+}
+
+// A crash at every slice boundary of one merge — right after it opens,
+// after each slice, and after its commit — recovers every acked value and
+// leaves no file the MANIFEST does not name: the partial output is a
+// `.tmp` the recovery sweep removes, and the inputs stay live until the
+// merged run's manifest save.
+TEST(BoundedMerge, CrashAtEverySliceBoundaryRecoversEveryAckedValue) {
+  DurabilityOptions o;
+  o.fsync = FsyncPolicy::kNever;
+  o.checkpoint_tail_bytes = 2048;
+  o.segment_bytes = 1024;
+  o.max_checkpoints = 3;
+  constexpr int kKeys = 400;
+  // Call i writes key i % kKeys at version i / kKeys + 1.
+  const auto run = [&](const std::string& path, int calls,
+                       std::map<std::string, std::int64_t>* acked,
+                       std::vector<StorageStats>* per_call) {
+    auto backend = MakeDurableBackend(path, o);
+    Image image = backend->Recover();
+    for (int i = 0; i < calls; ++i) {
+      Apply(*backend, image, Pk(i % kKeys), i / kKeys + 1, i);
+      if (acked != nullptr) (*acked)[Pk(i % kKeys)] = i;
+      if (per_call != nullptr) per_call->push_back(backend->Stats());
+    }
+    backend->OnCrash();  // fail-stop: an open merge dies mid-flight
+  };
+
+  // Locate the first merge: it opens in the call before its first slice
+  // and commits in the call that bumps checkpoint_merges.
+  int first_slice = -1, commit = -1;
+  {
+    ScratchDir probe("merge_crash_probe");
+    std::vector<StorageStats> per_call;
+    run(probe.path, 3 * kKeys, nullptr, &per_call);
+    for (int i = 0; i < static_cast<int>(per_call.size()); ++i) {
+      if (first_slice < 0 && per_call[i].merge_entries > 0) first_slice = i;
+      if (commit < 0 && per_call[i].checkpoint_merges > 0) commit = i;
+    }
+  }
+  ASSERT_GT(first_slice, 0);
+  ASSERT_GT(commit, first_slice) << "the merge finished in one slice";
+
+  bool saw_partial_output = false;
+  for (int last = first_slice - 1; last <= commit; ++last) {
+    ScratchDir dir("merge_crash");
+    std::map<std::string, std::int64_t> acked;
+    run(dir.path, last + 1, &acked, nullptr);
+    for (const auto& entry :
+         fs::directory_iterator(Manifest::ChainDirPath(dir.path))) {
+      if (entry.path().extension() == ".tmp") saw_partial_output = true;
+    }
+
+    auto backend = MakeDurableBackend(dir.path, o);
+    const Image image = backend->Recover();
+    ASSERT_EQ(image.data.size(), acked.size()) << "crash after call " << last;
+    for (const auto& [key, value] : acked) {
+      ASSERT_EQ(image.data.at(key).value, value)
+          << key << ", crash after call " << last;
+    }
+    ExpectOnlyReferencedFiles(dir.path);
+  }
+  EXPECT_TRUE(saw_partial_output) << "no crash landed inside the merge";
+}
+
+// Spill mode serves every key from the chain while a merge is open: a
+// Lookup must return the newest version whether it lives in a checkpoint
+// landed after the merge opened, in an input the cursor already passed,
+// or in one it has not reached.
+TEST(BoundedMerge, SpillLookupMidMergeReturnsNewestVersion) {
+  ScratchDir dir("merge_spill");
+  DurabilityOptions o = SmallThresholds(dir.path);
+  o.checkpoint_tail_bytes = 1u << 30;  // only explicit checkpoints
+  o.segment_bytes = 1u << 30;
+  o.max_checkpoints = 2;
+  o.spill_cold_reads = true;
+  auto backend = MakeDurableBackend(dir.path, o);
+  Image image = backend->Recover();
+
+  // Three runs: keys 0..99 at v1, 0..49 at v2, 0..24 at v3. The third
+  // checkpoint passes max_checkpoints and opens the merge.
+  for (const auto& [count, version] :
+       std::vector<std::pair<int, std::uint64_t>>{{100, 1}, {50, 2}, {25, 3}}) {
+    std::vector<WalRecord> batch;
+    for (int i = 0; i < count; ++i) {
+      batch.push_back(Rec(Pk(i), version, 1000 * version + i));
+    }
+    image.data.clear();
+    backend->ApplyWriteBatch(batch);
+    backend->ForceCheckpoint(image);
+  }
+  ASSERT_EQ(backend->Stats().merge_entries, 0u);
+
+  // One slice (25 entries: the newest checkpoint's count), then a
+  // checkpoint landing mid-merge that re-dirties key 10 at v4.
+  Apply(*backend, image, Pk(10), 4, 4010);
+  backend->ForceCheckpoint(image);
+  const StorageStats mid = backend->Stats();
+  ASSERT_EQ(mid.checkpoint_merges, 0u) << "merge already committed";
+  ASSERT_GT(mid.merge_entries, 0u);
+  ASSERT_LT(mid.merge_entries, 100u);
+  ASSERT_EQ(ChainLength(dir.path), 4u);
+
+  const auto expect_newest = [&](const char* when) {
+    Versioned v;
+    ASSERT_TRUE(backend->Lookup(Pk(10), &v)) << when;
+    EXPECT_EQ(v.version, 4u) << when;  // landed after the merge opened
+    EXPECT_EQ(v.value, 4010) << when;
+    ASSERT_TRUE(backend->Lookup(Pk(20), &v)) << when;
+    EXPECT_EQ(v.version, 3u) << when;
+    ASSERT_TRUE(backend->Lookup(Pk(40), &v)) << when;
+    EXPECT_EQ(v.version, 2u) << when;
+    ASSERT_TRUE(backend->Lookup(Pk(90), &v)) << when;
+    EXPECT_EQ(v.version, 1u) << when;
+    EXPECT_EQ(v.value, 1090) << when;
+  };
+  expect_newest("mid-merge");
+
+  // Drive the merge to its commit; the answers do not change.
+  for (int i = 0; backend->Stats().checkpoint_merges == 0; ++i) {
+    ASSERT_LT(i, 100) << "merge never committed";
+    Apply(*backend, image, "z" + std::to_string(i), 1, i);
+  }
+  expect_newest("after commit");
+  EXPECT_EQ(ChainLength(dir.path), 2u);  // merged run + the v4 checkpoint
 }
 
 }  // namespace

@@ -24,6 +24,12 @@ the gates below fail CI when the data stops proving them:
    within broad noise bands of the fixed-window baseline — warn, don't
    fail, because shared CI runners make sub-millisecond fsync timing
    untrustworthy.
+5. Bounded merges.  The merge_pacing section must be present, at least
+   one checkpoint-chain merge must have run, and no MaybeCompact call may
+   have written more merged entries than its budget (the newest
+   checkpoint's entry count when the call began).  These are counts, not
+   wall time, so they hold on any CI host; the per-batch stall and the
+   Recover() time are reported, never gated.
 
 Exit status: 0 = pass (possibly with warnings), 1 = hard failure,
 2 = malformed/missing input.
@@ -68,9 +74,11 @@ def main(argv):
             return 2
     cold = data.get("cold_reads")
     gc = data.get("group_commit")
-    if not isinstance(cold, dict) or not isinstance(gc, dict):
-        print(f"check_bench_storage: {path} lacks cold_reads/group_commit",
-              file=sys.stderr)
+    pacing = data.get("merge_pacing")
+    if not isinstance(cold, dict) or not isinstance(gc, dict) or \
+            not isinstance(pacing, dict):
+        print(f"check_bench_storage: {path} lacks cold_reads/group_commit/"
+              "merge_pacing", file=sys.stderr)
         return 2
 
     # 1. Bounded recovery: replay == tail at every state size.
@@ -143,10 +151,25 @@ def main(argv):
                  f"(bands [{GC_NOISE_LO}, {GC_NOISE_HI}]) — advisory on "
                  "shared runners")
 
+    # 5. Bounded merges: every call within its budget.
+    merges = pacing.get("merges", 0)
+    per_call = pacing.get("max_merge_entries_per_call", 0)
+    budget = pacing.get("merge_budget_entries", 0)
+    if merges <= 0:
+        status |= fail("merge_pacing ran no checkpoint-chain merge — the "
+                       "load is too small to exercise the bounded merge")
+    elif per_call > budget:
+        status |= fail(
+            f"a MaybeCompact call wrote {per_call} merged entries against a "
+            f"budget of {budget} (the newest checkpoint's entry count) — "
+            "the chain merge is no longer paced in O(tail) slices")
+
     if status == 0:
         print(f"check_bench_storage: OK ({path}, {data.get('keys')} keys, "
               f"tail {tail} records, bloom fp "
-              f"{cold.get('false_positive_rate', 0):.2%})")
+              f"{cold.get('false_positive_rate', 0):.2%}, "
+              f"{merges} merges, <= {per_call}/{budget} entries per call, "
+              f"worst stall {pacing.get('worst_stall_ms', 0):.1f} ms)")
     return status
 
 
