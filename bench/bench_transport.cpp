@@ -62,21 +62,6 @@ StoreOptions Options(bool tcp) {
   return o;
 }
 
-/// `git describe --always --dirty` of the working directory's checkout,
-/// or "unknown" outside one.
-std::string GitRevision() {
-  std::string rev;
-  if (FILE* p = ::popen("git describe --always --dirty 2>/dev/null", "r")) {
-    char buf[128];
-    while (std::fgets(buf, sizeof(buf), p) != nullptr) rev += buf;
-    ::pclose(p);
-  }
-  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
-    rev.pop_back();
-  }
-  return rev.empty() ? "unknown" : rev;
-}
-
 /// Event-loop syscalls of one TCP run, per wire frame.
 struct SyscallRow {
   std::string phase;
@@ -194,7 +179,7 @@ void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
   os << "{\n  \"experiment\": \"E18\",\n";
   os << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n";
   os << "  \"build_type\": \"" << QCNT_BUILD_TYPE << "\",\n";
-  os << "  \"git\": \"" << GitRevision() << "\",\n";
+  os << "  \"git\": \"" << bench::GitRevision() << "\",\n";
   os << "  \"replicas\": " << kReplicas << ",\n";
   os << "  \"sync_ops\": " << kSyncOps << ",\n";
   os << "  \"async_ops\": " << kAsyncOps << ",\n";

@@ -10,6 +10,21 @@
 
 namespace qcnt::bench {
 
+/// `git describe --always --dirty` of the working directory, or
+/// "unknown": recorded in BENCH_*.json next to host cores and build type.
+inline std::string GitRevision() {
+  std::string rev;
+  if (FILE* p = ::popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr) rev += buf;
+    ::pclose(p);
+  }
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
+    rev.pop_back();
+  }
+  return rev.empty() ? "unknown" : rev;
+}
+
 class Table {
  public:
   explicit Table(std::vector<std::string> headers)

@@ -41,6 +41,12 @@ namespace detail {
       ::qcnt::detail::CheckFailed(#expr, __FILE__, __LINE__, (msg));  \
   } while (0)
 
+/// Unconditional failure, for the end of a function that every valid
+/// input leaves earlier. Unlike QCNT_CHECK_MSG(false, …), the compiler
+/// sees the [[noreturn]] call, so the function needs no dummy return.
+#define QCNT_FAIL(msg) \
+  ::qcnt::detail::CheckFailed("false", __FILE__, __LINE__, (msg))
+
 #ifdef NDEBUG
 #define QCNT_DCHECK(expr) ((void)0)
 #else

@@ -14,7 +14,7 @@ Plain ToPlain(const Value& v) {
   if (std::holds_alternative<std::monostate>(v)) return std::monostate{};
   if (const auto* i = std::get_if<std::int64_t>(&v)) return *i;
   if (const auto* s = std::get_if<std::string>(&v)) return *s;
-  QCNT_CHECK_MSG(false, "value does not hold a plain alternative");
+  QCNT_FAIL("value does not hold a plain alternative");
 }
 
 std::string ToString(const Plain& p) {

@@ -7,7 +7,6 @@
 #include "common/check.hpp"
 #include "common/env.hpp"
 #include "net/error.hpp"
-#include "storage/recovery.hpp"
 
 namespace qcnt::runtime {
 
@@ -119,41 +118,15 @@ std::unique_ptr<net::TcpTransport> MakeLoopbackTransport(
                                              std::move(local));
 }
 
-/// One coordinator per group-commit-durable replica: a single fsync
-/// decision per window, off the replica's loop thread.
-std::shared_ptr<storage::GroupCommitCoordinator> MakeCommitCoordinator(
-    const StoreOptions& options) {
-  if (!options.durability ||
-      options.durability->fsync != storage::FsyncPolicy::kGroupCommit) {
-    return nullptr;
-  }
-  storage::GroupCommitCoordinator::Options o;
-  o.window = options.durability->group_commit_window;
-  o.adaptive = options.durability->adaptive_commit_window;
-  o.min_window = options.durability->commit_window_min;
-  o.max_window = options.durability->commit_window_max;
-  return std::make_shared<storage::GroupCommitCoordinator>(o);
-}
-
-/// Refuse to open a durability directory whose layout cannot host this
-/// replica: corrupt or unsupported manifest (a striped one included), or
-/// a file the manifest names is gone. Recovering a subset silently would
-/// drop acked writes — the one thing the WAL exists to prevent.
-void ValidateDurableLayout(const StoreOptions& options, std::size_t replica) {
-  const auto check =
-      storage::RecoveryManager(ReplicaDir(options, replica)).ValidateLayout();
-  if (!check.ok) throw storage::LayoutError(check.error);
-}
-
 /// The replica's backend: durable under `replica_<id>/` when the store
-/// is, else in-memory.
+/// is, else in-memory. A durable backend refuses a directory it cannot
+/// adopt (storage::LayoutError) from Recover, which the ReplicaServer
+/// constructor and Restart call.
 std::unique_ptr<storage::Backend> MakeReplicaBackend(
-    const StoreOptions& options, std::size_t replica,
-    std::shared_ptr<storage::GroupCommitCoordinator> coordinator) {
+    const StoreOptions& options, std::size_t replica) {
   if (!options.durability) return storage::MakeMemoryBackend();
   return storage::MakeDurableBackend(ReplicaDir(options, replica),
-                                     *options.durability,
-                                     std::move(coordinator));
+                                     *options.durability);
 }
 }  // namespace
 
@@ -179,13 +152,10 @@ ReplicatedStore::ReplicatedStore(StoreOptions options)
   // are reproducible from the seed alone.
   if (options_.faults) bus_->SetFaults(*options_.faults);
   for (std::size_t r = 0; r < options_.replicas; ++r) {
-    if (Durable()) ValidateDurableLayout(options_, r);
-    auto gc = MakeCommitCoordinator(options_);
-    if (gc) commit_coordinators_.emplace(static_cast<NodeId>(r), gc);
     replicas_.emplace(static_cast<NodeId>(r),
                       std::make_unique<ReplicaServer>(
                           *transport_, static_cast<NodeId>(r),
-                          MakeReplicaBackend(options_, r, gc),
+                          MakeReplicaBackend(options_, r),
                           options_.record_applied_history));
     members_.push_back(static_cast<NodeId>(r));
   }
@@ -239,13 +209,10 @@ void ReplicatedStore::Recover(std::size_t replica) {
   const auto it = replicas_.find(static_cast<NodeId>(replica));
   QCNT_CHECK_MSG(it != replicas_.end(), "unknown replica node id");
   // Rebuild state before reopening the transport, so the replica rejoins
-  // quorums only once recovery replay has completed. Re-validate the
-  // layout first: a segment that vanished while the replica was down must
-  // fail recovery loudly, not resurrect a subset of the acked state.
-  if (Durable()) {
-    ValidateDurableLayout(options_, replica);
-    it->second->Restart();
-  }
+  // quorums only once recovery replay has completed. A file that vanished
+  // while the replica was down makes the backend throw LayoutError here,
+  // and the replica stays down rather than serve a subset of its acks.
+  if (Durable()) it->second->Restart();
   transport_->Recover(static_cast<NodeId>(replica));
 }
 
@@ -350,11 +317,8 @@ NodeId ReplicatedStore::SpawnReplica() {
     }
     tcp_->AddLocalNode(id, ep);
   }
-  if (Durable()) ValidateDurableLayout(options_, id);
-  auto gc = MakeCommitCoordinator(options_);
-  if (gc) commit_coordinators_.emplace(id, gc);
   auto server = std::make_unique<ReplicaServer>(
-      *transport_, id, MakeReplicaBackend(options_, id, gc),
+      *transport_, id, MakeReplicaBackend(options_, id),
       options_.record_applied_history);
   replicas_.emplace(id, std::move(server));
   return id;
@@ -375,12 +339,12 @@ void ReplicatedStore::RetireReplica(NodeId node) {
   transport_->Crash(node);
   it->second->Shutdown();
   replicas_.erase(it);
-  commit_coordinators_.erase(node);
 }
 
 std::uint64_t ReplicatedStore::ReplicaCommitPasses(std::size_t replica) const {
-  const auto it = commit_coordinators_.find(static_cast<NodeId>(replica));
-  return it == commit_coordinators_.end() ? 0 : it->second->Passes();
+  const auto it = replicas_.find(static_cast<NodeId>(replica));
+  return it == replicas_.end() ? 0
+                               : it->second->StorageStats().commit_passes;
 }
 
 }  // namespace qcnt::runtime

@@ -181,9 +181,9 @@ class ReplicatedStore {
   storage::StorageStats ReplicaStorageStats(std::size_t replica) const;
   storage::StorageStats TotalStorageStats() const;
 
-  /// Fsync passes made by the replica's group-commit coordinator — the
-  /// number of fsync *decisions* (each pass syncs every dirty segment
-  /// once). 0 when the replica is not group-commit durable.
+  /// Passes of the replica's group-commit committer that fsynced its
+  /// log (StorageStats::commit_passes). 0 when the replica is not
+  /// group-commit durable.
   std::uint64_t ReplicaCommitPasses(std::size_t replica) const;
 
   /// Replica-side batching counters, alongside the storage counters.
@@ -245,13 +245,6 @@ class ReplicatedStore {
   std::unique_ptr<Transport> transport_;
   Bus* bus_ = nullptr;
   net::TcpTransport* tcp_ = nullptr;
-  /// Per-replica group-commit coordinators (group-commit durability
-  /// only): one committer thread per replica making the fsync decision
-  /// for its WAL segments. Declared before replicas_ so it is destroyed
-  /// after the backends that reference it (each backend also holds a
-  /// shared_ptr, so this is belt and braces).
-  std::map<NodeId, std::shared_ptr<storage::GroupCommitCoordinator>>
-      commit_coordinators_;
   /// Replica servers keyed by node id: founding replicas occupy [0,
   /// replicas); replicas added at runtime get ids above the coordinator
   /// slot, so the key set goes non-contiguous under churn.

@@ -55,15 +55,15 @@ std::optional<std::uint64_t> ParseFileId(const std::string& name,
 //     manifest-referenced set is a consistent engine state at every
 //     instant a crash could strike.
 //   * all state except the stats counters is touched only by the
-//     replica's loop thread (the coordinator's committer syncs the active
-//     Wal through its own internal locking).
+//     replica's loop thread (the log's committer syncs the active Wal
+//     under the log's own lock).
 class DurableBackend final : public Backend {
  public:
-  DurableBackend(std::string dir, DurabilityOptions options,
-                 std::shared_ptr<GroupCommitCoordinator> coordinator)
+  DurableBackend(std::string dir, DurabilityOptions options)
       : manifest_(std::move(dir)),
         options_(std::move(options)),
-        gc_(std::move(coordinator)) {}
+        log_(&manifest_, &files_, options_.fsync,
+             options_.group_commit_window) {}
 
   ~DurableBackend() override { ReleaseAll(); }
 
@@ -71,6 +71,8 @@ class DurableBackend final : public Backend {
 
   Image Recover() override {
     ReleaseAll();  // release any pre-crash handles before reopening
+    // Re-read MANIFEST: the directory may have changed while down.
+    manifest_ = Manifest(manifest_.dir());
     const std::string& dir = manifest_.dir();
     if (!manifest_.info().ok) throw LayoutError(manifest_.info().error);
     fs::create_directories(Manifest::ChainDirPath(dir));
@@ -98,10 +100,8 @@ class DurableBackend final : public Backend {
     }
 
     // Replay the segment tail into the dirty set.
-    log_ = std::make_unique<SegmentedLog>(&manifest_, &files_, WalOptions(),
-                                          Coordinated() ? gc_ : nullptr);
     const SegmentedLog::ReplayStats replay =
-        log_->OpenAndReplay([this](const WalRecord& rec) {
+        log_.OpenAndReplay([this](const WalRecord& rec) {
           if (rec.type == WalRecord::Type::kWrite) {
             MergeDirty(rec.key, rec.version, rec.value);
           } else if (rec.generation >= generation_) {
@@ -131,10 +131,9 @@ class DurableBackend final : public Backend {
 
   void ApplyWriteBatch(const std::vector<WalRecord>& records) override {
     if (records.empty()) return;
-    QCNT_CHECK_MSG(log_ != nullptr, "durable backend used before Recover()");
-    const std::uint64_t before = log_->BytesAppended();
-    log_->AppendBatch(records);
-    bytes_.fetch_add(log_->BytesAppended() - before,
+    const std::uint64_t before = log_.BytesAppended();
+    log_.AppendBatch(records);
+    bytes_.fetch_add(log_.BytesAppended() - before,
                      std::memory_order_relaxed);
     records_.fetch_add(records.size(), std::memory_order_relaxed);
     batch_appends_.fetch_add(1, std::memory_order_relaxed);
@@ -143,14 +142,13 @@ class DurableBackend final : public Backend {
 
   void ApplyConfig(std::uint64_t generation,
                    std::uint32_t config_id) override {
-    QCNT_CHECK_MSG(log_ != nullptr, "durable backend used before Recover()");
     WalRecord rec;
     rec.type = WalRecord::Type::kConfig;
     rec.generation = generation;
     rec.config_id = config_id;
-    const std::uint64_t before = log_->BytesAppended();
-    log_->AppendBatch({rec});
-    bytes_.fetch_add(log_->BytesAppended() - before,
+    const std::uint64_t before = log_.BytesAppended();
+    log_.AppendBatch({rec});
+    bytes_.fetch_add(log_.BytesAppended() - before,
                      std::memory_order_relaxed);
     records_.fetch_add(1, std::memory_order_relaxed);
     if (generation >= generation_) {
@@ -160,21 +158,21 @@ class DurableBackend final : public Backend {
   }
 
   void MaybeCompact(Image& image) override {
-    if (!log_) return;
+    if (!log_.IsOpen()) return;
     // One slice of an open merge per call, sized by the newest
     // checkpoint's entry count: O(tail) work, whatever the total state.
     if (merge_) AdvanceMerge(readers_.back()->entry_count());
-    if (log_->TailBytes() >= options_.checkpoint_tail_bytes) {
+    if (log_.TailBytes() >= options_.checkpoint_tail_bytes) {
       DoCheckpoint(image);
-    } else if (log_->ActiveBytes() >= options_.segment_bytes) {
-      log_->Rotate();
+    } else if (log_.ActiveBytes() >= options_.segment_bytes) {
+      log_.Rotate();
       rotated_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   void ForceCheckpoint(Image& image) override {
-    if (!log_) return;
-    if (dirty_.empty() && log_->TailBytes() == 0) return;  // nothing to do
+    if (!log_.IsOpen()) return;
+    if (dirty_.empty() && log_.TailBytes() == 0) return;  // nothing to do
     DoCheckpoint(image);
   }
 
@@ -241,15 +239,10 @@ class DurableBackend final : public Backend {
     s.records_appended = records_.load(std::memory_order_relaxed);
     s.bytes_appended = bytes_.load(std::memory_order_relaxed);
     s.batch_appends = batch_appends_.load(std::memory_order_relaxed);
-    // Base (pre-crash chains) + live: the live chain's counter moves on a
-    // background committer thread under a coordinator, so deltas taken on
-    // the append path would miss those syncs entirely. log_mu_ keeps this
-    // read safe against a concurrent ReleaseAll.
-    {
-      std::lock_guard<std::mutex> lock(log_mu_);
-      s.fsyncs = fsyncs_base_.load(std::memory_order_relaxed) +
-                 (log_ ? log_->Fsyncs() : 0);
-    }
+    // The log's own totals: it outlives crashes, and its committer syncs
+    // off the append path, where no delta could see it.
+    s.fsyncs = log_.Fsyncs();
+    s.commit_passes = log_.CommitPasses();
     s.recoveries = recoveries_.load(std::memory_order_relaxed);
     s.recovery_replayed = recovery_replayed_.load(std::memory_order_relaxed);
     s.torn_tails_discarded = torn_tails_.load(std::memory_order_relaxed);
@@ -269,17 +262,6 @@ class DurableBackend final : public Backend {
   }
 
  private:
-  bool Coordinated() const {
-    return gc_ != nullptr && options_.fsync == FsyncPolicy::kGroupCommit;
-  }
-
-  Wal::Options WalOptions() const {
-    // Under a coordinator the segment itself never decides to fsync
-    // (kNever); the coordinator's committer thread owns the window.
-    return Wal::Options{Coordinated() ? FsyncPolicy::kNever : options_.fsync,
-                        options_.group_commit_window};
-  }
-
   void MergeDirty(const std::string& key, std::uint64_t version,
                   std::int64_t value) {
     Versioned& v = dirty_[key];
@@ -344,7 +326,7 @@ class DurableBackend final : public Backend {
       if (merge_) ++merge_->landed;
     }
 
-    log_->Rotate();  // everything the checkpoint covers is now sealed
+    log_.Rotate();  // everything the checkpoint covers is now sealed
     rotated_.fetch_add(1, std::memory_order_relaxed);
 
     const std::uint64_t id = files_.next_file_id++;
@@ -352,7 +334,7 @@ class DurableBackend final : public Backend {
     files_.checkpoints.push_back(id);
     files_.segments = {files_.segments.back()};
     manifest_.Update(files_);  // commit point
-    compacted_.fetch_add(log_->DropSealed(), std::memory_order_relaxed);
+    compacted_.fetch_add(log_.DropSealed(), std::memory_order_relaxed);
 
     checkpoints_.fetch_add(1, std::memory_order_relaxed);
     checkpoint_entries_.fetch_add(dirty_.size(), std::memory_order_relaxed);
@@ -446,29 +428,20 @@ class DurableBackend final : public Backend {
     merges_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Teardown path shared by Recover/OnCrash/dtor: quiesce the log (which
-  /// detaches from the coordinator), roll its fsync count into the base,
-  /// then drop every handle.
+  /// Teardown path shared by Recover/OnCrash/dtor: close the log's
+  /// active segment, then drop every handle.
   void ReleaseAll() {
     // An open merge dies here; its `.tmp` output is swept at Recover.
     merge_.reset();
-    if (log_) {
-      log_->Release();
-      std::lock_guard<std::mutex> lock(log_mu_);
-      fsyncs_base_.fetch_add(log_->Fsyncs(), std::memory_order_relaxed);
-      log_.reset();
-    }
+    log_.Release();
     readers_.clear();
     dirty_.clear();
   }
 
   Manifest manifest_;
   DurabilityOptions options_;
-  std::shared_ptr<GroupCommitCoordinator> gc_;
-
   ChainFiles files_;
-  mutable std::mutex log_mu_;  // Stats vs ReleaseAll on log_
-  std::unique_ptr<SegmentedLog> log_;
+  SegmentedLog log_;  // after manifest_ and files_, which it points into
   std::vector<std::unique_ptr<CheckpointReader>> readers_;  // oldest..newest
 
   /// An open chain merge: readers_[0, inputs) — the chain as it stood at
@@ -489,10 +462,9 @@ class DurableBackend final : public Backend {
 
   // Only the server thread mutates the counters; Stats() may race from
   // other threads, hence the atomics. Deltas (not the chain's own totals)
-  // keep them monotone across crash/recover reopens; fsyncs are the
-  // exception (see Stats()).
+  // keep them monotone across crash/recover reopens; fsyncs and commit
+  // passes are the log's (see Stats()).
   std::atomic<std::uint64_t> records_{0}, bytes_{0};
-  std::atomic<std::uint64_t> fsyncs_base_{0};
   std::atomic<std::uint64_t> batch_appends_{0};
   std::atomic<std::uint64_t> recoveries_{0};
   std::atomic<std::uint64_t> recovery_replayed_{0}, torn_tails_{0};
@@ -510,12 +482,10 @@ std::unique_ptr<Backend> MakeMemoryBackend() {
   return std::make_unique<MemoryBackend>();
 }
 
-std::unique_ptr<Backend> MakeDurableBackend(
-    std::string dir, DurabilityOptions options,
-    std::shared_ptr<GroupCommitCoordinator> coordinator) {
+std::unique_ptr<Backend> MakeDurableBackend(std::string dir,
+                                            DurabilityOptions options) {
   std::filesystem::create_directories(dir);
-  return std::make_unique<DurableBackend>(std::move(dir), std::move(options),
-                                          std::move(coordinator));
+  return std::make_unique<DurableBackend>(std::move(dir), std::move(options));
 }
 
 }  // namespace qcnt::storage

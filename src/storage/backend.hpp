@@ -13,7 +13,10 @@
 //                    filter + block index) so the value map can spill to
 //                    sorted checkpoint blocks on disk. Checkpoint and
 //                    recovery cost are proportional to the WAL tail, not
-//                    total state.
+//                    total state. When the log is fsynced is decided by
+//                    its SegmentedLog (segment.hpp): inside the append
+//                    under kAlways, by the log's one committer thread
+//                    within `group_commit_window` under kGroupCommit.
 #pragma once
 
 #include <atomic>
@@ -24,9 +27,9 @@
 #include <string>
 #include <vector>
 
-#include "storage/commit.hpp"
 #include "storage/image.hpp"
 #include "storage/manifest.hpp"
+#include "storage/segment.hpp"
 #include "storage/wal.hpp"
 
 namespace qcnt::storage {
@@ -38,13 +41,10 @@ struct DurabilityOptions {
   /// segment chain and checkpoint blocks).
   std::string directory;
   FsyncPolicy fsync = FsyncPolicy::kAlways;
+  /// kGroupCommit: how long the committer waits after the first unsynced
+  /// append before it fsyncs — the bound on how far an ack can precede
+  /// its fsync.
   std::chrono::microseconds group_commit_window{500};
-  /// kGroupCommit + coordinator only: let the coordinator widen/narrow
-  /// the fsync window between min/max from the observed arrival rate.
-  /// Defaults off — `group_commit_window` stays the fixed baseline.
-  bool adaptive_commit_window = false;
-  std::chrono::microseconds commit_window_min{100};
-  std::chrono::microseconds commit_window_max{4000};
   /// Checkpoint (flush the dirty set, drop sealed segments) once the
   /// replica's live segment chain exceeds this many bytes. The work done
   /// per trigger is O(tail), not O(total state).
@@ -74,6 +74,7 @@ struct StorageStats {
   std::uint64_t bytes_appended = 0;
   std::uint64_t batch_appends = 0;  // multi-record appends (one sync each)
   std::uint64_t fsyncs = 0;
+  std::uint64_t commit_passes = 0;  // group-commit passes that fsynced
   std::uint64_t recoveries = 0;
   std::uint64_t recovery_replayed = 0;  // WAL records replayed, total
   std::uint64_t torn_tails_discarded = 0;
@@ -95,6 +96,7 @@ struct StorageStats {
     bytes_appended += o.bytes_appended;
     batch_appends += o.batch_appends;
     fsyncs += o.fsyncs;
+    commit_passes += o.commit_passes;
     recoveries += o.recoveries;
     recovery_replayed += o.recovery_replayed;
     torn_tails_discarded += o.torn_tails_discarded;
@@ -127,8 +129,9 @@ class Backend {
 
   /// A batch of applied (i.e. version-accepted) writes, before the single
   /// ack that covers them all — the only write entry point. The durable
-  /// backend appends the batch with one write(2) and one fsync-policy
-  /// decision (group commit at batch granularity).
+  /// backend appends the batch with one write(2); under kAlways one fsync
+  /// follows, under kGroupCommit the batch rides the committer's next
+  /// pass.
   virtual void ApplyWriteBatch(const std::vector<WalRecord>& records) = 0;
 
   /// An applied configuration install, before the ack.
@@ -184,16 +187,10 @@ class Backend {
 std::unique_ptr<Backend> MakeMemoryBackend();
 
 /// v2 persistence under `dir` (created if absent): one segment chain and
-/// one checkpoint chain, anchored by `dir`/MANIFEST.
-///
-/// With a non-null `coordinator` and FsyncPolicy::kGroupCommit, fsync
-/// decisions move off the replica's loop thread entirely: the active
-/// segment is appended with kNever and registered with the replica's
-/// GroupCommitCoordinator, which makes one fsync decision per window (see
-/// commit.hpp). kAlways ignores the coordinator and stays
-/// inline-synchronous.
-std::unique_ptr<Backend> MakeDurableBackend(
-    std::string dir, DurabilityOptions options,
-    std::shared_ptr<GroupCommitCoordinator> coordinator = nullptr);
+/// one checkpoint chain, anchored by `dir`/MANIFEST. Under kGroupCommit
+/// the backend owns one committer thread for its whole life, crashes
+/// included, so the replica loop never waits on an fsync.
+std::unique_ptr<Backend> MakeDurableBackend(std::string dir,
+                                            DurabilityOptions options);
 
 }  // namespace qcnt::storage

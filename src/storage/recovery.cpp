@@ -16,36 +16,6 @@ std::string RecoveryManager::ManifestPath(const std::string& dir) {
 
 RecoveryManager::RecoveryManager(std::string dir) : dir_(std::move(dir)) {}
 
-RecoveryManager::LayoutCheck RecoveryManager::ValidateLayout() const {
-  LayoutCheck check;
-  const Manifest manifest(dir_);
-  if (!manifest.info().ok) {
-    check.ok = false;
-    check.error = manifest.info().error;
-    return check;
-  }
-  if (manifest.info().version == 0) return check;  // fresh directory
-  check.manifest_present = true;
-  const ChainFiles& files = manifest.Files();
-  for (const std::uint64_t id : files.segments) {
-    const std::string path = Manifest::SegmentPath(dir_, id);
-    if (!std::filesystem::exists(path)) {
-      check.ok = false;
-      check.error = "missing WAL segment: " + path;
-      return check;
-    }
-  }
-  for (const std::uint64_t id : files.checkpoints) {
-    const std::string path = Manifest::CheckpointPath(dir_, id);
-    if (!std::filesystem::exists(path)) {
-      check.ok = false;
-      check.error = "missing checkpoint: " + path;
-      return check;
-    }
-  }
-  return check;
-}
-
 RecoveryManager::ReplicaResult RecoveryManager::RecoverReplica() const {
   ReplicaResult out;
   const Manifest manifest(dir_);

@@ -1,4 +1,4 @@
-// RecoveryManager: check and rebuild a replica's durability directory.
+// RecoveryManager: rebuild a replica's durability directory offline.
 //
 // v2 engine layout: `MANIFEST` (v2) names a chain of WAL segments
 // (`shard_0/seg_<id>.log`) and a chain of sorted checkpoint runs
@@ -13,7 +13,9 @@
 // The manifest makes partial layouts detectable: a directory with a
 // corrupt or unsupported manifest (including one striped over several
 // chains) or a missing referenced file is rejected outright instead of
-// silently resurrecting a subset of the acked state.
+// silently resurrecting a subset of the acked state. The live engine
+// (DurableBackend::Recover) refuses the same directories by throwing
+// LayoutError; RecoverReplica is the independent offline rebuild.
 #pragma once
 
 #include <string>
@@ -28,18 +30,6 @@ class RecoveryManager {
   static std::string ManifestPath(const std::string& dir);
 
   explicit RecoveryManager(std::string dir);
-
-  struct LayoutCheck {
-    bool ok = true;
-    bool manifest_present = false;
-    std::string error;  // set when !ok
-  };
-
-  /// Verify the directory can host a replica. Passes: a fresh directory,
-  /// or a v2 layout with every referenced file present. Fails with a
-  /// diagnostic naming the path: a corrupt, version-1 or multi-chain
-  /// manifest, or a referenced file missing.
-  LayoutCheck ValidateLayout() const;
 
   struct ReplicaResult {
     bool ok = true;

@@ -8,15 +8,38 @@
 
 namespace qcnt::storage {
 
+const char* ToString(FsyncPolicy policy) {
+  switch (policy) {
+    case FsyncPolicy::kAlways: return "always";
+    case FsyncPolicy::kGroupCommit: return "group-commit";
+    case FsyncPolicy::kNever: return "never";
+  }
+  return "?";
+}
+
 SegmentedLog::SegmentedLog(Manifest* manifest, ChainFiles* files,
-                           Wal::Options wal_options,
-                           std::shared_ptr<GroupCommitCoordinator> coordinator)
+                           FsyncPolicy fsync,
+                           std::chrono::microseconds group_commit_window)
     : manifest_(manifest),
       files_(files),
-      wal_options_(wal_options),
-      coordinator_(std::move(coordinator)) {}
+      fsync_(fsync),
+      window_(group_commit_window) {
+  if (fsync_ == FsyncPolicy::kGroupCommit) {
+    committer_ = std::thread([this] { CommitLoop(); });
+  }
+}
 
-SegmentedLog::~SegmentedLog() { Release(); }
+SegmentedLog::~SegmentedLog() {
+  if (committer_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(commit_mu_);
+      stop_ = true;
+    }
+    commit_cv_.notify_one();
+    committer_.join();
+  }
+  Release();
+}
 
 SegmentedLog::ReplayStats SegmentedLog::OpenAndReplay(
     const std::function<void(const WalRecord&)>& apply) {
@@ -30,7 +53,8 @@ SegmentedLog::ReplayStats SegmentedLog::OpenAndReplay(
     files_->present = true;
     // Create the file before the manifest names it: an unreferenced empty
     // segment is recoverable garbage, a referenced missing file is not.
-    OpenActive(id, /*create=*/true);
+    SwapActive(std::make_unique<Wal>(
+        Manifest::SegmentPath(manifest_->dir(), id), WalOptions()));
     manifest_->Update(*files_);
     return stats;
   }
@@ -39,6 +63,11 @@ SegmentedLog::ReplayStats SegmentedLog::OpenAndReplay(
   for (std::size_t i = 0; i < files_->segments.size(); ++i) {
     const std::string path =
         Manifest::SegmentPath(manifest_->dir(), files_->segments[i]);
+    // Wal::Replay reads an absent file as an empty log, and opening the
+    // active segment would re-create it.
+    if (!std::filesystem::exists(path)) {
+      throw LayoutError("missing WAL segment: " + path);
+    }
     const Wal::ReplayResult r = Wal::Replay(path, apply);
     stats.records += r.records;
     if (r.torn_tail) ++stats.torn_tails;
@@ -51,41 +80,62 @@ SegmentedLog::ReplayStats SegmentedLog::OpenAndReplay(
     }
   }
 
-  OpenActive(files_->segments.back(), /*create=*/false);
+  SwapActive(std::make_unique<Wal>(
+      Manifest::SegmentPath(manifest_->dir(), files_->segments.back()),
+      WalOptions()));
   if (wal_->SizeBytes() > active_valid_bytes) {
-    // Cut the torn frame so fresh appends don't land after garbage. Done
-    // after open (the Wal owns the fd) but before coordinator attach.
+    // Cut the torn frame so fresh appends don't land after garbage.
     wal_->TruncateTo(active_valid_bytes);
   }
   return stats;
 }
 
-void SegmentedLog::OpenActive(std::uint64_t id, bool create) {
-  const std::string path = Manifest::SegmentPath(manifest_->dir(), id);
-  (void)create;  // Wal's O_CREAT covers both cases
-  auto next = std::make_unique<Wal>(path, wal_options_);
-  SwapActive(std::move(next));
-}
-
 void SegmentedLog::SwapActive(std::unique_ptr<Wal> next) {
-  if (wal_ && Coordinated()) coordinator_->Detach(wal_.get());
-  {
-    // Base rollup and pointer swap together, so a concurrent Fsyncs()
-    // never sees the sealed segment's count twice (or not at all).
-    std::lock_guard<std::mutex> lock(wal_mu_);
-    if (wal_) {
-      fsyncs_base_.fetch_add(wal_->Fsyncs(), std::memory_order_relaxed);
-      bytes_appended_base_ += wal_->BytesAppended();
-    }
-    wal_ = std::move(next);
+  // Close (and so sync) the old segment, roll its counters into the
+  // bases and swap, all under the lock: the committer never syncs a
+  // closed segment, and a concurrent Fsyncs() counts it exactly once.
+  std::lock_guard<std::mutex> lock(wal_mu_);
+  if (wal_) {
+    wal_->Close();
+    fsyncs_base_ += wal_->Fsyncs();
+    bytes_appended_base_ += wal_->BytesAppended();
   }
-  if (wal_ && Coordinated()) coordinator_->Attach(wal_.get());
+  wal_ = std::move(next);
 }
 
 void SegmentedLog::AppendBatch(const std::vector<WalRecord>& records) {
   QCNT_CHECK_MSG(wal_ != nullptr, "segmented log used before OpenAndReplay");
   wal_->AppendBatch(records);
-  if (Coordinated()) coordinator_->MarkDirty();
+  if (fsync_ == FsyncPolicy::kGroupCommit) MarkDirty();
+}
+
+void SegmentedLog::MarkDirty() {
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    if (dirty_) return;  // the pass already pending covers this append
+    dirty_ = true;
+  }
+  commit_cv_.notify_one();
+}
+
+void SegmentedLog::CommitLoop() {
+  std::unique_lock<std::mutex> lock(commit_mu_);
+  for (;;) {
+    commit_cv_.wait(lock, [this] { return stop_ || dirty_; });
+    // Let the window fill: appends landing meanwhile ride this pass.
+    if (commit_cv_.wait_for(lock, window_, [this] { return stop_; })) return;
+    // Cleared before the fsync: an append that marks after this point
+    // opens the next pass, whether or not this fsync covered its bytes.
+    dirty_ = false;
+    lock.unlock();
+    {
+      std::lock_guard<std::mutex> wal_lock(wal_mu_);
+      if (wal_ && wal_->SyncIfDirty()) {
+        passes_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    lock.lock();
+  }
 }
 
 void SegmentedLog::Rotate() {
@@ -97,7 +147,7 @@ void SegmentedLog::Rotate() {
   // names it, and the old active handle is swapped out only after the
   // commit — a crash anywhere here recovers the full chain.
   auto next = std::make_unique<Wal>(
-      Manifest::SegmentPath(manifest_->dir(), id), wal_options_);
+      Manifest::SegmentPath(manifest_->dir(), id), WalOptions());
   manifest_->Update(*files_);
   SwapActive(std::move(next));
   sealed_bytes_ += sealed_size;
@@ -126,17 +176,9 @@ std::size_t SegmentedLog::DropSealed() {
 
 std::uint64_t SegmentedLog::Fsyncs() const {
   std::lock_guard<std::mutex> lock(wal_mu_);
-  return fsyncs_base_.load(std::memory_order_relaxed) +
-         (wal_ ? wal_->Fsyncs() : 0);
+  return fsyncs_base_ + (wal_ ? wal_->Fsyncs() : 0);
 }
 
-void SegmentedLog::Release() {
-  if (!wal_) return;
-  if (Coordinated()) coordinator_->Detach(wal_.get());
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  fsyncs_base_.fetch_add(wal_->Fsyncs(), std::memory_order_relaxed);
-  bytes_appended_base_ += wal_->BytesAppended();
-  wal_.reset();
-}
+void SegmentedLog::Release() { SwapActive(nullptr); }
 
 }  // namespace qcnt::storage

@@ -79,15 +79,6 @@ void WriteAll(int fd, const unsigned char* p, std::size_t n) {
 
 }  // namespace
 
-const char* ToString(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::kAlways: return "always";
-    case FsyncPolicy::kGroupCommit: return "group-commit";
-    case FsyncPolicy::kNever: return "never";
-  }
-  return "?";
-}
-
 Wal::Wal(std::string path, Options options)
     : path_(std::move(path)), options_(options) {
   fd_ = ::open(path_.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
@@ -115,29 +106,8 @@ void Wal::AppendBatch(const std::vector<WalRecord>& records) {
   size_ += buffer.size();
   bytes_appended_ += buffer.size();
   records_ += records.size();
-  if (!sync_pending_.exchange(true, std::memory_order_acq_rel)) {
-    window_start_ = std::chrono::steady_clock::now();
-  }
-  MaybeSync();
-}
-
-void Wal::MaybeSync() {
-  switch (options_.fsync) {
-    case FsyncPolicy::kAlways:
-      DoSync();
-      break;
-    case FsyncPolicy::kGroupCommit:
-      // One fsync covers every record appended during the window; the ack
-      // for an individual record may thus precede its durability — the
-      // classic group-commit trade, bounded by the window length.
-      if (std::chrono::steady_clock::now() - window_start_ >=
-          options_.group_commit_window) {
-        DoSync();
-      }
-      break;
-    case FsyncPolicy::kNever:
-      break;
-  }
+  sync_pending_.store(true, std::memory_order_release);
+  if (options_.sync_every_append) DoSync();
 }
 
 void Wal::SyncLocked() {

@@ -18,13 +18,13 @@
 // rather than corrupting recovery (the quorum protocol tolerates the lost
 // tail: a replica that misses writes is exactly the paper's failure model).
 //
-// Durability policy: every Append write(2)s the frame immediately (so a
-// *process* crash loses nothing once the syscall returns); fsync timing is
-// governed by FsyncPolicy and decides what a *machine* crash can lose.
+// Durability: every Append write(2)s the frame immediately (so a
+// *process* crash loses nothing once the syscall returns). A Wal either
+// fsyncs after every append or leaves the fsync to its owner, which
+// decides what a *machine* crash can lose (SegmentedLog, segment.hpp).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -32,14 +32,6 @@
 #include <vector>
 
 namespace qcnt::storage {
-
-enum class FsyncPolicy : std::uint8_t {
-  kAlways,       // fsync after every record (commit is durable when acked)
-  kGroupCommit,  // fsync at most once per window; the window's tail is at risk
-  kNever,        // never fsync; the OS decides (fastest, weakest)
-};
-
-const char* ToString(FsyncPolicy policy);
 
 struct WalRecord {
   enum class Type : std::uint8_t { kWrite = 1, kConfig = 2 };
@@ -54,8 +46,9 @@ struct WalRecord {
 class Wal {
  public:
   struct Options {
-    FsyncPolicy fsync = FsyncPolicy::kAlways;
-    std::chrono::microseconds group_commit_window{500};
+    /// fsync before every Append returns; otherwise only Sync,
+    /// SyncIfDirty, TruncateTo and Close do.
+    bool sync_every_append = true;
   };
 
   /// Opens (creating if absent) `path` and positions appends at its end.
@@ -65,15 +58,15 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Frame, write, and (per policy) fsync one record.
+  /// Frame, write, and (per options) fsync one record.
   void Append(const WalRecord& record);
 
   /// Frame every record into one buffer, write it with a single write(2),
-  /// and run the fsync policy once for the whole batch — the group-commit
-  /// unit is the batch, so under kAlways a multi-record commit costs one
-  /// fsync instead of one per record. Frames are identical to repeated
-  /// Append calls; Replay cannot tell the difference, and a torn tail cuts
-  /// the batch to a frame-aligned prefix like any other crash.
+  /// and (per options) fsync once for the whole batch, so a multi-record
+  /// commit costs one fsync instead of one per record. Frames are
+  /// identical to repeated Append calls; Replay cannot tell the
+  /// difference, and a torn tail cuts the batch to a frame-aligned prefix
+  /// like any other crash.
   void AppendBatch(const std::vector<WalRecord>& records);
 
   /// Force an fsync covering everything appended so far.
@@ -81,7 +74,7 @@ class Wal {
 
   /// Fsync only when records were appended since the last sync; returns
   /// whether an fsync was issued. Safe to call from a thread other than
-  /// the appender (the group-commit coordinator's committer thread):
+  /// the appender (SegmentedLog's committer thread):
   /// fd lifecycle is guarded by an internal mutex, and a concurrent
   /// write(2) + fsync(2) pair is well-defined — the append that raced
   /// past the fsync simply re-arms the dirty flag for the next pass.
@@ -117,7 +110,6 @@ class Wal {
   void DoSync();
   /// DoSync with sync_mu_ already held.
   void SyncLocked();
-  void MaybeSync();
 
   std::string path_;
   Options options_;
@@ -134,7 +126,6 @@ class Wal {
   mutable std::mutex sync_mu_;
   std::atomic<std::uint64_t> fsyncs_{0};
   std::atomic<bool> sync_pending_{false};  // appended since the last fsync
-  std::chrono::steady_clock::time_point window_start_{};
 };
 
 }  // namespace qcnt::storage

@@ -53,7 +53,7 @@ std::size_t ScriptedTransaction::ScriptIndex(TxnId t) const {
   for (std::size_t i = 0; i < script_.size(); ++i) {
     if (script_[i] == t) return i;
   }
-  QCNT_CHECK_MSG(false, "not a script child");
+  QCNT_FAIL("not a script child");
 }
 
 bool ScriptedTransaction::IsOperation(const ioa::Action& a) const {

@@ -195,7 +195,7 @@ TEST(Wal, BatchAppendFramesIdenticallyToSingleAppends) {
 
 TEST(Wal, BatchAppendSyncsOncePerBatchUnderAlways) {
   ScratchDir dir("wal_batch_sync");
-  Wal wal(dir.path + "/wal.log", {FsyncPolicy::kAlways, {}});
+  Wal wal(dir.path + "/wal.log", {.sync_every_append = true});
   wal.AppendBatch({Write("a", 1, 1), Write("b", 1, 2), Write("c", 1, 3)});
   // The batch is the commit unit: one fsync covers all three records, so
   // an ack sent after AppendBatch still implies durability of every one.
@@ -297,33 +297,19 @@ TEST(Wal, TruncateToCutsTailAndAllowsAppend) {
 
 TEST(Wal, FsyncPolicyAlwaysSyncsEveryRecord) {
   ScratchDir dir("wal_fsync_always");
-  Wal wal(dir.path + "/wal.log", {FsyncPolicy::kAlways, 0us});
+  Wal wal(dir.path + "/wal.log", {.sync_every_append = true});
   for (int i = 0; i < 5; ++i) wal.Append(Write("k", i + 1, i));
   EXPECT_EQ(wal.Fsyncs(), 5u);
 }
 
 TEST(Wal, FsyncPolicyNeverNeverSyncs) {
   ScratchDir dir("wal_fsync_never");
-  Wal wal(dir.path + "/wal.log", {FsyncPolicy::kNever, 0us});
+  Wal wal(dir.path + "/wal.log", {.sync_every_append = false});
   for (int i = 0; i < 5; ++i) wal.Append(Write("k", i + 1, i));
   EXPECT_EQ(wal.Fsyncs(), 0u);
   // But an explicit Sync still lands.
   wal.Sync();
   EXPECT_EQ(wal.Fsyncs(), 1u);
-}
-
-TEST(Wal, GroupCommitBatchesWithinWindow) {
-  ScratchDir dir("wal_fsync_group");
-  // An hour-long window: nothing inside the test can expire it.
-  Wal wal(dir.path + "/wal.log", {FsyncPolicy::kGroupCommit, 3600s});
-  for (int i = 0; i < 100; ++i) wal.Append(Write("k", i + 1, i));
-  EXPECT_EQ(wal.Fsyncs(), 0u);
-  wal.Sync();  // one fsync covers the whole batch
-  EXPECT_EQ(wal.Fsyncs(), 1u);
-  // A zero-length window degenerates to always.
-  Wal eager(dir.path + "/wal2.log", {FsyncPolicy::kGroupCommit, 0us});
-  for (int i = 0; i < 5; ++i) eager.Append(Write("k", i + 1, i));
-  EXPECT_EQ(eager.Fsyncs(), 5u);
 }
 
 // Recovery composes the checkpoint chain with the WAL tail. Each case lays

@@ -1,20 +1,21 @@
 // Unit tests for the v2 storage engine: bloom filters, sorted-block
-// checkpoint files, the v2 MANIFEST, the adaptive group-commit window,
-// the DurableBackend's rotation/checkpoint/compaction machinery, and the
-// spill-mode cold-read layer.
+// checkpoint files, the v2 MANIFEST, the DurableBackend's
+// rotation/checkpoint/compaction machinery and its group-commit
+// committer, and the spill-mode cold-read layer.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "storage/backend.hpp"
 #include "storage/bloom.hpp"
 #include "storage/checkpoint.hpp"
-#include "storage/commit.hpp"
 #include "storage/crc32.hpp"
 #include "storage/io_util.hpp"
 #include "storage/manifest.hpp"
@@ -316,7 +317,8 @@ TEST(ManifestV2, LegacyV1ManifestIsRecognizedNotAdopted) {
             std::string::npos)
       << m.info().error;
   EXPECT_FALSE(m.Files().present);
-  EXPECT_FALSE(RecoveryManager(dir.path).ValidateLayout().ok);
+  EXPECT_THROW(MakeDurableBackend(dir.path, DurabilityOptions{})->Recover(),
+               LayoutError);
 }
 
 // A v2 MANIFEST whose table stripes the replica over four chains (as a
@@ -338,7 +340,6 @@ TEST(ManifestV2, MultiChainManifestIsRefusedNamingBothCounts) {
       << error;
   EXPECT_NE(error.find("has 4 shards"), std::string::npos) << error;
   EXPECT_NE(error.find("keeps 1"), std::string::npos) << error;
-  EXPECT_FALSE(RecoveryManager(dir.path).ValidateLayout().ok);
   auto backend = MakeDurableBackend(dir.path, DurabilityOptions{});
   EXPECT_THROW(backend->Recover(), LayoutError);
 }
@@ -353,55 +354,8 @@ TEST(ManifestV2, CorruptManifestReportedNotSilentlyEmpty) {
   Manifest m(dir.path);
   EXPECT_FALSE(m.info().ok);
   EXPECT_FALSE(m.info().error.empty());
-  EXPECT_FALSE(RecoveryManager(dir.path).ValidateLayout().ok);
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive group-commit window (pure decision rule)
-// ---------------------------------------------------------------------------
-
-TEST(AdaptiveWindow, WidensDoublingTowardMaxOnBusyTickets) {
-  GroupCommitCoordinator::Options o;
-  o.window = 500us;
-  o.adaptive = true;
-  o.min_window = 100us;
-  o.max_window = 4000us;
-  EXPECT_EQ(GroupCommitCoordinator::NextWindow(
-                500us, GroupCommitCoordinator::kWidenMarks, o),
-            1000us);
-  EXPECT_EQ(GroupCommitCoordinator::NextWindow(500us, 1000, o), 1000us);
-  EXPECT_EQ(GroupCommitCoordinator::NextWindow(3000us, 1000, o), 4000us);
-  EXPECT_EQ(GroupCommitCoordinator::NextWindow(4000us, 1000, o), 4000us);
-}
-
-TEST(AdaptiveWindow, NarrowsHalvingTowardMinOnQuietTickets) {
-  GroupCommitCoordinator::Options o;
-  o.window = 500us;
-  o.adaptive = true;
-  o.min_window = 100us;
-  o.max_window = 4000us;
-  EXPECT_EQ(GroupCommitCoordinator::NextWindow(
-                500us, GroupCommitCoordinator::kNarrowMarks, o),
-            250us);
-  EXPECT_EQ(GroupCommitCoordinator::NextWindow(500us, 0, o), 250us);
-  EXPECT_EQ(GroupCommitCoordinator::NextWindow(150us, 0, o), 100us);
-  EXPECT_EQ(GroupCommitCoordinator::NextWindow(100us, 0, o), 100us);
-}
-
-TEST(AdaptiveWindow, HoldsBetweenThresholdsAndWhenDisabled) {
-  GroupCommitCoordinator::Options o;
-  o.window = 500us;
-  o.adaptive = true;
-  o.min_window = 100us;
-  o.max_window = 4000us;
-  for (std::uint64_t marks = GroupCommitCoordinator::kNarrowMarks + 1;
-       marks < GroupCommitCoordinator::kWidenMarks; ++marks) {
-    EXPECT_EQ(GroupCommitCoordinator::NextWindow(700us, marks, o), 700us);
-  }
-  o.adaptive = false;
-  // Disabled: always the configured fixed window, whatever the load.
-  EXPECT_EQ(GroupCommitCoordinator::NextWindow(700us, 1000, o), 500us);
-  EXPECT_EQ(GroupCommitCoordinator::NextWindow(700us, 0, o), 500us);
+  EXPECT_THROW(MakeDurableBackend(dir.path, DurabilityOptions{})->Recover(),
+               LayoutError);
 }
 
 // ---------------------------------------------------------------------------
@@ -581,6 +535,50 @@ TEST(DurableBackendV2, UnreadableCheckpointIsRefused) {
   }
 }
 
+// A sealed segment the MANIFEST names has vanished: replaying the rest
+// would silently drop the acked writes it held, so Recover refuses,
+// naming the file.
+TEST(DurableBackendV2, MissingSealedSegmentIsRefused) {
+  ScratchDir dir("be_missing_seg");
+  DurabilityOptions o = SmallThresholds(dir.path);
+  o.checkpoint_tail_bytes = 1u << 30;  // rotate, never checkpoint
+  {
+    auto backend = MakeDurableBackend(dir.path, o);
+    Image image = backend->Recover();
+    for (int i = 0; i < 40; ++i) Apply(*backend, image, Pk(i), 1, i);
+  }
+  const ChainFiles files = Manifest(dir.path).Files();
+  ASSERT_GE(files.segments.size(), 2u) << "no segment was sealed";
+  const std::string path =
+      Manifest::SegmentPath(dir.path, files.segments.front());
+  ASSERT_TRUE(fs::remove(path));
+  auto backend = MakeDurableBackend(dir.path, o);
+  try {
+    backend->Recover();
+    FAIL() << "recovered without a segment the MANIFEST names";
+  } catch (const LayoutError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
+// The store recovers a crashed replica through its live backend, so that
+// backend re-reads MANIFEST: one corrupted while the replica was down is
+// refused, not trusted from memory.
+TEST(DurableBackendV2, ManifestCorruptedWhileDownIsRefused) {
+  ScratchDir dir("be_manifest_down");
+  auto backend = MakeDurableBackend(dir.path, SmallThresholds(dir.path));
+  Image image = backend->Recover();
+  for (int i = 0; i < 10; ++i) Apply(*backend, image, Pk(i), 1, i);
+  backend->OnCrash();
+  {
+    std::ofstream out(RecoveryManager::ManifestPath(dir.path),
+                      std::ios::binary | std::ios::trunc);
+    out << "garbage";
+  }
+  EXPECT_THROW(backend->Recover(), LayoutError);
+}
+
 TEST(DurableBackendV2, TornActiveSegmentTailCutOnRecovery) {
   ScratchDir dir("be_torn");
   DurabilityOptions o = SmallThresholds(dir.path);
@@ -606,6 +604,65 @@ TEST(DurableBackendV2, TornActiveSegmentTailCutOnRecovery) {
   EXPECT_EQ(backend->Stats().torn_tails_discarded, 1u);
   ASSERT_EQ(image.data.size(), 20u);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(image.data.at(Pk(i)).value, i);
+}
+
+// ---------------------------------------------------------------------------
+// Group commit: the log's one committer
+// ---------------------------------------------------------------------------
+
+DurabilityOptions GroupCommit(const std::string& dir,
+                              std::chrono::microseconds window) {
+  DurabilityOptions o;
+  o.directory = dir;
+  o.fsync = FsyncPolicy::kGroupCommit;
+  o.group_commit_window = window;
+  return o;
+}
+
+/// Poll the backend until at least one commit pass has fsynced, or
+/// `limit` passes; returns the stats seen last.
+StorageStats WaitForCommitPass(const Backend& backend,
+                               std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  StorageStats stats = backend.Stats();
+  while (stats.commit_passes == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+    stats = backend.Stats();
+  }
+  return stats;
+}
+
+// One batch, then silence: the committer closes the window on its own,
+// so a quiet tail is fsynced without waiting for a later append.
+TEST(GroupCommit, QuietTailIsSyncedWithinAFewWindows) {
+  ScratchDir dir("gc_quiet");
+  auto backend = MakeDurableBackend(dir.path, GroupCommit(dir.path, 10ms));
+  Image image = backend->Recover();
+  Apply(*backend, image, Pk(1), 1, 1);
+  const StorageStats stats = WaitForCommitPass(*backend, 500ms);
+  EXPECT_GE(stats.fsyncs, 1u) << "the quiet tail was never fsynced";
+  EXPECT_EQ(stats.commit_passes, 1u);
+}
+
+// Every append landing inside one window rides the pass the first one
+// opened: one fsync for all of them, and no second pass once they are
+// synced.
+TEST(GroupCommit, AppendsInsideOneWindowShareOneCommitPass) {
+  ScratchDir dir("gc_coalesce");
+  auto backend = MakeDurableBackend(dir.path, GroupCommit(dir.path, 200ms));
+  Image image = backend->Recover();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 100; ++i) Apply(*backend, image, Pk(i), 1, i);
+  ASSERT_LT(std::chrono::steady_clock::now() - t0, 200ms)
+      << "the appends outlasted the window";
+  EXPECT_EQ(backend->Stats().commit_passes, 0u) << "a pass cut the window";
+  EXPECT_EQ(WaitForCommitPass(*backend, 5000ms).commit_passes, 1u);
+  std::this_thread::sleep_for(400ms);  // two more windows
+  const StorageStats stats = backend->Stats();
+  EXPECT_EQ(stats.commit_passes, 1u);
+  EXPECT_EQ(stats.fsyncs, 1u);
+  EXPECT_EQ(stats.batch_appends, 100u);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ the gates below fail CI when the data stops proving them:
    must be mostly bloom misses (>= 80% — i.e. no block I/O), and the
    bloom false-positive rate must stay under 5% (designed ~1% at
    10 bits/key; 5x slack covers small-filter quantization).
-4. Group-commit sanity is advisory: the adaptive window should land
-   within broad noise bands of the fixed-window baseline — warn, don't
-   fail, because shared CI runners make sub-millisecond fsync timing
-   untrustworthy.
+4. Group-commit sanity: the fixed-window store write path must have
+   produced writes.  Its rate, fsyncs and commit passes per write are
+   reported, not gated: shared CI runners make sub-millisecond fsync
+   timing untrustworthy.
 5. Bounded merges.  The merge_pacing section must be present, at least
    one checkpoint-chain merge must have run, and no MaybeCompact call may
    have written more merged entries than its budget (the newest
@@ -41,8 +41,6 @@ import sys
 STATE_TIME_RATIO_WARN = 4.0
 BLOOM_MISS_FLOOR = 0.80
 FALSE_POSITIVE_CEIL = 0.05
-GC_NOISE_LO = 0.25
-GC_NOISE_HI = 4.0
 
 
 def fail(msg):
@@ -139,17 +137,9 @@ def main(argv):
             f"{cold.get('bloom_hits')} bloom hits — present keys are "
             "missing from the cold layer")
 
-    # 4. Group-commit sanity (advisory).
-    fixed = gc.get("fixed_writes_per_sec", 0)
-    adaptive = gc.get("adaptive_writes_per_sec", 0)
-    if fixed <= 0 or adaptive <= 0:
+    # 4. Group-commit sanity.
+    if gc.get("fixed_writes_per_sec", 0) <= 0:
         status |= fail("a group-commit section produced no writes")
-    else:
-        rel = adaptive / fixed
-        if not GC_NOISE_LO <= rel <= GC_NOISE_HI:
-            warn(f"adaptive window at {rel:.2f}x of the fixed baseline "
-                 f"(bands [{GC_NOISE_LO}, {GC_NOISE_HI}]) — advisory on "
-                 "shared runners")
 
     # 5. Bounded merges: every call within its budget.
     merges = pacing.get("merges", 0)
