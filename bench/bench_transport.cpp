@@ -1,8 +1,9 @@
 // E18 — the cost of the wire: in-process Bus vs. loopback TCP.
 //
 // The same ReplicatedStore, the same quorum protocol, two substrates:
-// direct mailbox pushes (Bus) vs. the full codec + non-blocking-socket +
-// event-loop path (TcpTransport on 127.0.0.1). Two sections:
+// direct mailbox pushes (Bus) vs. the full codec + non-blocking-socket
+// path (TcpTransport on 127.0.0.1, where senders write and each node's
+// consumer reads its own connections). Three sections:
 //
 //   1. Sync latency — one blocking client, single-key read and write
 //      round trips; reports mean and p99 microseconds per op. Every
@@ -10,11 +11,16 @@
 //      their responses), so the per-op delta is a few wire crossings.
 //   2. Pipelined throughput — the async client with a deep window and
 //      batching, ops/second. Batching amortizes framing as it amortizes
-//      mailbox wakeups, so the relative gap narrows vs. section 1.
+//      mailbox wakeups, so the relative gap narrows vs. section 1. One
+//      cell is ~80 ms, so it is repeated (bench/repeat.hpp) and reported
+//      as median [min, max].
 //   3. Syscalls per wire frame for the TCP runs of sections 1 and 2 —
-//      epoll_wait turns, wake-pipe writes, send(2) (made by senders
-//      writing through and by the loop alike) and recv(2) — so a change
-//      to the send or receive path shows where its per-frame cost went.
+//      event-loop turns, wake-pipe writes, send(2) (made by senders
+//      writing through and by the loop alike) and recv(2) (made by
+//      consumers, and by the loop for a new connection's first frame) —
+//      so a change to the send or receive path shows where its per-frame
+//      cost went. tools/check_bench_transport.py gates the loop turns:
+//      a warm link's frames must not pass through the event loop.
 //
 // The point of the experiment is honesty about deployment cost: the
 // repo's other benchmarks measure protocol effects on the Bus; this one
@@ -34,6 +40,7 @@
 #include <vector>
 
 #include "runtime/store.hpp"
+#include "repeat.hpp"
 #include "table.hpp"
 
 namespace {
@@ -62,7 +69,8 @@ StoreOptions Options(bool tcp) {
   return o;
 }
 
-/// Event-loop syscalls of one TCP run, per wire frame.
+/// Wire syscalls of a phase's TCP runs (summed over repetitions), per
+/// wire frame.
 struct SyscallRow {
   std::string phase;
   std::uint64_t frames = 0;
@@ -72,7 +80,16 @@ struct SyscallRow {
   double recv_calls = 0;
 };
 
-SyscallRow PerFrame(const std::string& phase, const net::TcpStats& w) {
+SyscallRow PerFrame(const std::string& phase,
+                    const std::vector<net::TcpStats>& runs) {
+  net::TcpStats w;
+  for (const net::TcpStats& r : runs) {
+    w.frames_sent += r.frames_sent;
+    w.loop_turns += r.loop_turns;
+    w.wake_writes += r.wake_writes;
+    w.send_calls += r.send_calls;
+    w.recv_calls += r.recv_calls;
+  }
   SyscallRow r;
   r.phase = phase;
   r.frames = w.frames_sent;
@@ -114,7 +131,7 @@ std::vector<LatencyRow> SyncLatency(bool tcp,
     auto r = client->Read(key);
     if (r.ok) read_us.push_back(static_cast<double>(r.latency.count()));
   }
-  if (tcp) syscalls.push_back(PerFrame("sync", store.WireStats()));
+  if (tcp) syscalls.push_back(PerFrame("sync", {store.WireStats()}));
 
   auto row = [&](const char* op, std::vector<double>& v) {
     LatencyRow r;
@@ -130,15 +147,22 @@ std::vector<LatencyRow> SyncLatency(bool tcp,
   return {row("read", read_us), row("write", write_us)};
 }
 
-struct ThroughputRow {
-  std::string transport;
+struct ThroughputRun {
   double ops_per_sec = 0;
   double wall_ms = 0;
-  std::uint64_t frames = 0;  // wire frames (tcp only; 0 on the bus)
+  net::TcpStats wire;  // all zero on the bus
 };
 
-/// Pipelined mixed workload (50/50 read/write) through the async client.
-ThroughputRow AsyncThroughput(bool tcp, std::vector<SyscallRow>& syscalls) {
+struct ThroughputRow {
+  std::string transport;
+  bench::Spread ops_per_sec;
+  bench::Spread wall_ms;
+  std::uint64_t frames = 0;  // wire frames per run (tcp only; 0 on the bus)
+};
+
+/// One pipelined mixed workload (50/50 read/write) through the async
+/// client, on a fresh store.
+ThroughputRun AsyncThroughputOnce(bool tcp) {
   ReplicatedStore store(Options(tcp));
   ClientOptions aopts = Options(tcp).client_options;
   aopts.window = kWindow;
@@ -162,12 +186,27 @@ ThroughputRow AsyncThroughput(bool tcp, std::vector<SyscallRow>& syscalls) {
   const auto wall = std::chrono::duration<double, std::milli>(
       std::chrono::steady_clock::now() - start);
 
-  ThroughputRow r;
-  r.transport = tcp ? "tcp" : "bus";
+  ThroughputRun r;
   r.wall_ms = wall.count();
   r.ops_per_sec = static_cast<double>(ok) / (wall.count() / 1000.0);
-  const net::TcpStats wire = store.WireStats();
-  r.frames = wire.frames_sent;
+  r.wire = store.WireStats();
+  return r;
+}
+
+/// The pipelined cell, repeated. A TCP row appends its syscall counters,
+/// summed over the repetitions, to `syscalls`.
+ThroughputRow AsyncThroughput(bool tcp, std::vector<SyscallRow>& syscalls) {
+  const std::vector<ThroughputRun> runs =
+      bench::Repeat([tcp] { return AsyncThroughputOnce(tcp); });
+  ThroughputRow r;
+  r.transport = tcp ? "tcp" : "bus";
+  r.ops_per_sec = bench::SpreadOf(
+      runs, [](const ThroughputRun& run) { return run.ops_per_sec; });
+  r.wall_ms = bench::SpreadOf(
+      runs, [](const ThroughputRun& run) { return run.wall_ms; });
+  r.frames = runs.front().wire.frames_sent;
+  std::vector<net::TcpStats> wire;
+  for (const ThroughputRun& run : runs) wire.push_back(run.wire);
   if (tcp) syscalls.push_back(PerFrame("pipelined", wire));
   return r;
 }
@@ -196,9 +235,12 @@ void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
   os << "  ],\n  \"async_throughput\": [\n";
   for (std::size_t i = 0; i < thr.size(); ++i) {
     const ThroughputRow& r = thr[i];
+    // ops_per_sec and wall_ms are medians; the spreads sit beside them.
     os << "    {\"transport\": \"" << r.transport
-       << "\", \"ops_per_sec\": " << bench::Table::Num(r.ops_per_sec, 0)
-       << ", \"wall_ms\": " << bench::Table::Num(r.wall_ms, 1)
+       << "\", \"ops_per_sec\": " << bench::Table::Num(r.ops_per_sec.median, 0)
+       << ", \"wall_ms\": " << bench::Table::Num(r.wall_ms.median, 1)
+       << ", \"ops_per_sec_spread\": " << r.ops_per_sec.Json(0)
+       << ", \"wall_ms_spread\": " << r.wall_ms.Json(1)
        << ", \"wire_frames\": " << r.frames << "}"
        << (i + 1 < thr.size() ? "," : "") << "\n";
   }
@@ -242,10 +284,12 @@ int main(int argc, char** argv) {
   std::vector<ThroughputRow> thr;
   for (bool tcp : {false, true}) thr.push_back(AsyncThroughput(tcp, sys));
   {
-    bench::Table t({"transport", "ops/s", "wall ms", "wire frames"});
+    bench::Table t({"transport", "reps", "ops/s", "wall ms",
+                    "wire frames/run"});
     for (const ThroughputRow& r : thr) {
-      t.AddRow({r.transport, bench::Table::Num(r.ops_per_sec, 0),
-                bench::Table::Num(r.wall_ms, 1), std::to_string(r.frames)});
+      t.AddRow({r.transport, std::to_string(r.ops_per_sec.reps),
+                r.ops_per_sec.Cell(0), r.wall_ms.Cell(1),
+                std::to_string(r.frames)});
     }
     t.Print();
   }
@@ -268,7 +312,7 @@ int main(int argc, char** argv) {
   // used the wire (nonzero frames) while the bus did not.
   bool ok = lat.size() == 4 && thr.size() == 2 && sys.size() == 2;
   for (const LatencyRow& r : lat) ok = ok && r.mean_us > 0;
-  for (const ThroughputRow& r : thr) ok = ok && r.ops_per_sec > 0;
+  for (const ThroughputRow& r : thr) ok = ok && r.ops_per_sec.min > 0;
   ok = ok && thr[0].frames == 0 && thr[1].frames > 0;
 
   WriteJson(json_path, lat, thr, sys);

@@ -16,6 +16,16 @@ int SpinIterations() {
 
 }  // namespace
 
+void Mailbox::Notify() {
+  if (!NeedNotify()) return;
+  wakeups_.fetch_add(1, std::memory_order_relaxed);
+  if (source_ != nullptr) {
+    source_->Wake();
+  } else {
+    cv_.notify_one();
+  }
+}
+
 void Mailbox::Push(Envelope&& e) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -24,10 +34,7 @@ void Mailbox::Push(Envelope&& e) {
     size_.store(queue_.size(), std::memory_order_release);
     handoffs_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (NeedNotify()) {
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
-    cv_.notify_one();
-  }
+  Notify();
 }
 
 void Mailbox::PushAll(std::vector<Envelope>& batch) {
@@ -43,21 +50,44 @@ void Mailbox::PushAll(std::vector<Envelope>& batch) {
     size_.store(queue_.size(), std::memory_order_release);
     handoffs_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (NeedNotify()) {
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
-    cv_.notify_one();
+  Notify();
+}
+
+std::unique_lock<std::mutex> Mailbox::Await(
+    std::chrono::steady_clock::time_point deadline) {
+  const auto ready = [this] { return !queue_.empty() || closed_; };
+  for (;;) {
+    PullSource();
+    std::unique_lock<std::mutex> lock(mu_);
+    if (ready()) {
+      // Close wakes one parked consumer per Wake; pass it on to the next.
+      if (closed_ && source_ != nullptr && NeedNotify()) source_->Wake();
+      return lock;
+    }
+    if (source_ == nullptr) {
+      waiters_.fetch_add(1, std::memory_order_acq_rel);
+      if (deadline == std::chrono::steady_clock::time_point::max()) {
+        cv_.wait(lock, ready);
+      } else {
+        cv_.wait_until(lock, deadline, ready);
+      }
+      waiters_.fetch_sub(1, std::memory_order_acq_rel);
+      return lock;
+    }
+    if (std::chrono::steady_clock::now() >= deadline) return lock;
+    // Registered under mu_, then parked without it: a producer that
+    // pushes after this unlock sees the registration and wakes the
+    // source; bytes that arrive after the pull above make it readable.
+    waiters_.fetch_add(1, std::memory_order_acq_rel);
+    lock.unlock();
+    source_->Park(deadline);
+    waiters_.fetch_sub(1, std::memory_order_acq_rel);
   }
 }
 
 std::optional<Envelope> Mailbox::Pop(
     std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (queue_.empty() && !closed_) {
-    waiters_.fetch_add(1, std::memory_order_acq_rel);
-    cv_.wait_until(lock, deadline,
-                   [this] { return !queue_.empty() || closed_; });
-    waiters_.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  std::unique_lock<std::mutex> lock = Await(deadline);
   if (queue_.empty()) return std::nullopt;
   Envelope e = std::move(queue_.front());
   queue_.pop_front();
@@ -69,16 +99,12 @@ std::deque<Envelope> Mailbox::PopAll() {
   // Fast path: under steady load the next burst lands within the spin
   // window and the consumer never parks (and the producer never has to
   // notify — NeedNotify() stays false throughout).
-  for (int i = SpinIterations(); i > 0; --i) {
+  for (int i = source_ == nullptr ? SpinIterations() : 0; i > 0; --i) {
     if (size_.load(std::memory_order_acquire) != 0) break;
     if ((i & 15) == 0) std::this_thread::yield();
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  if (queue_.empty() && !closed_) {
-    waiters_.fetch_add(1, std::memory_order_acq_rel);
-    cv_.wait(lock, [this] { return !queue_.empty() || closed_; });
-    waiters_.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  std::unique_lock<std::mutex> lock =
+      Await(std::chrono::steady_clock::time_point::max());
   std::deque<Envelope> batch;
   batch.swap(queue_);
   size_.store(0, std::memory_order_release);
@@ -86,6 +112,7 @@ std::deque<Envelope> Mailbox::PopAll() {
 }
 
 std::deque<Envelope> Mailbox::TryPopAll() {
+  PullSource();
   std::lock_guard<std::mutex> lock(mu_);
   std::deque<Envelope> batch;
   batch.swap(queue_);
@@ -98,7 +125,11 @@ void Mailbox::Close() {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
   }
-  cv_.notify_all();
+  if (source_ == nullptr) {
+    cv_.notify_all();
+  } else if (NeedNotify()) {
+    source_->Wake();
+  }
 }
 
 void Mailbox::Reopen() {
@@ -107,12 +138,14 @@ void Mailbox::Reopen() {
 }
 
 void Mailbox::Clear() {
+  PullSource();
   std::lock_guard<std::mutex> lock(mu_);
   queue_.clear();
   size_.store(0, std::memory_order_release);
 }
 
-std::size_t Mailbox::Size() const {
+std::size_t Mailbox::Size() {
+  PullSource();
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
 }

@@ -1,10 +1,19 @@
 // A blocking MPSC mailbox — the receive half of every Transport.
 //
 // Lives in net (rather than runtime) because it is the delivery surface
-// shared by all transports: the in-process Bus pushes into it directly,
-// and the TCP transport's event loop pushes decoded frames into it. Node
-// code (replica servers, clients) only ever pops; where the envelope came
-// from is the transport's business.
+// shared by all transports. Node code (replica servers, clients) only
+// ever pops; where the envelope came from is the transport's business:
+//
+//  - The in-process Bus pushes into it directly, and a consumer with an
+//    empty queue sleeps on a condition variable.
+//  - A TcpTransport mailbox has a MailboxSource: the node's own receive
+//    set (its established inbound connections). Every observer — Size,
+//    TryPopAll, Pop, PopAll, Clear — first pulls what those connections
+//    already hold, without blocking, so frames are received and decoded
+//    on whichever thread looks at the mailbox, normally its consumer. A
+//    consumer with an empty queue parks in the source (epoll_wait on the
+//    node's connections plus an eventfd) instead of on the condvar, so a
+//    frame reaches it with one kernel wake and no event-loop hop.
 //
 // Hot-path design:
 //  - Producers never notify while holding the queue lock, and they only
@@ -12,17 +21,20 @@
 //    (`waiters_`). The registration happens under the same mutex the
 //    producer pushes under, so a consumer that found the queue empty and
 //    is about to sleep is always visible to the next producer — no lost
-//    wakeup, no syscall on the uncontended handoff.
+//    wakeup, no syscall on the uncontended handoff. With a source, the
+//    notify is the source's Wake (an eventfd write) instead of the cv.
 //  - `PushAll` moves a whole routed burst in under one lock acquisition
 //    and one (conditional) notify, then clears the caller's vector so its
 //    capacity is reused for the next burst.
 //  - `PopAll` spins briefly on an atomic size mirror before sleeping, so
 //    a consumer draining a steady stream never touches the futex. The
 //    spin is disabled on single-core hosts where it would only steal the
-//    producer's timeslice.
+//    producer's timeslice, and on mailboxes with a source, whose socket
+//    bytes never move the mirror.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -36,9 +48,28 @@ namespace qcnt::net {
 
 using runtime::Envelope;
 
+class Mailbox;
+
+/// A receive path that runs on the threads observing a mailbox rather
+/// than on a transport thread (TcpTransport's per-node receive set).
+class MailboxSource {
+ public:
+  virtual ~MailboxSource() = default;
+  /// Read whatever has already arrived, without blocking, and PushAll it
+  /// into `box`. Safe from any thread; concurrent pulls keep FIFO order.
+  virtual void Pull(Mailbox& box) = 0;
+  /// Block until something may have arrived, Wake() runs, or `deadline`
+  /// passes (max() = no deadline). Spurious returns are allowed.
+  virtual void Park(std::chrono::steady_clock::time_point deadline) = 0;
+  /// Make a current Park return, or the next one return at once.
+  virtual void Wake() = 0;
+};
+
 class Mailbox {
  public:
-  Mailbox() = default;
+  /// `source` (optional, not owned, must outlive the mailbox) receives on
+  /// the observing threads; without one the mailbox is pushed to only.
+  explicit Mailbox(MailboxSource* source = nullptr) : source_(source) {}
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
@@ -62,9 +93,9 @@ class Mailbox {
   /// one lock round trip per message. Empty result ⇔ closed and drained.
   std::deque<Envelope> PopAll();
 
-  /// Non-blocking variant of PopAll (just the queue lock, no wait): moves
-  /// out whatever is queued right now, possibly nothing. The async
-  /// client's opportunistic drain between blocking waits.
+  /// Non-blocking variant of PopAll (a pull and the queue lock, no
+  /// wait): moves out whatever is queued right now, possibly nothing. The
+  /// async client's opportunistic drain between blocking waits.
   std::deque<Envelope> TryPopAll();
 
   /// Wake all waiters; subsequent Pops drain the queue then return nullopt.
@@ -76,20 +107,23 @@ class Mailbox {
   void Reopen();
 
   /// Discard every queued message (fail-stop crash: the backlog dies with
-  /// the node). The mailbox stays usable for later pushes.
+  /// the node), pulled ones included. The mailbox stays usable for later
+  /// pushes.
   void Clear();
 
-  std::size_t Size() const;
+  /// Queued messages, after a pull (so not const).
+  std::size_t Size();
 
-  /// Number of Push/PushAll calls that enqueued at least one envelope.
-  /// Deterministic (independent of consumer timing), so tests can assert
+  /// Number of Push/PushAll calls that enqueued at least one envelope —
+  /// with a source, one per pulled burst. Without one it is
+  /// deterministic (independent of consumer timing), so tests can assert
   /// exact handoff counts where wakeups would be racy.
   std::uint64_t Handoffs() const {
     return handoffs_.load(std::memory_order_relaxed);
   }
 
-  /// Number of producer-side cv notifies actually issued — the syscall
-  /// cost a spinning or already-awake consumer avoids.
+  /// Number of producer-side notifies actually issued (cv notify or
+  /// source Wake) — the syscall cost an awake consumer avoids.
   std::uint64_t Wakeups() const {
     return wakeups_.load(std::memory_order_relaxed);
   }
@@ -103,13 +137,25 @@ class Mailbox {
   bool NeedNotify() const {
     return waiters_.load(std::memory_order_acquire) != 0;
   }
+  /// Wake a parked consumer, if any (call after releasing mu_).
+  void Notify();
+  /// Pull from the source (if any), then wait until the queue is
+  /// non-empty, the mailbox is closed, or `deadline` passes. Returns with
+  /// mu_ held.
+  std::unique_lock<std::mutex> Await(
+      std::chrono::steady_clock::time_point deadline);
+  void PullSource() {
+    if (source_ != nullptr) source_->Pull(*this);
+  }
+
+  MailboxSource* const source_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Envelope> queue_;
   bool closed_ = false;
   std::atomic<std::size_t> size_{0};     // mirror of queue_.size() for spin
-  std::atomic<int> waiters_{0};          // consumers parked (or parking) in cv
+  std::atomic<int> waiters_{0};          // consumers parked (or parking)
   std::atomic<std::uint64_t> handoffs_{0};
   std::atomic<std::uint64_t> wakeups_{0};
 };

@@ -6,6 +6,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -26,6 +27,9 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// Ready events taken per epoll_wait; level-triggered, so the rest wait
 /// for the next turn.
 constexpr int kMaxEvents = 64;
+/// A receive set's epoll tag for its eventfd (connections are tagged
+/// with their fd, which is never negative).
+constexpr int kEventTag = -1;
 /// Default universe-capacity headroom beyond the construction-time nodes
 /// (see TcpTransportOptions::max_nodes).
 constexpr std::size_t kGrowthHeadroom = 32;
@@ -66,6 +70,26 @@ std::size_t NextFrameBoundary(const std::vector<std::uint8_t>& buf,
   std::size_t at = 0;
   while (at < off) at += EncodedFrameBytes(buf.data() + at);
   return at;
+}
+
+/// Milliseconds until `deadline`, rounded up so a timed park never wakes
+/// early and spins; -1 (no timeout) for max().
+int TimeoutMs(std::chrono::steady_clock::time_point deadline) {
+  if (deadline == std::chrono::steady_clock::time_point::max()) return -1;
+  const auto left = deadline - std::chrono::steady_clock::now();
+  if (left <= std::chrono::steady_clock::duration::zero()) return 0;
+  const auto ms = std::chrono::ceil<std::chrono::milliseconds>(left).count();
+  return static_cast<int>(std::min<long long>(ms, 1 << 30));
+}
+
+/// Deregister, then close: epoll keys a registration on the open file,
+/// which outlives close(2) while a forked child still holds the socket —
+/// its events would then arrive tagged for a reused fd or node.
+void DeregisterAndClose(int epoll_fd, int& fd) {
+  if (fd < 0) return;
+  ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
+  ::close(fd);
+  fd = -1;
 }
 
 std::uint16_t PortOf(const sockaddr_storage& ss) {
@@ -110,11 +134,12 @@ TcpTransport::TcpTransport(TcpTransportOptions options,
     : options_(std::move(options)),
       universe_(options_.universe),
       local_(CapacityOf(options_), 0),
-      mailboxes_(CapacityOf(options_)),
+      hosted_(CapacityOf(options_)),
       up_(CapacityOf(options_)),
       crash_hooks_(CapacityOf(options_)),
       recover_hooks_(CapacityOf(options_)),
-      peers_(CapacityOf(options_)) {
+      peers_(CapacityOf(options_)),
+      listen_fd_(CapacityOf(options_), -1) {
   QCNT_CHECK_MSG(!universe_.empty(), "tcp transport: empty universe");
   QCNT_CHECK_MSG(!local_nodes.empty(), "tcp transport: no hosted nodes");
   const std::size_t nodes = universe_.size();
@@ -125,7 +150,7 @@ TcpTransport::TcpTransport(TcpTransportOptions options,
     QCNT_CHECK(node < nodes);
     QCNT_CHECK_MSG(!local_[node], "tcp transport: duplicate hosted node");
     local_[node] = 1;
-    mailboxes_[node] = std::make_unique<Mailbox>();
+    hosted_[node] = std::make_unique<Hosted>(*this);
   }
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
@@ -139,9 +164,7 @@ TcpTransport::TcpTransport(TcpTransportOptions options,
   // constructor returns), so a single-process universe can immediately
   // connect node-to-node and a multi-process replica is reachable the
   // moment its constructor finishes.
-  for (NodeId node : local_nodes) {
-    listen_fds_.push_back(BindListenerOrThrow(node));
-  }
+  for (NodeId node : local_nodes) listen_fd_[node] = BindListenerOrThrow(node);
 
   loop_ = std::thread([this] { Loop(); });
 }
@@ -170,8 +193,7 @@ int TcpTransport::BindListenerOrThrow(NodeId node) {
   QCNT_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) ==
              0);
   universe_[node].port = PortOf(bound);
-  EpollCtl(EPOLL_CTL_ADD, fd, EPOLLIN, FdKind::kListen,
-           static_cast<std::uint32_t>(fd));
+  EpollCtl(EPOLL_CTL_ADD, fd, EPOLLIN, FdKind::kListen, node);
   return fd;
 }
 
@@ -187,9 +209,12 @@ TcpTransport::~TcpTransport() {
   stop_.store(true);
   WakeLoop();
   if (loop_.joinable()) loop_.join();
-  for (int fd : listen_fds_) ::close(fd);
+  for (int fd : listen_fd_) {
+    if (fd >= 0) ::close(fd);
+  }
   for (Peer& p : peers_) CloseFd(p.fd);
   for (Inbound& in : inbound_) CloseFd(in.fd);
+  hosted_.clear();  // receive sets close their own connections
   ::close(epoll_fd_);
   ::close(wake_pipe_[0]);
   ::close(wake_pipe_[1]);
@@ -199,7 +224,7 @@ Mailbox& TcpTransport::MailboxOf(NodeId node) {
   QCNT_CHECK(node < NodeCount());
   QCNT_CHECK_MSG(local_[node],
                  "tcp transport: mailbox of a node hosted elsewhere");
-  return *mailboxes_[node];
+  return hosted_[node]->box;
 }
 
 bool TcpTransport::IsLocal(NodeId node) const {
@@ -228,7 +253,7 @@ bool TcpTransport::Send(NodeId from, NodeId to, RtMessage msg) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    mailboxes_[to]->Push(Envelope{from, std::move(msg)});
+    hosted_[to]->box.Push(Envelope{from, std::move(msg)});
     return true;
   }
   // Every cross-node message rides the wire, even when the destination
@@ -322,14 +347,20 @@ void TcpTransport::Crash(NodeId node) {
   if (hook) {
     hook();
   } else {
-    mailboxes_[node]->Clear();
+    hosted_[node]->box.Clear();
   }
 }
 
 void TcpTransport::Recover(NodeId node) {
   QCNT_CHECK(node < NodeCount());
   QCNT_CHECK_MSG(local_[node], "tcp transport: recover of a remote node");
-  mailboxes_[node]->Reopen();
+  Hosted& h = *hosted_[node];
+  h.box.Reopen();
+  // Frames that reached the node's connections while it was down and
+  // that no consumer read meanwhile are read and dropped here, before it
+  // is up again: the straggler rule holds whether or not a consumer ran
+  // during the outage.
+  h.rx.Pull(h.box);
   up_[node].store(true);
   std::function<void()> hook;
   {
@@ -355,8 +386,8 @@ void TcpTransport::SetRecoverHook(NodeId node, std::function<void()> hook) {
 }
 
 void TcpTransport::CloseAll() {
-  for (std::size_t i = 0; i < mailboxes_.size(); ++i) {
-    if (mailboxes_[i]) mailboxes_[i]->Close();
+  for (const std::unique_ptr<Hosted>& h : hosted_) {
+    if (h) h->box.Close();
   }
 }
 
@@ -399,16 +430,16 @@ void TcpTransport::AddLocalNode(NodeId node, Endpoint endpoint) {
     QCNT_CHECK_MSG(!local_[node], "tcp transport: node already hosted");
     universe_[node] = std::move(endpoint);
     // Resolves an ephemeral port and registers the listener: the loop
-    // accepts on it from its next epoll_wait, so no wake is needed.
-    const int fd = BindListenerOrThrow(node);
+    // accepts on it from its next epoll_wait, so no wake is needed. It
+    // turns only under mu_, so the node's receive set exists by then.
+    listen_fd_[node] = BindListenerOrThrow(node);
+    hosted_[node] = std::make_unique<Hosted>(*this);
     local_[node] = 1;
-    mailboxes_[node] = std::make_unique<Mailbox>();
     up_[node].store(true);
     if (node >= count_.load(std::memory_order_acquire)) {
       count_.store(static_cast<std::size_t>(node) + 1,
                    std::memory_order_release);
     }
-    listen_fds_.push_back(fd);
   }
 }
 
@@ -423,6 +454,9 @@ TcpStats TcpTransport::WireStats() const {
     s.send_calls += peer.send_calls;
     s.backpressure_drops += peer.backpressure_drops;
   }
+  for (const std::unique_ptr<Hosted>& h : hosted_) {
+    if (h) h->rx.AddStats(s);
+  }
   return s;
 }
 
@@ -435,16 +469,7 @@ void TcpTransport::WakeLoop() {
   [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &byte, 1);
 }
 
-void TcpTransport::CloseFd(int& fd) {
-  if (fd >= 0) {
-    // Deregister explicitly: epoll keys a registration on the open file,
-    // which outlives close(2) while a forked child still holds the socket
-    // — its events would then arrive tagged for a reused fd or node.
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
-    fd = -1;
-  }
-}
+void TcpTransport::CloseFd(int& fd) { DeregisterAndClose(epoll_fd_, fd); }
 
 void TcpTransport::StartConnect(NodeId node) {
   Peer& peer = peers_[node];
@@ -632,21 +657,23 @@ void TcpTransport::OnPeerEvent(NodeId node, std::uint32_t events) {
   }
 }
 
-void TcpTransport::AcceptAll(int listen_fd) {
+void TcpTransport::AcceptAll(NodeId node) {
   for (;;) {
-    const int fd = ::accept4(listen_fd, nullptr, nullptr,
-                                SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = ::accept4(listen_fd_[node], nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN, or a raced-away connection
     SetNoDelay(fd);
     const auto slot = static_cast<std::size_t>(fd);
     if (slot >= inbound_.size()) inbound_.resize(slot + 1);
     inbound_[slot].fd = fd;
+    inbound_[slot].node = node;
     EpollCtl(EPOLL_CTL_ADD, fd, EPOLLIN, FdKind::kInbound,
              static_cast<std::uint32_t>(fd));
   }
 }
 
-bool TcpTransport::DrainInbound(Inbound& in) {
+bool TcpTransport::ReadInbound(Inbound& in, TcpStats& stats,
+                               std::vector<Envelope>& burst, bool vetting) {
   for (;;) {
     if (in.cap - in.filled < kReadChunk) {
       // Make room for a full chunk without zero-filling anything: slide
@@ -667,7 +694,7 @@ bool TcpTransport::DrainInbound(Inbound& in) {
       in.filled = live;
     }
     const std::size_t room = in.cap - in.filled;
-    ++stats_.recv_calls;
+    ++stats.recv_calls;
     const ssize_t n = ::recv(in.fd, in.buf.get() + in.filled, room, 0);
     if (n < 0) {
       // Level-triggered: an interrupted read is simply reported again.
@@ -679,43 +706,63 @@ bool TcpTransport::DrainInbound(Inbound& in) {
       return false;
     }
     in.filled += static_cast<std::size_t>(n);
-    stats_.bytes_received += static_cast<std::uint64_t>(n);
+    stats.bytes_received += static_cast<std::uint64_t>(n);
     // Decode every complete frame in the unconsumed region.
     for (;;) {
       DecodeResult r = DecodeFrame(in.buf.get() + in.off, in.filled - in.off,
                                    options_.max_frame_bytes);
       if (r.status == DecodeStatus::kOk) {
-        ++stats_.frames_received;
+        ++stats.frames_received;
         in.off += r.consumed;
-        DispatchFrame(std::move(r.frame));
+        in.vetted = true;
+        Admit(in.node, r.frame, burst);
         continue;
       }
       if (r.status == DecodeStatus::kNeedMore) break;
       // Typed decode error: the stream cannot be resynchronized — drop
       // the connection (the sender will reconnect and retransmit at the
       // quorum layer's pace).
-      ++stats_.decode_errors;
+      ++stats.decode_errors;
       return false;
     }
     if (in.off == in.filled) in.off = in.filled = 0;
-    // A short read drained the socket; a full one may have left more.
-    if (static_cast<std::size_t>(n) < room) return true;
+    // A short read drained the socket; a full one may have left more —
+    // for the new owner to read, once a vetting read found a frame.
+    if (static_cast<std::size_t>(n) < room || (vetting && in.vetted)) {
+      return true;
+    }
   }
 }
 
-void TcpTransport::DispatchFrame(WireFrame frame) {
-  if (frame.to >= universe_.size() || !local_[frame.to]) {
-    // Misrouted — a peer table disagreement. Drop; never a crash.
+void TcpTransport::Admit(NodeId node, WireFrame& frame,
+                         std::vector<Envelope>& burst) {
+  // Misrouted — a peer table disagreement — or, the Bus's straggler
+  // rule, for a node that is down when the frame is read: a frame in
+  // flight across a crash dies unless the node recovered first. Drop;
+  // never a crash.
+  if (frame.to != node || !up_[node].load()) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  // Up-check at dispatch time, exactly the Bus's straggler rule: a frame
-  // in flight across a crash dies unless the node recovered first.
-  if (!up_[frame.to].load()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+  burst.push_back(Envelope{frame.from, std::move(frame.msg)});
+}
+
+void TcpTransport::OnInboundEvent(Inbound& in) {
+  Hosted& h = *hosted_[in.node];
+  const bool open = ReadInbound(in, stats_, vet_burst_, /*vetting=*/true);
+  // Frames decoded before a close still count: they were whole.
+  h.box.PushAll(vet_burst_);
+  if (!open) {
+    CloseFd(in.fd);
+    in = Inbound{};  // frees the buffer; the slot is reusable
     return;
   }
-  mailboxes_[frame.to]->Push(Envelope{frame.from, std::move(frame.msg)});
+  if (!in.vetted) return;  // no whole frame yet
+  // Vetted: from here on the node's own observers read it. Its frames so
+  // far are queued above, so FIFO holds across the handoff.
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, in.fd, nullptr);
+  h.rx.Adopt(std::move(in));
+  in = Inbound{};
 }
 
 void TcpTransport::Loop() {
@@ -752,23 +799,87 @@ void TcpTransport::Loop() {
           break;
         }
         case FdKind::kListen:
-          AcceptAll(static_cast<int>(id));
+          AcceptAll(id);
           break;
         case FdKind::kPeer:
           OnPeerEvent(id, events[i].events);
           break;
-        case FdKind::kInbound: {
-          Inbound& in = inbound_[id];
-          if (in.fd < 0) break;  // closed earlier in this batch
-          if (!DrainInbound(in)) {
-            CloseFd(in.fd);
-            in = Inbound{};  // frees the buffer; the slot is reusable
-          }
+        case FdKind::kInbound:
+          // A free slot: closed or handed off earlier in this batch.
+          if (inbound_[id].fd >= 0) OnInboundEvent(inbound_[id]);
           break;
-        }
       }
     }
   }
+}
+
+// --- Receive sets -----------------------------------------------------------
+
+TcpTransport::Receiver::Receiver(TcpTransport& transport) : t_(transport) {
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  event_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  QCNT_CHECK(epoll_fd_ >= 0 && event_fd_ >= 0);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = kEventTag;
+  QCNT_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev) == 0);
+}
+
+TcpTransport::Receiver::~Receiver() {
+  for (Inbound& in : conns_) DeregisterAndClose(epoll_fd_, in.fd);
+  DeregisterAndClose(epoll_fd_, event_fd_);
+  ::close(epoll_fd_);
+}
+
+void TcpTransport::Receiver::Adopt(Inbound&& in) {
+  std::lock_guard<std::mutex> lock(mu_);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = in.fd;
+  QCNT_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, in.fd, &ev) == 0);
+  conns_.push_back(std::move(in));
+}
+
+void TcpTransport::Receiver::Pull(Mailbox& box) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::size_t i = 0; i < conns_.size();) {
+    if (t_.ReadInbound(conns_[i], stats_, burst_, /*vetting=*/false)) {
+      ++i;
+      continue;
+    }
+    DeregisterAndClose(epoll_fd_, conns_[i].fd);
+    conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+  // Appended under the receive lock, so a burst never overtakes the one
+  // an earlier pull read from the same connection.
+  box.PushAll(burst_);
+}
+
+void TcpTransport::Receiver::Park(
+    std::chrono::steady_clock::time_point deadline) {
+  std::array<epoll_event, 16> events;
+  const int ready =
+      ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
+                   TimeoutMs(deadline));
+  for (int i = 0; i < ready; ++i) {
+    if (events[i].data.fd == kEventTag) {
+      std::uint64_t count = 0;
+      [[maybe_unused]] ssize_t n = ::read(event_fd_, &count, sizeof(count));
+    }
+  }
+}
+
+void TcpTransport::Receiver::Wake() {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(event_fd_, &one, sizeof(one));
+}
+
+void TcpTransport::Receiver::AddStats(TcpStats& s) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  s.recv_calls += stats_.recv_calls;
+  s.frames_received += stats_.frames_received;
+  s.bytes_received += stats_.bytes_received;
+  s.decode_errors += stats_.decode_errors;
 }
 
 }  // namespace qcnt::net

@@ -9,35 +9,52 @@
 //
 // Architecture (DESIGN.md §10):
 //
-//   Send(from, to, m), caller's thread   event-loop thread
-//   ──────────────────────────────────   ─────────────────────────────────
-//   under the peer's own lock only:      epoll_wait on one persistent set
-//    encode the frame onto the peer's    (wake pipe, listeners, peer and
-//    reusable write queue; connected     accepted fds), then under mu_:
-//    and the queue was empty → send(2)    · receive + decode every frame,
-//    it right here (write-through)          Push into local mailboxes
-//    · EAGAIN → arm the fd for OUT        · connect / backoff / retarget
-//    · hard error → kick ─┐                 the kicked and due peers
-//   not connected → kick ─┤  wake pipe    · flush the EPOLLOUT backlog a
-//   (under mu_)           └──────────────▶  blocked send left behind
-//                          (only when the
-//                           loop is parked)
+//   Send(from, to, m),       node's consumer       event-loop thread
+//   caller's thread          (Pop/PopAll/...)
+//   ───────────────────────  ────────────────────  ──────────────────────
+//   under the peer's lock    pull first: recv +    epoll_wait on one set
+//   only: encode onto the    decode the node's     (wake pipe, listeners,
+//   peer's write queue;      own connections,      peer and new inbound
+//   connected + queue was    append the burst      fds), then under mu_:
+//   empty → send(2) here     under its receive      · accept; read a new
+//    · EAGAIN → arm OUT      lock; queue empty →      connection to its
+//    · hard error → kick ─┐  park in epoll_wait       first valid frame,
+//   not connected → kick ─┤  on its receive set       dispatch it, hand
+//   (under mu_)           │  (connections +           the fd to the
+//                         │  eventfd; local           node's receive set
+//                         │  pushes write the       · connect / backoff /
+//                         │  eventfd only when        retarget the kicked
+//                         │  it is parked)            and due peers
+//                         └─── wake pipe ─────────▶ · flush the EPOLLOUT
+//                              (only when the         backlog a blocked
+//                               loop is parked)       send left behind
 //
-// So a connected peer's frames leave on the thread that produced them,
-// and the loop never makes a send(2) on the hot path; it owns what only
-// it can do: connects and their backoff timer, retargets, the backlog
-// after EAGAIN, and the whole receive side. Lock order is mu_ → Peer::mu;
-// a sender holds only its peer's mu while it writes, and hands a hard
-// socket error to the loop (kicked_ + wake) instead of failing the peer
-// itself, because the backoff timer (next_retry_) is the loop's.
+// So a connected peer's frames leave on the thread that produced them
+// and reach the thread that consumes them with one kernel wake per
+// direction: no loop hop on either side of a round trip. The loop owns
+// only what it alone can do: accepts and the vetting of new connections,
+// connects and their backoff timer, retargets, and the backlog after
+// EAGAIN. Lock order is mu_ → Peer::mu and mu_ → a receive set's lock →
+// the mailbox's lock; a sender holds only its peer's mu while it writes,
+// and hands a hard socket error to the loop (kicked_ + wake) instead of
+// failing the peer itself, because the backoff timer (next_retry_) is
+// the loop's.
+//
+// A new inbound connection stays with the loop until it yields its first
+// valid frame, so garbage on a fresh connection is dropped with no
+// consumer running. Then the loop deregisters it and moves the fd and
+// its undecoded tail into the receive set of the node whose listener
+// accepted it, and never reads it again.
 //
 // Every fd is registered once, when it is created, tagged with its kind
-// and its node (peers) or fd (listeners, accepted connections), and
+// and its node (listeners, peers) or fd (accepted connections), and
 // deregistered when it is closed. A peer's interest changes only with
 // its state — OUT while connecting, IN once connected, plus OUT while
 // bytes are pending — so a loop turn touches only the fds that are
 // ready, never the whole set. Level-triggered: an fd with work left is
-// simply reported again on the next turn.
+// simply reported again on the next turn. A handed-off inbound fd moves
+// from the loop's set to its node's receive set, registered there until
+// the consumer side closes it.
 //
 // Per-peer connection state machine:
 //
@@ -48,8 +65,9 @@
 //                          └────────▶ kConnecting
 //
 // Delivery semantics match the Transport contract: at-most-once, FIFO
-// per peer (one ordered byte stream), up-check at dispatch time (a frame
-// for a crashed local node is dropped; one that arrives after Recover is
+// per peer (one ordered byte stream), up-check and routing at read time
+// (a frame for a crashed local node, or one addressed to a node other
+// than the listener's, is dropped and counted; one read after Recover is
 // delivered — the same straggler rule the Bus documents). Sends while a
 // peer is unreachable are buffered up to max_write_queue_bytes, then
 // dropped and counted: the quorum layer's retries own end-to-end
@@ -130,7 +148,8 @@ struct TcpTransportOptions {
 /// Transport-level sent/dropped totals.
 struct TcpStats {
   std::uint64_t frames_sent = 0;      // frames encoded onto a peer stream
-  std::uint64_t frames_received = 0;  // frames decoded and dispatched
+  std::uint64_t frames_received = 0;  // frames decoded, by the loop (a new
+                                      // connection's first) or a consumer
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t connects = 0;         // successful outbound connects
@@ -139,11 +158,12 @@ struct TcpStats {
   std::uint64_t backpressure_drops = 0;
   std::uint64_t unroutable_drops = 0;  // peer endpoint unknown (port 0)
   // Syscall counters: what the wire costs per frame.
-  std::uint64_t loop_turns = 0;   // epoll_wait returns
+  std::uint64_t loop_turns = 0;   // event-loop epoll_wait returns
   std::uint64_t wake_writes = 0;  // wake-pipe writes (senders nudging)
   std::uint64_t send_calls = 0;   // send(2) on outbound peer streams, by
                                   // senders and the loop alike
-  std::uint64_t recv_calls = 0;   // recv(2) on accepted and peer fds
+  std::uint64_t recv_calls = 0;   // recv(2) on accepted and peer fds, by
+                                  // the loop and consumers alike
 };
 
 class TcpTransport final : public Transport {
@@ -237,11 +257,14 @@ class TcpTransport final : public Transport {
     std::uint64_t backpressure_drops = 0;
   };
 
-  /// One accepted inbound connection (any remote process; frames carry
-  /// their own routing, so inbound connections need no identity).
-  /// inbound_ is indexed by fd; fd == -1 marks a free slot.
+  /// One accepted inbound connection (any remote process), carrying
+  /// frames for the node whose listener accepted it. The loop's inbound_
+  /// is indexed by fd (fd == -1 marks a free slot) and holds connections
+  /// until they are vetted; a receive set holds them after.
   struct Inbound {
     int fd = -1;
+    NodeId node = 0;      // the accepting listener's node
+    bool vetted = false;  // a valid frame has been decoded
     /// Grow-only receive buffer, never zero-filled: [off, filled) holds
     /// received bytes not yet decoded, [filled, cap) is free.
     std::unique_ptr<std::uint8_t[]> buf;
@@ -253,6 +276,44 @@ class TcpTransport final : public Transport {
   /// What an epoll registration points at (packed with an id into the
   /// event's 64-bit tag).
   enum class FdKind : std::uint32_t { kWake, kListen, kPeer, kInbound };
+
+  /// A hosted node's receive set: its vetted inbound connections and an
+  /// eventfd, in an epoll set of their own. The mailbox's observers pull
+  /// through it and its consumer parks in it (see mailbox.hpp).
+  class Receiver final : public MailboxSource {
+   public:
+    explicit Receiver(TcpTransport& transport);
+    ~Receiver() override;
+    Receiver(const Receiver&) = delete;
+    Receiver& operator=(const Receiver&) = delete;
+
+    void Pull(Mailbox& box) override;
+    void Park(std::chrono::steady_clock::time_point deadline) override;
+    void Wake() override;
+    /// Take over a vetted connection from the loop.
+    void Adopt(Inbound&& in);
+    /// Add this node's receive counters into `s`.
+    void AddStats(TcpStats& s) const;
+
+   private:
+    TcpTransport& t_;
+    int epoll_fd_ = -1;
+    int event_fd_ = -1;
+    /// The receive lock: reading, decoding and appending one pull's burst
+    /// happen under it, so concurrent observers keep FIFO order. Parking
+    /// does not hold it.
+    mutable std::mutex mu_;
+    std::vector<Inbound> conns_;
+    std::vector<Envelope> burst_;  // reused across pulls
+    TcpStats stats_;               // the four receive counters only
+  };
+
+  /// Per hosted node: the receive set and the mailbox it feeds.
+  struct Hosted {
+    explicit Hosted(TcpTransport& transport) : rx(transport), box(&rx) {}
+    Receiver rx;
+    Mailbox box;
+  };
 
   void Loop();
   void WakeLoop();
@@ -290,10 +351,19 @@ class TcpTransport final : public Transport {
   void ClosePeerConnection(Peer& peer);
   void FailPeer(Peer& peer, bool count_attempt);
   void OnPeerEvent(NodeId node, std::uint32_t events);
-  void AcceptAll(int listen_fd);
-  /// Read + decode everything available; false = close the connection.
-  bool DrainInbound(Inbound& in);
-  void DispatchFrame(WireFrame frame);
+  void AcceptAll(NodeId node);
+  /// recv + decode the connection's frames into `burst`, until a short
+  /// read drains the socket or — `vetting` — a read yields a valid
+  /// frame. Counts into `stats`. False: close the connection (EOF,
+  /// socket error, or a decode error). Any thread, with whatever lock
+  /// owns `in` held.
+  bool ReadInbound(Inbound& in, TcpStats& stats, std::vector<Envelope>& burst,
+                   bool vetting);
+  /// Append the frame to `burst` when it is addressed to `node` and the
+  /// node is up; otherwise drop and count it.
+  void Admit(NodeId node, WireFrame& frame, std::vector<Envelope>& burst);
+  /// The loop's side of a readable, not yet vetted connection.
+  void OnInboundEvent(Inbound& in);
   void CloseFd(int& fd);
 
   // Every per-node container below is sized to Capacity() at construction
@@ -301,7 +371,7 @@ class TcpTransport final : public Transport {
   TcpTransportOptions options_;
   std::vector<Endpoint> universe_;  // mutable copy (SetPeerEndpoint)
   std::vector<char> local_;         // 1 = hosted by this instance
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;  // hosted nodes only
+  std::vector<std::unique_ptr<Hosted>> hosted_;  // hosted nodes only
   std::vector<std::atomic<bool>> up_;
   std::atomic<std::size_t> count_{0};  // logical node count
 
@@ -312,9 +382,9 @@ class TcpTransport final : public Transport {
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> dropped_{0};
 
-  /// Guards universe_, kicked_, polling_, next_retry_, inbound_, stats_
-  /// and listen_fds_; the loop holds it for its whole turn. A Peer's
-  /// fields are under the Peer's own mu.
+  /// Guards universe_, kicked_, polling_, next_retry_, inbound_, stats_,
+  /// vet_burst_ and listen_fd_; the loop holds it for its whole turn. A
+  /// Peer's fields are under the Peer's own mu, a Receiver's under its.
   mutable std::mutex mu_;
   std::vector<Peer> peers_;  // index == destination NodeId
   /// Peers the loop must look at on its next turn: a send that needs a
@@ -327,12 +397,14 @@ class TcpTransport final : public Transport {
   /// No kBackoff peer retries before this (max() when none).
   std::chrono::steady_clock::time_point next_retry_ =
       std::chrono::steady_clock::time_point::max();
-  std::vector<Inbound> inbound_;  // index == accepted fd
+  std::vector<Inbound> inbound_;  // index == accepted fd, until vetted
+  std::vector<Envelope> vet_burst_;  // reused by the loop's reads
   TcpStats stats_;
   std::atomic<std::uint64_t> wake_writes_{0};  // WakeLoop runs unlocked
 
-  // Guarded by mu_ once the loop runs (AddLocalNode appends at runtime).
-  std::vector<int> listen_fds_;
+  // Listening fd per hosted node (-1 elsewhere); under mu_ once the loop
+  // runs (AddLocalNode adds one at runtime).
+  std::vector<int> listen_fd_;
   int epoll_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
   std::atomic<bool> stop_{false};

@@ -20,10 +20,12 @@
 //   * Messages between a live (from, to) pair are delivered in send
 //     order (FIFO links: one mailbox per receiver in-process, one
 //     ordered byte stream per peer over TCP).
-//   * Delivery happens by Push into the receiver's Mailbox, tagged with
-//     the sender id. MailboxOf is only meaningful for nodes hosted by
-//     this transport instance (every node, for a Bus; this process's
-//     nodes, for a TcpTransport).
+//   * Delivery lands in the receiver's Mailbox, tagged with the sender
+//     id: the Bus pushes into it, a TcpTransport mailbox pulls from the
+//     node's own connections whenever it is observed (mailbox.hpp).
+//     MailboxOf is only meaningful for nodes hosted by this transport
+//     instance (every node, for a Bus; this process's nodes, for a
+//     TcpTransport).
 //   * Crash(node) is local fail-stop: the node stops receiving and its
 //     queued backlog dies with it. If a crash hook is installed the hook
 //     *owns* the backlog — the transport does not clear the mailbox

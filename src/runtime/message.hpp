@@ -35,9 +35,11 @@ struct ConfigPayload {
 };
 
 /// One operation inside a multi-op (batched) message. In a batch read
-/// request only (op, key) are meaningful; in a batch read response all
-/// four fields are; in a batch write request (op, key, version, value)
-/// carry the install; in a batch write ack only op is.
+/// request only (op, key) are meaningful; a batch read response carries
+/// (op, version, value) and an empty key, since the client matches
+/// entries by op; in a batch write request (op, key, version, value)
+/// carry the install; in a batch write ack (op, value) do, value being
+/// the fence NACK flag.
 struct BatchEntry {
   std::uint64_t op = 0;
   std::string key;

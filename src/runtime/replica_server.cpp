@@ -356,8 +356,8 @@ void ReplicaServer::HandleBatchRead(const RtMessage& m, RtMessage& reply) {
     } else {
       backend_->Lookup(entry.key, &v);
     }
-    reply.batch.push_back(
-        BatchEntry{entry.op, entry.key, v.version, v.value});
+    // No key echo: the client matches entries by op.
+    reply.batch.push_back(BatchEntry{entry.op, {}, v.version, v.value});
   }
   // The header stamp teaches the client the store's configuration.
   reply.generation = image_.generation;

@@ -1,8 +1,11 @@
 // TcpTransport behavior the Bus has no analogue for: a corrupt byte
-// stream on one accepted connection, the event loop's accepted-fd reuse,
-// how often senders wake the loop (never once a peer is connected; once
-// per outage while it is unreachable), and a peer that dies under a
-// sender writing through to it or with a frame half sent.
+// stream on one accepted connection (before and after the loop hands it
+// to its node's receive set), the event loop's accepted-fd reuse, how
+// often senders wake the loop (never once a peer is connected; once per
+// outage while it is unreachable), a warm link whose frames never turn
+// the receiver's loop, observers pulling alongside the consumer, and a
+// peer that dies under a sender writing through to it or with a frame
+// half sent.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,6 +14,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -119,6 +123,90 @@ TEST_F(ThreeInstances, CorruptStreamDropsOnlyThatConnection) {
   EXPECT_EQ(t_[1]->WireStats().decode_errors, 10u);
   EXPECT_EQ(t_[0]->WireStats().decode_errors, 0u);
   EXPECT_EQ(t_[2]->WireStats().decode_errors, 0u);
+}
+
+TEST_F(ThreeInstances, CorruptBytesAfterAValidFrameDropOnlyThatConnection) {
+  ExpectDelivery(0, 1, 1);
+  ExpectDelivery(2, 1, 2);
+  const std::uint64_t errors = t_[1]->WireStats().decode_errors;
+  const int fd = DialLoopback(t_[1]->ActualEndpoint(1).port);
+  ASSERT_GE(fd, 0);
+
+  // A valid frame vets the connection: the loop dispatches it and hands
+  // the connection to node 1's receive set.
+  std::vector<std::uint8_t> frame;
+  EncodeFrame(WireFrame{0, 1, Op(7)}, frame);
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  auto e = t_[1]->MailboxOf(1).Pop(In(5000ms));
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->from, 0u);
+  EXPECT_EQ(e->msg.op, 7u);
+
+  // Garbage after it is read, and rejected, by node 1's own consumer.
+  const std::vector<std::uint8_t> garbage(64, 0xA5);  // bad magic
+  ASSERT_EQ(::send(fd, garbage.data(), garbage.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(garbage.size()));
+  EXPECT_FALSE(t_[1]->MailboxOf(1).Pop(In(200ms)).has_value());
+  char byte;
+  EXPECT_LE(::recv(fd, &byte, 1, 0), 0) << "the connection was not dropped";
+  ::close(fd);
+  EXPECT_EQ(t_[1]->WireStats().decode_errors, errors + 1);
+
+  ExpectDelivery(0, 1, 100);
+  ExpectDelivery(2, 1, 200);
+  ExpectDelivery(1, 2, 300);
+}
+
+TEST_F(ThreeInstances, WarmInboundFramesNeverTurnTheLoop) {
+  // The first frame on the link is vetted by node 1's loop, which then
+  // hands the connection to node 1's receive set; from then on node 1's
+  // consumer receives on its own thread.
+  ExpectDelivery(0, 1, 0);
+  const std::uint64_t turns = t_[1]->WireStats().loop_turns;
+  constexpr std::uint64_t kFrames = 1000;
+  for (std::uint64_t op = 1; op <= kFrames; ++op) {
+    ASSERT_TRUE(t_[0]->Send(0, 1, Op(op)));
+  }
+  for (std::uint64_t op = 1; op <= kFrames; ++op) {
+    auto e = t_[1]->MailboxOf(1).Pop(In(5000ms));
+    ASSERT_TRUE(e.has_value()) << "frame " << op;
+    EXPECT_EQ(e->msg.op, op);
+  }
+  EXPECT_EQ(t_[1]->WireStats().loop_turns, turns)
+      << "a warm link's frames went through the receiver's event loop";
+}
+
+TEST_F(ThreeInstances, ObserverPullsKeepEachFrameOnceAndInOrder) {
+  // Size() pulls from the node's connections too, so an observer thread
+  // races the consumer for the same socket: every frame must still be
+  // delivered exactly once, in send order.
+  ExpectDelivery(0, 1, 0);
+  constexpr std::uint64_t kFrames = 10000;
+  std::atomic<bool> done{false};
+  std::thread observer([&] {
+    while (!done.load()) (void)t_[1]->MailboxOf(1).Size();
+  });
+  std::thread sender([&] {
+    for (std::uint64_t op = 1; op <= kFrames; ++op) {
+      if (!t_[0]->Send(0, 1, Op(op))) ADD_FAILURE() << "refused " << op;
+    }
+  });
+  std::uint64_t next = 1;
+  for (; next <= kFrames; ++next) {
+    auto e = t_[1]->MailboxOf(1).Pop(In(5000ms));
+    if (!e.has_value() || e->msg.op != next) {
+      ADD_FAILURE() << "frame " << next << ": got "
+                    << (e ? std::to_string(e->msg.op) : "nothing");
+      break;
+    }
+  }
+  sender.join();
+  done.store(true);
+  observer.join();
+  EXPECT_EQ(next, kFrames + 1);
+  EXPECT_FALSE(t_[1]->MailboxOf(1).Pop(In(50ms)).has_value())
+      << "a frame arrived twice";
 }
 
 TEST_F(ThreeInstances, SyscallCountersAdvance) {

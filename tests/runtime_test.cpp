@@ -108,6 +108,44 @@ TEST(Bus, CrashRecoverSendDeliversAfterClose) {
   EXPECT_EQ(e->msg.op, 9u);
 }
 
+TEST(ReplicaServer, ReadResponseEntriesCarryNoKey) {
+  // A read response answers each entry by op: version and value, no key
+  // echoed back (the client never reads it; on the wire it is dead bytes).
+  Bus bus(2);
+  ReplicaServer replica(bus, 0, storage::MakeMemoryBackend(),
+                        /*record_history=*/false);
+  const auto pop = [&] {
+    return bus.MailboxOf(1).Pop(std::chrono::steady_clock::now() + 5s);
+  };
+  RtMessage w;
+  w.kind = RtMessage::Kind::kBatchWriteReq;
+  w.op = 1;
+  w.batch = {BatchEntry{1, "present", 3, 30}};
+  ASSERT_TRUE(bus.Send(1, 0, w));
+  ASSERT_TRUE(pop().has_value());
+
+  RtMessage r;
+  r.kind = RtMessage::Kind::kBatchReadReq;
+  r.op = 2;
+  r.batch = {BatchEntry{2, "present", 0, 0}, BatchEntry{3, "absent", 0, 0}};
+  ASSERT_TRUE(bus.Send(1, 0, r));
+  auto e = pop();
+  ASSERT_TRUE(e.has_value());
+  ASSERT_EQ(e->msg.kind, RtMessage::Kind::kBatchReadResp);
+  ASSERT_EQ(e->msg.batch.size(), 2u);
+  EXPECT_EQ(e->msg.batch[0].op, 2u);
+  EXPECT_EQ(e->msg.batch[0].version, 3u);
+  EXPECT_EQ(e->msg.batch[0].value, 30);
+  EXPECT_EQ(e->msg.batch[1].op, 3u);
+  EXPECT_EQ(e->msg.batch[1].version, 0u);
+  EXPECT_EQ(e->msg.batch[1].value, 0);
+  for (const BatchEntry& entry : e->msg.batch) {
+    EXPECT_TRUE(entry.key.empty()) << "op " << entry.op << " echoed its key";
+  }
+  replica.Shutdown();
+  bus.CloseAll();
+}
+
 TEST(ReplicatedStore, WriteThenRead) {
   ReplicatedStore store(StoreOptions{.replicas = 3});
   auto client = store.MakeClient();

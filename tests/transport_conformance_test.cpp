@@ -288,6 +288,31 @@ TEST_P(TransportConformance, ConcurrentSendersToOnePeerArriveOnceInSenderOrder) 
   EXPECT_FALSE(mb.Pop(In(50)).has_value()) << "a frame arrived twice";
 }
 
+TEST_P(TransportConformance, ParkedConsumerWakesOnPushAndOnClose) {
+  // A consumer parked on an empty mailbox (on the Bus's condvar, or in
+  // the TCP node's receive set) wakes promptly for a local push — the
+  // path self-sends and the replica's control messages take — and for
+  // Close.
+  using Clock = std::chrono::steady_clock;
+  Mailbox& box = Host(1).MailboxOf(1);
+  const auto parked_pop = [&](auto&& wake, bool expect_message) {
+    std::atomic<Clock::rep> returned{0};
+    std::thread consumer([&] {
+      EXPECT_EQ(box.Pop(In(5000)).has_value(), expect_message);
+      returned.store(Clock::now().time_since_epoch().count());
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // parks
+    const Clock::time_point woken = Clock::now();
+    wake();
+    consumer.join();
+    const Clock::time_point at{Clock::duration(returned.load())};
+    EXPECT_LT(at - woken, std::chrono::milliseconds(100));
+  };
+  parked_pop([&] { box.Push(Envelope{1, Tagged(5)}); }, true);
+  parked_pop([&] { box.Close(); }, false);
+  box.Reopen();
+}
+
 TEST_P(TransportConformance, CrashDrainsPendingMessages) {
   // Queue deliveries into node 1's mailbox without popping them...
   for (std::uint64_t i = 0; i < 5; ++i) {

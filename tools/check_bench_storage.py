@@ -21,9 +21,9 @@ the gates below fail CI when the data stops proving them:
    bloom false-positive rate must stay under 5% (designed ~1% at
    10 bits/key; 5x slack covers small-filter quantization).
 4. Group-commit sanity: the fixed-window store write path must have
-   produced writes.  Its rate, fsyncs and commit passes per write are
-   reported, not gated: shared CI runners make sub-millisecond fsync
-   timing untrustworthy.
+   produced writes, in every repetition of the cell (rep_writes_per_sec).
+   Its rate, fsyncs and commit passes per write are reported, not gated:
+   shared CI runners make sub-millisecond fsync timing untrustworthy.
 5. Bounded merges.  The merge_pacing section must be present, at least
    one checkpoint-chain merge must have run, and no MaybeCompact call may
    have written more merged entries than its budget (the newest
@@ -137,9 +137,14 @@ def main(argv):
             f"{cold.get('bloom_hits')} bloom hits — present keys are "
             "missing from the cold layer")
 
-    # 4. Group-commit sanity.
-    if gc.get("fixed_writes_per_sec", 0) <= 0:
-        status |= fail("a group-commit section produced no writes")
+    # 4. Group-commit sanity, per repetition.
+    reps = gc.get("rep_writes_per_sec")
+    if not isinstance(reps, list) or not reps:
+        status |= fail("group_commit lists no repetitions "
+                       "(rep_writes_per_sec)")
+    elif gc.get("fixed_writes_per_sec", 0) <= 0 or min(reps) <= 0:
+        status |= fail(f"a group-commit repetition produced no writes "
+                       f"(writes/s per repetition: {reps})")
 
     # 5. Bounded merges: every call within its budget.
     merges = pacing.get("merges", 0)
