@@ -3,12 +3,14 @@
 // The same ReplicatedStore, the same quorum protocol, two substrates:
 // direct mailbox pushes (Bus) vs. the full codec + non-blocking-socket
 // path (TcpTransport on 127.0.0.1, where senders write and each node's
-// consumer reads its own connections). Three sections:
+// consumer reads its own connections). Four sections:
 //
 //   1. Sync latency — one blocking client, single-key read and write
-//      round trips; reports mean and p99 microseconds per op. Every
+//      round trips; reports mean, p50 and p99 microseconds per op. Every
 //      quorum op is several messages (probe + install to every replica,
 //      their responses), so the per-op delta is a few wire crossings.
+//      One cell is ~40-300 ms, so it is repeated (bench/repeat.hpp) and
+//      each figure is reported as median [min, max] over the repetitions.
 //   2. Pipelined throughput — the async client with a deep window and
 //      batching, ops/second. Batching amortizes framing as it amortizes
 //      mailbox wakeups, so the relative gap narrows vs. section 1. One
@@ -21,6 +23,12 @@
 //      so a change to the send or receive path shows where its per-frame
 //      cost went. tools/check_bench_transport.py gates the loop turns:
 //      a warm link's frames must not pass through the event loop.
+//   4. Bus mailbox wakeups per handoff for sections 1 and 2: how many
+//      deliveries into a Bus mailbox (replicas' and the client's) had to
+//      futex-wake a parked consumer. A consumer spins briefly on an empty
+//      queue before it parks (net/mailbox.hpp), so a reply that comes
+//      within one round trip needs no wake. tools/check_bench_transport.py
+//      gates the sync phase on hosts with >= 4 cores.
 //
 // The point of the experiment is honesty about deployment cost: the
 // repo's other benchmarks measure protocol effects on the Bus; this one
@@ -101,28 +109,74 @@ SyscallRow PerFrame(const std::string& phase,
   return r;
 }
 
+/// Deliveries into every Bus mailbox of a phase's runs (summed over
+/// repetitions), and how many of them had to wake a parked consumer.
+struct WakeupRow {
+  std::string phase;
+  std::uint64_t handoffs = 0;
+  std::uint64_t wakeups = 0;
+  double PerHandoff() const {
+    return handoffs == 0 ? 0.0
+                         : static_cast<double>(wakeups) /
+                               static_cast<double>(handoffs);
+  }
+  WakeupRow& operator+=(const WakeupRow& o) {
+    handoffs += o.handoffs;
+    wakeups += o.wakeups;
+    return *this;
+  }
+};
+
+/// Handoffs and wakeups of every mailbox on the store's transport.
+WakeupRow MailboxCounters(ReplicatedStore& store) {
+  WakeupRow w;
+  net::Transport& t = store.TransportRef();
+  for (std::size_t n = 0; n < t.NodeCount(); ++n) {
+    const net::Mailbox& box = t.MailboxOf(static_cast<runtime::NodeId>(n));
+    w.handoffs += box.Handoffs();
+    w.wakeups += box.Wakeups();
+  }
+  return w;
+}
+
 struct LatencyRow {
   std::string transport;
   std::string op;
+  bench::Spread mean_us;
+  bench::Spread p50_us;
+  bench::Spread p99_us;
+};
+
+/// One sync cell's figures for one op type.
+struct LatencyStats {
   double mean_us = 0;
   double p50_us = 0;
   double p99_us = 0;
 };
 
-double Percentile(std::vector<double>& v, double p) {
+LatencyStats Stats(std::vector<double>& v) {
+  LatencyStats s;
+  if (v.empty()) return s;
   std::sort(v.begin(), v.end());
-  const std::size_t i = static_cast<std::size_t>(p * (v.size() - 1));
-  return v[i];
+  double sum = 0;
+  for (double x : v) sum += x;
+  s.mean_us = sum / static_cast<double>(v.size());
+  s.p50_us = v[(v.size() - 1) / 2];
+  s.p99_us = v[(v.size() - 1) * 99 / 100];
+  return s;
 }
 
-/// Mean/p50/p99 of kSyncOps blocking round trips per op type.
-/// A TCP run appends its syscall counters to `syscalls`.
-std::vector<LatencyRow> SyncLatency(bool tcp,
-                                    std::vector<SyscallRow>& syscalls) {
+struct SyncRun {
+  LatencyStats read;
+  LatencyStats write;
+  net::TcpStats wire;  // all zero on the bus
+  WakeupRow mailboxes;
+};
+
+/// kSyncOps blocking write + read round trips on a fresh store.
+SyncRun SyncLatencyOnce(bool tcp) {
   ReplicatedStore store(Options(tcp));
   auto client = store.MakeClient();
-  const char* name = tcp ? "tcp" : "bus";
-
   std::vector<double> write_us, read_us;
   for (std::size_t i = 0; i < kSyncOps; ++i) {
     const std::string key = "k" + std::to_string(i % kKeys);
@@ -131,26 +185,55 @@ std::vector<LatencyRow> SyncLatency(bool tcp,
     auto r = client->Read(key);
     if (r.ok) read_us.push_back(static_cast<double>(r.latency.count()));
   }
-  if (tcp) syscalls.push_back(PerFrame("sync", {store.WireStats()}));
+  SyncRun run;
+  run.read = Stats(read_us);
+  run.write = Stats(write_us);
+  run.wire = store.WireStats();
+  run.mailboxes = MailboxCounters(store);
+  return run;
+}
 
-  auto row = [&](const char* op, std::vector<double>& v) {
+/// The sync cell, repeated: read and write rows, each figure a spread
+/// over the repetitions. A TCP run appends its syscall counters to
+/// `syscalls`, a Bus run its mailbox counters to `wakeups`.
+std::vector<LatencyRow> SyncLatency(bool tcp,
+                                    std::vector<SyscallRow>& syscalls,
+                                    std::vector<WakeupRow>& wakeups) {
+  const std::vector<SyncRun> runs =
+      bench::Repeat([tcp] { return SyncLatencyOnce(tcp); });
+  std::vector<net::TcpStats> wire;
+  WakeupRow boxes;
+  boxes.phase = "sync";
+  for (const SyncRun& run : runs) {
+    wire.push_back(run.wire);
+    boxes += run.mailboxes;
+  }
+  if (tcp) {
+    syscalls.push_back(PerFrame("sync", wire));
+  } else {
+    wakeups.push_back(boxes);
+  }
+
+  auto row = [&](const char* op, LatencyStats SyncRun::*which) {
     LatencyRow r;
-    r.transport = name;
+    r.transport = tcp ? "tcp" : "bus";
     r.op = op;
-    double sum = 0;
-    for (double x : v) sum += x;
-    r.mean_us = v.empty() ? 0 : sum / static_cast<double>(v.size());
-    r.p50_us = Percentile(v, 0.50);
-    r.p99_us = Percentile(v, 0.99);
+    r.mean_us = bench::SpreadOf(
+        runs, [&](const SyncRun& run) { return (run.*which).mean_us; });
+    r.p50_us = bench::SpreadOf(
+        runs, [&](const SyncRun& run) { return (run.*which).p50_us; });
+    r.p99_us = bench::SpreadOf(
+        runs, [&](const SyncRun& run) { return (run.*which).p99_us; });
     return r;
   };
-  return {row("read", read_us), row("write", write_us)};
+  return {row("read", &SyncRun::read), row("write", &SyncRun::write)};
 }
 
 struct ThroughputRun {
   double ops_per_sec = 0;
   double wall_ms = 0;
   net::TcpStats wire;  // all zero on the bus
+  WakeupRow mailboxes;
 };
 
 struct ThroughputRow {
@@ -190,12 +273,15 @@ ThroughputRun AsyncThroughputOnce(bool tcp) {
   r.wall_ms = wall.count();
   r.ops_per_sec = static_cast<double>(ok) / (wall.count() / 1000.0);
   r.wire = store.WireStats();
+  r.mailboxes = MailboxCounters(store);
   return r;
 }
 
 /// The pipelined cell, repeated. A TCP row appends its syscall counters,
-/// summed over the repetitions, to `syscalls`.
-ThroughputRow AsyncThroughput(bool tcp, std::vector<SyscallRow>& syscalls) {
+/// summed over the repetitions, to `syscalls`, a Bus row its mailbox
+/// counters to `wakeups`.
+ThroughputRow AsyncThroughput(bool tcp, std::vector<SyscallRow>& syscalls,
+                              std::vector<WakeupRow>& wakeups) {
   const std::vector<ThroughputRun> runs =
       bench::Repeat([tcp] { return AsyncThroughputOnce(tcp); });
   ThroughputRow r;
@@ -206,13 +292,23 @@ ThroughputRow AsyncThroughput(bool tcp, std::vector<SyscallRow>& syscalls) {
       runs, [](const ThroughputRun& run) { return run.wall_ms; });
   r.frames = runs.front().wire.frames_sent;
   std::vector<net::TcpStats> wire;
-  for (const ThroughputRun& run : runs) wire.push_back(run.wire);
-  if (tcp) syscalls.push_back(PerFrame("pipelined", wire));
+  WakeupRow boxes;
+  boxes.phase = "pipelined";
+  for (const ThroughputRun& run : runs) {
+    wire.push_back(run.wire);
+    boxes += run.mailboxes;
+  }
+  if (tcp) {
+    syscalls.push_back(PerFrame("pipelined", wire));
+  } else {
+    wakeups.push_back(boxes);
+  }
   return r;
 }
 
 void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
                const std::vector<ThroughputRow>& thr,
+               const std::vector<WakeupRow>& wake,
                const std::vector<SyscallRow>& sys) {
   std::ofstream os(path);
   os << "{\n  \"experiment\": \"E18\",\n";
@@ -226,10 +322,15 @@ void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
   os << "  \"sync_latency_us\": [\n";
   for (std::size_t i = 0; i < lat.size(); ++i) {
     const LatencyRow& r = lat[i];
+    // mean, p50 and p99 are medians over the repetitions; the spreads
+    // sit beside them.
     os << "    {\"transport\": \"" << r.transport << "\", \"op\": \"" << r.op
-       << "\", \"mean\": " << bench::Table::Num(r.mean_us, 1)
-       << ", \"p50\": " << bench::Table::Num(r.p50_us, 1)
-       << ", \"p99\": " << bench::Table::Num(r.p99_us, 1) << "}"
+       << "\", \"mean\": " << bench::Table::Num(r.mean_us.median, 1)
+       << ", \"p50\": " << bench::Table::Num(r.p50_us.median, 1)
+       << ", \"p99\": " << bench::Table::Num(r.p99_us.median, 1)
+       << ", \"mean_spread\": " << r.mean_us.Json(1)
+       << ", \"p50_spread\": " << r.p50_us.Json(1)
+       << ", \"p99_spread\": " << r.p99_us.Json(1) << "}"
        << (i + 1 < lat.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"async_throughput\": [\n";
@@ -243,6 +344,14 @@ void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
        << ", \"wall_ms_spread\": " << r.wall_ms.Json(1)
        << ", \"wire_frames\": " << r.frames << "}"
        << (i + 1 < thr.size() ? "," : "") << "\n";
+  }
+  os << "  ],\n  \"bus_mailbox_wakeups\": [\n";
+  for (std::size_t i = 0; i < wake.size(); ++i) {
+    const WakeupRow& r = wake[i];
+    os << "    {\"phase\": \"" << r.phase << "\", \"handoffs\": " << r.handoffs
+       << ", \"wakeups\": " << r.wakeups << ", \"wakeups_per_handoff\": "
+       << bench::Table::Num(r.PerHandoff(), 3) << "}"
+       << (i + 1 < wake.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"tcp_syscalls_per_frame\": [\n";
   for (std::size_t i = 0; i < sys.size(); ++i) {
@@ -266,23 +375,26 @@ int main(int argc, char** argv) {
   bench::Banner("E18.1 — sync quorum op latency: bus vs loopback TCP");
   std::vector<LatencyRow> lat;
   std::vector<SyscallRow> sys;
+  std::vector<WakeupRow> wake;
   for (bool tcp : {false, true}) {
-    auto rows = SyncLatency(tcp, sys);
+    auto rows = SyncLatency(tcp, sys, wake);
     lat.insert(lat.end(), rows.begin(), rows.end());
   }
   {
-    bench::Table t({"transport", "op", "mean us", "p50 us", "p99 us"});
+    bench::Table t({"transport", "op", "reps", "mean us", "p50 us",
+                    "p99 us"});
     for (const LatencyRow& r : lat) {
-      t.AddRow({r.transport, r.op, bench::Table::Num(r.mean_us, 1),
-                bench::Table::Num(r.p50_us, 1),
-                bench::Table::Num(r.p99_us, 1)});
+      t.AddRow({r.transport, r.op, std::to_string(r.p50_us.reps),
+                r.mean_us.Cell(1), r.p50_us.Cell(1), r.p99_us.Cell(1)});
     }
     t.Print();
   }
 
   bench::Banner("E18.2 — pipelined async throughput: bus vs loopback TCP");
   std::vector<ThroughputRow> thr;
-  for (bool tcp : {false, true}) thr.push_back(AsyncThroughput(tcp, sys));
+  for (bool tcp : {false, true}) {
+    thr.push_back(AsyncThroughput(tcp, sys, wake));
+  }
   {
     bench::Table t({"transport", "reps", "ops/s", "wall ms",
                     "wire frames/run"});
@@ -308,14 +420,27 @@ int main(int argc, char** argv) {
     t.Print();
   }
 
+  bench::Banner("E18.4 — Bus mailbox wakeups per handoff");
+  {
+    bench::Table t({"phase", "handoffs", "wakeups", "wakeups/handoff"});
+    for (const WakeupRow& r : wake) {
+      t.AddRow({r.phase, std::to_string(r.handoffs),
+                std::to_string(r.wakeups),
+                bench::Table::Num(r.PerHandoff(), 3)});
+    }
+    t.Print();
+  }
+
   // Shape checks: every section produced data, and the TCP path really
   // used the wire (nonzero frames) while the bus did not.
-  bool ok = lat.size() == 4 && thr.size() == 2 && sys.size() == 2;
-  for (const LatencyRow& r : lat) ok = ok && r.mean_us > 0;
+  bool ok = lat.size() == 4 && thr.size() == 2 && sys.size() == 2 &&
+            wake.size() == 2;
+  for (const LatencyRow& r : lat) ok = ok && r.mean_us.min > 0;
+  for (const WakeupRow& r : wake) ok = ok && r.handoffs > 0;
   for (const ThroughputRow& r : thr) ok = ok && r.ops_per_sec.min > 0;
   ok = ok && thr[0].frames == 0 && thr[1].frames > 0;
 
-  WriteJson(json_path, lat, thr, sys);
+  WriteJson(json_path, lat, thr, wake, sys);
   std::cout << "\n" << (ok ? "OK" : "SHAPE CHECK FAILED") << "; wrote "
             << json_path << "\n";
   return ok ? 0 : 1;

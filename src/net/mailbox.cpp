@@ -1,20 +1,48 @@
 #include "net/mailbox.hpp"
 
+#include <algorithm>
 #include <thread>
 
 namespace qcnt::net {
 
 namespace {
 
-// Bounded spin before a blocking wait in PopAll. On a single-core host
-// spinning only steals the producer's timeslice, so it is disabled there.
-int SpinIterations() {
-  static const int kIters =
-      std::thread::hardware_concurrency() > 1 ? 64 : 0;
-  return kIters;
+// Consumers spinning right now, in the whole process.
+std::atomic<int> g_spinners{0};
+
+// A spinning consumer reads the clock once per this many pauses: a pause
+// is 10-150 cycles depending on the core, so the budget overshoots by
+// well under a microsecond.
+constexpr int kChecksPerClockRead = 8;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
 }
 
 }  // namespace
+
+int Spinners::Cap() {
+  static const int kCap =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency())) - 1;
+  return kCap;
+}
+
+bool Spinners::TryAcquire() {
+  int n = g_spinners.load(std::memory_order_relaxed);
+  do {
+    if (n >= Cap()) return false;
+  } while (!g_spinners.compare_exchange_weak(n, n + 1,
+                                             std::memory_order_acq_rel));
+  return true;
+}
+
+void Spinners::Release() {
+  g_spinners.fetch_sub(1, std::memory_order_acq_rel);
+}
 
 void Mailbox::Notify() {
   if (!NeedNotify()) return;
@@ -53,25 +81,43 @@ void Mailbox::PushAll(std::vector<Envelope>& batch) {
   Notify();
 }
 
+void Mailbox::Spin(std::chrono::steady_clock::time_point deadline) {
+  if (ReadyHint() || !Spinners::TryAcquire()) return;
+  spins_.fetch_add(1, std::memory_order_relaxed);
+  const auto end =
+      std::min(std::chrono::steady_clock::now() + kSpinBudget, deadline);
+  for (int i = 1; !ReadyHint(); ++i) {
+    CpuRelax();
+    if (i % kChecksPerClockRead == 0 &&
+        std::chrono::steady_clock::now() >= end) {
+      break;
+    }
+  }
+  Spinners::Release();
+}
+
 std::unique_lock<std::mutex> Mailbox::Await(
     std::chrono::steady_clock::time_point deadline) {
   const auto ready = [this] { return !queue_.empty() || closed_; };
+  if (source_ == nullptr) {
+    Spin(deadline);
+    std::unique_lock<std::mutex> lock(mu_);
+    if (ready() || std::chrono::steady_clock::now() >= deadline) return lock;
+    waiters_.fetch_add(1, std::memory_order_acq_rel);
+    if (deadline == std::chrono::steady_clock::time_point::max()) {
+      cv_.wait(lock, ready);
+    } else {
+      cv_.wait_until(lock, deadline, ready);
+    }
+    waiters_.fetch_sub(1, std::memory_order_acq_rel);
+    return lock;
+  }
   for (;;) {
     PullSource();
     std::unique_lock<std::mutex> lock(mu_);
     if (ready()) {
       // Close wakes one parked consumer per Wake; pass it on to the next.
-      if (closed_ && source_ != nullptr && NeedNotify()) source_->Wake();
-      return lock;
-    }
-    if (source_ == nullptr) {
-      waiters_.fetch_add(1, std::memory_order_acq_rel);
-      if (deadline == std::chrono::steady_clock::time_point::max()) {
-        cv_.wait(lock, ready);
-      } else {
-        cv_.wait_until(lock, deadline, ready);
-      }
-      waiters_.fetch_sub(1, std::memory_order_acq_rel);
+      if (closed_ && NeedNotify()) source_->Wake();
       return lock;
     }
     if (std::chrono::steady_clock::now() >= deadline) return lock;
@@ -96,13 +142,6 @@ std::optional<Envelope> Mailbox::Pop(
 }
 
 std::deque<Envelope> Mailbox::PopAll() {
-  // Fast path: under steady load the next burst lands within the spin
-  // window and the consumer never parks (and the producer never has to
-  // notify — NeedNotify() stays false throughout).
-  for (int i = source_ == nullptr ? SpinIterations() : 0; i > 0; --i) {
-    if (size_.load(std::memory_order_acquire) != 0) break;
-    if ((i & 15) == 0) std::this_thread::yield();
-  }
   std::unique_lock<std::mutex> lock =
       Await(std::chrono::steady_clock::time_point::max());
   std::deque<Envelope> batch;

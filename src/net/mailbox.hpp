@@ -5,7 +5,7 @@
 // ever pops; where the envelope came from is the transport's business:
 //
 //  - The in-process Bus pushes into it directly, and a consumer with an
-//    empty queue sleeps on a condition variable.
+//    empty queue spins briefly, then sleeps on a condition variable.
 //  - A TcpTransport mailbox has a MailboxSource: the node's own receive
 //    set (its established inbound connections). Every observer — Size,
 //    TryPopAll, Pop, PopAll, Clear — first pulls what those connections
@@ -26,11 +26,23 @@
 //  - `PushAll` moves a whole routed burst in under one lock acquisition
 //    and one (conditional) notify, then clears the caller's vector so its
 //    capacity is reused for the next burst.
-//  - `PopAll` spins briefly on an atomic size mirror before sleeping, so
-//    a consumer draining a steady stream never touches the futex. The
-//    spin is disabled on single-core hosts where it would only steal the
-//    producer's timeslice, and on mailboxes with a source, whose socket
-//    bytes never move the mirror.
+//  - A consumer without a source that finds its queue empty spins
+//    before it parks: for up to kSpinBudget it watches the `size_` mirror
+//    with `pause` and no syscall, and stops early at its deadline or on
+//    Close. Only then does it register in `waiters_` and sleep. A reply
+//    that lands inside the spin window is taken with no futex call on
+//    either side: the consumer never slept, so the producer sees no
+//    waiter and skips the notify. The waiter gate above is unchanged, so
+//    wakeups still cannot be lost. Waking a parked thread costs the waker
+//    a syscall (~2 us) and the woken thread 5-9 us before it runs on a
+//    4-core x86 VM, so a spin that is shorter than one in-process round
+//    trip pays for itself whenever the reply comes inside it.
+//  - At most Spinners::Cap() consumers spin at once, process-wide
+//    (hardware_concurrency() - 1), so a producer always keeps a core;
+//    the rest park at once. On one core the cap is 0: spinning there
+//    would only steal the producer's timeslice.
+//  - A mailbox with a source never spins: socket bytes do not move the
+//    mirror, so its consumer parks in the source (epoll_wait) at once.
 #pragma once
 
 #include <atomic>
@@ -50,6 +62,18 @@ using runtime::Envelope;
 
 class Mailbox;
 
+/// The process-wide cap on consumers spinning at once (see the hot-path
+/// notes above). A consumer takes a slot before it spins and gives it
+/// back when the spin ends; without a free slot it parks at once.
+class Spinners {
+ public:
+  /// hardware_concurrency() - 1 (0 on one core or when unknown).
+  static int Cap();
+  /// Take a slot; false (and nothing taken) when all Cap() are in use.
+  static bool TryAcquire();
+  static void Release();
+};
+
 /// A receive path that runs on the threads observing a mailbox rather
 /// than on a transport thread (TcpTransport's per-node receive set).
 class MailboxSource {
@@ -67,6 +91,12 @@ class MailboxSource {
 
 class Mailbox {
  public:
+  /// How long a consumer without a source spins on an empty queue before
+  /// it parks. Picked from a sweep of {0, 10, 20, 50} us on qbench's
+  /// bus_hot and bus_durable workloads (EXPERIMENTS.md E18): 10 us caught
+  /// only part of the round trips, 50 us gained nothing over 20 us.
+  static constexpr std::chrono::microseconds kSpinBudget{20};
+
   /// `source` (optional, not owned, must outlive the mailbox) receives on
   /// the observing threads; without one the mailbox is pushed to only.
   explicit Mailbox(MailboxSource* source = nullptr) : source_(source) {}
@@ -128,6 +158,12 @@ class Mailbox {
     return wakeups_.load(std::memory_order_relaxed);
   }
 
+  /// Number of waits on an empty queue that spun before taking the data
+  /// or parking (0 with a source, or while every spinner slot is taken).
+  std::uint64_t Spins() const {
+    return spins_.load(std::memory_order_relaxed);
+  }
+
  private:
   // True when a producer must notify: a consumer registered under mu_
   // before sleeping. Read by producers *after* releasing mu_; the mutex
@@ -144,6 +180,14 @@ class Mailbox {
   /// mu_ held.
   std::unique_lock<std::mutex> Await(
       std::chrono::steady_clock::time_point deadline);
+  /// Without mu_: spin until the queue is non-empty, the mailbox is
+  /// closed, or `deadline` or kSpinBudget passes. Returns at once when
+  /// no spinner slot is free.
+  void Spin(std::chrono::steady_clock::time_point deadline);
+  bool ReadyHint() const {
+    return size_.load(std::memory_order_acquire) != 0 ||
+           closed_.load(std::memory_order_acquire);
+  }
   void PullSource() {
     if (source_ != nullptr) source_->Pull(*this);
   }
@@ -153,11 +197,12 @@ class Mailbox {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Envelope> queue_;
-  bool closed_ = false;
+  std::atomic<bool> closed_{false};      // written under mu_
   std::atomic<std::size_t> size_{0};     // mirror of queue_.size() for spin
   std::atomic<int> waiters_{0};          // consumers parked (or parking)
   std::atomic<std::uint64_t> handoffs_{0};
   std::atomic<std::uint64_t> wakeups_{0};
+  std::atomic<std::uint64_t> spins_{0};
 };
 
 }  // namespace qcnt::net

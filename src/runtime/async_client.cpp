@@ -185,10 +185,11 @@ bool AsyncQuorumClient::PumpOnce() {
   // flushing: each response completes ops, admits same-key successors and
   // stages follow-up write phases, so the batches flushed below coalesce
   // a whole burst of progress instead of going out one entry at a time.
+  // One TryPopAll per drain: on TCP every observation pulls, so a guard
+  // that looked first (Size) would pay a second recv that can only find
+  // nothing.
   net::Mailbox& mailbox = transport_->MailboxOf(id_);
-  if (mailbox.Size() != 0) {
-    for (Envelope& e : mailbox.TryPopAll()) Dispatch(e, Now());
-  }
+  for (Envelope& e : mailbox.TryPopAll()) Dispatch(e, Now());
   Flush();
   HandleTimers(Now());
   Flush();  // retries relaunched by HandleTimers stage new reads

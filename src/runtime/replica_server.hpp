@@ -79,8 +79,10 @@ struct BatchStats {
   std::uint64_t write_ops = 0;
   /// Deliveries into the replica's mailbox, the loop's only queue:
   /// `handoffs` counts Push/PushAll calls (deterministic), `wakeups` the
-  /// cv notifies actually issued (timing-dependent: a spinning or busy
-  /// consumer needs none).
+  /// notifies actually issued to a parked loop (timing-dependent). On the
+  /// Bus the loop spins for up to Mailbox::kSpinBudget on an empty queue
+  /// before it parks, so a delivery that lands while it is busy or still
+  /// spinning needs no wakeup; a TCP loop parks in epoll_wait at once.
   std::uint64_t mailbox_handoffs = 0;
   std::uint64_t mailbox_wakeups = 0;
   std::uint64_t worker_handoffs = 0;  // always 0: no dispatch→worker hop

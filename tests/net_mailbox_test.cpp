@@ -1,8 +1,10 @@
 // Mailbox hot-path contract: waiter-gated notify (no lost wakeups against
-// concurrent TryPopAll draining), move-only Push/PushAll, and the
-// handoff/wakeup counters qbench records.
+// concurrent TryPopAll draining), move-only Push/PushAll, the
+// handoff/wakeup counters qbench records, and the bounded spin before a
+// consumer parks (deadline, Close and the process-wide spinner cap).
 #include "net/mailbox.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -123,6 +125,101 @@ TEST(Mailbox, CloseReleasesParkedPopAll) {
   std::this_thread::sleep_for(20ms);
   box.Close();
   consumer.join();
+}
+
+// Two threads bounce one envelope back and forth. Each reply lands well
+// inside the other side's spin window, so few handoffs need a futex
+// wake; a consumer that parks at once is woken for nearly every one.
+// Another process can take the cores for a while, so the best of a few
+// trials is judged.
+TEST(Mailbox, PingPongHandoffsNeedFewWakeups) {
+  if (Spinners::Cap() < 1) GTEST_SKIP() << "one core: consumers never spin";
+  constexpr std::uint64_t kRounds = 5000;
+  double best = 1.0;
+  for (int trial = 0; trial < 5 && best >= 0.1; ++trial) {
+    Mailbox ping, pong;
+    std::thread echo([&] {
+      for (std::uint64_t i = 0; i < kRounds; ++i) {
+        std::deque<Envelope> got = ping.PopAll();
+        ASSERT_EQ(got.size(), 1u);
+        pong.Push(std::move(got.front()));
+      }
+    });
+    for (std::uint64_t i = 0; i < kRounds; ++i) {
+      ping.Push(Tagged(i));
+      std::optional<Envelope> back =
+          pong.Pop(std::chrono::steady_clock::time_point::max());
+      ASSERT_TRUE(back.has_value());
+      ASSERT_EQ(back->msg.op, i);
+    }
+    echo.join();
+    const std::uint64_t handoffs = ping.Handoffs() + pong.Handoffs();
+    ASSERT_EQ(handoffs, 2 * kRounds);
+    const double per_handoff =
+        static_cast<double>(ping.Wakeups() + pong.Wakeups()) /
+        static_cast<double>(handoffs);
+    best = std::min(best, per_handoff);
+  }
+  EXPECT_LT(best, 0.25) << "wakeups per handoff in the best trial";
+}
+
+// A Pop whose deadline comes before the spin budget ends returns at that
+// deadline: the spin stops there instead of running out the budget. (On
+// one core nothing spins, and a timed condvar wait may overshoot a
+// microsecond deadline, so only the lower bound is checked there.)
+TEST(Mailbox, PopDeadlineShorterThanSpinBudgetEndsTheSpin) {
+  Mailbox box;
+  const auto wait = Mailbox::kSpinBudget / 4;
+  // The fastest of many tries: a preempted try can only run long, and a
+  // spin that ignored the deadline would never return before the budget.
+  auto fastest = std::chrono::steady_clock::duration::max();
+  for (int i = 0; i < 50; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(box.Pop(start + wait).has_value());
+    const auto took = std::chrono::steady_clock::now() - start;
+    EXPECT_GE(took, wait) << "an empty Pop returned before its deadline";
+    fastest = std::min(fastest, took);
+  }
+  if (Spinners::Cap() >= 1) EXPECT_LT(fastest, Mailbox::kSpinBudget);
+}
+
+TEST(Mailbox, CloseEndsASpinningConsumerPromptly) {
+  Mailbox box;
+  std::atomic<bool> returned{false};
+  std::thread consumer([&] {
+    EXPECT_FALSE(box.Pop(std::chrono::steady_clock::now() + 10s).has_value());
+    returned.store(true);
+  });
+  // Close as soon as the consumer starts its wait (spinning, or parked
+  // when no spinner slot is free or the spin already ended).
+  const auto give_up = std::chrono::steady_clock::now() + 1s;
+  while (box.Spins() == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  const auto closed_at = std::chrono::steady_clock::now();
+  box.Close();
+  consumer.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_LT(std::chrono::steady_clock::now() - closed_at, 1s)
+      << "Close must end the wait, not its 10 s deadline";
+}
+
+// With every spinner slot taken, a consumer on an empty mailbox parks at
+// once: its whole wait passes without a spin.
+TEST(Mailbox, ConsumersBeyondTheSpinnerCapParkAtOnce) {
+  int held = 0;
+  while (Spinners::TryAcquire()) ++held;
+  EXPECT_EQ(held, Spinners::Cap());
+  Mailbox parked;
+  EXPECT_FALSE(parked.Pop(std::chrono::steady_clock::now() + 5ms));
+  EXPECT_EQ(parked.Spins(), 0u) << "no slot was free, yet it spun";
+  for (int i = 0; i < held; ++i) Spinners::Release();
+
+  // With the slots back, the same wait spins before it parks.
+  if (Spinners::Cap() < 1) return;
+  Mailbox spun;
+  EXPECT_FALSE(spun.Pop(std::chrono::steady_clock::now() + 5ms));
+  EXPECT_EQ(spun.Spins(), 1u);
 }
 
 }  // namespace
