@@ -4,11 +4,16 @@
 // Section 1 (read_heavy): the same 95%-read workload driven at the same
 // 5-replica store under three strategies — majority (the old hardcoded
 // default), ROWA, and a read-dominant weighted system (R=2, W=4). With
-// minimal-quorum targeting a majority read costs 3+3 messages while a
-// ROWA read costs 1+1, so the read-optimized strategies must beat
-// majority on read throughput; the CI gate (tools/
-// check_bench_strategies.py) enforces exactly that, plus the measured
-// messages/op ordering.
+// minimal-quorum targeting a majority read asks 3 replicas while a ROWA
+// read asks 1. Each row reports replica sub-requests per op (read and
+// write entries the replicas served, over ops) next to the strategy's
+// analytic minimum: a read needs one read quorum, a write a read quorum
+// (version discovery) and then a write quorum. The CI gate
+// (tools/check_bench_strategies.py) requires the read-optimized
+// strategies to need fewer sub-requests than majority, every strategy
+// to stay near its minimum, and a throughput floor. Wire messages per op
+// are reported too, but not gated: batching packs many sub-requests into
+// one message, so that figure tracks batch size more than quorum size.
 //
 // Section 2 (switch_under_traffic): client threads drive a mixed
 // workload while the coordinator flips the strategy between majority and
@@ -55,6 +60,8 @@ struct StrategyRow {
   std::string spec;
   double ops_per_sec = 0;
   double messages_per_op = 0;
+  double replica_reqs_per_op = 0;
+  double min_reqs_per_op = 0;
   std::uint64_t failures = 0;
   double speedup = 1.0;  // vs the majority row
 };
@@ -76,6 +83,7 @@ StrategyRow MeasureReadHeavy(const std::string& spec, std::uint64_t seed) {
 
   std::atomic<std::uint64_t> failures{0};
   const std::uint64_t msgs_before = store.MessagesSent();
+  const runtime::BatchStats served_before = store.TotalBatchStats();
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kClientThreads; ++t) {
@@ -112,6 +120,17 @@ StrategyRow MeasureReadHeavy(const std::string& spec, std::uint64_t seed) {
   row.ops_per_sec = total_ops / secs;
   row.messages_per_op =
       static_cast<double>(store.MessagesSent() - msgs_before) / total_ops;
+  const runtime::BatchStats served = store.TotalBatchStats();
+  row.replica_reqs_per_op =
+      static_cast<double>(served.read_ops - served_before.read_ops +
+                          served.write_ops - served_before.write_ops) /
+      total_ops;
+  const quorum::QuorumSystem& qs = store.Configs().front();
+  const std::uint64_t all_up = (1ull << qs.n) - 1;
+  const double min_read = static_cast<double>(qs.pick_read(all_up)->size());
+  const double min_write = static_cast<double>(qs.pick_write(all_up)->size());
+  row.min_reqs_per_op = kReadFraction * min_read +
+                        (1 - kReadFraction) * (min_read + min_write);
   row.failures = failures.load();
   return row;
 }
@@ -246,6 +265,10 @@ void WriteJson(const std::string& path,
        << ", \"ops_per_sec\": " << bench::Table::Num(row.ops_per_sec, 0)
        << ", \"messages_per_op\": "
        << bench::Table::Num(row.messages_per_op, 2)
+       << ", \"replica_reqs_per_op\": "
+       << bench::Table::Num(row.replica_reqs_per_op, 3)
+       << ", \"min_reqs_per_op\": "
+       << bench::Table::Num(row.min_reqs_per_op, 3)
        << ", \"speedup_vs_majority\": " << bench::Table::Num(row.speedup, 2)
        << ", \"failures\": " << row.failures << "}"
        << (i + 1 < read_heavy.size() ? "," : "") << "\n";
@@ -280,11 +303,13 @@ int main(int argc, char** argv) {
   for (StrategyRow& row : read_heavy) {
     row.speedup = row.ops_per_sec / read_heavy[0].ops_per_sec;
   }
-  bench::Table t1({"strategy", "ops/s", "msgs/op", "speedup vs majority",
-                   "failures"});
+  bench::Table t1({"strategy", "ops/s", "msgs/op", "sub-reqs/op",
+                   "min sub-reqs/op", "speedup vs majority", "failures"});
   for (const StrategyRow& row : read_heavy) {
     t1.AddRow({row.spec, bench::Table::Num(row.ops_per_sec, 0),
                bench::Table::Num(row.messages_per_op, 2),
+               bench::Table::Num(row.replica_reqs_per_op, 3),
+               bench::Table::Num(row.min_reqs_per_op, 3),
                bench::Table::Num(row.speedup, 2),
                std::to_string(row.failures)});
   }

@@ -18,17 +18,23 @@
 //      as median [min, max].
 //   3. Syscalls per wire frame for the TCP runs of sections 1 and 2 —
 //      event-loop turns, wake-pipe writes, send(2) (made by senders
-//      writing through and by the loop alike) and recv(2) (made by
-//      consumers, and by the loop for a new connection's first frame) —
-//      so a change to the send or receive path shows where its per-frame
-//      cost went. tools/check_bench_transport.py gates the loop turns:
-//      a warm link's frames must not pass through the event loop.
-//   4. Bus mailbox wakeups per handoff for sections 1 and 2: how many
-//      deliveries into a Bus mailbox (replicas' and the client's) had to
-//      futex-wake a parked consumer. A consumer spins briefly on an empty
-//      queue before it parks (net/mailbox.hpp), so a reply that comes
-//      within one round trip needs no wake. tools/check_bench_transport.py
-//      gates the sync phase on hosts with >= 4 cores.
+//      writing through and by the loop alike), recv(2) (made by
+//      consumers, and by the loop for a new connection's first frame) and
+//      receive-set polls (a consumer's zero-timeout epoll_wait before it
+//      reads, or its park) — so a change to the send or receive path
+//      shows where its per-frame cost went. tools/check_bench_transport.py
+//      gates the loop turns (a warm link's frames must not pass through
+//      the event loop) and the sync phase's recv calls (a pull reads only
+//      the connections epoll reports ready).
+//   4. Mailbox wakeups and parks per handoff for sections 1 and 2, on
+//      both transports: how many deliveries into a mailbox (replicas' and
+//      the client's) had to wake a parked consumer, and how many waits
+//      ended parked. A consumer spins briefly on an empty queue before it
+//      parks (net/mailbox.hpp), so a reply that comes within one round
+//      trip needs no wake. tools/check_bench_transport.py gates the sync
+//      phase on hosts with >= 4 cores: Bus wakeups and TCP parks (a TCP
+//      reply arrives as socket bytes, so its wake is a park ending, not
+//      a notify).
 //
 // The point of the experiment is honesty about deployment cost: the
 // repo's other benchmarks measure protocol effects on the Bus; this one
@@ -86,6 +92,7 @@ struct SyscallRow {
   double wake_writes = 0;
   double send_calls = 0;
   double recv_calls = 0;
+  double ready_polls = 0;
 };
 
 SyscallRow PerFrame(const std::string& phase,
@@ -97,6 +104,7 @@ SyscallRow PerFrame(const std::string& phase,
     w.wake_writes += r.wake_writes;
     w.send_calls += r.send_calls;
     w.recv_calls += r.recv_calls;
+    w.ready_polls += r.ready_polls;
   }
   SyscallRow r;
   r.phase = phase;
@@ -106,35 +114,41 @@ SyscallRow PerFrame(const std::string& phase,
   r.wake_writes = static_cast<double>(w.wake_writes) / f;
   r.send_calls = static_cast<double>(w.send_calls) / f;
   r.recv_calls = static_cast<double>(w.recv_calls) / f;
+  r.ready_polls = static_cast<double>(w.ready_polls) / f;
   return r;
 }
 
-/// Deliveries into every Bus mailbox of a phase's runs (summed over
-/// repetitions), and how many of them had to wake a parked consumer.
-struct WakeupRow {
+/// Deliveries into every mailbox of a phase's runs on one transport
+/// (summed over repetitions), how many of them had to wake a parked
+/// consumer, and how many waits ended parked.
+struct MailboxRow {
+  std::string transport;
   std::string phase;
   std::uint64_t handoffs = 0;
   std::uint64_t wakeups = 0;
-  double PerHandoff() const {
+  std::uint64_t parks = 0;
+  double PerHandoff(std::uint64_t count) const {
     return handoffs == 0 ? 0.0
-                         : static_cast<double>(wakeups) /
+                         : static_cast<double>(count) /
                                static_cast<double>(handoffs);
   }
-  WakeupRow& operator+=(const WakeupRow& o) {
+  MailboxRow& operator+=(const MailboxRow& o) {
     handoffs += o.handoffs;
     wakeups += o.wakeups;
+    parks += o.parks;
     return *this;
   }
 };
 
-/// Handoffs and wakeups of every mailbox on the store's transport.
-WakeupRow MailboxCounters(ReplicatedStore& store) {
-  WakeupRow w;
+/// Handoffs, wakeups and parks of every mailbox on the store's transport.
+MailboxRow MailboxCounters(ReplicatedStore& store) {
+  MailboxRow w;
   net::Transport& t = store.TransportRef();
   for (std::size_t n = 0; n < t.NodeCount(); ++n) {
     const net::Mailbox& box = t.MailboxOf(static_cast<runtime::NodeId>(n));
     w.handoffs += box.Handoffs();
     w.wakeups += box.Wakeups();
+    w.parks += box.Parks();
   }
   return w;
 }
@@ -170,7 +184,7 @@ struct SyncRun {
   LatencyStats read;
   LatencyStats write;
   net::TcpStats wire;  // all zero on the bus
-  WakeupRow mailboxes;
+  MailboxRow mailboxes;
 };
 
 /// kSyncOps blocking write + read round trips on a fresh store.
@@ -194,25 +208,23 @@ SyncRun SyncLatencyOnce(bool tcp) {
 }
 
 /// The sync cell, repeated: read and write rows, each figure a spread
-/// over the repetitions. A TCP run appends its syscall counters to
-/// `syscalls`, a Bus run its mailbox counters to `wakeups`.
+/// over the repetitions. Appends the mailbox counters to `mailboxes`
+/// and, for TCP, the syscall counters to `syscalls`.
 std::vector<LatencyRow> SyncLatency(bool tcp,
                                     std::vector<SyscallRow>& syscalls,
-                                    std::vector<WakeupRow>& wakeups) {
+                                    std::vector<MailboxRow>& mailboxes) {
   const std::vector<SyncRun> runs =
       bench::Repeat([tcp] { return SyncLatencyOnce(tcp); });
   std::vector<net::TcpStats> wire;
-  WakeupRow boxes;
-  boxes.phase = "sync";
+  MailboxRow boxes;
   for (const SyncRun& run : runs) {
     wire.push_back(run.wire);
     boxes += run.mailboxes;
   }
-  if (tcp) {
-    syscalls.push_back(PerFrame("sync", wire));
-  } else {
-    wakeups.push_back(boxes);
-  }
+  boxes.transport = tcp ? "tcp" : "bus";
+  boxes.phase = "sync";
+  mailboxes.push_back(boxes);
+  if (tcp) syscalls.push_back(PerFrame("sync", wire));
 
   auto row = [&](const char* op, LatencyStats SyncRun::*which) {
     LatencyRow r;
@@ -233,7 +245,7 @@ struct ThroughputRun {
   double ops_per_sec = 0;
   double wall_ms = 0;
   net::TcpStats wire;  // all zero on the bus
-  WakeupRow mailboxes;
+  MailboxRow mailboxes;
 };
 
 struct ThroughputRow {
@@ -277,11 +289,11 @@ ThroughputRun AsyncThroughputOnce(bool tcp) {
   return r;
 }
 
-/// The pipelined cell, repeated. A TCP row appends its syscall counters,
-/// summed over the repetitions, to `syscalls`, a Bus row its mailbox
-/// counters to `wakeups`.
+/// The pipelined cell, repeated. Appends the mailbox counters, summed
+/// over the repetitions, to `mailboxes` and, for TCP, the syscall
+/// counters to `syscalls`.
 ThroughputRow AsyncThroughput(bool tcp, std::vector<SyscallRow>& syscalls,
-                              std::vector<WakeupRow>& wakeups) {
+                              std::vector<MailboxRow>& mailboxes) {
   const std::vector<ThroughputRun> runs =
       bench::Repeat([tcp] { return AsyncThroughputOnce(tcp); });
   ThroughputRow r;
@@ -292,23 +304,21 @@ ThroughputRow AsyncThroughput(bool tcp, std::vector<SyscallRow>& syscalls,
       runs, [](const ThroughputRun& run) { return run.wall_ms; });
   r.frames = runs.front().wire.frames_sent;
   std::vector<net::TcpStats> wire;
-  WakeupRow boxes;
-  boxes.phase = "pipelined";
+  MailboxRow boxes;
   for (const ThroughputRun& run : runs) {
     wire.push_back(run.wire);
     boxes += run.mailboxes;
   }
-  if (tcp) {
-    syscalls.push_back(PerFrame("pipelined", wire));
-  } else {
-    wakeups.push_back(boxes);
-  }
+  boxes.transport = r.transport;
+  boxes.phase = "pipelined";
+  mailboxes.push_back(boxes);
+  if (tcp) syscalls.push_back(PerFrame("pipelined", wire));
   return r;
 }
 
 void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
                const std::vector<ThroughputRow>& thr,
-               const std::vector<WakeupRow>& wake,
+               const std::vector<MailboxRow>& boxes,
                const std::vector<SyscallRow>& sys) {
   std::ofstream os(path);
   os << "{\n  \"experiment\": \"E18\",\n";
@@ -345,13 +355,17 @@ void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
        << ", \"wire_frames\": " << r.frames << "}"
        << (i + 1 < thr.size() ? "," : "") << "\n";
   }
-  os << "  ],\n  \"bus_mailbox_wakeups\": [\n";
-  for (std::size_t i = 0; i < wake.size(); ++i) {
-    const WakeupRow& r = wake[i];
-    os << "    {\"phase\": \"" << r.phase << "\", \"handoffs\": " << r.handoffs
-       << ", \"wakeups\": " << r.wakeups << ", \"wakeups_per_handoff\": "
-       << bench::Table::Num(r.PerHandoff(), 3) << "}"
-       << (i + 1 < wake.size() ? "," : "") << "\n";
+  os << "  ],\n  \"mailbox_handoffs\": [\n";
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    const MailboxRow& r = boxes[i];
+    os << "    {\"transport\": \"" << r.transport << "\", \"phase\": \""
+       << r.phase << "\", \"handoffs\": " << r.handoffs
+       << ", \"wakeups\": " << r.wakeups << ", \"parks\": " << r.parks
+       << ", \"wakeups_per_handoff\": "
+       << bench::Table::Num(r.PerHandoff(r.wakeups), 3)
+       << ", \"parks_per_handoff\": "
+       << bench::Table::Num(r.PerHandoff(r.parks), 3) << "}"
+       << (i + 1 < boxes.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"tcp_syscalls_per_frame\": [\n";
   for (std::size_t i = 0; i < sys.size(); ++i) {
@@ -360,7 +374,8 @@ void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
        << ", \"loop_turns\": " << bench::Table::Num(r.loop_turns, 3)
        << ", \"wake_writes\": " << bench::Table::Num(r.wake_writes, 3)
        << ", \"send_calls\": " << bench::Table::Num(r.send_calls, 3)
-       << ", \"recv_calls\": " << bench::Table::Num(r.recv_calls, 3) << "}"
+       << ", \"recv_calls\": " << bench::Table::Num(r.recv_calls, 3)
+       << ", \"ready_polls\": " << bench::Table::Num(r.ready_polls, 3) << "}"
        << (i + 1 < sys.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -375,9 +390,9 @@ int main(int argc, char** argv) {
   bench::Banner("E18.1 — sync quorum op latency: bus vs loopback TCP");
   std::vector<LatencyRow> lat;
   std::vector<SyscallRow> sys;
-  std::vector<WakeupRow> wake;
+  std::vector<MailboxRow> boxes;
   for (bool tcp : {false, true}) {
-    auto rows = SyncLatency(tcp, sys, wake);
+    auto rows = SyncLatency(tcp, sys, boxes);
     lat.insert(lat.end(), rows.begin(), rows.end());
   }
   {
@@ -393,7 +408,7 @@ int main(int argc, char** argv) {
   bench::Banner("E18.2 — pipelined async throughput: bus vs loopback TCP");
   std::vector<ThroughputRow> thr;
   for (bool tcp : {false, true}) {
-    thr.push_back(AsyncThroughput(tcp, sys, wake));
+    thr.push_back(AsyncThroughput(tcp, sys, boxes));
   }
   {
     bench::Table t({"transport", "reps", "ops/s", "wall ms",
@@ -409,24 +424,26 @@ int main(int argc, char** argv) {
   bench::Banner("E18.3 — TCP syscalls per wire frame");
   {
     bench::Table t({"phase", "wire frames", "loop turns", "wake writes",
-                    "send calls", "recv calls"});
+                    "send calls", "recv calls", "ready polls"});
     for (const SyscallRow& r : sys) {
       t.AddRow({r.phase, std::to_string(r.frames),
                 bench::Table::Num(r.loop_turns, 3),
                 bench::Table::Num(r.wake_writes, 3),
                 bench::Table::Num(r.send_calls, 3),
-                bench::Table::Num(r.recv_calls, 3)});
+                bench::Table::Num(r.recv_calls, 3),
+                bench::Table::Num(r.ready_polls, 3)});
     }
     t.Print();
   }
 
-  bench::Banner("E18.4 — Bus mailbox wakeups per handoff");
+  bench::Banner("E18.4 — mailbox wakeups and parks per handoff");
   {
-    bench::Table t({"phase", "handoffs", "wakeups", "wakeups/handoff"});
-    for (const WakeupRow& r : wake) {
-      t.AddRow({r.phase, std::to_string(r.handoffs),
-                std::to_string(r.wakeups),
-                bench::Table::Num(r.PerHandoff(), 3)});
+    bench::Table t({"transport", "phase", "handoffs", "wakeups/handoff",
+                    "parks/handoff"});
+    for (const MailboxRow& r : boxes) {
+      t.AddRow({r.transport, r.phase, std::to_string(r.handoffs),
+                bench::Table::Num(r.PerHandoff(r.wakeups), 3),
+                bench::Table::Num(r.PerHandoff(r.parks), 3)});
     }
     t.Print();
   }
@@ -434,13 +451,13 @@ int main(int argc, char** argv) {
   // Shape checks: every section produced data, and the TCP path really
   // used the wire (nonzero frames) while the bus did not.
   bool ok = lat.size() == 4 && thr.size() == 2 && sys.size() == 2 &&
-            wake.size() == 2;
+            boxes.size() == 4;
   for (const LatencyRow& r : lat) ok = ok && r.mean_us.min > 0;
-  for (const WakeupRow& r : wake) ok = ok && r.handoffs > 0;
+  for (const MailboxRow& r : boxes) ok = ok && r.handoffs > 0;
   for (const ThroughputRow& r : thr) ok = ok && r.ops_per_sec.min > 0;
   ok = ok && thr[0].frames == 0 && thr[1].frames > 0;
 
-  WriteJson(json_path, lat, thr, wake, sys);
+  WriteJson(json_path, lat, thr, boxes, sys);
   std::cout << "\n" << (ok ? "OK" : "SHAPE CHECK FAILED") << "; wrote "
             << json_path << "\n";
   return ok ? 0 : 1;

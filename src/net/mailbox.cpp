@@ -82,16 +82,21 @@ void Mailbox::PushAll(std::vector<Envelope>& batch) {
 }
 
 void Mailbox::Spin(std::chrono::steady_clock::time_point deadline) {
+  PullSource();
   if (ReadyHint() || !Spinners::TryAcquire()) return;
   spins_.fetch_add(1, std::memory_order_relaxed);
   const auto end =
-      std::min(std::chrono::steady_clock::now() + kSpinBudget, deadline);
+      std::min(std::chrono::steady_clock::now() + spin_budget_, deadline);
   for (int i = 1; !ReadyHint(); ++i) {
-    CpuRelax();
-    if (i % kChecksPerClockRead == 0 &&
-        std::chrono::steady_clock::now() >= end) {
-      break;
+    // A step is a pull (one syscall, so the clock is read after each) or
+    // a pause (cheap, so the clock is read every few).
+    if (source_ != nullptr) {
+      source_->Pull(*this);
+    } else {
+      CpuRelax();
+      if (i % kChecksPerClockRead != 0) continue;
     }
+    if (std::chrono::steady_clock::now() >= end) break;
   }
   Spinners::Release();
 }
@@ -99,35 +104,37 @@ void Mailbox::Spin(std::chrono::steady_clock::time_point deadline) {
 std::unique_lock<std::mutex> Mailbox::Await(
     std::chrono::steady_clock::time_point deadline) {
   const auto ready = [this] { return !queue_.empty() || closed_; };
-  if (source_ == nullptr) {
-    Spin(deadline);
-    std::unique_lock<std::mutex> lock(mu_);
-    if (ready() || std::chrono::steady_clock::now() >= deadline) return lock;
-    waiters_.fetch_add(1, std::memory_order_acq_rel);
-    if (deadline == std::chrono::steady_clock::time_point::max()) {
-      cv_.wait(lock, ready);
-    } else {
-      cv_.wait_until(lock, deadline, ready);
-    }
-    waiters_.fetch_sub(1, std::memory_order_acq_rel);
-    return lock;
-  }
+  Spin(deadline);
+  bool parked = false;
   for (;;) {
-    PullSource();
     std::unique_lock<std::mutex> lock(mu_);
     if (ready()) {
       // Close wakes one parked consumer per Wake; pass it on to the next.
-      if (closed_ && NeedNotify()) source_->Wake();
+      if (source_ != nullptr && closed_ && NeedNotify()) source_->Wake();
       return lock;
     }
     if (std::chrono::steady_clock::now() >= deadline) return lock;
-    // Registered under mu_, then parked without it: a producer that
-    // pushes after this unlock sees the registration and wakes the
-    // source; bytes that arrive after the pull above make it readable.
+    if (!parked) {
+      parked = true;
+      parks_.fetch_add(1, std::memory_order_relaxed);
+    }
+    // Registered under mu_, then parked: a producer that pushes after
+    // this point sees the registration and notifies; with a source,
+    // bytes that arrive after the last pull make the receive set ready.
     waiters_.fetch_add(1, std::memory_order_acq_rel);
+    if (source_ == nullptr) {
+      if (deadline == std::chrono::steady_clock::time_point::max()) {
+        cv_.wait(lock, ready);
+      } else {
+        cv_.wait_until(lock, deadline, ready);
+      }
+      waiters_.fetch_sub(1, std::memory_order_acq_rel);
+      return lock;
+    }
     lock.unlock();
     source_->Park(deadline);
     waiters_.fetch_sub(1, std::memory_order_acq_rel);
+    PullSource();
   }
 }
 

@@ -11,9 +11,18 @@
 //    TryPopAll, Pop, PopAll, Clear — first pulls what those connections
 //    already hold, without blocking, so frames are received and decoded
 //    on whichever thread looks at the mailbox, normally its consumer. A
-//    consumer with an empty queue parks in the source (epoll_wait on the
-//    node's connections plus an eventfd) instead of on the condvar, so a
-//    frame reaches it with one kernel wake and no event-loop hop.
+//    pull asks the set's epoll instance which connections are readable
+//    (one epoll_wait with a zero timeout) and recv(2)s only those, so it
+//    costs one syscall when nothing has arrived, however many
+//    connections the node has. A consumer with an empty queue spins on
+//    such pulls like a Bus consumer spins on its mirror, then parks in
+//    the source (epoll_wait on the node's connections plus an eventfd)
+//    instead of on the condvar; the connections a park reports ready
+//    feed the next pull, which then makes no poll of its own.
+//  - The eventfd is the parked consumer's: a pull skips it and never
+//    reads it, and only a park drains it. Otherwise an observer pulling
+//    on another thread (Size() from a crash hook) could consume the Wake
+//    a local push sent to the parked consumer, and leave it asleep.
 //
 // Hot-path design:
 //  - Producers never notify while holding the queue lock, and they only
@@ -26,23 +35,28 @@
 //  - `PushAll` moves a whole routed burst in under one lock acquisition
 //    and one (conditional) notify, then clears the caller's vector so its
 //    capacity is reused for the next burst.
-//  - A consumer without a source that finds its queue empty spins
-//    before it parks: for up to kSpinBudget it watches the `size_` mirror
-//    with `pause` and no syscall, and stops early at its deadline or on
-//    Close. Only then does it register in `waiters_` and sleep. A reply
-//    that lands inside the spin window is taken with no futex call on
-//    either side: the consumer never slept, so the producer sees no
-//    waiter and skips the notify. The waiter gate above is unchanged, so
-//    wakeups still cannot be lost. Waking a parked thread costs the waker
-//    a syscall (~2 us) and the woken thread 5-9 us before it runs on a
-//    4-core x86 VM, so a spin that is shorter than one in-process round
-//    trip pays for itself whenever the reply comes inside it.
+//  - A consumer that finds its queue empty spins before it parks: for
+//    up to its spin budget it repeats a spin step and stops early at its
+//    deadline or on Close. Only then does it register in `waiters_` and
+//    park. Both kinds of mailbox share that wait; they differ only in
+//    the step and its budget. Without a source the step watches the
+//    `size_` mirror with `pause` and no syscall, for up to kSpinBudget;
+//    with one it is a pull (one epoll_wait, plus a recv(2) per
+//    connection that has bytes), for up to the source's SpinBudget(),
+//    which is longer: a loopback round trip takes longer than an
+//    in-process one. A reply that lands inside
+//    the spin window is taken with no kernel wake on either side: the
+//    consumer never slept, so a local producer sees no waiter and skips
+//    the notify, and a remote one's bytes are found by the next pull.
+//    The waiter gate above is unchanged, so wakeups still cannot be
+//    lost. Waking a parked thread costs the waker a syscall (~2 us) and
+//    the woken thread 5-9 us before it runs on a 4-core x86 VM, so a
+//    spin that is shorter than one round trip pays for itself whenever
+//    the reply comes inside it.
 //  - At most Spinners::Cap() consumers spin at once, process-wide
 //    (hardware_concurrency() - 1), so a producer always keeps a core;
 //    the rest park at once. On one core the cap is 0: spinning there
 //    would only steal the producer's timeslice.
-//  - A mailbox with a source never spins: socket bytes do not move the
-//    mirror, so its consumer parks in the source (epoll_wait) at once.
 #pragma once
 
 #include <atomic>
@@ -81,12 +95,17 @@ class MailboxSource {
   virtual ~MailboxSource() = default;
   /// Read whatever has already arrived, without blocking, and PushAll it
   /// into `box`. Safe from any thread; concurrent pulls keep FIFO order.
+  /// Never consumes a Wake: that is the parked consumer's.
   virtual void Pull(Mailbox& box) = 0;
   /// Block until something may have arrived, Wake() runs, or `deadline`
-  /// passes (max() = no deadline). Spurious returns are allowed.
+  /// passes (max() = no deadline), to within the clock's resolution, not
+  /// a rounded-up millisecond. Consumes the Wake it returns for. Spurious
+  /// returns are allowed.
   virtual void Park(std::chrono::steady_clock::time_point deadline) = 0;
   /// Make a current Park return, or the next one return at once.
   virtual void Wake() = 0;
+  /// How long a consumer spins on pulls before it parks.
+  virtual std::chrono::microseconds SpinBudget() const = 0;
 };
 
 class Mailbox {
@@ -94,12 +113,15 @@ class Mailbox {
   /// How long a consumer without a source spins on an empty queue before
   /// it parks. Picked from a sweep of {0, 10, 20, 50} us on qbench's
   /// bus_hot and bus_durable workloads (EXPERIMENTS.md E18): 10 us caught
-  /// only part of the round trips, 50 us gained nothing over 20 us.
+  /// only part of the round trips, and 50 us cost pipelined throughput
+  /// and CPU for no latency gain.
   static constexpr std::chrono::microseconds kSpinBudget{20};
 
   /// `source` (optional, not owned, must outlive the mailbox) receives on
   /// the observing threads; without one the mailbox is pushed to only.
-  explicit Mailbox(MailboxSource* source = nullptr) : source_(source) {}
+  explicit Mailbox(MailboxSource* source = nullptr)
+      : source_(source),
+        spin_budget_(source != nullptr ? source->SpinBudget() : kSpinBudget) {}
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
@@ -158,10 +180,21 @@ class Mailbox {
     return wakeups_.load(std::memory_order_relaxed);
   }
 
+  /// How long a consumer spins on an empty queue before it parks:
+  /// kSpinBudget, or the source's SpinBudget().
+  std::chrono::microseconds SpinBudget() const { return spin_budget_; }
+
   /// Number of waits on an empty queue that spun before taking the data
-  /// or parking (0 with a source, or while every spinner slot is taken).
+  /// or parking (0 while every spinner slot is taken).
   std::uint64_t Spins() const {
     return spins_.load(std::memory_order_relaxed);
+  }
+
+  /// Number of waits that ended parked: the spin (if any) found nothing,
+  /// so the consumer slept on the condvar or in the source. Parks per
+  /// handoff is what the spin exists to keep low.
+  std::uint64_t Parks() const {
+    return parks_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -175,14 +208,14 @@ class Mailbox {
   }
   /// Wake a parked consumer, if any (call after releasing mu_).
   void Notify();
-  /// Pull from the source (if any), then wait until the queue is
-  /// non-empty, the mailbox is closed, or `deadline` passes. Returns with
-  /// mu_ held.
+  /// Spin, then park until the queue is non-empty, the mailbox is
+  /// closed, or `deadline` passes. Returns with mu_ held.
   std::unique_lock<std::mutex> Await(
       std::chrono::steady_clock::time_point deadline);
-  /// Without mu_: spin until the queue is non-empty, the mailbox is
-  /// closed, or `deadline` or kSpinBudget passes. Returns at once when
-  /// no spinner slot is free.
+  /// Without mu_: pull from the source (if any), then spin until the
+  /// queue is non-empty, the mailbox is closed, or `deadline` or the
+  /// spin budget passes. Returns after the pull when no spinner slot is
+  /// free.
   void Spin(std::chrono::steady_clock::time_point deadline);
   bool ReadyHint() const {
     return size_.load(std::memory_order_acquire) != 0 ||
@@ -193,6 +226,7 @@ class Mailbox {
   }
 
   MailboxSource* const source_;
+  const std::chrono::microseconds spin_budget_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -203,6 +237,7 @@ class Mailbox {
   std::atomic<std::uint64_t> handoffs_{0};
   std::atomic<std::uint64_t> wakeups_{0};
   std::atomic<std::uint64_t> spins_{0};
+  std::atomic<std::uint64_t> parks_{0};
 };
 
 }  // namespace qcnt::net

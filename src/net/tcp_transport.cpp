@@ -24,8 +24,8 @@ namespace {
 
 /// Every recv offers at least this much free buffer.
 constexpr std::size_t kReadChunk = 64 * 1024;
-/// Ready events taken per epoll_wait; level-triggered, so the rest wait
-/// for the next turn.
+/// Ready events taken per epoll_wait (the loop's and receive sets');
+/// level-triggered, so the rest wait for the next turn.
 constexpr int kMaxEvents = 64;
 /// A receive set's epoll tag for its eventfd (connections are tagged
 /// with their fd, which is never negative).
@@ -72,14 +72,27 @@ std::size_t NextFrameBoundary(const std::vector<std::uint8_t>& buf,
   return at;
 }
 
-/// Milliseconds until `deadline`, rounded up so a timed park never wakes
-/// early and spins; -1 (no timeout) for max().
-int TimeoutMs(std::chrono::steady_clock::time_point deadline) {
-  if (deadline == std::chrono::steady_clock::time_point::max()) return -1;
-  const auto left = deadline - std::chrono::steady_clock::now();
-  if (left <= std::chrono::steady_clock::duration::zero()) return 0;
+/// epoll_wait until `deadline` (max() = none) with the timer's own
+/// resolution: epoll_pwait2 takes a timespec where epoll_wait rounds to
+/// whole milliseconds, which would overshoot a sub-millisecond Pop
+/// deadline by up to 1 ms. Kernels before 5.11 lack epoll_pwait2; there
+/// the timeout is rounded up, so a timed park never wakes early.
+int WaitUntil(int epoll_fd, epoll_event* events, int max_events,
+              std::chrono::steady_clock::time_point deadline) {
+  if (deadline == std::chrono::steady_clock::time_point::max()) {
+    return ::epoll_wait(epoll_fd, events, max_events, -1);
+  }
+  const auto left = std::max(deadline - std::chrono::steady_clock::now(),
+                             std::chrono::steady_clock::duration::zero());
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(left);
+  const timespec timeout{static_cast<time_t>(ns.count() / 1'000'000'000),
+                         static_cast<long>(ns.count() % 1'000'000'000)};
+  const int ready =
+      ::epoll_pwait2(epoll_fd, events, max_events, &timeout, nullptr);
+  if (ready >= 0 || errno != ENOSYS) return ready;
   const auto ms = std::chrono::ceil<std::chrono::milliseconds>(left).count();
-  return static_cast<int>(std::min<long long>(ms, 1 << 30));
+  return ::epoll_wait(epoll_fd, events, max_events,
+                      static_cast<int>(std::min<long long>(ms, 1 << 30)));
 }
 
 /// Deregister, then close: epoll keys a registration on the open file,
@@ -842,13 +855,25 @@ void TcpTransport::Receiver::Adopt(Inbound&& in) {
 
 void TcpTransport::Receiver::Pull(Mailbox& box) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < conns_.size();) {
-    if (t_.ReadInbound(conns_[i], stats_, burst_, /*vetting=*/false)) {
-      ++i;
-      continue;
+  if (!parked_ready_) {
+    std::array<epoll_event, kMaxEvents> events;
+    ++stats_.ready_polls;
+    const int ready = ::epoll_wait(epoll_fd_, events.data(), kMaxEvents, 0);
+    ready_.clear();
+    for (int i = 0; i < ready; ++i) {
+      // The eventfd stays set for the parked consumer's Park to drain.
+      if (events[i].data.fd != kEventTag) ready_.push_back(events[i].data.fd);
     }
-    DeregisterAndClose(epoll_fd_, conns_[i].fd);
-    conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+  parked_ready_ = false;
+  for (const int fd : ready_) {
+    const auto in = std::find_if(conns_.begin(), conns_.end(),
+                                 [fd](const Inbound& c) { return c.fd == fd; });
+    if (in == conns_.end()) continue;  // closed by an earlier pull
+    if (!t_.ReadInbound(*in, stats_, burst_, /*vetting=*/false)) {
+      DeregisterAndClose(epoll_fd_, in->fd);
+      conns_.erase(in);
+    }
   }
   // Appended under the receive lock, so a burst never overtakes the one
   // an earlier pull read from the same connection.
@@ -857,16 +882,21 @@ void TcpTransport::Receiver::Pull(Mailbox& box) {
 
 void TcpTransport::Receiver::Park(
     std::chrono::steady_clock::time_point deadline) {
-  std::array<epoll_event, 16> events;
-  const int ready =
-      ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
-                   TimeoutMs(deadline));
+  std::array<epoll_event, kMaxEvents> events;
+  const int ready = WaitUntil(epoll_fd_, events.data(), kMaxEvents, deadline);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.ready_polls;
+  if (ready < 0) return;  // EINTR: the next pull polls for itself
+  ready_.clear();
   for (int i = 0; i < ready; ++i) {
     if (events[i].data.fd == kEventTag) {
       std::uint64_t count = 0;
       [[maybe_unused]] ssize_t n = ::read(event_fd_, &count, sizeof(count));
+    } else {
+      ready_.push_back(events[i].data.fd);
     }
   }
+  parked_ready_ = true;
 }
 
 void TcpTransport::Receiver::Wake() {
@@ -880,6 +910,7 @@ void TcpTransport::Receiver::AddStats(TcpStats& s) const {
   s.frames_received += stats_.frames_received;
   s.bytes_received += stats_.bytes_received;
   s.decode_errors += stats_.decode_errors;
+  s.ready_polls += stats_.ready_polls;
 }
 
 }  // namespace qcnt::net

@@ -12,33 +12,36 @@
 //   Send(from, to, m),       node's consumer       event-loop thread
 //   caller's thread          (Pop/PopAll/...)
 //   ───────────────────────  ────────────────────  ──────────────────────
-//   under the peer's lock    pull first: recv +    epoll_wait on one set
-//   only: encode onto the    decode the node's     (wake pipe, listeners,
-//   peer's write queue;      own connections,      peer and new inbound
-//   connected + queue was    append the burst      fds), then under mu_:
-//   empty → send(2) here     under its receive      · accept; read a new
-//    · EAGAIN → arm OUT      lock; queue empty →      connection to its
-//    · hard error → kick ─┐  park in epoll_wait       first valid frame,
-//   not connected → kick ─┤  on its receive set       dispatch it, hand
-//   (under mu_)           │  (connections +           the fd to the
-//                         │  eventfd; local           node's receive set
-//                         │  pushes write the       · connect / backoff /
-//                         │  eventfd only when        retarget the kicked
-//                         │  it is parked)            and due peers
-//                         └─── wake pipe ─────────▶ · flush the EPOLLOUT
-//                              (only when the         backlog a blocked
-//                               loop is parked)       send left behind
+//   under the peer's lock    pull first: poll the  epoll_wait on one set
+//   only: encode onto the    receive set, recv +   (wake pipe, listeners,
+//   peer's write queue;      decode the ready      peer and new inbound
+//   connected + queue was    connections, append   fds), then under mu_:
+//   empty → send(2) here     the burst under its    · accept; read a new
+//    · EAGAIN → arm OUT      receive lock; queue      connection to its
+//    · hard error → kick ─┐  empty → spin on such     first valid frame,
+//   not connected → kick ─┤  pulls for up to the      dispatch it, hand
+//   (under mu_)           │  spin budget, then        the fd to the
+//                         │  park in epoll_wait       node's receive set
+//                         │  on the receive set     · connect / backoff /
+//                         │  (connections +           retarget the kicked
+//                         │  eventfd; local           and due peers
+//                         │  pushes write the       · flush the EPOLLOUT
+//                         │  eventfd only when        backlog a blocked
+//                         │  it is parked)            send left behind
+//                         └─── wake pipe ─────────▶
+//                              (only when the
+//                               loop is parked)
 //
 // So a connected peer's frames leave on the thread that produced them
-// and reach the thread that consumes them with one kernel wake per
-// direction: no loop hop on either side of a round trip. The loop owns
-// only what it alone can do: accepts and the vetting of new connections,
-// connects and their backoff timer, retargets, and the backlog after
-// EAGAIN. Lock order is mu_ → Peer::mu and mu_ → a receive set's lock →
-// the mailbox's lock; a sender holds only its peer's mu while it writes,
-// and hands a hard socket error to the loop (kicked_ + wake) instead of
-// failing the peer itself, because the backoff timer (next_retry_) is
-// the loop's.
+// and reach the thread that consumes them with no loop hop on either
+// side of a round trip, and with no kernel wake at all when the reply
+// lands while its consumer still spins. The loop owns only what it
+// alone can do: accepts and the vetting of new connections, connects and
+// their backoff timer, retargets, and the backlog after EAGAIN. Lock
+// order is mu_ → Peer::mu and mu_ → a receive set's lock → the mailbox's
+// lock; a sender holds only its peer's mu while it writes, and hands a
+// hard socket error to the loop (kicked_ + wake) instead of failing the
+// peer itself, because the backoff timer (next_retry_) is the loop's.
 //
 // A new inbound connection stays with the loop until it yields its first
 // valid frame, so garbage on a fresh connection is dropped with no
@@ -164,6 +167,8 @@ struct TcpStats {
                                   // senders and the loop alike
   std::uint64_t recv_calls = 0;   // recv(2) on accepted and peer fds, by
                                   // the loop and consumers alike
+  std::uint64_t ready_polls = 0;  // epoll waits on receive sets: a pull's
+                                  // zero-timeout poll or a consumer's park
 };
 
 class TcpTransport final : public Transport {
@@ -279,9 +284,18 @@ class TcpTransport final : public Transport {
 
   /// A hosted node's receive set: its vetted inbound connections and an
   /// eventfd, in an epoll set of their own. The mailbox's observers pull
-  /// through it and its consumer parks in it (see mailbox.hpp).
+  /// through it and its consumer parks in it (see mailbox.hpp). A pull
+  /// reads only the connections the set reports ready: those of the last
+  /// park, if no pull has used them yet, else those of its own
+  /// zero-timeout poll. Pulls skip the eventfd; only Park drains it.
   class Receiver final : public MailboxSource {
    public:
+    /// How long a consumer spins on pulls before it parks. Picked from a
+    /// sweep of {20, 50, 100} us on qbench's tcp_hot (EXPERIMENTS.md
+    /// E18): 20 us caught only part of the loopback round trips, and
+    /// 100 us gained nothing over 50 us.
+    static constexpr std::chrono::microseconds kSpinBudget{50};
+
     explicit Receiver(TcpTransport& transport);
     ~Receiver() override;
     Receiver(const Receiver&) = delete;
@@ -290,6 +304,9 @@ class TcpTransport final : public Transport {
     void Pull(Mailbox& box) override;
     void Park(std::chrono::steady_clock::time_point deadline) override;
     void Wake() override;
+    std::chrono::microseconds SpinBudget() const override {
+      return kSpinBudget;
+    }
     /// Take over a vetted connection from the loop.
     void Adopt(Inbound&& in);
     /// Add this node's receive counters into `s`.
@@ -304,8 +321,12 @@ class TcpTransport final : public Transport {
     /// does not hold it.
     mutable std::mutex mu_;
     std::vector<Inbound> conns_;
+    /// Fds of the connections the last poll or park found readable;
+    /// `parked_ready_` while they came from a park no pull has used yet.
+    std::vector<int> ready_;
+    bool parked_ready_ = false;
     std::vector<Envelope> burst_;  // reused across pulls
-    TcpStats stats_;               // the four receive counters only
+    TcpStats stats_;               // the five receive counters only
   };
 
   /// Per hosted node: the receive set and the mailbox it feeds.

@@ -79,10 +79,11 @@ struct BatchStats {
   std::uint64_t write_ops = 0;
   /// Deliveries into the replica's mailbox, the loop's only queue:
   /// `handoffs` counts Push/PushAll calls (deterministic), `wakeups` the
-  /// notifies actually issued to a parked loop (timing-dependent). On the
-  /// Bus the loop spins for up to Mailbox::kSpinBudget on an empty queue
-  /// before it parks, so a delivery that lands while it is busy or still
-  /// spinning needs no wakeup; a TCP loop parks in epoll_wait at once.
+  /// notifies actually issued to a parked loop (timing-dependent). The
+  /// loop spins for up to Mailbox::kSpinBudget on an empty queue before
+  /// it parks, so a delivery that lands while it is busy or still
+  /// spinning needs no wakeup. On TCP only local pushes notify: a frame
+  /// from another node wakes a parked loop as socket bytes.
   std::uint64_t mailbox_handoffs = 0;
   std::uint64_t mailbox_wakeups = 0;
   std::uint64_t worker_handoffs = 0;  // always 0: no dispatch→worker hop

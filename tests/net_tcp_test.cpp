@@ -5,7 +5,7 @@
 // outage while it is unreachable), a warm link whose frames never turn
 // the receiver's loop, observers pulling alongside the consumer, and a
 // peer that dies under a sender writing through to it or with a frame
-// half sent.
+// half sent, and what the receive set's reads and parks cost.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,9 +14,11 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,15 @@ namespace qcnt::net {
 namespace {
 
 using namespace std::chrono_literals;
+
+// Sanitizer builds run several times slower than optimized ones, so a
+// round trip there can outlast the spin budget: bounds on what the spin
+// saves are judged only without a sanitizer.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
 
 std::chrono::steady_clock::time_point In(std::chrono::milliseconds d) {
   return std::chrono::steady_clock::now() + d;
@@ -222,6 +233,7 @@ TEST_F(ThreeInstances, SyscallCountersAdvance) {
   EXPECT_GT(after.wake_writes, before.wake_writes);
   EXPECT_GT(after.send_calls, before.send_calls);
   EXPECT_GT(after.recv_calls, before.recv_calls);
+  EXPECT_GT(after.ready_polls, before.ready_polls);
 }
 
 TEST_F(ThreeInstances, ConnectedPeerTakesNoWakes) {
@@ -296,6 +308,92 @@ TEST_F(ThreeInstances, PeerKilledMidStreamIsRedialedAfterItsRestart) {
   }
   EXPECT_GT(t_[0]->WireStats().connects, before.connects);
   EXPECT_EQ(t_[1]->WireStats().decode_errors, 0u);
+}
+
+// A pull asks the node's receive set which connections are readable and
+// reads only those: one frame on one of five warm inbound connections
+// costs one recv(2), not one per connection.
+TEST(TcpReceiveSet, OneFrameAmongFiveConnectionsCostsOneRecv) {
+  constexpr NodeId kSenders = 5;
+  TcpTransportOptions o;
+  o.universe.resize(kSenders + 1);
+  std::vector<std::unique_ptr<TcpTransport>> t;
+  for (NodeId n = 0; n <= kSenders; ++n) {
+    t.push_back(std::make_unique<TcpTransport>(o, std::vector<NodeId>{n}));
+  }
+  for (NodeId n = 1; n <= kSenders; ++n) {
+    t[n]->SetPeerEndpoint(0, t[0]->ActualEndpoint(0));
+  }
+  Mailbox& box = t[0]->MailboxOf(0);
+  // Two frames per link: the loop vets each connection's first and hands
+  // it to node 0's receive set.
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    for (NodeId n = 1; n <= kSenders; ++n) {
+      ASSERT_TRUE(t[n]->Send(n, 0, Op(round)));
+      ASSERT_TRUE(box.Pop(In(5000ms)).has_value()) << "link " << n;
+    }
+  }
+  std::this_thread::sleep_for(50ms);  // the last handoffs settle
+  ASSERT_EQ(box.Size(), 0u);
+
+  const std::uint64_t before = t[0]->WireStats().recv_calls;
+  ASSERT_TRUE(t[3]->Send(3, 0, Op(7)));
+  auto e = box.Pop(In(5000ms));
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->from, 3u);
+  EXPECT_EQ(t[0]->WireStats().recv_calls - before, 1u)
+      << "a pull read connections that had nothing to read";
+  for (auto& x : t) x->CloseAll();
+}
+
+// Two nodes bounce one frame back and forth over loopback. Each reply
+// lands inside the other side's spin, so few waits end parked in
+// epoll_wait; a consumer that parks at once parks for nearly every
+// handoff. Another process can take the cores for a while, so the best
+// of a few trials is judged.
+TEST(TcpReceiveSet, PingPongHandoffsNeedFewParks) {
+  if (Spinners::Cap() < 1) GTEST_SKIP() << "one core: consumers never spin";
+  constexpr std::uint64_t kRounds = 2000;
+  TcpTransportOptions o;
+  o.universe.resize(2);
+  TcpTransport a(o, {0});
+  TcpTransport b(o, {1});
+  a.SetPeerEndpoint(1, b.ActualEndpoint(1));
+  b.SetPeerEndpoint(0, a.ActualEndpoint(0));
+  Mailbox& ping = b.MailboxOf(1);
+  Mailbox& pong = a.MailboxOf(0);
+  const auto bounce = [&](std::uint64_t rounds) {
+    std::thread echo([&] {
+      for (std::uint64_t i = 0; i < rounds; ++i) {
+        std::optional<Envelope> got = ping.Pop(In(5000ms));
+        ASSERT_TRUE(got.has_value());
+        b.Send(1, 0, std::move(got->msg));
+      }
+    });
+    for (std::uint64_t i = 0; i < rounds; ++i) {
+      ASSERT_TRUE(a.Send(0, 1, Op(i)));
+      std::optional<Envelope> back = pong.Pop(In(5000ms));
+      ASSERT_TRUE(back.has_value());
+      ASSERT_EQ(back->msg.op, i);
+    }
+    echo.join();
+  };
+  bounce(10);  // connect and vet both links
+  double best = 1.0;
+  for (int trial = 0; trial < 5 && best >= 0.1; ++trial) {
+    const std::uint64_t handoffs = ping.Handoffs() + pong.Handoffs();
+    const std::uint64_t parks = ping.Parks() + pong.Parks();
+    bounce(kRounds);
+    if (HasFatalFailure()) return;
+    const double per_handoff =
+        static_cast<double>(ping.Parks() + pong.Parks() - parks) /
+        static_cast<double>(ping.Handoffs() + pong.Handoffs() - handoffs);
+    best = std::min(best, per_handoff);
+  }
+  a.CloseAll();
+  b.CloseAll();
+  if (kSanitized) GTEST_SKIP() << "sanitizer build: best " << best;
+  EXPECT_LT(best, 0.25) << "parks per handoff in the best trial";
 }
 
 TEST(TcpTransportStream, FrameTornByADeadConnectionIsNotResent) {

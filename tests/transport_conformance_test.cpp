@@ -4,7 +4,8 @@
 // exactly like the multi-process deployment). Whatever the runtime is
 // entitled to assume about its substrate is pinned here: delivery, FIFO
 // per link, fail-stop crash semantics (drain pending, no delivery while
-// down, recovery restores), and reconnection after a peer restarts.
+// down, recovery restores), reconnection after a peer restarts, and how
+// a consumer waits on an empty mailbox (deadline, Close, local pushes).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -23,6 +24,15 @@ namespace {
 
 using runtime::Bus;
 using runtime::RtMessage;
+
+// Sanitizer builds run several times slower than optimized ones, so a
+// round trip there can outlast the spin budget: bounds on what the spin
+// saves are judged only without a sanitizer.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
 
 constexpr std::size_t kNodes = 3;
 
@@ -311,6 +321,114 @@ TEST_P(TransportConformance, ParkedConsumerWakesOnPushAndOnClose) {
   parked_pop([&] { box.Push(Envelope{1, Tagged(5)}); }, true);
   parked_pop([&] { box.Close(); }, false);
   box.Reopen();
+}
+
+// --- Waiting on an empty mailbox. A consumer spins (on the Bus's size
+// mirror, or on pulls from the TCP node's receive set) for up to its
+// mailbox's SpinBudget(), then parks; either way its wait ends at its
+// deadline, on Close, and on a local push.
+
+TEST_P(TransportConformance, SpinEndsAtThePopDeadline) {
+  Mailbox& box = Host(1).MailboxOf(1);
+  const auto wait = box.SpinBudget() / 4;
+  // The fastest of many tries: a preempted try can only run long, and a
+  // spin that ignored the deadline would never return before the budget.
+  auto fastest = std::chrono::steady_clock::duration::max();
+  for (int i = 0; i < 50; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(box.Pop(start + wait).has_value());
+    const auto took = std::chrono::steady_clock::now() - start;
+    EXPECT_GE(took, wait) << "an empty Pop returned before its deadline";
+    fastest = std::min(fastest, took);
+  }
+  if (Spinners::Cap() >= 1) {
+    EXPECT_LT(fastest, box.SpinBudget());
+  }
+}
+
+TEST_P(TransportConformance, CloseEndsASpinningConsumer) {
+  using Clock = std::chrono::steady_clock;
+  Mailbox& box = Host(1).MailboxOf(1);
+  // A spinning consumer sees Close on its next spin step, well inside
+  // the budget; one that ignored it would spin the budget out. A
+  // preempted trial can only run long, so the best of five is judged.
+  auto best = Clock::duration::max();
+  for (int trial = 0; trial < 5; ++trial) {
+    const std::uint64_t spins = box.Spins();
+    std::atomic<Clock::rep> returned{0};
+    std::thread consumer([&] {
+      EXPECT_FALSE(box.Pop(In(10000)).has_value());
+      returned.store(Clock::now().time_since_epoch().count());
+    });
+    // Close as soon as the consumer starts its wait (spinning, or parked
+    // when no spinner slot is free or the spin already ended).
+    const auto give_up = In(1000);
+    while (box.Spins() == spins && Clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    const Clock::time_point closed_at = Clock::now();
+    box.Close();
+    consumer.join();
+    box.Reopen();
+    const Clock::time_point at{Clock::duration(returned.load())};
+    EXPECT_LT(at - closed_at, std::chrono::seconds(1))
+        << "Close must end the wait, not its 10 s deadline";
+    best = std::min(best, at - closed_at);
+  }
+  if (Spinners::Cap() >= 1 && !kSanitized) {
+    EXPECT_LT(best, box.SpinBudget() / 2)
+        << "the spin went on after Close";
+  }
+}
+
+// An observer's pulls (Size() from another thread, as a crash hook
+// makes) must leave the parked consumer's wake alone: with TCP the local
+// push's notify is an eventfd write that only the consumer's park may
+// read.
+TEST_P(TransportConformance, ObserverPullsNeverSwallowAWake) {
+  using Clock = std::chrono::steady_clock;
+  Mailbox& box = Host(1).MailboxOf(1);
+  std::atomic<bool> stop{false};
+  std::thread observer([&] {
+    while (!stop.load()) (void)box.Size();
+  });
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    std::atomic<Clock::rep> returned{0};
+    std::thread consumer([&] {
+      EXPECT_TRUE(box.Pop(In(5000)).has_value());
+      returned.store(Clock::now().time_since_epoch().count());
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // parks
+    const Clock::time_point pushed = Clock::now();
+    box.Push(Envelope{1, Tagged(round)});
+    consumer.join();
+    const Clock::time_point at{Clock::duration(returned.load())};
+    EXPECT_LT(at - pushed, std::chrono::milliseconds(100))
+        << "round " << round << ": the parked consumer missed its wake";
+  }
+  stop.store(true);
+  observer.join();
+}
+
+// A Pop returns at its deadline, not at the next whole millisecond: the
+// client's first retry backoff is 1-2 ms, so a millisecond of overshoot
+// would stretch it by up to 2x. A preempted try can only run long, so
+// the best of five is judged.
+TEST_P(TransportConformance, PopReturnsNearItsDeadline) {
+  Mailbox& box = Host(1).MailboxOf(1);
+  const auto wait = std::chrono::microseconds(300);
+  auto best = std::chrono::steady_clock::duration::max();
+  for (int trial = 0; trial < 5; ++trial) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(box.Pop(start + wait).has_value());
+    const auto took = std::chrono::steady_clock::now() - start;
+    EXPECT_GE(took, wait) << "an empty Pop returned before its deadline";
+    best = std::min(best, took - wait);
+  }
+  EXPECT_LT(best, std::chrono::microseconds(500))
+      << "the best Pop overshot its deadline by "
+      << std::chrono::duration_cast<std::chrono::microseconds>(best).count()
+      << " us";
 }
 
 TEST_P(TransportConformance, CrashDrainsPendingMessages) {

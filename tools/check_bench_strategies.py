@@ -7,17 +7,23 @@ Checks:
    95%-read workload) and `switch_under_traffic` (live majority <-> ROWA
    flips under load).  A bench that silently skipped a section must not
    pass.
-2. Read-heavy ordering: with minimal-quorum targeting, a majority-of-5
-   read costs 3+3 messages while ROWA costs 1+1, so ROWA and the
-   read-dominant weighted system must beat the majority row on measured
-   messages/op (strictly fewer).  This is the regression gate for the
-   read-phase over-fanout fix — a client that quietly falls back to
-   broadcasting erases the messages/op gap even when throughput noise
-   hides it.  Throughput gets a *floor*, not a strict ordering: the
-   read-optimized rows must hold >= MIN_THROUGHPUT_RATIO of the majority
-   baseline.  Throughput ordering between back-to-back runs flips under
-   scheduler contention on small CI hosts even when the wire win is
-   intact, so the deterministic messages/op check carries the strictness.
+2. Read-heavy sub-requests: with minimal-quorum targeting, a
+   majority-of-5 read asks 3 replicas while a ROWA read asks 1, so ROWA
+   and the read-dominant weighted system must need strictly fewer
+   replica sub-requests per op (entries the replicas served, over ops)
+   than the majority row, and every row must stay within
+   REQS_SLACK_PER_OP of its strategy's analytic minimum
+   (`min_reqs_per_op`: a read quorum per read, a read quorum plus a
+   write quorum per write). This is the regression gate for minimal-
+   quorum targeting — a client that quietly falls back to broadcasting
+   asks all 5 replicas for every phase, whatever the strategy. Wire
+   messages per op are not gated: batching packs many sub-requests into
+   one message, so that figure tracks batch size more than quorum size.
+   Throughput gets a *floor*, not a strict ordering: the read-optimized
+   rows must hold >= MIN_THROUGHPUT_RATIO of the majority baseline.
+   Throughput ordering between back-to-back runs flips under scheduler
+   contention on small CI hosts even when the sub-request win is intact,
+   so the count carries the strictness.
 3. Switch-under-traffic floor: the median throughput of the switching
    phase must hold at least half the steady-state median
    (ratio >= 0.5), and at least one switch must actually have been
@@ -31,6 +37,12 @@ import sys
 
 MIN_SWITCH_RATIO = 0.5
 MIN_THROUGHPUT_RATIO = 0.85
+# Sub-requests per op above the analytic minimum that a row may show:
+# escalations (a straggling replica makes the client fan out after
+# `escalate_after`) and retries ask extra replicas. The largest overshoot
+# measured on a 4-core host was 0.011 (EXPERIMENTS.md E21); a client that
+# broadcasts overshoots by 2 or more.
+REQS_SLACK_PER_OP = 0.25
 
 
 def fail(msg):
@@ -66,8 +78,9 @@ def main(argv):
     for row in rows:
         name = row.get("strategy")
         if (not isinstance(name, str)
-                or not isinstance(row.get("ops_per_sec"), (int, float))
-                or not isinstance(row.get("messages_per_op"), (int, float))):
+                or not all(isinstance(row.get(k), (int, float)) for k in (
+                    "ops_per_sec", "replica_reqs_per_op",
+                    "min_reqs_per_op"))):
             print(f"check_bench_strategies: malformed read_heavy row {row!r}",
                   file=sys.stderr)
             return 2
@@ -84,8 +97,18 @@ def main(argv):
               "strategies to compare against majority", file=sys.stderr)
         return 2
 
-    # 2. ROWA / read-dominant must beat majority on the wire, and must
-    #    not regress throughput below the contention-tolerant floor.
+    # 2. Every strategy stays near its analytic minimum; ROWA /
+    #    read-dominant must need fewer sub-requests than majority, and
+    #    must not regress throughput below the contention-tolerant floor.
+    for name, row in by_strategy.items():
+        ceiling = row["min_reqs_per_op"] + REQS_SLACK_PER_OP
+        if row["replica_reqs_per_op"] > ceiling:
+            status |= fail(
+                f"sub-requests/op: {name} "
+                f"({row['replica_reqs_per_op']:.3f}) exceeds its analytic "
+                f"minimum {row['min_reqs_per_op']:.3f} by more than "
+                f"{REQS_SLACK_PER_OP}; the client is asking more replicas "
+                "than a quorum")
     for name in read_optimized:
         row = by_strategy[name]
         floor = MIN_THROUGHPUT_RATIO * majority["ops_per_sec"]
@@ -95,11 +118,12 @@ def main(argv):
                 f"({row['ops_per_sec']:.0f} ops/s) fell below "
                 f"{MIN_THROUGHPUT_RATIO}x of majority "
                 f"({majority['ops_per_sec']:.0f} ops/s)")
-        if row["messages_per_op"] >= majority["messages_per_op"]:
+        if row["replica_reqs_per_op"] >= majority["replica_reqs_per_op"]:
             status |= fail(
-                f"messages/op: {name} ({row['messages_per_op']:.2f}) is not "
-                f"below majority ({majority['messages_per_op']:.2f}); "
-                "minimal-quorum targeting is not engaging")
+                f"sub-requests/op: {name} "
+                f"({row['replica_reqs_per_op']:.3f}) is not below majority "
+                f"({majority['replica_reqs_per_op']:.3f}); minimal-quorum "
+                "targeting is not engaging")
         if row.get("failures", 0):
             status |= fail(
                 f"read-heavy {name} reported {row['failures']} failed ops "
@@ -122,8 +146,11 @@ def main(argv):
 
     if status == 0:
         print(f"check_bench_strategies: OK ({path}, "
-              f"{len(rows)} strategies, {switches} live switches, "
-              f"switch ratio {ratio:.2f})")
+              f"{len(rows)} strategies, sub-requests/op " +
+              ", ".join(f"{n} {r['replica_reqs_per_op']:.3f} (min "
+                        f"{r['min_reqs_per_op']:.3f})"
+                        for n, r in by_strategy.items()) +
+              f", {switches} live switches, switch ratio {ratio:.2f})")
     return status
 
 
