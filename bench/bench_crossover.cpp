@@ -56,7 +56,8 @@ void PrintMessageCrossover() {
                "phase waits for the slowest replica.\n";
 }
 
-void PrintLatencyCrossover() {
+/// Prints table E11b; returns whether its shape checks held.
+bool PrintLatencyCrossover() {
   bench::Banner(
       "E11b: simulated mean latency (ms) per op vs read fraction (n = 5, "
       "exp. links)");
@@ -65,6 +66,7 @@ void PrintLatencyCrossover() {
       quorum::ReadAllWriteOneSystem(5)};
   bench::Table table({"read fraction", strategies[0].name,
                       strategies[1].name, strategies[2].name, "winner"});
+  std::vector<std::size_t> winners;  // per read fraction below
   for (double f : {0.1, 0.3, 0.5, 0.7, 0.9}) {
     std::vector<std::string> row{bench::Table::Num(f, 1)};
     double best_latency = 1e300;
@@ -102,11 +104,17 @@ void PrintLatencyCrossover() {
     }
     row.push_back(strategies[best].name);
     table.AddRow(std::move(row));
+    winners.push_back(best);
   }
   table.Print();
   std::cout << "\nShape checks: in latency the winner flips from majority "
                "(write-heavy mixes — it avoids\nwaiting on the slowest "
                "replica) to read-one/write-all (read-heavy mixes).\n";
+  const bool a = bench::ShapeCheck(winners.front() == 1,
+                                   "majority wins at read fraction 0.1");
+  const bool b = bench::ShapeCheck(
+      winners.back() == 0, "read-one/write-all wins at read fraction 0.9");
+  return a && b;
 }
 
 void BM_MixCostEvaluation(benchmark::State& state) {
@@ -121,8 +129,8 @@ BENCHMARK(BM_MixCostEvaluation);
 
 int main(int argc, char** argv) {
   PrintMessageCrossover();
-  PrintLatencyCrossover();
+  const bool shape_ok = PrintLatencyCrossover();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return shape_ok ? 0 : 1;
 }

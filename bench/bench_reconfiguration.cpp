@@ -41,10 +41,9 @@ TimelineResult RunTimeline(bool reconfigure, std::uint64_t seed) {
           "survivors-012",
           quorum::Configuration({{0, 1}, {0, 2}, {1, 2}},
                                 {{0, 1}, {0, 2}, {1, 2}}))};
-  sim::QuorumStoreClient::Options copts;
-  copts.timeout = 200.0;
   Deployment d(5, 1, configs, 0, LatencyModel::Uniform(1.0, 3.0), 0.0, seed,
-               copts);
+               {.timeout = std::chrono::milliseconds(200),
+                .target_minimal = false});
   TimelineResult result;
 
   auto run_writes = [&d](PhaseStats& stats, std::size_t count,
@@ -80,7 +79,8 @@ TimelineResult RunTimeline(bool reconfigure, std::uint64_t seed) {
   return result;
 }
 
-void PrintTimeline() {
+/// Prints the timeline; returns whether its shape checks held.
+bool PrintTimeline() {
   bench::Banner(
       "E9: write success along a failure timeline (majority(5); crash "
       "{3,4}; [reconfig]; crash {2})");
@@ -100,6 +100,15 @@ void PrintTimeline() {
   std::cout << "\nShape checks: both variants survive a minority of "
                "crashes; only the reconfigured\nsystem keeps accepting "
                "writes once 3 of 5 replicas are down.\n";
+  const bool a = bench::ShapeCheck(
+      without.after_third_crash.ok == 0,
+      "the fixed configuration accepts 0/20 writes after the third crash");
+  const bool b = bench::ShapeCheck(
+      with.reconfig_ok &&
+          with.after_third_crash.ok == with.after_third_crash.attempts &&
+          with.final_generation == 1,
+      "the reconfigured system accepts 20/20 at generation 1");
+  return a && b;
 }
 
 void BM_ReconfigurationOp(benchmark::State& state) {
@@ -123,8 +132,8 @@ BENCHMARK(BM_ReconfigurationOp);
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintTimeline();
+  const bool shape_ok = PrintTimeline();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return shape_ok ? 0 : 1;
 }

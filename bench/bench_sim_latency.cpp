@@ -70,12 +70,15 @@ std::pair<LatencyStats, LatencyStats> MeasureStrategy(
   return {Percentiles(reads, ops / 2), Percentiles(writes, ops / 2)};
 }
 
-void PrintLatency() {
+/// Prints the table; returns whether its shape checks held.
+bool PrintLatency() {
   bench::Banner(
       "E7: simulated latency percentiles (ms), exponential link latency "
       "(floor 1ms, mean 5ms), n=5 / n=9");
   bench::Table table({"n", "strategy", "read p50/p95/p99",
                       "write p50/p95/p99"});
+  // n = 5 rows, in order: read-one/write-all, majority, read-all/write-one.
+  std::vector<std::pair<LatencyStats, LatencyStats>> n5;
   for (ReplicaId n : {5, 9}) {
     std::vector<quorum::QuorumSystem> strategies{
         quorum::ReadOneWriteAllSystem(n), quorum::MajoritySystem(n),
@@ -83,6 +86,7 @@ void PrintLatency() {
     if (n == 9) strategies.push_back(quorum::GridSystem(3, 3));
     for (const auto& s : strategies) {
       const auto [r, w] = MeasureStrategy(s, 2000, 17 + n);
+      if (n == 5) n5.emplace_back(r, w);
       table.AddRow(
           {std::to_string(n), s.name,
            bench::Table::Num(r.p50, 1) + "/" + bench::Table::Num(r.p95, 1) +
@@ -96,6 +100,16 @@ void PrintLatency() {
                "and slowest writes (waits for\nthe slowest replica); "
                "majority balances the two; larger n stretches the "
                "write-all tail.\n";
+  bool fastest_read = true, slowest_write = true;
+  for (std::size_t i = 1; i < n5.size(); ++i) {
+    fastest_read = fastest_read && n5[0].first.p50 < n5[i].first.p50;
+    slowest_write = slowest_write && n5[0].second.p99 > n5[i].second.p99;
+  }
+  const bool a = bench::ShapeCheck(
+      fastest_read, "n=5 read-one/write-all has the fastest read p50");
+  const bool b = bench::ShapeCheck(
+      slowest_write, "n=5 read-one/write-all has the slowest write p99");
+  return a && b;
 }
 
 void BM_SimulatedOps(benchmark::State& state) {
@@ -112,8 +126,8 @@ BENCHMARK(BM_SimulatedOps);
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintLatency();
+  const bool shape_ok = PrintLatency();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return shape_ok ? 0 : 1;
 }

@@ -74,4 +74,12 @@ inline void Banner(const std::string& title) {
   std::cout << "\n=== " << title << " ===\n\n";
 }
 
+/// Prints one shape check and returns whether it held; an experiment
+/// binary exits 1 when any of its checks fails.
+inline bool ShapeCheck(bool held, const std::string& what) {
+  std::cout << "shape check " << (held ? "ok" : "FAILED") << ": " << what
+            << '\n';
+  return held;
+}
+
 }  // namespace qcnt::bench

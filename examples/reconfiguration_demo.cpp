@@ -24,10 +24,10 @@ int main() {
           quorum::Configuration({{0, 1}, {0, 2}, {1, 2}},
                                 {{0, 1}, {0, 2}, {1, 2}}))};
 
-  sim::QuorumStoreClient::Options copts;
-  copts.timeout = 100.0;
   sim::Deployment d(5, 2, configs, 0, sim::LatencyModel::Uniform(1.0, 4.0),
-                    0.0, 20260705, copts);
+                    0.0, 20260705,
+                    {.timeout = std::chrono::milliseconds(100),
+                     .target_minimal = false});
 
   auto write = [&d](std::int64_t value, const char* note) {
     OpResult out;

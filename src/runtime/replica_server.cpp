@@ -398,17 +398,10 @@ void ReplicaServer::Handle(Envelope& e) {
   reply.key = m.key;
   switch (m.kind) {
     case RtMessage::Kind::kConfigWriteReq: {
-      // The stamp is logged before the single ack. Stamps order by
-      // (generation, config_id) — config ids are append-ordered, so an
-      // equal-generation install of a newer configuration (an orphaned
-      // stamp from a timed-out reconfigure attempt colliding with the
-      // attempt that won) supersedes, while a duplicated install stays a
-      // no-op (no re-log), mirroring ApplyToImage's idempotence.
-      if (m.generation > image_.generation ||
-          (m.generation == image_.generation &&
-           m.config_id > image_.config_id)) {
-        image_.generation = m.generation;
-        image_.config_id = m.config_id;
+      // The stamp is logged before the single ack; a stamp that does not
+      // advance in Image's stamp order (a duplicated install) is not
+      // re-logged, mirroring ApplyToImage's idempotence.
+      if (image_.ApplyConfig(m.generation, m.config_id)) {
         backend_->ApplyConfig(image_.generation, image_.config_id);
         backend_->MaybeCompact(image_);
       }

@@ -34,13 +34,12 @@ void Network::SetHandler(NodeId node, Handler handler) {
 }
 
 bool Network::Reachable(NodeId from, NodeId to) const {
-  if (!partitioned_) return true;
   const bool a = (partition_side_ >> from) & 1;
   const bool b = (partition_side_ >> to) & 1;
   return a == b;
 }
 
-void Network::Send(NodeId from, NodeId to, const Message& m) {
+void Network::Send(NodeId from, NodeId to, runtime::RtMessage m) {
   QCNT_CHECK(from < handlers_.size() && to < handlers_.size());
   ++sent_;
   if (!up_[from] || !Reachable(from, to) ||
@@ -49,7 +48,7 @@ void Network::Send(NodeId from, NodeId to, const Message& m) {
     return;
   }
   const Time delay = latency_.Sample(rng_);
-  sim_->After(delay, [this, from, to, m] {
+  sim_->After(delay, [this, from, to, m = std::move(m)] {
     // Re-check liveness and reachability at delivery time.
     if (!up_[to] || !Reachable(from, to)) {
       ++dropped_;
@@ -70,11 +69,6 @@ void Network::Recover(NodeId node) {
   up_[node] = 1;
 }
 
-bool Network::IsUp(NodeId node) const {
-  QCNT_CHECK(node < up_.size());
-  return up_[node] != 0;
-}
-
 std::uint64_t Network::UpMask() const {
   std::uint64_t mask = 0;
   for (NodeId i = 0; i < up_.size(); ++i) {
@@ -84,10 +78,9 @@ std::uint64_t Network::UpMask() const {
 }
 
 void Network::Partition(std::uint64_t side_mask) {
-  partitioned_ = true;
   partition_side_ = side_mask;
 }
 
-void Network::Heal() { partitioned_ = false; }
+void Network::Heal() { partition_side_ = ~0ull; }
 
 }  // namespace qcnt::sim

@@ -1,41 +1,23 @@
 // Simulated message network with latency, drops, crashes and partitions.
 //
-// Nodes exchange small Message values. Delivery latency is sampled from a
-// configurable distribution; messages may be dropped independently; crashed
-// nodes neither send nor receive; partitioned node pairs cannot
-// communicate. Everything is driven by the shared Simulator, and all
-// randomness comes from one seeded Rng, so runs are reproducible.
+// Nodes exchange the runtime's RtMessage values. Delivery latency is
+// sampled from a configurable distribution; messages may be dropped
+// independently; crashed nodes neither send nor receive; partitioned node
+// pairs cannot communicate. Everything is driven by the shared Simulator,
+// and all randomness comes from one seeded Rng, so runs are reproducible.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "runtime/message.hpp"
 #include "sim/simulator.hpp"
 
 namespace qcnt::sim {
 
-using NodeId = std::uint32_t;
-
-/// Protocol messages of the simulated quorum store (store.hpp). One flat
-/// struct keeps the network layer trivially copyable and protocol-agnostic.
-struct Message {
-  enum class Kind : std::uint8_t {
-    kReadReq,
-    kReadResp,
-    kWriteReq,
-    kWriteAck,
-    kConfigWriteReq,
-    kConfigWriteAck,
-  };
-  Kind kind = Kind::kReadReq;
-  std::uint64_t op = 0;        // client operation id
-  std::uint64_t version = 0;   // data version number
-  std::int64_t value = 0;      // data value
-  std::uint64_t generation = 0;  // configuration generation
-  std::uint32_t config_id = 0;   // index into the statically known configs
-};
+using runtime::NodeId;
 
 struct LatencyModel {
   enum class Kind : std::uint8_t { kFixed, kUniform, kExponential };
@@ -60,22 +42,20 @@ struct LatencyModel {
 
 class Network {
  public:
-  using Handler = std::function<void(NodeId from, const Message&)>;
+  using Handler = std::function<void(NodeId from, const runtime::RtMessage&)>;
 
   Network(Simulator& sim, std::size_t nodes, LatencyModel latency,
           double drop_probability, std::uint64_t seed);
 
-  std::size_t NodeCount() const { return handlers_.size(); }
   void SetHandler(NodeId node, Handler handler);
 
   /// Deliver m from `from` to `to` after a sampled latency, unless either
   /// endpoint is down at send or delivery time, the pair is partitioned,
   /// or the message is dropped.
-  void Send(NodeId from, NodeId to, const Message& m);
+  void Send(NodeId from, NodeId to, runtime::RtMessage m);
 
   void Crash(NodeId node);
   void Recover(NodeId node);
-  bool IsUp(NodeId node) const;
   /// Bitmask of currently up nodes (node i -> bit i; node count <= 64).
   std::uint64_t UpMask() const;
 
@@ -97,8 +77,7 @@ class Network {
   Rng rng_;
   std::vector<Handler> handlers_;
   std::vector<std::uint8_t> up_;
-  bool partitioned_ = false;
-  std::uint64_t partition_side_ = 0;
+  std::uint64_t partition_side_ = ~0ull;  // every node on one side: no cut
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

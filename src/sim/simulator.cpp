@@ -14,21 +14,14 @@ void Simulator::After(Time delay, std::function<void()> fn) {
   At(now_ + delay, std::move(fn));
 }
 
-bool Simulator::Step() {
-  if (queue_.empty()) return false;
-  // Moving out of a priority_queue requires a const_cast dance; copy the
-  // metadata first, then steal the callable.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
-  now_ = ev.at;
-  ++executed_;
-  ev.fn();
-  return true;
-}
-
 void Simulator::Run(Time until) {
   while (!queue_.empty() && queue_.top().at <= until) {
-    Step();
+    // Moving out of a priority_queue requires a const_cast: steal the
+    // event, then pop the moved-from shell.
+    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    queue_.pop();
+    now_ = ev.at;
+    ev.fn();
   }
 }
 

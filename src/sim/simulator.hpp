@@ -21,8 +21,6 @@ inline constexpr Time kForever = std::numeric_limits<Time>::infinity();
 
 class Simulator {
  public:
-  Simulator() = default;
-
   Time Now() const { return now_; }
 
   /// Schedule fn at absolute time t (>= Now()).
@@ -31,14 +29,10 @@ class Simulator {
   /// Schedule fn after a delay (>= 0) from Now().
   void After(Time delay, std::function<void()> fn);
 
-  /// Execute the next event, if any. Returns false when the queue is empty.
-  bool Step();
-
   /// Run until the queue empties or simulated time exceeds `until`.
   void Run(Time until = kForever);
 
   std::size_t PendingEvents() const { return queue_.size(); }
-  std::uint64_t ExecutedEvents() const { return executed_; }
 
  private:
   struct Event {
@@ -55,7 +49,6 @@ class Simulator {
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 

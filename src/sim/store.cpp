@@ -1,301 +1,191 @@
 #include "sim/store.hpp"
 
-#include "common/check.hpp"
+#include <algorithm>
 
 namespace qcnt::sim {
 
+using runtime::BatchEntry;
+using runtime::QuorumOp;
+using runtime::RtMessage;
+using runtime::TimePoint;
+using Millis = std::chrono::duration<double, std::milli>;
+
 Replica::Replica(Network& net, NodeId id) : net_(&net), id_(id) {
-  net.SetHandler(id, [this](NodeId from, const Message& m) {
+  net.SetHandler(id, [this](NodeId from, const RtMessage& m) {
     OnMessage(from, m);
   });
 }
 
-void Replica::OnMessage(NodeId from, const Message& m) {
-  Message reply;
+void Replica::OnMessage(NodeId from, const RtMessage& m) {
+  RtMessage reply;
   reply.op = m.op;
   switch (m.kind) {
-    case Message::Kind::kReadReq:
-      reply.kind = Message::Kind::kReadResp;
-      reply.version = version_;
-      reply.value = value_;
-      reply.generation = generation_;
-      reply.config_id = config_id_;
-      break;
-    case Message::Kind::kWriteReq:
-      // Versions are monotone; concurrent writers race benignly (the
-      // automaton layer proves the serial semantics, the simulator measures
-      // performance).
-      if (m.version > version_ ||
-          (m.version == version_ && m.value >= value_)) {
-        version_ = m.version;
-        value_ = m.value;
+    case RtMessage::Kind::kBatchReadReq:
+      reply.kind = RtMessage::Kind::kBatchReadResp;
+      for (const BatchEntry& entry : m.batch) {
+        const auto it = image_.data.find(entry.key);
+        const storage::Versioned v =
+            it == image_.data.end() ? storage::Versioned{} : it->second;
+        reply.batch.push_back(BatchEntry{entry.op, {}, v.version, v.value});
       }
-      reply.kind = Message::Kind::kWriteAck;
       break;
-    case Message::Kind::kConfigWriteReq:
-      if (m.generation >= generation_) {
-        generation_ = m.generation;
-        config_id_ = m.config_id;
+    case RtMessage::Kind::kBatchWriteReq: {
+      // The generation fence: an install under an older stamp is refused
+      // (value 1 = NACK) and the header stamp teaches the writer.
+      const bool fenced = m.generation < image_.generation;
+      reply.kind = RtMessage::Kind::kBatchWriteAck;
+      for (const BatchEntry& entry : m.batch) {
+        if (!fenced) image_.ApplyWrite(entry.key, entry.version, entry.value);
+        reply.batch.push_back(BatchEntry{entry.op, {}, 0, fenced ? 1 : 0});
       }
-      reply.kind = Message::Kind::kConfigWriteAck;
+      break;
+    }
+    case RtMessage::Kind::kConfigWriteReq:
+      image_.ApplyConfig(m.generation, m.config_id);
+      reply.kind = RtMessage::Kind::kConfigWriteAck;
       break;
     default:
       return;  // replicas ignore responses
   }
-  net_->Send(id_, from, reply);
+  reply.generation = image_.generation;
+  reply.config_id = image_.config_id;
+  net_->Send(id_, from, std::move(reply));
 }
 
-QuorumStoreClient::QuorumStoreClient(Simulator& sim, Network& net, NodeId id,
-                                     std::vector<quorum::QuorumSystem> configs,
-                                     std::uint32_t initial_config,
-                                     Options options)
+QuorumStoreClient::QuorumStoreClient(
+    Simulator& sim, Network& net, NodeId id,
+    std::shared_ptr<runtime::ConfigTable> table, std::uint32_t initial_config,
+    runtime::ClientOptions options)
     : sim_(&sim),
       net_(&net),
       id_(id),
-      configs_(std::move(configs)),
-      options_(options),
-      config_id_(initial_config) {
-  QCNT_CHECK(initial_config < configs_.size());
-  net.SetHandler(id, [this](NodeId from, const Message& m) {
+      core_(id, std::move(table), initial_config, options) {
+  net.SetHandler(id, [this](NodeId from, const RtMessage& m) {
     OnMessage(from, m);
   });
 }
 
-std::uint64_t QuorumStoreClient::ReplicaCount() const {
-  return configs_.front().n;
+TimePoint QuorumStoreClient::Now() const {
+  // Simulated milliseconds from a fixed origin.
+  return TimePoint{} +
+         std::chrono::duration_cast<TimePoint::duration>(Millis(sim_->Now()));
 }
 
-void QuorumStoreClient::Broadcast(const Message& m,
-                                  const std::optional<quorum::Quorum>& only) {
-  if (only) {
-    for (ReplicaId r : *only) net_->Send(id_, r, m);
-    return;
+void QuorumStoreClient::Submit(QuorumOp::Kind kind, std::int64_t value,
+                               std::uint32_t target, Callback done) {
+  auto state = std::make_shared<Op>(Op{QuorumOp(kind, "", value, target),
+                                       sim_->Now(), net_->MessagesSent(),
+                                       std::move(done)});
+  const QuorumOp::Step step = state->op.Start(core_, Now());
+  ops_.emplace(state->op.Id(), state);
+  Apply(state, step);
+}
+
+void QuorumStoreClient::SendTo(std::uint64_t to, const RtMessage& m) {
+  for (std::uint64_t rest = to; rest != 0; rest &= rest - 1) {
+    net_->Send(id_, static_cast<NodeId>(__builtin_ctzll(rest)), m);
   }
-  for (NodeId r = 0; r < ReplicaCount(); ++r) net_->Send(id_, r, m);
 }
 
-void QuorumStoreClient::Read(Callback done) {
-  const std::uint64_t op_id = next_op_++;
-  Op op;
-  op.kind = OpKind::kRead;
-  op.start = sim_->Now();
-  op.messages_before = net_->MessagesSent();
-  op.done = std::move(done);
-  op.best_config = config_id_;
-  op.best_generation = generation_;
-  ops_.emplace(op_id, std::move(op));
-  StartReadPhase(op_id);
-}
-
-void QuorumStoreClient::Write(std::int64_t value, Callback done) {
-  const std::uint64_t op_id = next_op_++;
-  Op op;
-  op.kind = OpKind::kWrite;
-  op.start = sim_->Now();
-  op.messages_before = net_->MessagesSent();
-  op.done = std::move(done);
-  op.best_config = config_id_;
-  op.best_generation = generation_;
-  op.write_value = value;
-  ops_.emplace(op_id, std::move(op));
-  StartReadPhase(op_id);
-}
-
-void QuorumStoreClient::Reconfigure(std::uint32_t target, Callback done) {
-  QCNT_CHECK(target < configs_.size());
-  const std::uint64_t op_id = next_op_++;
-  Op op;
-  op.kind = OpKind::kReconfigure;
-  op.start = sim_->Now();
-  op.messages_before = net_->MessagesSent();
-  op.done = std::move(done);
-  op.best_config = config_id_;
-  op.best_generation = generation_;
-  op.target_config = target;
-  ops_.emplace(op_id, std::move(op));
-  StartReadPhase(op_id);
-}
-
-void QuorumStoreClient::SendReadRequests(std::uint64_t op_id) {
-  Message req;
-  req.kind = Message::Kind::kReadReq;
-  req.op = op_id;
-  std::optional<quorum::Quorum> targets;
-  if (options_.targeted) {
-    const std::uint64_t all =
-        ReplicaCount() == 64 ? ~0ull : ((1ull << ReplicaCount()) - 1);
-    targets = configs_[config_id_].pick_read(all);
-  }
-  Broadcast(req, targets);
-}
-
-void QuorumStoreClient::ScheduleRetransmit(std::uint64_t op_id) {
-  if (options_.retransmit_interval <= 0.0) return;
-  sim_->After(options_.retransmit_interval, [this, op_id] {
-    auto it = ops_.find(op_id);
-    if (it == ops_.end() || it->second.finished) return;
-    if (it->second.phase == Phase::kReadPhase) {
-      SendReadRequests(op_id);
-    } else {
-      SendWriteRequests(op_id);
-    }
-    ScheduleRetransmit(op_id);
-  });
-}
-
-void QuorumStoreClient::StartReadPhase(std::uint64_t op_id) {
-  SendReadRequests(op_id);
-  ScheduleRetransmit(op_id);
-  sim_->After(options_.timeout, [this, op_id] {
-    auto it = ops_.find(op_id);
-    if (it != ops_.end() && !it->second.finished) Finish(op_id, false);
-  });
-}
-
-void QuorumStoreClient::OnMessage(NodeId from, const Message& m) {
-  auto it = ops_.find(m.op);
-  if (it == ops_.end() || it->second.finished) return;
-  Op& op = it->second;
-  switch (m.kind) {
-    case Message::Kind::kReadResp: {
-      // The Section-3 write-TM guard, in protocol form: once the write
-      // phase has begun, read responses (which may already echo our own
-      // write) must not advance the discovered version.
-      if (op.phase != Phase::kReadPhase) break;
-      const bool first = op.responded == 0;
-      op.responded |= 1ull << from;
-      if (first || m.version > op.best_version ||
-          (m.version == op.best_version && m.value > op.best_value)) {
-        op.best_version = m.version;
-        op.best_value = m.value;
-      }
-      if (m.generation > op.best_generation) {
-        op.best_generation = m.generation;
-        op.best_config = m.config_id;
-      }
-      // Client-level configuration adoption.
-      if (m.generation > generation_) {
-        generation_ = m.generation;
-        config_id_ = m.config_id;
-      }
-      if (op.phase == Phase::kReadPhase &&
-          configs_[op.best_config].has_read(op.responded)) {
-        if (op.kind == OpKind::kRead) {
-          Finish(m.op, true);
-        } else {
-          EnterWritePhase(m.op);
+void QuorumStoreClient::Apply(const std::shared_ptr<Op>& state,
+                              QuorumOp::Step step) {
+  QuorumOp& op = state->op;
+  switch (step) {
+    case QuorumOp::Step::kWait:
+      break;
+    case QuorumOp::Step::kSend:
+      if (op.OpKind() == QuorumOp::Kind::kReconfigure) {
+        // Both legs reach old and target members; each node gets the data
+        // leg before the stamp.
+        SendTo(op.DirectTargets(), op.Request(core_));
+        if (op.OpPhase() == QuorumOp::Phase::kWrite) {
+          SendTo(op.DirectTargets(), op.StampRequest());
         }
+        op.Sent(core_, op.DirectTargets(), Now());
+      } else {
+        const RtMessage m = op.Request(core_);
+        const std::uint64_t sent = core_.Target(
+            *core_.Table()->At(core_.ConfigId()),
+            op.OpPhase() == QuorumOp::Phase::kWrite, op.Targetable(core_),
+            [&](NodeId r) {
+              net_->Send(id_, r, m);
+              return true;
+            });
+        op.Sent(core_, sent, Now());
       }
       break;
-    }
-    case Message::Kind::kWriteAck:
-      op.acked |= 1ull << from;
-      MaybeFinish(m.op);
+    case QuorumOp::Step::kEscalate:  // only targeted reads and writes
+      SendTo(op.Fanout(), op.Request(core_));
       break;
-    case Message::Kind::kConfigWriteAck:
-      op.config_acked |= 1ull << from;
-      MaybeFinish(m.op);
-      break;
-    default:
-      break;
+    case QuorumOp::Step::kDone:
+      ops_.erase(op.Id());
+      if (state->done) {
+        state->done(OpResult{op.Result().ok, op.Result().value,
+                             sim_->Now() - state->start,
+                             net_->MessagesSent() - state->messages_before});
+      }
+      return;
   }
+  Arm(state);
 }
 
-void QuorumStoreClient::EnterWritePhase(std::uint64_t op_id) {
-  ops_.at(op_id).phase = Phase::kWritePhase;
-  SendWriteRequests(op_id);
+void QuorumStoreClient::Arm(const std::shared_ptr<Op>& state) {
+  const TimePoint at = state->op.NextTimer();
+  if (at == state->armed) return;
+  state->armed = at;
+  const Time due = Millis(at - TimePoint{}).count();
+  sim_->At(std::max(due, sim_->Now()), [this, state, at] {
+    if (state->armed != at || state->op.Done()) return;  // superseded
+    state->armed = TimePoint::max();
+    QuorumOp& op = state->op;
+    const std::uint64_t old_id = op.Id();
+    const QuorumOp::Step step = op.OnTimer(core_, std::max(Now(), at));
+    if (op.Id() != old_id) {
+      // A relaunched attempt runs under a fresh id.
+      ops_.erase(old_id);
+      ops_.emplace(op.Id(), state);
+    }
+    Apply(state, step);
+  });
 }
 
-void QuorumStoreClient::SendWriteRequests(std::uint64_t op_id) {
-  Op& op = ops_.at(op_id);
-  const std::uint64_t all =
-      ReplicaCount() == 64 ? ~0ull : ((1ull << ReplicaCount()) - 1);
-
-  if (op.kind == OpKind::kWrite) {
-    Message w;
-    w.kind = Message::Kind::kWriteReq;
-    w.op = op_id;
-    w.version = op.best_version + 1;
-    w.value = op.write_value;
-    std::optional<quorum::Quorum> targets;
-    if (options_.targeted) targets = configs_[op.best_config].pick_write(all);
-    Broadcast(w, targets);
+void QuorumStoreClient::OnMessage(NodeId from, const RtMessage& m) {
+  if (!core_.Hear(from, m)) return;
+  const TimePoint now = Now();
+  if (m.kind == RtMessage::Kind::kConfigWriteAck) {
+    if (const auto it = ops_.find(m.op); it != ops_.end()) {
+      const std::shared_ptr<Op> state = it->second;
+      Apply(state, state->op.OnStampAck(core_, from, now));
+    }
     return;
   }
-
-  // Reconfiguration: data to a write-quorum of the target configuration,
-  // stamp to a write-quorum of the old configuration.
-  Message data;
-  data.kind = Message::Kind::kWriteReq;
-  data.op = op_id;
-  data.version = op.best_version;
-  data.value = op.best_value;
-  std::optional<quorum::Quorum> data_targets;
-  if (options_.targeted) {
-    data_targets = configs_[op.target_config].pick_write(all);
+  const bool read = m.kind == RtMessage::Kind::kBatchReadResp;
+  for (const BatchEntry& entry : m.batch) {
+    const auto it = ops_.find(entry.op);
+    if (it == ops_.end()) continue;  // finished or relaunched
+    const std::shared_ptr<Op> state = it->second;
+    Apply(state, read ? state->op.OnRead(core_, from, m.generation,
+                                         m.config_id, entry.version,
+                                         entry.value, now)
+                      : state->op.OnWriteAck(core_, from, entry.value != 0,
+                                             now));
   }
-  Broadcast(data, data_targets);
-
-  Message cfg;
-  cfg.kind = Message::Kind::kConfigWriteReq;
-  cfg.op = op_id;
-  cfg.generation = op.best_generation + 1;
-  cfg.config_id = op.target_config;
-  std::optional<quorum::Quorum> cfg_targets;
-  if (options_.targeted) {
-    cfg_targets = configs_[op.best_config].pick_write(all);
-  }
-  Broadcast(cfg, cfg_targets);
-}
-
-void QuorumStoreClient::MaybeFinish(std::uint64_t op_id) {
-  Op& op = ops_.at(op_id);
-  if (op.phase != Phase::kWritePhase) return;
-  if (op.kind == OpKind::kWrite) {
-    if (configs_[op.best_config].has_write(op.acked)) Finish(op_id, true);
-    return;
-  }
-  if (op.kind == OpKind::kReconfigure &&
-      configs_[op.target_config].has_write(op.acked) &&
-      configs_[op.best_config].has_write(op.config_acked)) {
-    // The client adopts the configuration it just installed.
-    if (op.best_generation + 1 > generation_) {
-      generation_ = op.best_generation + 1;
-      config_id_ = op.target_config;
-    }
-    Finish(op_id, true);
-  }
-}
-
-void QuorumStoreClient::Finish(std::uint64_t op_id, bool ok) {
-  auto it = ops_.find(op_id);
-  QCNT_CHECK(it != ops_.end());
-  Op& op = it->second;
-  op.finished = true;
-  OpResult result;
-  result.ok = ok;
-  result.value = op.best_value;
-  result.latency = sim_->Now() - op.start;
-  result.messages = net_->MessagesSent() - op.messages_before;
-  Callback done = std::move(op.done);
-  ops_.erase(it);
-  if (done) done(result);
 }
 
 Deployment::Deployment(std::size_t replica_count, std::size_t client_count,
                        std::vector<quorum::QuorumSystem> configs,
                        std::uint32_t initial_config, LatencyModel latency,
                        double drop_probability, std::uint64_t seed,
-                       QuorumStoreClient::Options client_options)
+                       runtime::ClientOptions client_options)
     : net(sim, replica_count + client_count, latency, drop_probability,
           seed) {
+  auto table = std::make_shared<runtime::ConfigTable>(std::move(configs));
   for (std::size_t r = 0; r < replica_count; ++r) {
-    replicas.push_back(
-        std::make_unique<Replica>(net, static_cast<NodeId>(r)));
+    replicas.push_back(std::make_unique<Replica>(net, static_cast<NodeId>(r)));
   }
   for (std::size_t c = 0; c < client_count; ++c) {
     clients.push_back(std::make_unique<QuorumStoreClient>(
-        sim, net, static_cast<NodeId>(replica_count + c), configs,
+        sim, net, static_cast<NodeId>(replica_count + c), table,
         initial_config, client_options));
   }
 }

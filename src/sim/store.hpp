@@ -1,24 +1,22 @@
 // A quorum-replicated store over the simulated network.
 //
-// This is the "practical systems" counterpart of the automaton model: the
-// read-/write-/reconfigure-TM state machines re-expressed as asynchronous
-// RPC protocols. Replicas hold (version, value) and (generation, config);
-// clients perform logical reads (collect a read-quorum of versioned
-// responses, return the freshest), logical writes (version discovery via a
-// read-quorum, then install version+1 at a write-quorum), and Gifford
-// reconfigurations (read phase, write data to a write-quorum of the new
-// configuration, write the new (config, generation+1) stamp to a
-// write-quorum of the old one). The set of configurations that can ever be
-// installed is known statically (as in the automaton layer) and shared as a
-// table; messages carry table indices.
+// The simulated counterpart of the threaded runtime, running the same
+// protocol: Replica answers the runtime's batch read/write and config-write
+// requests under the runtime replica's rules (generation fence, Image
+// merge, header stamp on every reply), and QuorumStoreClient runs
+// runtime::QuorumCore — the sans-IO coordinator automaton every threaded
+// client runs — from simulator events, on the simulator's virtual clock.
+// The store holds a single item, key "" (the key a reconfigure's data leg
+// carries). The installable configurations form one runtime::ConfigTable
+// shared by every client.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
-#include "quorum/strategies.hpp"
+#include "runtime/quorum_op.hpp"
 #include "sim/network.hpp"
+#include "storage/image.hpp"
 
 namespace qcnt::sim {
 
@@ -26,21 +24,17 @@ namespace qcnt::sim {
 class Replica {
  public:
   Replica(Network& net, NodeId id);
+  Replica(const Replica&) = delete;  // the network holds its address
+  Replica& operator=(const Replica&) = delete;
 
-  std::uint64_t Version() const { return version_; }
-  std::int64_t Value() const { return value_; }
-  std::uint64_t Generation() const { return generation_; }
-  std::uint32_t ConfigId() const { return config_id_; }
+  const storage::Image& State() const { return image_; }
 
  private:
-  void OnMessage(NodeId from, const Message& m);
+  void OnMessage(NodeId from, const runtime::RtMessage& m);
 
   Network* net_;
   NodeId id_;
-  std::uint64_t version_ = 0;
-  std::int64_t value_ = 0;
-  std::uint64_t generation_ = 0;
-  std::uint32_t config_id_ = 0;
+  storage::Image image_;
 };
 
 /// Outcome of one logical operation.
@@ -48,89 +42,66 @@ struct OpResult {
   bool ok = false;
   std::int64_t value = 0;      // for reads
   Time latency = 0.0;          // completion - start
-  std::uint64_t messages = 0;  // network sends attributable to the op
+  std::uint64_t messages = 0;  // network sends while the op ran
 };
 
 class QuorumStoreClient {
+  using Kind = runtime::QuorumOp::Kind;
+
  public:
   using Callback = std::function<void(const OpResult&)>;
 
-  struct Options {
-    /// Per-operation deadline; the op fails when it expires.
-    Time timeout = 1000.0;
-    /// Send requests only to a picked quorum (plus the client's best guess
-    /// of liveness) instead of broadcasting to every replica.
-    bool targeted = false;
-    /// When > 0, re-send the current phase's requests every interval until
-    /// the operation finishes (handles message drops; all requests are
-    /// idempotent at the replicas).
-    Time retransmit_interval = 0.0;
-  };
-
-  /// `configs` is the table of installable configurations; replicas and
-  /// clients refer to entries by index. Entry `initial_config` is in force
-  /// at generation 0. The client is node `id` (>= replica count).
+  /// Entry `initial_config` of `table` is in force at generation 0. The
+  /// client is node `id` (>= replica count). A crashed replica looks like
+  /// a slow one: sends are never refused, so only timeouts and the
+  /// options' retries (`max_attempts`) move an op along.
   QuorumStoreClient(Simulator& sim, Network& net, NodeId id,
-                    std::vector<quorum::QuorumSystem> configs,
-                    std::uint32_t initial_config, Options options);
+                    std::shared_ptr<runtime::ConfigTable> table,
+                    std::uint32_t initial_config,
+                    runtime::ClientOptions options);
+  QuorumStoreClient(const QuorumStoreClient&) = delete;  // events hold it
+  QuorumStoreClient& operator=(const QuorumStoreClient&) = delete;
 
-  /// Current configuration the client believes in (highest generation seen).
-  std::uint32_t BelievedConfig() const { return config_id_; }
-  std::uint64_t BelievedGeneration() const { return generation_; }
+  /// The configuration the client believes in (newest stamp seen).
+  std::uint32_t BelievedConfig() const { return core_.ConfigId(); }
+  std::uint64_t BelievedGeneration() const { return core_.Generation(); }
 
-  void Read(Callback done);
-  void Write(std::int64_t value, Callback done);
-  /// Install configs[target] (must be an index into the table).
-  void Reconfigure(std::uint32_t target, Callback done);
+  void Read(Callback done) { Submit(Kind::kRead, 0, 0, std::move(done)); }
+  void Write(std::int64_t value, Callback done) {
+    Submit(Kind::kWrite, value, 0, std::move(done));
+  }
+  /// Install table entry `target`.
+  void Reconfigure(std::uint32_t target, Callback done) {
+    Submit(Kind::kReconfigure, 0, target, std::move(done));
+  }
 
  private:
-  enum class Phase : std::uint8_t { kReadPhase, kWritePhase };
-  enum class OpKind : std::uint8_t { kRead, kWrite, kReconfigure };
-
   struct Op {
-    OpKind kind;
-    Phase phase = Phase::kReadPhase;
+    runtime::QuorumOp op;
     Time start = 0.0;
     std::uint64_t messages_before = 0;
     Callback done;
-    // Read-phase accumulation.
-    std::uint64_t responded = 0;  // replica bitmask
-    std::uint64_t best_version = 0;
-    std::int64_t best_value = 0;
-    std::uint64_t best_generation = 0;
-    std::uint32_t best_config = 0;
-    // Write-phase accumulation.
-    std::uint64_t acked = 0;
-    std::uint64_t config_acked = 0;
-    std::int64_t write_value = 0;    // value being installed
-    std::uint32_t target_config = 0;  // for reconfigure
-    bool finished = false;
+    /// Due time of the op's live timer event (older events are stale).
+    runtime::TimePoint armed = runtime::TimePoint::max();
   };
 
-  std::uint64_t ReplicaCount() const;
-  void OnMessage(NodeId from, const Message& m);
-  void StartReadPhase(std::uint64_t op_id);
-  void SendReadRequests(std::uint64_t op_id);
-  void EnterWritePhase(std::uint64_t op_id);
-  void SendWriteRequests(std::uint64_t op_id);
-  void ScheduleRetransmit(std::uint64_t op_id);
-  void MaybeFinish(std::uint64_t op_id);
-  void Finish(std::uint64_t op_id, bool ok);
-  void Broadcast(const Message& m, const std::optional<quorum::Quorum>& only);
+  void Submit(Kind kind, std::int64_t value, std::uint32_t target,
+              Callback done);
+  void Apply(const std::shared_ptr<Op>& op, runtime::QuorumOp::Step step);
+  void Arm(const std::shared_ptr<Op>& op);
+  void OnMessage(NodeId from, const runtime::RtMessage& m);
+  void SendTo(std::uint64_t to, const runtime::RtMessage& m);
+  runtime::TimePoint Now() const;
 
   Simulator* sim_;
   Network* net_;
   NodeId id_;
-  std::vector<quorum::QuorumSystem> configs_;
-  Options options_;
-  // Believed configuration (updated from responses).
-  std::uint32_t config_id_;
-  std::uint64_t generation_ = 0;
-  std::uint64_t next_op_ = 1;
-  std::unordered_map<std::uint64_t, Op> ops_;
+  runtime::QuorumCore core_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<Op>> ops_;  // by op id
 };
 
 /// A complete single-item simulated deployment: n replicas plus clients.
+/// The default options fan every phase out to the full member set.
 struct Deployment {
   Simulator sim;
   Network net;
@@ -141,7 +112,8 @@ struct Deployment {
              std::vector<quorum::QuorumSystem> configs,
              std::uint32_t initial_config, LatencyModel latency,
              double drop_probability, std::uint64_t seed,
-             QuorumStoreClient::Options client_options = {});
+             runtime::ClientOptions client_options = {.target_minimal =
+                                                          false});
 };
 
 }  // namespace qcnt::sim

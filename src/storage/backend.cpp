@@ -84,18 +84,14 @@ class DurableBackend final : public Backend {
     // Open the checkpoint chain footer-only; blocks, index, and bloom
     // stay on disk until a cold read wants them. This is the heart of
     // O(tail) recovery: total state never moves at restart.
-    generation_ = 0;
-    config_id_ = 0;
+    stamp_ = Image{};
     for (const std::uint64_t id : files_.checkpoints) {
       auto reader = CheckpointReader::Open(Manifest::CheckpointPath(dir, id));
       if (reader == nullptr) {
         throw LayoutError("unreadable checkpoint: " +
                           Manifest::CheckpointPath(dir, id));
       }
-      if (reader->generation() >= generation_) {
-        generation_ = reader->generation();
-        config_id_ = reader->config_id();
-      }
+      stamp_.ApplyConfig(reader->generation(), reader->config_id());
       readers_.push_back(std::move(reader));
     }
 
@@ -104,9 +100,8 @@ class DurableBackend final : public Backend {
         log_.OpenAndReplay([this](const WalRecord& rec) {
           if (rec.type == WalRecord::Type::kWrite) {
             MergeDirty(rec.key, rec.version, rec.value);
-          } else if (rec.generation >= generation_) {
-            generation_ = rec.generation;
-            config_id_ = rec.config_id;
+          } else {
+            stamp_.ApplyConfig(rec.generation, rec.config_id);
           }
         });
     recovery_replayed_.fetch_add(replay.records, std::memory_order_relaxed);
@@ -125,7 +120,7 @@ class DurableBackend final : public Backend {
     for (const auto& [key, v] : dirty_) {
       image.ApplyWrite(key, v.version, v.value);
     }
-    image.ApplyConfig(generation_, config_id_);
+    image.ApplyConfig(stamp_.generation, stamp_.config_id);
     return image;
   }
 
@@ -151,10 +146,7 @@ class DurableBackend final : public Backend {
     bytes_.fetch_add(log_.BytesAppended() - before,
                      std::memory_order_relaxed);
     records_.fetch_add(1, std::memory_order_relaxed);
-    if (generation >= generation_) {
-      generation_ = generation;
-      config_id_ = config_id;
-    }
+    stamp_.ApplyConfig(generation, config_id);
   }
 
   void MaybeCompact(Image& image) override {
@@ -330,7 +322,7 @@ class DurableBackend final : public Backend {
     rotated_.fetch_add(1, std::memory_order_relaxed);
 
     const std::uint64_t id = files_.next_file_id++;
-    WriteCheckpointFile(id, dirty_, generation_, config_id_);
+    WriteCheckpointFile(id, dirty_, stamp_.generation, stamp_.config_id);
     files_.checkpoints.push_back(id);
     files_.segments = {files_.segments.back()};
     manifest_.Update(files_);  // commit point
@@ -457,8 +449,7 @@ class DurableBackend final : public Backend {
   };
   std::unique_ptr<ChainMerge> merge_;
   std::unordered_map<std::string, Versioned> dirty_;  // tail, as a map
-  std::uint64_t generation_ = 0;
-  std::uint32_t config_id_ = 0;
+  Image stamp_;  // the stamp half only: `data` stays empty
 
   // Only the server thread mutates the counters; Stats() may race from
   // other threads, hence the atomics. Deltas (not the chain's own totals)

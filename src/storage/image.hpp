@@ -36,12 +36,21 @@ struct Image {
     }
   }
 
-  /// Merge one configuration install (newer generation wins).
-  void ApplyConfig(std::uint64_t generation, std::uint32_t config_id_in) {
-    if (generation >= this->generation) {
-      this->generation = generation;
-      config_id = config_id_in;
+  /// Merge one configuration stamp; returns whether it advanced. Stamps
+  /// order by (generation, config_id): config ids are append-ordered in
+  /// the shared table, so an equal-generation install of a newer
+  /// configuration (an orphaned stamp from a timed-out reconfigure attempt
+  /// colliding with the attempt that won) supersedes, while a repeated
+  /// stamp is a no-op. The live server, recovery and the simulator all
+  /// apply stamps through this one rule.
+  bool ApplyConfig(std::uint64_t generation_in, std::uint32_t config_id_in) {
+    if (generation_in < generation ||
+        (generation_in == generation && config_id_in <= config_id)) {
+      return false;
     }
+    generation = generation_in;
+    config_id = config_id_in;
+    return true;
   }
 };
 

@@ -1,5 +1,6 @@
-// Tests for simulator fault handling: retransmission under heavy drops and
-// quorum behavior across network partitions.
+// Tests for simulator fault handling: the protocol core's retries under
+// heavy drops, replica idempotence under duplicated requests, and quorum
+// behavior across network partitions.
 #include <gtest/gtest.h>
 
 #include "quorum/strategies.hpp"
@@ -8,66 +9,75 @@
 namespace qcnt::sim {
 namespace {
 
-Deployment MakeLossy(double drop, std::uint64_t seed, Time retransmit) {
+using namespace std::chrono_literals;
+
+Deployment MakeLossy(double drop, std::uint64_t seed,
+                     std::size_t max_attempts) {
   std::vector<quorum::QuorumSystem> configs{quorum::MajoritySystem(5)};
-  QuorumStoreClient::Options opts;
-  opts.timeout = 500.0;
-  opts.retransmit_interval = retransmit;
   return Deployment(5, 1, configs, 0, LatencyModel::Uniform(1.0, 3.0), drop,
-                    seed, opts);
+                    seed,
+                    {.timeout = 20ms,
+                     .max_attempts = max_attempts,
+                     .target_minimal = false});
 }
 
 TEST(Retransmit, SurvivesHeavyDrops) {
-  // At 40% drop probability a single broadcast of 5 requests frequently
-  // misses a 3-response quorum (the replies are lossy too); periodic
-  // retransmission recovers.
-  std::size_t ok_without = 0, ok_with = 0;
+  // At 40% drop probability (requests and replies alike) one attempt —
+  // a broadcast read phase, then a broadcast write phase — assembles both
+  // 3-of-5 quorums only ~6% of the time. A failed attempt is retried
+  // under a fresh op id after a jittered backoff: with a 20 ms attempt
+  // timeout (a round trip takes at most 6 ms) and up to 200 attempts,
+  // every seed gets through; a single attempt does not.
+  std::size_t ok_single = 0, ok_retrying = 0;
   const std::size_t trials = 40;
   for (std::uint64_t seed = 0; seed < trials; ++seed) {
-    {
-      Deployment d = MakeLossy(0.4, seed, 0.0);
+    for (const std::size_t attempts : {1, 200}) {
+      Deployment d = MakeLossy(0.4, seed, attempts);
       OpResult w;
       d.clients[0]->Write(1, [&](const OpResult& r) { w = r; });
       d.sim.Run();
-      if (w.ok) ++ok_without;
-    }
-    {
-      Deployment d = MakeLossy(0.4, seed, 25.0);
-      OpResult w;
-      d.clients[0]->Write(1, [&](const OpResult& r) { w = r; });
-      d.sim.Run();
-      if (w.ok) ++ok_with;
+      if (w.ok) ++(attempts == 1 ? ok_single : ok_retrying);
     }
   }
-  EXPECT_EQ(ok_with, trials);       // retransmission always gets through
-  EXPECT_LT(ok_without, trials);    // naked broadcasts sometimes fail
+  EXPECT_EQ(ok_retrying, trials);  // retries always get through
+  EXPECT_LT(ok_single, trials);    // a single attempt sometimes fails
 }
 
 TEST(Retransmit, IdempotentUnderDuplicates) {
-  // Aggressive retransmission duplicates every request; versions must not
-  // be double-incremented.
-  Deployment d = MakeLossy(0.0, 1, 2.0);
-  for (std::int64_t v = 1; v <= 3; ++v) {
-    OpResult w;
-    d.clients[0]->Write(v * 10, [&](const OpResult& r) { w = r; });
-    d.sim.Run();
-    ASSERT_TRUE(w.ok);
-  }
-  OpResult r;
-  d.clients[0]->Read([&](const OpResult& res) { r = res; });
-  d.sim.Run();
-  ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.value, 30);
-  // Every replica holds version exactly 3.
-  for (const auto& replica : d.replicas) {
-    EXPECT_EQ(replica->Version(), 3u);
-  }
+  // The same install delivered twice, then an older one: the replica
+  // acks all three and ends with one version (the Image merge rule).
+  Simulator sim;
+  Network net(sim, 2, LatencyModel::Fixed(1.0), 0.0, 1);
+  Replica replica(net, 0);
+  std::size_t acks = 0;
+  net.SetHandler(1, [&](NodeId, const runtime::RtMessage& m) {
+    ASSERT_EQ(m.kind, runtime::RtMessage::Kind::kBatchWriteAck);
+    ASSERT_EQ(m.batch.size(), 1u);
+    EXPECT_EQ(m.batch[0].value, 0);  // accepted, not fenced
+    ++acks;
+  });
+  const auto install = [](std::uint64_t version, std::int64_t value) {
+    runtime::RtMessage m;
+    m.kind = runtime::RtMessage::Kind::kBatchWriteReq;
+    m.op = 7;
+    m.batch.push_back(runtime::BatchEntry{7, "", version, value});
+    return m;
+  };
+  net.Send(1, 0, install(3, 30));
+  net.Send(1, 0, install(3, 30));
+  sim.Run();
+  net.Send(1, 0, install(2, 20));
+  sim.Run();
+  EXPECT_EQ(acks, 3u);
+  ASSERT_EQ(replica.State().data.size(), 1u);
+  EXPECT_EQ(replica.State().data.at("").version, 3u);
+  EXPECT_EQ(replica.State().data.at("").value, 30);
 }
 
 TEST(Partition, MajoritySideStaysLive) {
   std::vector<quorum::QuorumSystem> configs{quorum::MajoritySystem(5)};
-  QuorumStoreClient::Options opts;
-  opts.timeout = 200.0;
+  const runtime::ClientOptions opts{.timeout = 200ms,
+                                    .target_minimal = false};
   // Client is node 5; put it with replicas {0,1,2}.
   Deployment d(5, 1, configs, 0, LatencyModel::Fixed(1.0), 0.0, 3, opts);
   d.net.Partition(0b100111 /* replicas 0,1,2 + client(5) */);
@@ -80,8 +90,8 @@ TEST(Partition, MajoritySideStaysLive) {
 
 TEST(Partition, MinoritySideBlocksThenHeals) {
   std::vector<quorum::QuorumSystem> configs{quorum::MajoritySystem(5)};
-  QuorumStoreClient::Options opts;
-  opts.timeout = 200.0;
+  const runtime::ClientOptions opts{.timeout = 200ms,
+                                    .target_minimal = false};
   Deployment d(5, 1, configs, 0, LatencyModel::Fixed(1.0), 0.0, 3, opts);
   // Client with only replicas {0,1}: a minority island.
   d.net.Partition(0b100011);
@@ -107,8 +117,8 @@ TEST(Partition, MinoritySideBlocksThenHeals) {
 TEST(Partition, NoSplitBrainWithMajorityQuorums) {
   // Clients on both sides of a partition: at most one side can write.
   std::vector<quorum::QuorumSystem> configs{quorum::MajoritySystem(5)};
-  QuorumStoreClient::Options opts;
-  opts.timeout = 200.0;
+  const runtime::ClientOptions opts{.timeout = 200ms,
+                                    .target_minimal = false};
   Deployment d(5, 2, configs, 0, LatencyModel::Fixed(1.0), 0.0, 9, opts);
   // Side A: replicas {0,1,2} + client 5. Side B: replicas {3,4} + client 6.
   d.net.Partition(0b0100111);

@@ -1,5 +1,6 @@
 // Tests for the discrete-event simulator, the network fault model, and the
-// simulated quorum store protocol (including Gifford reconfiguration).
+// simulated quorum store (the runtime's protocol core on the simulator's
+// clock, including Gifford reconfiguration and the generation fence).
 #include <gtest/gtest.h>
 
 #include "quorum/strategies.hpp"
@@ -74,12 +75,12 @@ TEST(Network, DeliversWithLatency) {
   Simulator sim;
   Network net(sim, 2, LatencyModel::Fixed(7.0), 0.0, 42);
   double arrival = -1.0;
-  net.SetHandler(1, [&](NodeId from, const Message& m) {
+  net.SetHandler(1, [&](NodeId from, const runtime::RtMessage& m) {
     EXPECT_EQ(from, 0u);
     EXPECT_EQ(m.value, 99);
     arrival = sim.Now();
   });
-  Message m;
+  runtime::RtMessage m;
   m.value = 99;
   net.Send(0, 1, m);
   sim.Run();
@@ -91,7 +92,7 @@ TEST(Network, CrashedNodesNeitherSendNorReceive) {
   Simulator sim;
   Network net(sim, 2, LatencyModel::Fixed(1.0), 0.0, 1);
   int received = 0;
-  net.SetHandler(1, [&](NodeId, const Message&) { ++received; });
+  net.SetHandler(1, [&](NodeId, const runtime::RtMessage&) { ++received; });
   net.Crash(1);
   net.Send(0, 1, {});
   sim.Run();
@@ -108,7 +109,7 @@ TEST(Network, CrashAtDeliveryTimeDrops) {
   Simulator sim;
   Network net(sim, 2, LatencyModel::Fixed(10.0), 0.0, 1);
   int received = 0;
-  net.SetHandler(1, [&](NodeId, const Message&) { ++received; });
+  net.SetHandler(1, [&](NodeId, const runtime::RtMessage&) { ++received; });
   net.Send(0, 1, {});
   sim.At(5.0, [&] { net.Crash(1); });  // crashes while in flight
   sim.Run();
@@ -120,7 +121,7 @@ TEST(Network, PartitionBlocksAcrossCut) {
   Network net(sim, 4, LatencyModel::Fixed(1.0), 0.0, 1);
   int received = 0;
   for (NodeId i = 0; i < 4; ++i) {
-    net.SetHandler(i, [&](NodeId, const Message&) { ++received; });
+    net.SetHandler(i, [&](NodeId, const runtime::RtMessage&) { ++received; });
   }
   net.Partition(0b0011);  // {0,1} | {2,3}
   net.Send(0, 1, {});     // same side: delivered
@@ -207,8 +208,8 @@ TEST(QuorumStore, FailsWithoutQuorumThenTimesOut) {
 }
 
 TEST(QuorumStore, SurvivesMessageDrops) {
-  // With retransmission-free broadcast, a read needs only some quorum of
-  // responses, so mild drop rates rarely matter for n=5 majority.
+  // With one attempt and a full broadcast, each phase needs only some
+  // quorum of responses, so mild drop rates rarely matter for n=5 majority.
   std::size_t ok = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Deployment d = MakeDeployment(5, 1, seed, 0.05);
@@ -234,11 +235,9 @@ TEST(QuorumStore, TwoClientsSeeEachOthersWrites) {
 
 TEST(QuorumStore, TargetedModeUsesFewerMessages) {
   std::vector<quorum::QuorumSystem> configs{quorum::MajoritySystem(7)};
-  QuorumStoreClient::Options targeted;
-  targeted.targeted = true;
   Deployment broadcast(7, 1, configs, 0, LatencyModel::Fixed(1.0), 0.0, 3);
   Deployment narrow(7, 1, configs, 0, LatencyModel::Fixed(1.0), 0.0, 3,
-                    targeted);
+                    {.target_minimal = true});
   OpResult rb, rt;
   broadcast.clients[0]->Read([&](const OpResult& r) { rb = r; });
   broadcast.sim.Run();
@@ -309,6 +308,40 @@ TEST(QuorumStore, SecondClientAdoptsNewConfiguration) {
   d.sim.Run();
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(d.clients[1]->BelievedConfig(), 1u);
+}
+
+TEST(QuorumStore, StaleGenerationWriteIsFencedAndTeachesTheStamp) {
+  // Client 0's stamp lands at t = 3, between client 1's read phase
+  // (replies at t = 2.5, all at generation 0) and its write phase
+  // (requests arrive at t = 3.5): every replica refuses the stale install.
+  std::vector<quorum::QuorumSystem> configs{quorum::MajoritySystem(3),
+                                            quorum::MajoritySystem(3)};
+  Deployment d(3, 2, configs, 0, LatencyModel::Fixed(1.0), 0.0, 5);
+  OpResult rc, w;
+  d.clients[0]->Reconfigure(1, [&](const OpResult& r) { rc = r; });
+  d.sim.At(0.5, [&] {
+    d.clients[1]->Write(77, [&](const OpResult& r) { w = r; });
+  });
+  d.sim.Run();
+  ASSERT_TRUE(rc.ok);
+  EXPECT_FALSE(w.ok);  // never completes under the old generation
+  EXPECT_LT(w.latency, 10.0);  // refused at t = 4.5, not timed out
+  EXPECT_EQ(d.clients[1]->BelievedGeneration(), 1u);  // learned from NACKs
+  EXPECT_EQ(d.clients[1]->BelievedConfig(), 1u);
+  for (const auto& replica : d.replicas) {
+    EXPECT_EQ(replica->State().generation, 1u);
+    EXPECT_EQ(replica->State().data.at("").version, 0u);  // nothing installed
+  }
+
+  // Under the learned stamp the same client's next write goes through.
+  OpResult w2, r;
+  d.clients[1]->Write(78, [&](const OpResult& res) { w2 = res; });
+  d.sim.Run();
+  EXPECT_TRUE(w2.ok);
+  d.clients[0]->Read([&](const OpResult& res) { r = res; });
+  d.sim.Run();
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.value, 78);
 }
 
 }  // namespace

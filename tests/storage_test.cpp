@@ -459,5 +459,38 @@ TEST(Recovery, StaleLogOverNewerSnapshotIsHarmless) {
   EXPECT_EQ(r.image.data.at("x").value, 30);
 }
 
+TEST(Image, ConfigStampsOrderByGenerationThenConfigId) {
+  Image image;
+  EXPECT_TRUE(image.ApplyConfig(3, 2));
+  // An equal-generation stamp of an older config does not supersede.
+  EXPECT_FALSE(image.ApplyConfig(3, 1));
+  EXPECT_EQ(image.generation, 3u);
+  EXPECT_EQ(image.config_id, 2u);
+  // A repeated identical stamp is a no-op; an older generation loses.
+  EXPECT_FALSE(image.ApplyConfig(3, 2));
+  EXPECT_FALSE(image.ApplyConfig(2, 7));
+  EXPECT_EQ(image.config_id, 2u);
+  EXPECT_TRUE(image.ApplyConfig(3, 4));
+  EXPECT_TRUE(image.ApplyConfig(4, 0));
+  EXPECT_EQ(image.generation, 4u);
+  EXPECT_EQ(image.config_id, 0u);
+}
+
+TEST(Recovery, ConfigStampsReplayInStampOrder) {
+  // The log holds (5, 2) and then (5, 1): recovery keeps config 2, the
+  // same stamp the live server would hold.
+  ScratchDir dir("rec_stamp_order");
+  fs::create_directories(Manifest::ChainDirPath(dir.path));
+  {
+    Wal wal(SegmentPath(dir.path, 2), {});
+    wal.Append(Config(5, 2));
+    wal.Append(Config(5, 1));
+  }
+  CommitChain(dir.path, {}, {2});
+  const Recovered r = RecoverDir(dir.path);
+  EXPECT_EQ(r.image.generation, 5u);
+  EXPECT_EQ(r.image.config_id, 2u);
+}
+
 }  // namespace
 }  // namespace qcnt::storage
