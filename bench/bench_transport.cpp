@@ -22,10 +22,13 @@
 //      consumers, and by the loop for a new connection's first frame) and
 //      receive-set polls (a consumer's zero-timeout epoll_wait before it
 //      reads, or its park) — so a change to the send or receive path
-//      shows where its per-frame cost went. tools/check_bench_transport.py
-//      gates the loop turns (a warm link's frames must not pass through
-//      the event loop) and the sync phase's recv calls (a pull reads only
-//      the connections epoll reports ready).
+//      shows where its per-frame cost went; beside them, the connections
+//      dialed and the node pairs that exchanged frames.
+//      tools/check_bench_transport.py gates the loop turns (a warm link's
+//      frames must not pass through the event loop), the sync phase's
+//      recv calls (a pull reads only the connections epoll reports ready)
+//      and the connections per talking pair (one duplex connection per
+//      node pair: a reply rides its request's socket).
 //   4. Mailbox wakeups and parks per handoff for sections 1 and 2, on
 //      both transports: how many deliveries into a mailbox (replicas' and
 //      the client's) had to wake a parked consumer, and how many waits
@@ -93,6 +96,13 @@ struct SyscallRow {
   double send_calls = 0;
   double recv_calls = 0;
   double ready_polls = 0;
+  std::uint64_t connects = 0;
+  std::uint64_t talking_pairs = 0;
+  double ConnectsPerPair() const {
+    return talking_pairs == 0 ? 0.0
+                              : static_cast<double>(connects) /
+                                    static_cast<double>(talking_pairs);
+  }
 };
 
 SyscallRow PerFrame(const std::string& phase,
@@ -105,6 +115,8 @@ SyscallRow PerFrame(const std::string& phase,
     w.send_calls += r.send_calls;
     w.recv_calls += r.recv_calls;
     w.ready_polls += r.ready_polls;
+    w.connects += r.connects;
+    w.talking_pairs += r.talking_pairs;
   }
   SyscallRow r;
   r.phase = phase;
@@ -115,6 +127,8 @@ SyscallRow PerFrame(const std::string& phase,
   r.send_calls = static_cast<double>(w.send_calls) / f;
   r.recv_calls = static_cast<double>(w.recv_calls) / f;
   r.ready_polls = static_cast<double>(w.ready_polls) / f;
+  r.connects = w.connects;
+  r.talking_pairs = w.talking_pairs;
   return r;
 }
 
@@ -375,7 +389,11 @@ void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
        << ", \"wake_writes\": " << bench::Table::Num(r.wake_writes, 3)
        << ", \"send_calls\": " << bench::Table::Num(r.send_calls, 3)
        << ", \"recv_calls\": " << bench::Table::Num(r.recv_calls, 3)
-       << ", \"ready_polls\": " << bench::Table::Num(r.ready_polls, 3) << "}"
+       << ", \"ready_polls\": " << bench::Table::Num(r.ready_polls, 3)
+       << ", \"connects\": " << r.connects
+       << ", \"talking_pairs\": " << r.talking_pairs
+       << ", \"connects_per_pair\": "
+       << bench::Table::Num(r.ConnectsPerPair(), 3) << "}"
        << (i + 1 < sys.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -421,17 +439,20 @@ int main(int argc, char** argv) {
     t.Print();
   }
 
-  bench::Banner("E18.3 — TCP syscalls per wire frame");
+  bench::Banner("E18.3 — TCP syscalls per wire frame, connections per pair");
   {
     bench::Table t({"phase", "wire frames", "loop turns", "wake writes",
-                    "send calls", "recv calls", "ready polls"});
+                    "send calls", "recv calls", "ready polls", "connects",
+                    "talking pairs"});
     for (const SyscallRow& r : sys) {
       t.AddRow({r.phase, std::to_string(r.frames),
                 bench::Table::Num(r.loop_turns, 3),
                 bench::Table::Num(r.wake_writes, 3),
                 bench::Table::Num(r.send_calls, 3),
                 bench::Table::Num(r.recv_calls, 3),
-                bench::Table::Num(r.ready_polls, 3)});
+                bench::Table::Num(r.ready_polls, 3),
+                std::to_string(r.connects),
+                std::to_string(r.talking_pairs)});
     }
     t.Print();
   }

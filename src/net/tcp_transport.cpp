@@ -151,7 +151,6 @@ TcpTransport::TcpTransport(TcpTransportOptions options,
       up_(CapacityOf(options_)),
       crash_hooks_(CapacityOf(options_)),
       recover_hooks_(CapacityOf(options_)),
-      peers_(CapacityOf(options_)),
       listen_fd_(CapacityOf(options_), -1) {
   QCNT_CHECK_MSG(!universe_.empty(), "tcp transport: empty universe");
   QCNT_CHECK_MSG(!local_nodes.empty(), "tcp transport: no hosted nodes");
@@ -163,7 +162,7 @@ TcpTransport::TcpTransport(TcpTransportOptions options,
     QCNT_CHECK(node < nodes);
     QCNT_CHECK_MSG(!local_[node], "tcp transport: duplicate hosted node");
     local_[node] = 1;
-    hosted_[node] = std::make_unique<Hosted>(*this);
+    hosted_[node] = std::make_unique<Hosted>(*this, node, Capacity());
   }
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
@@ -225,7 +224,13 @@ TcpTransport::~TcpTransport() {
   for (int fd : listen_fd_) {
     if (fd >= 0) ::close(fd);
   }
-  for (Peer& p : peers_) CloseFd(p.fd);
+  for (const std::unique_ptr<Hosted>& h : hosted_) {
+    if (!h) continue;
+    // A connected link's socket is its receive set's to close.
+    for (Link& link : h->links) {
+      if (link.state == LinkState::kConnecting) CloseFd(link.fd);
+    }
+  }
   for (Inbound& in : inbound_) CloseFd(in.fd);
   hosted_.clear();  // receive sets close their own connections
   ::close(epoll_fd_);
@@ -238,6 +243,23 @@ Mailbox& TcpTransport::MailboxOf(NodeId node) {
   QCNT_CHECK_MSG(local_[node],
                  "tcp transport: mailbox of a node hosted elsewhere");
   return hosted_[node]->box;
+}
+
+TcpTransport::Hosted::Hosted(TcpTransport& transport, NodeId node,
+                             std::size_t capacity)
+    : rx(transport), box(&rx), links(capacity) {
+  for (std::size_t remote = 0; remote < capacity; ++remote) {
+    links[remote].local = node;
+    links[remote].remote = static_cast<NodeId>(remote);
+  }
+}
+
+std::uint32_t TcpTransport::LinkId(const Link& link) const {
+  return static_cast<std::uint32_t>(link.local * Capacity() + link.remote);
+}
+
+TcpTransport::Link& TcpTransport::LinkById(std::uint32_t id) {
+  return hosted_[id / Capacity()]->links[id % Capacity()];
 }
 
 bool TcpTransport::IsLocal(NodeId node) const {
@@ -272,25 +294,25 @@ bool TcpTransport::Send(NodeId from, NodeId to, RtMessage msg) {
   // Every cross-node message rides the wire, even when the destination
   // is hosted by this same instance: a loopback universe then measures
   // (and tests) the genuine codec + socket path.
-  Peer& peer = peers_[to];
+  Link& link = hosted_[from]->links[to];
   {
-    // Connected: write through on this thread under the peer's lock
+    // Connected: write through on this thread under the link's lock
     // alone. A queue that was not empty is already being flushed — by a
     // sender ahead of us, or by the loop on OUT after EAGAIN — so the
     // frame just joins it.
-    std::unique_lock<std::mutex> plock(peer.mu);
-    if (peer.state == PeerState::kConnected && !peer.retarget) {
-      const bool was_empty = peer.outbuf.size() == peer.out_off;
-      if (!Enqueue(peer, from, to, msg)) return false;
-      if (!was_empty || TryFlush(to)) return true;
-      // Hard socket error. Failing the peer means arming its backoff
-      // timer, which is the loop's: hand the peer over instead. The
+    std::unique_lock<std::mutex> llock(link.mu);
+    if (link.state == LinkState::kConnected && !link.retarget) {
+      const bool was_empty = link.outbuf.size() == link.out_off;
+      if (!Enqueue(link, from, to, msg)) return false;
+      if (!was_empty || TryFlush(link)) return true;
+      // Hard socket error. Failing the link means arming its backoff
+      // timer, which is the loop's: hand the link over instead. The
       // unsent bytes stay queued, so later senders only append.
-      plock.unlock();
+      llock.unlock();
       bool wake = false;
       {
         std::lock_guard<std::mutex> lock(mu_);
-        wake = Kick(to);
+        wake = Kick(link);
       }
       if (wake) WakeLoop();
       return true;
@@ -305,39 +327,39 @@ bool TcpTransport::Send(NodeId from, NodeId to, RtMessage msg) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    std::lock_guard<std::mutex> plock(peer.mu);
-    const bool was_empty = peer.outbuf.size() == peer.out_off;
-    if (!Enqueue(peer, from, to, msg)) return false;
-    // Kick the peer only when nothing else will make the loop look at
-    // it: an idle peer needs a connect (a connected one got here only
+    std::lock_guard<std::mutex> llock(link.mu);
+    const bool was_empty = link.outbuf.size() == link.out_off;
+    if (!Enqueue(link, from, to, msg)) return false;
+    // Kick the link only when nothing else will make the loop look at
+    // it: an idle link needs a connect (a connected one got here only
     // across a state change or a pending retarget, and needs a flush). A
     // non-empty queue was already kicked or is armed for OUT, a
-    // connecting peer is armed for OUT, and a backing-off peer redials
+    // connecting link is armed for OUT, and a backing-off link redials
     // on the retry timer — so a burst, or a whole outage, costs one kick
     // rather than one per frame.
-    if (was_empty && (peer.state == PeerState::kIdle ||
-                      peer.state == PeerState::kConnected)) {
-      wake = Kick(to);
+    if (was_empty && (link.state == LinkState::kIdle ||
+                      link.state == LinkState::kConnected)) {
+      wake = Kick(link);
     }
   }
   if (wake) WakeLoop();
   return true;
 }
 
-bool TcpTransport::Enqueue(Peer& peer, NodeId from, NodeId to,
+bool TcpTransport::Enqueue(Link& link, NodeId from, NodeId to,
                            RtMessage& msg) {
-  if (peer.outbuf.size() - peer.out_off >= options_.max_write_queue_bytes) {
-    ++peer.backpressure_drops;
+  if (link.outbuf.size() - link.out_off >= options_.max_write_queue_bytes) {
+    ++link.backpressure_drops;
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  EncodeFrame(WireFrame{from, to, std::move(msg)}, peer.outbuf);
-  ++peer.frames_sent;
+  EncodeFrame(WireFrame{from, to, std::move(msg)}, link.outbuf);
+  ++link.frames_sent;
   return true;
 }
 
-bool TcpTransport::Kick(NodeId node) {
-  kicked_.push_back(node);
+bool TcpTransport::Kick(Link& link) {
+  kicked_.push_back(&link);
   // A loop that is not parked in epoll_wait services kicked_ before it
   // parks again, so the wake pipe is written at most once per park.
   const bool wake = polling_;
@@ -411,26 +433,31 @@ Endpoint TcpTransport::ActualEndpoint(NodeId node) const {
 }
 
 void TcpTransport::SetPeerEndpoint(NodeId node, Endpoint endpoint) {
-  QCNT_CHECK_MSG(node < peers_.size(),
+  QCNT_CHECK_MSG(node < Capacity(),
                  "tcp transport: peer id beyond universe capacity");
   bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // A brand-new peer (membership change): admit it into the logical
-    // universe. Its slot — peer state machine, up flag, retarget flag —
-    // was pre-allocated at construction, so no reader races a resize.
+    // universe. Its slots — links, up flag — were pre-allocated at
+    // construction, so no reader races a resize.
     if (node >= count_.load(std::memory_order_acquire)) {
       count_.store(static_cast<std::size_t>(node) + 1,
                    std::memory_order_release);
     }
     universe_[node] = std::move(endpoint);
-    // The loop owns every fd: flag the peer and let the loop tear the
-    // old connection down and redial (buffered frames carry over).
-    {
-      std::lock_guard<std::mutex> plock(peers_[node].mu);
-      peers_[node].retarget = true;
+    // The loop owns the link state machine: flag every hosted node's link
+    // to the peer and let the loop tear the old connections down and
+    // redial (buffered frames carry over).
+    for (const std::unique_ptr<Hosted>& h : hosted_) {
+      if (!h) continue;
+      Link& link = h->links[node];
+      {
+        std::lock_guard<std::mutex> llock(link.mu);
+        link.retarget = true;
+      }
+      wake |= Kick(link);
     }
-    wake = Kick(node);
   }
   if (wake) WakeLoop();
 }
@@ -446,7 +473,7 @@ void TcpTransport::AddLocalNode(NodeId node, Endpoint endpoint) {
     // accepts on it from its next epoll_wait, so no wake is needed. It
     // turns only under mu_, so the node's receive set exists by then.
     listen_fd_[node] = BindListenerOrThrow(node);
-    hosted_[node] = std::make_unique<Hosted>(*this);
+    hosted_[node] = std::make_unique<Hosted>(*this, node, Capacity());
     local_[node] = 1;
     up_[node].store(true);
     if (node >= count_.load(std::memory_order_acquire)) {
@@ -460,16 +487,24 @@ TcpStats TcpTransport::WireStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   TcpStats s = stats_;
   s.wake_writes = wake_writes_.load(std::memory_order_relaxed);
-  for (const Peer& peer : peers_) {
-    std::lock_guard<std::mutex> plock(peer.mu);
-    s.frames_sent += peer.frames_sent;
-    s.bytes_sent += peer.bytes_sent;
-    s.send_calls += peer.send_calls;
-    s.backpressure_drops += peer.backpressure_drops;
-  }
+  std::vector<std::pair<NodeId, NodeId>> pairs;
   for (const std::unique_ptr<Hosted>& h : hosted_) {
-    if (h) h->rx.AddStats(s);
+    if (!h) continue;
+    for (const Link& link : h->links) {
+      std::lock_guard<std::mutex> llock(link.mu);
+      s.frames_sent += link.frames_sent;
+      s.bytes_sent += link.bytes_sent;
+      s.send_calls += link.send_calls;
+      s.backpressure_drops += link.backpressure_drops;
+      if (link.frames_sent > 0) {
+        pairs.push_back(std::minmax(link.local, link.remote));
+      }
+    }
+    h->rx.AddStats(s);
   }
+  std::sort(pairs.begin(), pairs.end());
+  s.talking_pairs = static_cast<std::uint64_t>(
+      std::unique(pairs.begin(), pairs.end()) - pairs.begin());
   return s;
 }
 
@@ -484,19 +519,19 @@ void TcpTransport::WakeLoop() {
 
 void TcpTransport::CloseFd(int& fd) { DeregisterAndClose(epoll_fd_, fd); }
 
-void TcpTransport::StartConnect(NodeId node) {
-  Peer& peer = peers_[node];
-  const std::optional<ResolvedAddr> addr = ResolveEndpoint(
-      universe_[node].host, universe_[node].port, /*passive=*/false);
+void TcpTransport::StartConnect(Link& link) {
+  const Endpoint& ep = universe_[link.remote];
+  const std::optional<ResolvedAddr> addr =
+      ResolveEndpoint(ep.host, ep.port, /*passive=*/false);
   if (!addr) {
     // Unresolvable peer (bad literal, DNS failure): backoff-retry like a
     // refused connect — the name may start resolving later.
-    FailPeer(peer, /*count_attempt=*/true);
+    FailLink(link, /*count_attempt=*/true);
     return;
   }
   const int fd = ::socket(addr->family, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
-    FailPeer(peer, /*count_attempt=*/true);
+    FailLink(link, /*count_attempt=*/true);
     return;
   }
   SetNonBlocking(fd);
@@ -506,167 +541,176 @@ void TcpTransport::StartConnect(NodeId node) {
                            addr->len);
   if (rc != 0 && errno != EINPROGRESS) {
     ::close(fd);
-    FailPeer(peer, /*count_attempt=*/false);  // already counted above
+    FailLink(link, /*count_attempt=*/false);  // already counted above
     return;
   }
-  peer.fd = fd;
+  link.fd = fd;
   if (rc == 0) {
-    peer.state = PeerState::kConnected;
-    peer.failures = 0;
-    ++stats_.connects;
-    if (!TryFlush(node)) FailPeer(peer, /*count_attempt=*/false);
+    OnConnected(link);
   } else {
-    peer.state = PeerState::kConnecting;
-    Rearm(node);
+    link.state = LinkState::kConnecting;
+    Rearm(link);
   }
 }
 
-void TcpTransport::ClosePeerConnection(Peer& peer) {
-  CloseFd(peer.fd);
-  peer.interest = 0;
-  // A frame the closed connection carried only part of is dropped whole:
-  // the next connection must open on a frame boundary, or the receiver
-  // would read the frame's tail as a corrupt header.
-  peer.out_off = NextFrameBoundary(peer.outbuf, peer.out_off);
-  if (peer.out_off == peer.outbuf.size()) {
-    peer.outbuf.clear();
-    peer.out_off = 0;
+void TcpTransport::OnConnected(Link& link) {
+  link.state = LinkState::kConnected;
+  link.failures = 0;
+  ++stats_.connects;
+  // From here on the dialer's consumer reads the replies on this socket;
+  // its receive set owns the close.
+  Inbound in;
+  in.fd = link.fd;
+  in.node = link.local;
+  in.remote = link.remote;
+  in.vetted = true;
+  hosted_[link.local]->rx.Adopt(std::move(in));
+  if (!TryFlush(link)) FailLink(link, /*count_attempt=*/false);
+}
+
+void TcpTransport::Detach(Link& link) {
+  if (link.fd >= 0) {
+    // Deregister first: a forked child that still holds the socket keeps
+    // its registration alive past a close.
+    if (link.armed) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, link.fd, nullptr);
+    if (link.state == LinkState::kConnecting) {
+      ::close(link.fd);  // never reached a receive set
+    } else {
+      // Both halves fail: the peer reads EOF, and so does this node's
+      // receive set, which then closes the socket.
+      ::shutdown(link.fd, SHUT_RDWR);
+    }
+    link.fd = -1;
+  }
+  link.armed = false;
+  // A frame the socket carried only part of is dropped whole: the next
+  // connection must open on a frame boundary, or the receiver would read
+  // the frame's tail as a corrupt header.
+  link.out_off = NextFrameBoundary(link.outbuf, link.out_off);
+  if (link.out_off == link.outbuf.size()) {
+    link.outbuf.clear();
+    link.out_off = 0;
   }
 }
 
-void TcpTransport::FailPeer(Peer& peer, bool count_attempt) {
+void TcpTransport::Retarget(Link& link) {
+  link.retarget = false;
+  Detach(link);
+  link.state = LinkState::kIdle;
+  link.failures = 0;
+}
+
+void TcpTransport::FailLink(Link& link, bool count_attempt) {
   if (count_attempt) ++stats_.reconnect_attempts;
-  ClosePeerConnection(peer);
-  peer.state = PeerState::kBackoff;
-  peer.failures = std::min(peer.failures + 1, 20u);
-  auto backoff = options_.reconnect_base * (1u << std::min(peer.failures - 1,
+  Detach(link);
+  link.state = LinkState::kBackoff;
+  link.failures = std::min(link.failures + 1, 20u);
+  auto backoff = options_.reconnect_base * (1u << std::min(link.failures - 1,
                                                            10u));
   backoff = std::min(backoff,
                      std::chrono::duration_cast<std::chrono::milliseconds>(
                          options_.reconnect_max));
-  peer.retry_at = std::chrono::steady_clock::now() + backoff;
-  next_retry_ = std::min(next_retry_, peer.retry_at);
+  link.retry_at = std::chrono::steady_clock::now() + backoff;
+  next_retry_ = std::min(next_retry_, link.retry_at);
 }
 
-bool TcpTransport::TryFlush(NodeId node) {
-  Peer& peer = peers_[node];
-  while (peer.out_off < peer.outbuf.size()) {
-    ++peer.send_calls;
+bool TcpTransport::TryFlush(Link& link) {
+  while (link.out_off < link.outbuf.size()) {
+    ++link.send_calls;
     const ssize_t n =
-        ::send(peer.fd, peer.outbuf.data() + peer.out_off,
-               peer.outbuf.size() - peer.out_off, MSG_NOSIGNAL);
+        ::send(link.fd, link.outbuf.data() + link.out_off,
+               link.outbuf.size() - link.out_off, MSG_NOSIGNAL);
     if (n > 0) {
-      peer.out_off += static_cast<std::size_t>(n);
-      peer.bytes_sent += static_cast<std::uint64_t>(n);
+      link.out_off += static_cast<std::size_t>(n);
+      link.bytes_sent += static_cast<std::uint64_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      Rearm(node);  // socket buffer full: the loop flushes the rest on OUT
+      Rearm(link);  // socket buffer full: the loop flushes the rest on OUT
       return true;
     }
     return false;
   }
   // Fully drained: recycle the buffer — capacity kept, so a steady-state
   // sender appends frames into already-allocated memory.
-  peer.outbuf.clear();
-  peer.out_off = 0;
-  Rearm(node);
+  link.outbuf.clear();
+  link.out_off = 0;
+  Rearm(link);
   return true;
 }
 
-void TcpTransport::Rearm(NodeId node) {
-  Peer& peer = peers_[node];
-  std::uint32_t want = 0;
-  if (peer.state == PeerState::kConnecting) {
-    want = EPOLLOUT;
-  } else if (peer.state == PeerState::kConnected) {
-    want = EPOLLIN;  // EOF detection; peers never send on it
-    if (peer.out_off < peer.outbuf.size()) want |= EPOLLOUT;
+void TcpTransport::Rearm(Link& link) {
+  const bool want = link.state == LinkState::kConnecting ||
+                    (link.state == LinkState::kConnected &&
+                     link.out_off < link.outbuf.size());
+  if (link.fd < 0 || want == link.armed) return;
+  if (want) {
+    EpollCtl(EPOLL_CTL_ADD, link.fd, EPOLLOUT, FdKind::kLink, LinkId(link));
+  } else {
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, link.fd, nullptr);
   }
-  if (peer.fd < 0 || want == peer.interest) return;
-  EpollCtl(peer.interest == 0 ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, peer.fd, want,
-           FdKind::kPeer, node);
-  peer.interest = want;
+  link.armed = want;
 }
 
 void TcpTransport::ServiceKicked() {
-  for (NodeId node : kicked_) {
-    Peer& peer = peers_[node];
-    std::lock_guard<std::mutex> plock(peer.mu);
-    if (peer.retarget) {
-      // Tear the stale connection down, then take the normal "pending
-      // traffic → connect" path below.
-      peer.retarget = false;
-      ClosePeerConnection(peer);
-      peer.state = PeerState::kIdle;
-      peer.failures = 0;
-    }
-    const bool pending = peer.out_off < peer.outbuf.size();
-    if (peer.state == PeerState::kIdle && pending &&
-        universe_[node].port != 0) {
-      StartConnect(node);
-    } else if (peer.state == PeerState::kConnected && pending &&
-               !TryFlush(node)) {
-      FailPeer(peer, /*count_attempt=*/false);  // a sender's hard error
+  for (Link* link : kicked_) {
+    std::lock_guard<std::mutex> llock(link->mu);
+    // Tear a stale connection down, then take the normal "pending
+    // traffic → connect" path below.
+    if (link->retarget) Retarget(*link);
+    const bool pending = link->out_off < link->outbuf.size();
+    if (link->state == LinkState::kIdle && pending &&
+        universe_[link->remote].port != 0) {
+      StartConnect(*link);
+    } else if (link->state == LinkState::kConnected && pending &&
+               !TryFlush(*link)) {
+      FailLink(*link, /*count_attempt=*/false);  // a sender's hard error
     }
   }
   kicked_.clear();
 }
 
-void TcpTransport::RetryDuePeers(std::chrono::steady_clock::time_point now) {
+void TcpTransport::RetryDueLinks(std::chrono::steady_clock::time_point now) {
   if (now < next_retry_) return;
   next_retry_ = std::chrono::steady_clock::time_point::max();
-  for (std::size_t node = 0; node < peers_.size(); ++node) {
-    Peer& peer = peers_[node];
-    std::lock_guard<std::mutex> plock(peer.mu);
-    if (peer.state != PeerState::kBackoff) continue;
-    if (now < peer.retry_at) {
-      next_retry_ = std::min(next_retry_, peer.retry_at);
-      continue;
-    }
-    peer.state = PeerState::kIdle;
-    if (peer.out_off < peer.outbuf.size() && universe_[node].port != 0) {
-      StartConnect(static_cast<NodeId>(node));  // a failure re-arms next_retry_
+  for (const std::unique_ptr<Hosted>& h : hosted_) {
+    if (!h) continue;
+    for (Link& link : h->links) {
+      std::lock_guard<std::mutex> llock(link.mu);
+      if (link.state != LinkState::kBackoff) continue;
+      if (now < link.retry_at) {
+        next_retry_ = std::min(next_retry_, link.retry_at);
+        continue;
+      }
+      link.state = LinkState::kIdle;
+      if (link.out_off < link.outbuf.size() &&
+          universe_[link.remote].port != 0) {
+        StartConnect(link);  // a failure re-arms next_retry_
+      }
     }
   }
 }
 
-void TcpTransport::OnPeerEvent(NodeId node, std::uint32_t events) {
-  Peer& peer = peers_[node];
-  std::lock_guard<std::mutex> plock(peer.mu);
-  if (peer.fd < 0) return;  // closed earlier in this batch
-  if (peer.state == PeerState::kConnecting) {
+void TcpTransport::OnLinkEvent(Link& link, std::uint32_t events) {
+  std::lock_guard<std::mutex> llock(link.mu);
+  if (link.fd < 0) return;  // detached earlier in this batch
+  if (link.state == LinkState::kConnecting) {
     int err = 0;
     socklen_t len = sizeof(err);
-    ::getsockopt(peer.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+    ::getsockopt(link.fd, SOL_SOCKET, SO_ERROR, &err, &len);
     if ((events & (EPOLLERR | EPOLLHUP)) != 0 || err != 0) {
-      FailPeer(peer, /*count_attempt=*/false);
-      return;
+      FailLink(link, /*count_attempt=*/false);
+    } else {
+      OnConnected(link);
     }
-    peer.state = PeerState::kConnected;
-    peer.failures = 0;
-    ++stats_.connects;
-    if (!TryFlush(node)) FailPeer(peer, /*count_attempt=*/false);
     return;
   }
-  if ((events & EPOLLIN) != 0) {
-    // Outbound connections are write-only at the frame level; readable
-    // means EOF (peer process died/restarted) or stray bytes we discard.
-    char scratch[1024];
-    ++stats_.recv_calls;
-    const ssize_t n = ::recv(peer.fd, scratch, sizeof(scratch), 0);
-    if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
-      FailPeer(peer, /*count_attempt=*/false);
-      return;
-    }
-  }
-  if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-    FailPeer(peer, /*count_attempt=*/false);
-    return;
-  }
-  if ((events & EPOLLOUT) != 0 && !TryFlush(node)) {
-    FailPeer(peer, /*count_attempt=*/false);
+  // The link is registered only while a blocked send left bytes behind;
+  // EOF on an idle link is its receive set's to see.
+  if ((events & (EPOLLERR | EPOLLHUP)) != 0 ||
+      ((events & EPOLLOUT) != 0 && !TryFlush(link))) {
+    FailLink(link, /*count_attempt=*/false);
   }
 }
 
@@ -727,6 +771,7 @@ bool TcpTransport::ReadInbound(Inbound& in, TcpStats& stats,
       if (r.status == DecodeStatus::kOk) {
         ++stats.frames_received;
         in.off += r.consumed;
+        if (!in.vetted) in.remote = r.frame.from;
         in.vetted = true;
         Admit(in.node, r.frame, burst);
         continue;
@@ -763,19 +808,58 @@ void TcpTransport::Admit(NodeId node, WireFrame& frame,
 void TcpTransport::OnInboundEvent(Inbound& in) {
   Hosted& h = *hosted_[in.node];
   const bool open = ReadInbound(in, stats_, vet_burst_, /*vetting=*/true);
-  // Frames decoded before a close still count: they were whole.
-  h.box.PushAll(vet_burst_);
-  if (!open) {
-    CloseFd(in.fd);
-    in = Inbound{};  // frees the buffer; the slot is reusable
-    return;
+  if (!open || !in.vetted) {
+    // Frames decoded before a close still count: they were whole.
+    h.box.PushAll(vet_burst_);
+    if (!open) {
+      CloseFd(in.fd);
+      in = Inbound{};  // frees the buffer; the slot is reusable
+    }
+    return;  // or no whole frame yet
   }
-  if (!in.vetted) return;  // no whole frame yet
-  // Vetted: from here on the node's own observers read it. Its frames so
-  // far are queued above, so FIFO holds across the handoff.
+  // Vetted: the first frame named the dialer. The socket becomes this
+  // node's link to it before the frame reaches the mailbox, so the reply
+  // rides it; from here on the node's own observers read it. Its frames
+  // so far are queued before the handoff, so FIFO holds across it.
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, in.fd, nullptr);
+  if (in.remote < Capacity() && in.remote != in.node) {
+    Link& link = h.links[in.remote];
+    std::lock_guard<std::mutex> llock(link.mu);
+    InstallAccepted(link, in.fd);
+  }
+  h.box.PushAll(vet_burst_);
   h.rx.Adopt(std::move(in));
   in = Inbound{};
+}
+
+void TcpTransport::InstallAccepted(Link& link, int fd) {
+  // A retarget pending for the remote node is about its old endpoint;
+  // this connection comes from the node as it is now.
+  if (link.retarget) Retarget(link);
+  // A link with a socket of its own keeps sending on it (both nodes
+  // dialed): this one carries only the other direction.
+  if (link.fd >= 0) return;
+  link.fd = fd;
+  link.state = LinkState::kConnected;
+  link.failures = 0;
+  // Frames queued while the link was down leave now.
+  if (!TryFlush(link)) FailLink(link, /*count_attempt=*/false);
+}
+
+void TcpTransport::LinkLost(NodeId node, NodeId remote, int fd) {
+  if (remote >= Capacity()) return;  // never installed
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Link& link = hosted_[node]->links[remote];
+    std::lock_guard<std::mutex> llock(link.mu);
+    // The receive set still holds fd open, so an equal number is the
+    // same socket, not a reused one.
+    if (link.fd != fd) return;
+    FailLink(link, /*count_attempt=*/false);
+    wake = Kick(link);  // the loop re-reads next_retry_
+  }
+  if (wake) WakeLoop();
 }
 
 void TcpTransport::Loop() {
@@ -784,7 +868,7 @@ void TcpTransport::Loop() {
   for (;;) {
     if (stop_.load()) return;
     ServiceKicked();
-    RetryDuePeers(std::chrono::steady_clock::now());
+    RetryDueLinks(std::chrono::steady_clock::now());
     int timeout_ms = -1;
     if (next_retry_ != std::chrono::steady_clock::time_point::max()) {
       const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -814,8 +898,8 @@ void TcpTransport::Loop() {
         case FdKind::kListen:
           AcceptAll(id);
           break;
-        case FdKind::kPeer:
-          OnPeerEvent(id, events[i].events);
+        case FdKind::kLink:
+          OnLinkEvent(LinkById(id), events[i].events);
           break;
         case FdKind::kInbound:
           // A free slot: closed or handed off earlier in this batch.
@@ -854,30 +938,44 @@ void TcpTransport::Receiver::Adopt(Inbound&& in) {
 }
 
 void TcpTransport::Receiver::Pull(Mailbox& box) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!parked_ready_) {
-    std::array<epoll_event, kMaxEvents> events;
-    ++stats_.ready_polls;
-    const int ready = ::epoll_wait(epoll_fd_, events.data(), kMaxEvents, 0);
-    ready_.clear();
-    for (int i = 0; i < ready; ++i) {
-      // The eventfd stays set for the parked consumer's Park to drain.
-      if (events[i].data.fd != kEventTag) ready_.push_back(events[i].data.fd);
+  std::vector<Inbound> lost;  // allocates only when a connection dies
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!parked_ready_) {
+      std::array<epoll_event, kMaxEvents> events;
+      ++stats_.ready_polls;
+      const int ready = ::epoll_wait(epoll_fd_, events.data(), kMaxEvents, 0);
+      ready_.clear();
+      for (int i = 0; i < ready; ++i) {
+        // The eventfd stays set for the parked consumer's Park to drain.
+        if (events[i].data.fd != kEventTag) {
+          ready_.push_back(events[i].data.fd);
+        }
+      }
     }
-  }
-  parked_ready_ = false;
-  for (const int fd : ready_) {
-    const auto in = std::find_if(conns_.begin(), conns_.end(),
-                                 [fd](const Inbound& c) { return c.fd == fd; });
-    if (in == conns_.end()) continue;  // closed by an earlier pull
-    if (!t_.ReadInbound(*in, stats_, burst_, /*vetting=*/false)) {
-      DeregisterAndClose(epoll_fd_, in->fd);
-      conns_.erase(in);
+    parked_ready_ = false;
+    for (const int fd : ready_) {
+      const auto in =
+          std::find_if(conns_.begin(), conns_.end(),
+                       [fd](const Inbound& c) { return c.fd == fd; });
+      if (in == conns_.end()) continue;  // closed by an earlier pull
+      if (!t_.ReadInbound(*in, stats_, burst_, /*vetting=*/false)) {
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, in->fd, nullptr);
+        lost.push_back(std::move(*in));
+        conns_.erase(in);
+      }
     }
+    // Appended under the receive lock, so a burst never overtakes the one
+    // an earlier pull read from the same connection.
+    box.PushAll(burst_);
   }
-  // Appended under the receive lock, so a burst never overtakes the one
-  // an earlier pull read from the same connection.
-  box.PushAll(burst_);
+  // A dead connection fails the link that sends on it, if any, for both
+  // halves — outside the receive lock, which ranks below mu_ — and then
+  // this set, its one close owner, closes it.
+  for (Inbound& in : lost) {
+    t_.LinkLost(in.node, in.remote, in.fd);
+    ::close(in.fd);
+  }
 }
 
 void TcpTransport::Receiver::Park(

@@ -3,78 +3,101 @@
 // One TcpTransport instance serves one OS process and hosts a subset of
 // the node universe (one replica, or a handful of clients, or — for the
 // single-process loopback benchmark — every node). Each hosted node gets
-// a listening socket; every frame carries its own (from, to) routing, so
-// one connection per *destination process-port* is shared by all local
-// senders.
+// a listening socket and one *link* per remote node: a duplex connection
+// between the two nodes. A request and its reply ride the same socket,
+// so each data segment carries the ACK of the one before it and no
+// recv(2) has to send a bare ACK; and two hosted nodes replying to one
+// client write two sockets under two locks, never queue on one.
 //
 // Architecture (DESIGN.md §10):
 //
 //   Send(from, to, m),       node's consumer       event-loop thread
 //   caller's thread          (Pop/PopAll/...)
 //   ───────────────────────  ────────────────────  ──────────────────────
-//   under the peer's lock    pull first: poll the  epoll_wait on one set
-//   only: encode onto the    receive set, recv +   (wake pipe, listeners,
-//   peer's write queue;      decode the ready      peer and new inbound
-//   connected + queue was    connections, append   fds), then under mu_:
-//   empty → send(2) here     the burst under its    · accept; read a new
-//    · EAGAIN → arm OUT      receive lock; queue      connection to its
-//    · hard error → kick ─┐  empty → spin on such     first valid frame,
-//   not connected → kick ─┤  pulls for up to the      dispatch it, hand
-//   (under mu_)           │  spin budget, then        the fd to the
-//                         │  park in epoll_wait       node's receive set
-//                         │  on the receive set     · connect / backoff /
-//                         │  (connections +           retarget the kicked
-//                         │  eventfd; local           and due peers
-//                         │  pushes write the       · flush the EPOLLOUT
-//                         │  eventfd only when        backlog a blocked
-//                         │  it is parked)            send left behind
+//   under link (from, to)'s  pull first: poll the  epoll_wait on one set
+//   lock only: encode onto   receive set, recv +   (wake pipe, listeners,
+//   its write queue;         decode the ready      connecting and backed-
+//   connected + queue was    connections, append   up links, new accepted
+//   empty → send(2) here     the burst under its   fds), then under mu_:
+//    · EAGAIN → arm OUT      receive lock; queue    · accept; read a new
+//    · hard error → kick ─┐  empty → spin on such     connection to its
+//   not connected → kick ─┤  pulls for up to the      first valid frame,
+//   (under mu_)           │  spin budget, then        install it as the
+//                         │  park in epoll_wait       link to the frame's
+//                         │  on the receive set       sender, dispatch the
+//                         │  (the node's links and    frame, hand the fd
+//                         │  accepted connections     to the node's
+//                         │  + eventfd). EOF or an    receive set
+//                         │  error on a link's      · connect / backoff /
+//                         │  socket fails the link    retarget kicked and
+//                         │  (under mu_)              due links; a dialed
+//                         │                           socket joins the
+//                         │                           dialer's receive set
+//                         │                         · flush the EPOLLOUT
+//                         │                           backlog a blocked
+//                         │                           send left behind
 //                         └─── wake pipe ─────────▶
 //                              (only when the
 //                               loop is parked)
 //
-// So a connected peer's frames leave on the thread that produced them
+// So a connected link's frames leave on the thread that produced them
 // and reach the thread that consumes them with no loop hop on either
 // side of a round trip, and with no kernel wake at all when the reply
 // lands while its consumer still spins. The loop owns only what it
 // alone can do: accepts and the vetting of new connections, connects and
 // their backoff timer, retargets, and the backlog after EAGAIN. Lock
-// order is mu_ → Peer::mu and mu_ → a receive set's lock → the mailbox's
-// lock; a sender holds only its peer's mu while it writes, and hands a
-// hard socket error to the loop (kicked_ + wake) instead of failing the
-// peer itself, because the backoff timer (next_retry_) is the loop's.
+// order is mu_ → Link::mu → a receive set's lock → the mailbox's lock; a
+// sender holds only its link's mu while it writes, and hands a hard
+// socket error to the loop (kicked_ + wake) instead of failing the link
+// itself, because the backoff timer (next_retry_) is the loop's. A
+// receive set fails a link after it has released its own lock.
 //
-// A new inbound connection stays with the loop until it yields its first
-// valid frame, so garbage on a fresh connection is dropped with no
-// consumer running. Then the loop deregisters it and moves the fd and
-// its undecoded tail into the receive set of the node whose listener
-// accepted it, and never reads it again.
+// Who dials: the node that sends first. Its socket joins its own receive
+// set once connected, so replies are read on its consumer thread. The
+// acceptor vets the connection's first frame, whose `from` names the
+// dialer, and installs the socket as its own link to that node before
+// the frame reaches the mailbox, so the first reply already rides it.
+// Two nodes that dial each other at once get two sockets: each keeps
+// sending on the one it dialed (FIFO per direction) and reads both. A
+// socket the acceptor does not install only carries the other direction.
 //
-// Every fd is registered once, when it is created, tagged with its kind
-// and its node (listeners, peers) or fd (accepted connections), and
-// deregistered when it is closed. A peer's interest changes only with
-// its state — OUT while connecting, IN once connected, plus OUT while
-// bytes are pending — so a loop turn touches only the fds that are
-// ready, never the whole set. Level-triggered: an fd with work left is
-// simply reported again on the next turn. A handed-off inbound fd moves
-// from the loop's set to its node's receive set, registered there until
-// the consumer side closes it.
+// Ownership: a socket that reached a receive set is closed by that set
+// alone — on EOF, an error, a decode error, or its destruction. Failing
+// a link (EOF or error seen by either half, a retarget) deregisters the
+// socket from the loop and shutdown(2)s it, so the other half reads EOF
+// and the peer sees the close; the set closes it when it next reads it.
+// A dial that fails before it connects never reached a set, and the loop
+// closes it. Whichever side then has frames pending redials; every
+// hosted node keeps its listener, so an acceptor can dial back.
 //
-// Per-peer connection state machine:
+// Every fd is registered with the loop only while the loop has work on
+// it: listeners always, a new inbound connection until it is vetted, a
+// link while its connect is in flight or while a blocked send left bytes
+// for EPOLLOUT. Level-triggered: an fd with work left is simply reported
+// again on the next turn. A link's events are tagged with the link, not
+// the fd, so one stale event left in a batch after the link changed
+// sockets at worst flushes a queue or fails a fresh link, which redials.
+//
+// Per-link connection state machine:
 //
 //   kIdle ──send──▶ kConnecting ──writable+SO_ERROR==0──▶ kConnected
-//     ▲                  │ error                              │ EOF/error
+//     ▲  ▲               │ error                        ▲     │ EOF/error
+//     │  └ accepted ─────┼──────────────────────────────┘     │
 //     └── queue empty ── kBackoff ◀───────────────────────────┘
 //                          │ retry_at elapsed (exponential, capped)
 //                          └────────▶ kConnecting
 //
+// (An idle or backing-off link adopts a vetted inbound socket from its
+// remote node directly: "accepted" above.)
+//
 // Delivery semantics match the Transport contract: at-most-once, FIFO
-// per peer (one ordered byte stream), up-check and routing at read time
+// per link (one ordered byte stream), up-check and routing at read time
 // (a frame for a crashed local node, or one addressed to a node other
-// than the listener's, is dropped and counted; one read after Recover is
-// delivered — the same straggler rule the Bus documents). Sends while a
-// peer is unreachable are buffered up to max_write_queue_bytes, then
-// dropped and counted: the quorum layer's retries own end-to-end
-// delivery, the transport only owns best-effort ordered streams.
+// than the receiving one, is dropped and counted; one read after Recover
+// is delivered — the same straggler rule the Bus documents). Sends while
+// a link is down are buffered up to max_write_queue_bytes, then dropped
+// and counted: the quorum layer's retries own end-to-end delivery, the
+// transport only owns best-effort ordered streams.
 //
 // Fault injection (FaultPlan, partitions) is deliberately absent — that
 // is the in-process Bus's job; on TCP, the network itself is the fault
@@ -141,7 +164,7 @@ struct TcpTransportOptions {
   /// are dropped (and counted) instead of growing without bound.
   std::size_t max_write_queue_bytes = 4u << 20;
   /// Universe capacity ceiling for membership change. All per-node state
-  /// (peers, up-flags, mailbox slots) is pre-allocated to this size so
+  /// (links, up-flags, mailbox slots) is pre-allocated to this size so
   /// AddLocalNode / a growing SetPeerEndpoint never reallocates under a
   /// concurrent sender. 0 means universe.size() + a default headroom.
   std::size_t max_nodes = 0;
@@ -150,12 +173,14 @@ struct TcpTransportOptions {
 /// Wire-level counters (what the sockets actually did), alongside the
 /// Transport-level sent/dropped totals.
 struct TcpStats {
-  std::uint64_t frames_sent = 0;      // frames encoded onto a peer stream
+  std::uint64_t frames_sent = 0;      // frames encoded onto a link
   std::uint64_t frames_received = 0;  // frames decoded, by the loop (a new
                                       // connection's first) or a consumer
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t connects = 0;         // successful outbound connects
+  std::uint64_t talking_pairs = 0;    // node pairs some hosted link has
+                                      // sent a frame between (unordered)
   std::uint64_t reconnect_attempts = 0;
   std::uint64_t decode_errors = 0;    // connections dropped on bad frames
   std::uint64_t backpressure_drops = 0;
@@ -163,9 +188,9 @@ struct TcpStats {
   // Syscall counters: what the wire costs per frame.
   std::uint64_t loop_turns = 0;   // event-loop epoll_wait returns
   std::uint64_t wake_writes = 0;  // wake-pipe writes (senders nudging)
-  std::uint64_t send_calls = 0;   // send(2) on outbound peer streams, by
-                                  // senders and the loop alike
-  std::uint64_t recv_calls = 0;   // recv(2) on accepted and peer fds, by
+  std::uint64_t send_calls = 0;   // send(2) on links, by senders and the
+                                  // loop alike
+  std::uint64_t recv_calls = 0;   // recv(2) on links and accepted fds, by
                                   // the loop and consumers alike
   std::uint64_t ready_polls = 0;  // epoll waits on receive sets: a pull's
                                   // zero-timeout poll or a consumer's park
@@ -187,7 +212,7 @@ class TcpTransport final : public Transport {
   std::size_t NodeCount() const override {
     return count_.load(std::memory_order_acquire);
   }
-  std::size_t Capacity() const { return peers_.size(); }
+  std::size_t Capacity() const { return local_.size(); }
   Mailbox& MailboxOf(NodeId node) override;
   bool Send(NodeId from, NodeId to, RtMessage msg) override;
   void Crash(NodeId node) override;
@@ -207,9 +232,9 @@ class TcpTransport final : public Transport {
   Endpoint ActualEndpoint(NodeId node) const;
 
   /// Re-target a remote node (a restarted peer that came back on a new
-  /// port, or an endpoint that was unknown at construction). Drops the
-  /// current connection to the peer, if any; buffered frames carry over
-  /// and flush after the next connect. A node id at or beyond NodeCount()
+  /// port, or an endpoint that was unknown at construction). Drops every
+  /// hosted node's link to the peer, if connected; buffered frames carry
+  /// over and flush after the next connect. A node id at or beyond NodeCount()
   /// (but within Capacity) is a *brand-new* peer joining the universe:
   /// the logical node count grows to include it.
   void SetPeerEndpoint(NodeId node, Endpoint endpoint);
@@ -227,23 +252,28 @@ class TcpTransport final : public Transport {
   TcpStats WireStats() const;
 
  private:
-  enum class PeerState : std::uint8_t {
+  enum class LinkState : std::uint8_t {
     kIdle,        // no connection, nothing queued
     kConnecting,  // nonblocking connect in flight
     kConnected,
     kBackoff,     // connect failed / connection died; retry at retry_at
   };
 
-  /// Outbound connection state machine toward one remote node. Every
-  /// field is guarded by `mu`: senders hold it to write through on their
-  /// own threads, and the loop takes it before touching the fd, the
-  /// queue or the state.
-  struct Peer {
+  /// The duplex connection between one hosted node and one remote node.
+  /// Every field is guarded by `mu`: senders hold it to write through on
+  /// their own threads, and the loop and the receive set take it before
+  /// touching the fd, the queue or the state.
+  struct Link {
     mutable std::mutex mu;  // lock order: TcpTransport::mu_ → mu
-    PeerState state = PeerState::kIdle;
-    /// SetPeerEndpoint moved the peer: the loop must drop the connection
-    /// and redial. Senders stop writing through until it has.
+    NodeId local = 0;
+    NodeId remote = 0;
+    LinkState state = LinkState::kIdle;
+    /// SetPeerEndpoint moved the remote node: the loop must drop the
+    /// connection and redial. Senders stop writing through until it has.
     bool retarget = false;
+    /// The socket this node's frames to `remote` ride; -1 when none. Once
+    /// connected it is also in the local node's receive set, which owns
+    /// its close.
     int fd = -1;
     /// Pending encoded frames; [out_off, size) is unsent. The vector is
     /// reused across flushes (cleared, capacity kept), so a steady-state
@@ -253,7 +283,7 @@ class TcpTransport final : public Transport {
     std::size_t out_off = 0;
     std::uint32_t failures = 0;  // consecutive, drives the backoff
     std::chrono::steady_clock::time_point retry_at{};
-    std::uint32_t interest = 0;  // epoll events registered for fd (0: none)
+    bool armed = false;  // registered with the loop for EPOLLOUT
     // Write-side counters, kept here so the send path touches no shared
     // state; WireStats sums them.
     std::uint64_t frames_sent = 0;
@@ -262,14 +292,16 @@ class TcpTransport final : public Transport {
     std::uint64_t backpressure_drops = 0;
   };
 
-  /// One accepted inbound connection (any remote process), carrying
-  /// frames for the node whose listener accepted it. The loop's inbound_
-  /// is indexed by fd (fd == -1 marks a free slot) and holds connections
-  /// until they are vetted; a receive set holds them after.
+  /// One connection a receive set reads (a link's socket, or an accepted
+  /// one the acceptor did not install), or one the loop is vetting. The
+  /// loop's inbound_ is indexed by fd (fd == -1 marks a free slot) and
+  /// holds accepted connections until they are vetted; a receive set
+  /// holds them after, and holds every dialed link's socket.
   struct Inbound {
     int fd = -1;
-    NodeId node = 0;      // the accepting listener's node
-    bool vetted = false;  // a valid frame has been decoded
+    NodeId node = 0;      // the hosted node that reads it
+    NodeId remote = 0;    // the node at the other end (once vetted)
+    bool vetted = false;  // a valid frame has been decoded (or dialed)
     /// Grow-only receive buffer, never zero-filled: [off, filled) holds
     /// received bytes not yet decoded, [filled, cap) is free.
     std::unique_ptr<std::uint8_t[]> buf;
@@ -280,14 +312,15 @@ class TcpTransport final : public Transport {
 
   /// What an epoll registration points at (packed with an id into the
   /// event's 64-bit tag).
-  enum class FdKind : std::uint32_t { kWake, kListen, kPeer, kInbound };
+  enum class FdKind : std::uint32_t { kWake, kListen, kLink, kInbound };
 
-  /// A hosted node's receive set: its vetted inbound connections and an
-  /// eventfd, in an epoll set of their own. The mailbox's observers pull
-  /// through it and its consumer parks in it (see mailbox.hpp). A pull
-  /// reads only the connections the set reports ready: those of the last
-  /// park, if no pull has used them yet, else those of its own
-  /// zero-timeout poll. Pulls skip the eventfd; only Park drains it.
+  /// A hosted node's receive set: its links' sockets, the accepted
+  /// connections it did not install, and an eventfd, in an epoll set of
+  /// their own. The mailbox's observers pull through it and its consumer
+  /// parks in it (see mailbox.hpp). A pull reads only the connections the
+  /// set reports ready: those of the last park, if no pull has used them
+  /// yet, else those of its own zero-timeout poll. Pulls skip the
+  /// eventfd; only Park drains it.
   class Receiver final : public MailboxSource {
    public:
     /// How long a consumer spins on pulls before it parks. Picked from a
@@ -307,7 +340,8 @@ class TcpTransport final : public Transport {
     std::chrono::microseconds SpinBudget() const override {
       return kSpinBudget;
     }
-    /// Take over a vetted connection from the loop.
+    /// Take over a connection: a vetted one from the loop, or a link's
+    /// freshly dialed socket.
     void Adopt(Inbound&& in);
     /// Add this node's receive counters into `s`.
     void AddStats(TcpStats& s) const;
@@ -329,11 +363,13 @@ class TcpTransport final : public Transport {
     TcpStats stats_;               // the five receive counters only
   };
 
-  /// Per hosted node: the receive set and the mailbox it feeds.
+  /// Per hosted node: the receive set, the mailbox it feeds, and one link
+  /// per node id in the universe's capacity (index == remote NodeId).
   struct Hosted {
-    explicit Hosted(TcpTransport& transport) : rx(transport), box(&rx) {}
+    Hosted(TcpTransport& transport, NodeId node, std::size_t capacity);
     Receiver rx;
     Mailbox box;
+    std::vector<Link> links;
   };
 
   void Loop();
@@ -345,33 +381,44 @@ class TcpTransport final : public Transport {
   int BindListenerOrThrow(NodeId node);
   void EpollCtl(int op, int fd, std::uint32_t events, FdKind kind,
                 std::uint32_t id);
-  /// Encode the frame onto the peer's queue unless the queue is at its
-  /// cap (then count the drop and return false). Requires peer.mu held.
-  bool Enqueue(Peer& peer, NodeId from, NodeId to, RtMessage& msg);
-  /// Queue `node` for the loop's next turn; true when the caller must
+  /// The loop's epoll tag of a link, and back.
+  std::uint32_t LinkId(const Link& link) const;
+  Link& LinkById(std::uint32_t id);
+  /// Encode the frame onto the link's queue unless the queue is at its
+  /// cap (then count the drop and return false). Requires link.mu held.
+  bool Enqueue(Link& link, NodeId from, NodeId to, RtMessage& msg);
+  /// Queue `link` for the loop's next turn; true when the caller must
   /// then WakeLoop (the loop is parked with no wake pending). Requires
   /// mu_ held.
-  bool Kick(NodeId node);
+  bool Kick(Link& link);
   /// send(2) the queued bytes until drained, or until EAGAIN (then the fd
   /// is armed for OUT and the loop flushes the rest). Runs on a sender's
-  /// thread or on the loop's, with the peer's mu held. False on a hard
-  /// socket error: the loop then fails the peer; a sender kicks it to the
-  /// loop.
-  bool TryFlush(NodeId node);
-  /// Bring the peer's epoll interest in line with its state. Requires
-  /// the peer's mu held.
-  void Rearm(NodeId node);
-  /// The helpers below run on the loop thread with mu_ held. ServiceKicked,
-  /// RetryDuePeers and OnPeerEvent take each peer's mu themselves;
-  /// StartConnect, ClosePeerConnection and FailPeer require it held.
+  /// thread or on the loop's, with link.mu held. False on a hard socket
+  /// error: the loop then fails the link; a sender kicks it to the loop.
+  bool TryFlush(Link& link);
+  /// Register the link for OUT while a connect or a blocked send needs
+  /// it, and deregister it otherwise. Requires link.mu held.
+  void Rearm(Link& link);
+  /// The helpers below run with mu_ held, on the loop thread unless
+  /// noted. ServiceKicked, RetryDueLinks and OnLinkEvent take each
+  /// link's mu themselves; the others require it held.
   void ServiceKicked();
-  void RetryDuePeers(std::chrono::steady_clock::time_point now);
-  void StartConnect(NodeId node);
-  /// Close the peer's connection, keeping its queue from the first whole
-  /// frame the connection did not finish.
-  void ClosePeerConnection(Peer& peer);
-  void FailPeer(Peer& peer, bool count_attempt);
-  void OnPeerEvent(NodeId node, std::uint32_t events);
+  void RetryDueLinks(std::chrono::steady_clock::time_point now);
+  void StartConnect(Link& link);
+  /// The link's connect completed: its socket joins the local node's
+  /// receive set, and the queue starts to flush.
+  void OnConnected(Link& link);
+  /// Take the link off its socket — deregister it from the loop, then
+  /// shut it down for both halves (its receive set closes it) or, if it
+  /// never connected, close it — keeping its queue from the first whole
+  /// frame the socket did not finish.
+  void Detach(Link& link);
+  /// SetPeerEndpoint's teardown: detach and return to kIdle.
+  void Retarget(Link& link);
+  /// Detach and arm the backoff timer. Also runs on a receive set's
+  /// thread (LinkLost).
+  void FailLink(Link& link, bool count_attempt);
+  void OnLinkEvent(Link& link, std::uint32_t events);
   void AcceptAll(NodeId node);
   /// recv + decode the connection's frames into `burst`, until a short
   /// read drains the socket or — `vetting` — a read yields a valid
@@ -385,6 +432,13 @@ class TcpTransport final : public Transport {
   void Admit(NodeId node, WireFrame& frame, std::vector<Envelope>& burst);
   /// The loop's side of a readable, not yet vetted connection.
   void OnInboundEvent(Inbound& in);
+  /// A vetted connection from the link's remote node: make it the link's
+  /// socket unless the link has one of its own. Requires link.mu held.
+  void InstallAccepted(Link& link, int fd);
+  /// A receive set read EOF or an error on `fd`, a connection of `node`
+  /// to `remote`: fail that link if it still sends on `fd`. Takes mu_ and
+  /// the link's mu; the caller holds neither, nor its receive lock.
+  void LinkLost(NodeId node, NodeId remote, int fd);
   void CloseFd(int& fd);
 
   // Every per-node container below is sized to Capacity() at construction
@@ -405,17 +459,16 @@ class TcpTransport final : public Transport {
 
   /// Guards universe_, kicked_, polling_, next_retry_, inbound_, stats_,
   /// vet_burst_ and listen_fd_; the loop holds it for its whole turn. A
-  /// Peer's fields are under the Peer's own mu, a Receiver's under its.
+  /// Link's fields are under the Link's own mu, a Receiver's under its.
   mutable std::mutex mu_;
-  std::vector<Peer> peers_;  // index == destination NodeId
-  /// Peers the loop must look at on its next turn: a send that needs a
-  /// connect, a sender's hard socket error, or a retarget. Cleared
-  /// (capacity kept) per turn.
-  std::vector<NodeId> kicked_;
+  /// Links the loop must look at on its next turn: a send that needs a
+  /// connect, a sender's hard socket error, a retarget, or a failure a
+  /// receive set found. Cleared (capacity kept) per turn.
+  std::vector<Link*> kicked_;
   /// The loop is parked in (or about to enter) epoll_wait with no wake
   /// pending: the next kick must write the wake pipe.
   bool polling_ = false;
-  /// No kBackoff peer retries before this (max() when none).
+  /// No kBackoff link retries before this (max() when none).
   std::chrono::steady_clock::time_point next_retry_ =
       std::chrono::steady_clock::time_point::max();
   std::vector<Inbound> inbound_;  // index == accepted fd, until vetted

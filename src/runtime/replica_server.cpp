@@ -408,7 +408,12 @@ void ReplicaServer::Handle(Envelope& e) {
       ops_.fetch_add(1, std::memory_order_relaxed);
       NoteConfigPayload(m);
       reply.kind = RtMessage::Kind::kConfigWriteAck;
-      reply.config = m.config;  // echo: the ack is self-describing too
+      // Stamped like every other reply: a replica already past the
+      // install teaches its own stamp. The request's payload is echoed
+      // only when it describes that stamp.
+      reply.generation = image_.generation;
+      reply.config_id = image_.config_id;
+      if (reply.config_id == m.config_id) reply.config = m.config;
       break;
     }
     case RtMessage::Kind::kBatchReadReq:

@@ -40,23 +40,49 @@ bool Network::Reachable(NodeId from, NodeId to) const {
 }
 
 void Network::Send(NodeId from, NodeId to, runtime::RtMessage m) {
+  if (InFlight* f = Schedule(from, to)) f->own = std::move(m);
+}
+
+void Network::Send(NodeId from, NodeId to,
+                   std::shared_ptr<const runtime::RtMessage> m) {
+  if (InFlight* f = Schedule(from, to)) f->shared = std::move(m);
+}
+
+Network::InFlight* Network::Schedule(NodeId from, NodeId to) {
   QCNT_CHECK(from < handlers_.size() && to < handlers_.size());
   ++sent_;
   if (!up_[from] || !Reachable(from, to) ||
       rng_.Chance(drop_probability_)) {
     ++dropped_;
-    return;
+    return nullptr;
   }
   const Time delay = latency_.Sample(rng_);
-  sim_->After(delay, [this, from, to, m = std::move(m)] {
-    // Re-check liveness and reachability at delivery time.
-    if (!up_[to] || !Reachable(from, to)) {
-      ++dropped_;
-      return;
-    }
-    ++delivered_;
-    if (handlers_[to]) handlers_[to](from, m);
-  });
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  sim_->After(delay, [this, slot] { Deliver(slot); });
+  InFlight& f = in_flight_[slot];
+  f.from = from;
+  f.to = to;
+  return &f;
+}
+
+void Network::Deliver(std::uint32_t slot) {
+  // Moved out first: the handler may send, and reuse the slot.
+  const InFlight f = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  // Re-check liveness and reachability at delivery time.
+  if (!up_[f.to] || !Reachable(f.from, f.to)) {
+    ++dropped_;
+    return;
+  }
+  ++delivered_;
+  if (handlers_[f.to]) handlers_[f.to](f.from, f.shared ? *f.shared : f.own);
 }
 
 void Network::Crash(NodeId node) {

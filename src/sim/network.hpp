@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -53,6 +54,10 @@ class Network {
   /// endpoint is down at send or delivery time, the pair is partitioned,
   /// or the message is dropped.
   void Send(NodeId from, NodeId to, runtime::RtMessage m);
+  /// The same for one destination of a fan-out: every destination's Send
+  /// gets the one shared message, so n destinations cost no copies.
+  void Send(NodeId from, NodeId to,
+            std::shared_ptr<const runtime::RtMessage> m);
 
   void Crash(NodeId node);
   void Recover(NodeId node);
@@ -69,7 +74,20 @@ class Network {
   std::uint64_t MessagesDropped() const { return dropped_; }
 
  private:
+  /// A message between its send and its delivery event: a fan-out's
+  /// shared one, or else a single send's own.
+  struct InFlight {
+    NodeId from = 0;
+    NodeId to = 0;
+    std::shared_ptr<const runtime::RtMessage> shared;
+    runtime::RtMessage own;
+  };
+
   bool Reachable(NodeId from, NodeId to) const;
+  /// Count the send, and unless it is dropped, schedule its delivery and
+  /// return its slot for the caller to fill (valid until the next call).
+  InFlight* Schedule(NodeId from, NodeId to);
+  void Deliver(std::uint32_t slot);
 
   Simulator* sim_;
   LatencyModel latency_;
@@ -77,6 +95,11 @@ class Network {
   Rng rng_;
   std::vector<Handler> handlers_;
   std::vector<std::uint8_t> up_;
+  /// In-flight messages by slot (free slots listed in free_slots_). A
+  /// delivery event names only its slot, so its closure fits inside the
+  /// event's std::function and a send allocates nothing per destination.
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t partition_side_ = ~0ull;  // every node on one side: no cut
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;

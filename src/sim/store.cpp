@@ -81,9 +81,10 @@ void QuorumStoreClient::Submit(QuorumOp::Kind kind, std::int64_t value,
   Apply(state, step);
 }
 
-void QuorumStoreClient::SendTo(std::uint64_t to, const RtMessage& m) {
+void QuorumStoreClient::SendTo(std::uint64_t to, RtMessage m) {
+  const auto shared = std::make_shared<const RtMessage>(std::move(m));
   for (std::uint64_t rest = to; rest != 0; rest &= rest - 1) {
-    net_->Send(id_, static_cast<NodeId>(__builtin_ctzll(rest)), m);
+    net_->Send(id_, static_cast<NodeId>(__builtin_ctzll(rest)), shared);
   }
 }
 
@@ -103,7 +104,7 @@ void QuorumStoreClient::Apply(const std::shared_ptr<Op>& state,
         }
         op.Sent(core_, op.DirectTargets(), Now());
       } else {
-        const RtMessage m = op.Request(core_);
+        const auto m = std::make_shared<const RtMessage>(op.Request(core_));
         const std::uint64_t sent = core_.Target(
             *core_.Table()->At(core_.ConfigId()),
             op.OpPhase() == QuorumOp::Phase::kWrite, op.Targetable(core_),

@@ -90,7 +90,7 @@ class QuorumStoreClient {
   void Apply(const std::shared_ptr<Op>& op, runtime::QuorumOp::Step step);
   void Arm(const std::shared_ptr<Op>& op);
   void OnMessage(NodeId from, const runtime::RtMessage& m);
-  void SendTo(std::uint64_t to, const runtime::RtMessage& m);
+  void SendTo(std::uint64_t to, runtime::RtMessage m);
   runtime::TimePoint Now() const;
 
   Simulator* sim_;

@@ -349,6 +349,38 @@ TEST(ShardedStore, ReconfigureBarriersAcrossAllShards) {
   EXPECT_EQ(client->Read("after").value, 99);
 }
 
+// A config-write ack carries the replica's stamp, like every other
+// reply: the installed stamp after an install, and the replica's newer
+// stamp when the install is stale.
+TEST(ShardedStore, ConfigWriteAckCarriesTheReplicasStamp) {
+  StoreOptions options;
+  options.replicas = 3;
+  options.configs = {quorum::MajoritySystem(3), quorum::MajoritySystem(3)};
+  ReplicatedStore store(std::move(options));
+  const auto stamp = [](std::uint64_t generation, std::uint32_t config_id) {
+    RtMessage m;
+    m.kind = RtMessage::Kind::kConfigWriteReq;
+    m.op = 7;
+    m.generation = generation;
+    m.config_id = config_id;
+    return m;
+  };
+  for (NodeId r = 0; r < store.ReplicaCount(); ++r) {
+    const RtMessage ack = RoundTrip(store, r, stamp(1, 1));
+    ASSERT_EQ(ack.kind, RtMessage::Kind::kConfigWriteAck);
+    const ReplicaSnapshot snap = store.ReplicaPeek(r);
+    EXPECT_EQ(snap.image.generation, 1u) << "replica " << r;
+    EXPECT_EQ(snap.image.config_id, 1u) << "replica " << r;
+    EXPECT_EQ(ack.generation, snap.image.generation) << "replica " << r;
+    EXPECT_EQ(ack.config_id, snap.image.config_id) << "replica " << r;
+
+    const RtMessage stale = RoundTrip(store, r, stamp(0, 0));
+    ASSERT_EQ(stale.kind, RtMessage::Kind::kConfigWriteAck);
+    EXPECT_EQ(stale.generation, 1u) << "replica " << r;
+    EXPECT_EQ(stale.config_id, 1u) << "replica " << r;
+  }
+}
+
 // A catchup request naming a nonzero stripe index (a puller that expects
 // a striped layout) is answered with an empty, final chunk: the donor
 // keeps one chain and never serves its image under another index.

@@ -94,12 +94,12 @@ TEST(Network, CrashedNodesNeitherSendNorReceive) {
   int received = 0;
   net.SetHandler(1, [&](NodeId, const runtime::RtMessage&) { ++received; });
   net.Crash(1);
-  net.Send(0, 1, {});
+  net.Send(0, 1, runtime::RtMessage{});
   sim.Run();
   EXPECT_EQ(received, 0);
   net.Recover(1);
   net.Crash(0);
-  net.Send(0, 1, {});
+  net.Send(0, 1, runtime::RtMessage{});
   sim.Run();
   EXPECT_EQ(received, 0);
   EXPECT_EQ(net.MessagesDropped(), 2u);
@@ -110,7 +110,7 @@ TEST(Network, CrashAtDeliveryTimeDrops) {
   Network net(sim, 2, LatencyModel::Fixed(10.0), 0.0, 1);
   int received = 0;
   net.SetHandler(1, [&](NodeId, const runtime::RtMessage&) { ++received; });
-  net.Send(0, 1, {});
+  net.Send(0, 1, runtime::RtMessage{});
   sim.At(5.0, [&] { net.Crash(1); });  // crashes while in flight
   sim.Run();
   EXPECT_EQ(received, 0);
@@ -124,12 +124,12 @@ TEST(Network, PartitionBlocksAcrossCut) {
     net.SetHandler(i, [&](NodeId, const runtime::RtMessage&) { ++received; });
   }
   net.Partition(0b0011);  // {0,1} | {2,3}
-  net.Send(0, 1, {});     // same side: delivered
-  net.Send(0, 2, {});     // across: dropped
+  net.Send(0, 1, runtime::RtMessage{});  // same side: delivered
+  net.Send(0, 2, runtime::RtMessage{});  // across: dropped
   sim.Run();
   EXPECT_EQ(received, 1);
   net.Heal();
-  net.Send(0, 2, {});
+  net.Send(0, 2, runtime::RtMessage{});
   sim.Run();
   EXPECT_EQ(received, 2);
 }

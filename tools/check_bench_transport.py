@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Gate BENCH_transport.json (experiment E18) on the TCP receive path and
-on how often mailbox consumers park.
+"""Gate BENCH_transport.json (experiment E18) on the TCP receive path, on
+the connections per node pair and on how often mailbox consumers park.
 
 Each hosted node receives on the thread that consumes its mailbox: a
 warm link's frames reach the consumer without passing through the
@@ -17,6 +17,15 @@ readable and recv(2)s only those, so in E18.3's sync phase a frame costs
 about one recv: at most RECV_CALLS_PER_FRAME_CEIL. A pull that reads
 every inbound connection makes ~1.9 recv calls per frame there (a client
 has one connection per replica, and most hold nothing).
+
+Each node pair that exchanges frames shares one duplex connection: the
+node that sends first dials, and the acceptor sends its replies back on
+the socket it accepted. So in both TCP phases of E18.3 the connections
+dialed number at most CONNECTS_PER_PAIR_CEIL per node pair that exchanged
+frames. One-way connections (a reply travels on a connection its sender
+dialed) open up to 2 per node pair: 20 for 15 pairs in E18's
+single-process store, where the replicas share one connection back to
+the client.
 
 A consumer that finds its mailbox empty spins briefly before it parks,
 so in E18.4's sync phase (one blocking client, one round trip at a time)
@@ -39,6 +48,7 @@ import sys
 
 LOOP_TURNS_PER_FRAME_CEIL = 0.05
 RECV_CALLS_PER_FRAME_CEIL = 1.2
+CONNECTS_PER_PAIR_CEIL = 1.0
 PHASES = ("sync", "pipelined")
 WAKEUPS_PER_HANDOFF_CEIL = 0.5
 PARKS_PER_HANDOFF_CEIL = 0.5
@@ -122,6 +132,26 @@ def main(argv):
                   "passing through the loop", file=sys.stderr)
             status = 1
 
+    for phase in PHASES:
+        row = rows[phase]
+        connects = row.get("connects")
+        pairs = row.get("talking_pairs")
+        if connects is None or pairs is None:
+            print(f"check_bench_transport: {path} reports no connects or "
+                  f"talking_pairs for the {phase} phase", file=sys.stderr)
+            return 2
+        if pairs <= 0:
+            print(f"check_bench_transport: FAIL: the {phase} phase reports "
+                  "no node pair that exchanged frames", file=sys.stderr)
+            status = 1
+        elif connects / pairs > CONNECTS_PER_PAIR_CEIL:
+            print(f"check_bench_transport: FAIL: the {phase} phase dialed "
+                  f"{connects} connections for {pairs} talking node pairs "
+                  f"({connects / pairs:.3f} per pair, ceiling "
+                  f"{CONNECTS_PER_PAIR_CEIL}) — replies do not ride their "
+                  "requests' sockets", file=sys.stderr)
+            status = 1
+
     recv = rows["sync"].get("recv_calls")
     if recv is None:
         print("check_bench_transport: FAIL: the sync phase reports no "
@@ -138,7 +168,11 @@ def main(argv):
         print(f"check_bench_transport: OK ({path}: loop turns per frame " +
               ", ".join(f"{p} {rows[p]['loop_turns']:.3f}" for p in PHASES) +
               f", ceiling {LOOP_TURNS_PER_FRAME_CEIL}; sync recv calls per "
-              f"frame {recv:.3f}, ceiling {RECV_CALLS_PER_FRAME_CEIL}" +
+              f"frame {recv:.3f}, ceiling {RECV_CALLS_PER_FRAME_CEIL}; "
+              "connections per talking pair " +
+              ", ".join(f"{p} {rows[p]['connects'] / rows[p]['talking_pairs']:.3f}"
+                        for p in PHASES) +
+              f", ceiling {CONNECTS_PER_PAIR_CEIL}" +
               "".join(f"; {n}" for n in notes) + ")")
     return status
 
