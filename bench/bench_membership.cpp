@@ -9,6 +9,11 @@
 //   during_join  — exactly the wall-clock span of AddReplica()
 //   after_join   — after the new 4-replica configuration is installed
 //
+// Each window also reports the p99 and max latency of the ops that
+// completed in it, and each join cycle reports phase A's and the seal's
+// wall time and entries (every stream uses MembershipOptions::
+// chunk_entries, 32 here).
+//
 // The gate: during_join throughput must stay at or above 50% of steady.
 // Catchup chunks are bounded and donor-side reads interleave with live
 // writes on the donor's loop, so a join should cost a fraction of
@@ -21,6 +26,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,16 +54,34 @@ constexpr double kGateMinRatio = 0.5;
 // noise on a small machine. Three grow/shrink cycles are measured and
 // the gate is judged on the median during-join ratio.
 constexpr std::size_t kJoinCycles = 3;
+// Small chunks are the latency knob: each catchup/seal install is a
+// burst of replica work that client ops queue behind, so bounding the
+// burst is what keeps the dip inside the gate.
+constexpr std::size_t kChunkEntries = 32;
 
 struct WindowRow {
   std::string phase;
   double ops_per_sec = 0;
   double wall_ms = 0;
+  double p99_us = 0;
+  double max_us = 0;
+};
+
+/// One grow cycle's join phases, from its MembershipReport.
+struct JoinRow {
+  double catchup_ms = 0;
+  std::uint64_t catchup_entries = 0;
+  double seal_ms = 0;
+  std::uint64_t seal_entries = 0;
 };
 
 /// Count of completed-ok client ops, shared across traffic threads.
 std::atomic<std::uint64_t> g_ok{0};
 std::atomic<bool> g_stop{false};
+/// Latencies (µs) of the ops completed since the current window began.
+/// An op counts in the window in which its burst drained, like g_ok.
+std::mutex g_lat_mu;
+std::vector<std::int64_t> g_lat_us;
 
 void Traffic(ReplicatedStore& store, std::size_t id) {
   // Pipelined traffic, as in the E2E membership tests: the window
@@ -83,9 +107,15 @@ void Traffic(ReplicatedStore& store, std::size_t id) {
       }
     }
     client->Drain();
+    std::vector<std::int64_t> lat;
+    lat.reserve(burst.size());
     for (auto& f : burst) {
-      if (f.Get().ok) g_ok.fetch_add(1, std::memory_order_relaxed);
+      const runtime::ClientResult r = f.Get();
+      lat.push_back(r.latency.count());
+      if (r.ok) g_ok.fetch_add(1, std::memory_order_relaxed);
     }
+    std::lock_guard<std::mutex> lock(g_lat_mu);
+    g_lat_us.insert(g_lat_us.end(), lat.begin(), lat.end());
   }
 }
 
@@ -94,6 +124,10 @@ struct Sampler {
   std::uint64_t ops0 = 0;
   std::chrono::steady_clock::time_point t0;
   void Begin() {
+    {
+      std::lock_guard<std::mutex> lock(g_lat_mu);
+      g_lat_us.clear();
+    }
     ops0 = g_ok.load();
     t0 = std::chrono::steady_clock::now();
   }
@@ -105,25 +139,50 @@ struct Sampler {
     r.wall_ms = wall.count();
     r.ops_per_sec = static_cast<double>(g_ok.load() - ops0) /
                     (wall.count() / 1000.0);
+    std::vector<std::int64_t> lat;
+    {
+      std::lock_guard<std::mutex> lock(g_lat_mu);
+      lat.swap(g_lat_us);
+    }
+    if (!lat.empty()) {
+      std::sort(lat.begin(), lat.end());
+      r.p99_us = static_cast<double>(lat[lat.size() * 99 / 100]);
+      r.max_us = static_cast<double>(lat.back());
+    }
     return r;
   }
 };
 
 void WriteJson(const std::string& path, const std::vector<WindowRow>& rows,
-               const reconfig::MembershipReport& report, double ratio) {
+               const std::vector<JoinRow>& joins, double ratio) {
   std::ofstream os(path);
   os << "{\n  \"experiment\": \"E19\",\n";
+  os << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n";
+  os << "  \"build_type\": \"" << QCNT_BUILD_TYPE << "\",\n";
+  os << "  \"git_sha\": \"" << bench::GitRevision() << "\",\n";
   os << "  \"replicas_before\": " << kReplicas << ",\n";
   os << "  \"replicas_after\": " << (kReplicas + 1) << ",\n";
   os << "  \"traffic_clients\": " << kTrafficClients << ",\n";
   os << "  \"preloaded_keys\": " << kPreloadKeys << ",\n";
-  os << "  \"catchup_entries\": " << report.catchup_entries << ",\n";
-  os << "  \"seal_entries\": " << report.seal_entries << ",\n";
+  os << "  \"chunk_entries\": " << kChunkEntries << ",\n";
+  os << "  \"joins\": [\n";
+  for (std::size_t i = 0; i < joins.size(); ++i) {
+    const JoinRow& j = joins[i];
+    os << "    {\"cycle\": " << (i + 1)
+       << ", \"catchup_ms\": " << bench::Table::Num(j.catchup_ms, 1)
+       << ", \"catchup_entries\": " << j.catchup_entries
+       << ", \"seal_ms\": " << bench::Table::Num(j.seal_ms, 1)
+       << ", \"seal_entries\": " << j.seal_entries << "}"
+       << (i + 1 < joins.size() ? "," : "") << "\n";
+  }
+  os << "  ],\n";
   os << "  \"windows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     os << "    {\"phase\": \"" << rows[i].phase
        << "\", \"ops_per_sec\": " << bench::Table::Num(rows[i].ops_per_sec, 0)
-       << ", \"wall_ms\": " << bench::Table::Num(rows[i].wall_ms, 1) << "}"
+       << ", \"wall_ms\": " << bench::Table::Num(rows[i].wall_ms, 1)
+       << ", \"p99_us\": " << bench::Table::Num(rows[i].p99_us, 0)
+       << ", \"max_us\": " << bench::Table::Num(rows[i].max_us, 0) << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
@@ -174,14 +233,15 @@ int main(int argc, char** argv) {
   const double steady = rows[0].ops_per_sec;
 
   reconfig::MembershipOptions mopts;
-  // Small chunks are the latency knob: each catchup/seal install is a
-  // burst of replica work that client ops queue behind, so bounding the
-  // burst is what keeps the dip inside the gate.
-  mopts.chunk_entries = 32;
+  mopts.chunk_entries = kChunkEntries;
 
   reconfig::MembershipReport report;
   bool joins_ok = true;
   std::vector<double> ratios;
+  std::vector<JoinRow> joins;
+  const auto ms = [](std::chrono::microseconds t) {
+    return static_cast<double>(t.count()) / 1000.0;
+  };
   for (std::size_t cycle = 0; cycle < kJoinCycles; ++cycle) {
     s.Begin();
     report = reconfig::AddReplica(store, mopts);
@@ -189,6 +249,8 @@ int main(int argc, char** argv) {
         s.End("during_join_" + std::to_string(cycle + 1));
     rows.push_back(w);
     ratios.push_back(steady > 0 ? w.ops_per_sec / steady : 0);
+    joins.push_back(JoinRow{ms(report.catchup_time), report.catchup_entries,
+                            ms(report.seal_time), report.seal_entries});
     joins_ok = joins_ok && report.ok;
     if (cycle + 1 < kJoinCycles) {
       // Shrink back so every cycle measures the same 3 -> 4 transition.
@@ -205,22 +267,35 @@ int main(int argc, char** argv) {
   for (auto& t : traffic) t.join();
 
   {
-    bench::Table t({"phase", "ops/s", "wall ms"});
+    bench::Table t({"phase", "ops/s", "wall ms", "p99 us", "max us"});
     for (const WindowRow& r : rows) {
       t.AddRow({r.phase, bench::Table::Num(r.ops_per_sec, 0),
-                bench::Table::Num(r.wall_ms, 1)});
+                bench::Table::Num(r.wall_ms, 1),
+                bench::Table::Num(r.p99_us, 0),
+                bench::Table::Num(r.max_us, 0)});
     }
     t.Print();
   }
-  std::cout << "join ok=" << report.ok
-            << " catchup_entries=" << report.catchup_entries
-            << " seal_entries=" << report.seal_entries
+  std::cout << "\n";
+  {
+    bench::Table t({"join", "phase A ms", "phase A entries", "seal ms",
+                    "seal entries"});
+    for (std::size_t i = 0; i < joins.size(); ++i) {
+      t.AddRow({std::to_string(i + 1),
+                bench::Table::Num(joins[i].catchup_ms, 1),
+                std::to_string(joins[i].catchup_entries),
+                bench::Table::Num(joins[i].seal_ms, 1),
+                std::to_string(joins[i].seal_entries)});
+    }
+    t.Print();
+  }
+  std::cout << "last join ok=" << report.ok
             << " generation=" << report.generation << "\n";
 
   std::vector<double> sorted = ratios;
   std::sort(sorted.begin(), sorted.end());
   const double ratio = sorted[sorted.size() / 2];  // median
-  WriteJson(json_path, rows, report, ratio);
+  WriteJson(json_path, rows, joins, ratio);
 
   // Gate: every join/shrink completed, the store really grew, traffic
   // flowed in every window, and the median dip stayed within budget.

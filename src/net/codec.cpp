@@ -11,7 +11,7 @@ namespace {
 using runtime::BatchEntry;
 
 constexpr std::uint8_t kMaxKind =
-    static_cast<std::uint8_t>(RtMessage::Kind::kJoinReq);
+    static_cast<std::uint8_t>(RtMessage::Kind::kCatchupChunk);
 
 /// Exact encoded size of a frame, so EncodeFrame grows `out` once and
 /// writes through a pointer (see the layout in codec.hpp).

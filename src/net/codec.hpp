@@ -50,9 +50,12 @@ using runtime::NodeId;
 using runtime::RtMessage;
 
 inline constexpr std::uint32_t kFrameMagic = 0x544E4351u;  // "QCNT"
-/// v2: membership-change kinds (kCatchupReq/kCatchupChunk/kCatchupDone/
-/// kJoinReq) joined the kind space. Field layout is unchanged, but a v1
-/// decoder would mis-reject the new kinds, so the version bumps.
+/// v2: membership-change kinds joined the kind space. Field layout is
+/// unchanged, but a v1 decoder would mis-reject the new kinds, so the
+/// version bumped. Two of them (numbers 14 and 15, a joiner-driven pull)
+/// were later retired without a bump, since the layout did not change:
+/// kCatchupReq/kCatchupChunk remain, and 14 and 15 decode as
+/// kUnknownKind.
 /// v3: trailing has_config u8 + optional config section (member list +
 /// strategy descriptor) — config writes and fence NACKs are
 /// self-describing across processes.

@@ -22,6 +22,11 @@ std::chrono::steady_clock::time_point Deadline(
   return std::chrono::steady_clock::now() + timeout;
 }
 
+std::chrono::microseconds Since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - t0);
+}
+
 /// Monotone across every coordinator in the process — see the epoch_
 /// comment in the header.
 std::atomic<std::uint64_t> g_coordinator_epoch{0};
@@ -75,67 +80,40 @@ bool MembershipCoordinator::Prime(MembershipReport& report) {
   return true;
 }
 
-bool MembershipCoordinator::RunBulkCatchup(
-    NodeId joiner, const std::vector<NodeId>& donors,
-    MembershipReport& report) {
+bool MembershipCoordinator::CatchUp(NodeId joiner,
+                                    const std::vector<NodeId>& donors,
+                                    MembershipReport& report) {
   QCNT_CHECK_MSG(!donors.empty(), "bulk catchup needs at least one donor");
-  // Each attempt (re-)issues the join against the next donor and waits
-  // one progress window for the joiner's done report. A re-issued join
-  // *resumes* from the joiner's cursor, so a
-  // timeout mid-transfer (slow or crashed donor) costs only the chunk in
-  // flight, never the stream so far.
-  std::vector<std::uint64_t> issued;
-  for (std::size_t attempt = 0; attempt < options_.max_step_attempts;
-       ++attempt) {
-    const NodeId donor = donors[attempt % donors.size()];
-    const std::uint64_t op = NextOp();
-    issued.push_back(op);
-    RtMessage join;
-    join.kind = RtMessage::Kind::kJoinReq;
-    join.op = op;
-    join.value = static_cast<std::int64_t>(donor);
-    transport_->Send(id_, joiner, std::move(join));
-
-    const auto deadline = Deadline(options_.step_timeout);
-    while (std::chrono::steady_clock::now() < deadline) {
-      std::optional<Envelope> e = transport_->MailboxOf(id_).Pop(deadline);
-      if (!e) {
-        if (std::chrono::steady_clock::now() < deadline) {
-          report.error = "transport closed during bulk catchup";
-          return false;
-        }
-        break;  // progress window elapsed: re-issue (resumes)
-      }
-      if (e->from != joiner) continue;
-      if (e->msg.kind != RtMessage::Kind::kCatchupDone) continue;
-      bool ours = false;
-      for (std::uint64_t o : issued) ours |= o == e->msg.op;
-      if (!ours) continue;
-      if (e->msg.value != runtime::kJoinOk) {
-        report.error = "joiner refused the catchup stream";
-        return false;
-      }
-      report.catchup_entries = e->msg.version;
-      return true;
-    }
-  }
-  report.error = "bulk catchup made no progress (no reachable donor)";
-  return false;
+  // The joiner is fresh and quorums do not count it yet, so its one ack
+  // per chunk is the whole delivery requirement.
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool ok = StreamImage(donors, {joiner},
+                              runtime::ConfigTable::Singleton(joiner),
+                              client_.BelievedGeneration(),
+                              report.catchup_entries, report.error);
+  report.catchup_time = Since(t0);
+  if (!ok) report.error = "bulk catchup failed: " + report.error;
+  return ok;
 }
 
-bool MembershipCoordinator::PullChunk(NodeId source, std::string& cursor,
+bool MembershipCoordinator::PullChunk(const std::vector<NodeId>& sources,
+                                      std::size_t& source, std::string& cursor,
                                       bool& more,
                                       std::vector<BatchEntry>& entries,
                                       std::string& error) {
   for (std::size_t attempt = 0; attempt < options_.max_step_attempts;
        ++attempt) {
+    // An unanswered pull moves on to the next source; the stream stays
+    // there for its remaining chunks.
+    if (attempt > 0) source = (source + 1) % sources.size();
+    const NodeId from = sources[source];
     const std::uint64_t op = NextOp();
     RtMessage req;
     req.kind = RtMessage::Kind::kCatchupReq;
     req.op = op;
     req.key = cursor;
     req.value = static_cast<std::int64_t>(options_.chunk_entries);
-    transport_->Send(id_, source, std::move(req));
+    transport_->Send(id_, from, std::move(req));
 
     const auto deadline = Deadline(options_.step_timeout);
     for (;;) {
@@ -147,16 +125,16 @@ bool MembershipCoordinator::PullChunk(NodeId source, std::string& cursor,
         }
         break;  // timed out: fresh op, same cursor (idempotent)
       }
-      if (e->from != source) continue;
+      if (e->from != from) continue;
       if (e->msg.kind != RtMessage::Kind::kCatchupChunk) continue;
-      if (e->msg.op != op) continue;  // stale earlier attempt
+      if (e->msg.op != op) continue;  // late chunk for an abandoned pull
       entries = std::move(e->msg.batch);
       if (!entries.empty()) cursor = e->msg.key;
       more = e->msg.value != 0;
       return true;
     }
   }
-  error = "pull timed out (source unreachable)";
+  error = "pull timed out (no source answered)";
   return false;
 }
 
@@ -221,23 +199,22 @@ bool MembershipCoordinator::InstallEntries(
   return false;
 }
 
-bool MembershipCoordinator::StreamImage(NodeId source,
+bool MembershipCoordinator::StreamImage(const std::vector<NodeId>& sources,
                                         const std::vector<NodeId>& targets,
                                         const MemberConfig& quorum_of,
                                         std::uint64_t generation,
-                                        MembershipReport& report) {
+                                        std::uint64_t& streamed,
+                                        std::string& error) {
+  std::size_t source = 0;
   std::string cursor;
   bool more = true;
   while (more) {
     std::vector<BatchEntry> entries;
-    if (!PullChunk(source, cursor, more, entries, report.error)) {
+    if (!PullChunk(sources, source, cursor, more, entries, error) ||
+        !InstallEntries(entries, targets, quorum_of, generation, error)) {
       return false;
     }
-    if (!InstallEntries(entries, targets, quorum_of, generation,
-                        report.error)) {
-      return false;
-    }
-    report.seal_entries += entries.size();
+    streamed += entries.size();
   }
   return true;
 }
@@ -251,7 +228,7 @@ MembershipReport MembershipCoordinator::Join(
     return report;
   }
   if (!Prime(report)) return report;
-  if (!RunBulkCatchup(joiner, donors, report)) return report;
+  if (!CatchUp(joiner, donors, report)) return report;
 
   std::uint64_t s_acked = 0;
   const runtime::ClientResult r = client_.Reconfigure(target, &s_acked);
@@ -269,15 +246,18 @@ MembershipReport MembershipCoordinator::Join(
   // delivery requirement, not a serving strategy, and must not inherit
   // the store's (possibly non-majority) descriptor.
   const MemberConfig joiner_only = runtime::ConfigTable::Singleton(joiner);
+  const auto t0 = std::chrono::steady_clock::now();
   for (NodeId member = 0; member < 64; ++member) {
     if ((s_acked & (1ull << member)) == 0) continue;
-    if (!StreamImage(member, {joiner}, joiner_only,
-                     client_.BelievedGeneration(), report)) {
+    if (!StreamImage({member}, {joiner}, joiner_only,
+                     client_.BelievedGeneration(), report.seal_entries,
+                     report.error)) {
       report.error = "seal from member " + std::to_string(member) +
                      " failed: " + report.error;
       return report;
     }
   }
+  report.seal_time = Since(t0);
   report.ok = true;
   report.drained = true;
   report.config_id = target;
@@ -301,15 +281,13 @@ MembershipReport MembershipCoordinator::Leave(NodeId leaver,
   // its copies are unreachable either way, and the stamp alone restores
   // write availability — the §4 point. A drain that fails midway leaves
   // only idempotent re-installs behind, so it degrades to the same case.
-  MembershipReport drain;
-  if (StreamImage(leaver, old_cfg->members, *old_cfg,
-                  client_.BelievedGeneration(), drain)) {
-    report.drained = true;
-    report.seal_entries = drain.seal_entries;
-  } else {
-    report.drained = false;
-    report.seal_entries = drain.seal_entries;
-  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string drain_error;
+  report.drained =
+      StreamImage({leaver}, old_cfg->members, *old_cfg,
+                  client_.BelievedGeneration(), report.seal_entries,
+                  drain_error);
+  report.seal_time = Since(t0);
 
   const runtime::ClientResult r = client_.Reconfigure(target);
   if (!r.ok) {
@@ -351,15 +329,8 @@ MembershipReport AddReplica(runtime::ReplicatedStore& store,
                                     store.CoordinatorId(),
                                     store.ConfigTableRef(),
                                     store.CurrentConfigId(), options);
-  const MembershipReport join = coordinator.Join(
-      joiner, donors, target);
-  report.ok = join.ok;
-  report.config_id = join.config_id;
-  report.generation = join.generation;
-  report.catchup_entries = join.catchup_entries;
-  report.seal_entries = join.seal_entries;
-  report.drained = join.drained;
-  report.error = join.error;
+  report = coordinator.Join(joiner, donors, target);
+  report.node = joiner;
   if (report.ok) {
     store.CommitMembership(std::move(grown), target);
   } else {
@@ -403,14 +374,8 @@ MembershipReport RemoveReplica(runtime::ReplicatedStore& store, NodeId node,
                                     store.CoordinatorId(),
                                     store.ConfigTableRef(),
                                     store.CurrentConfigId(), options);
-  const MembershipReport leave =
-      coordinator.Leave(node, target);
-  report.ok = leave.ok;
-  report.config_id = leave.config_id;
-  report.generation = leave.generation;
-  report.seal_entries = leave.seal_entries;
-  report.drained = leave.drained;
-  report.error = leave.error;
+  report = coordinator.Leave(node, target);
+  report.node = node;
   if (report.ok) {
     store.CommitMembership(std::move(remaining), target);
     store.RetireReplica(node);

@@ -6,13 +6,13 @@
 // configuration. The MembershipCoordinator extends that to a universe that
 // grows and shrinks at runtime, in three phases (DESIGN.md §11):
 //
-//   A. Bulk catchup — the joining replica streams the current per-key
-//      (version, value) image from a live donor in bounded chunks
-//      (kJoinReq -> kCatchupReq/kCatchupChunk -> kCatchupDone), while
-//      client traffic keeps flowing. The pull is cursor-driven and
-//      stateless on the donor, so a donor crash mid-stream is recovered
-//      by re-issuing the join (the joiner resumes from its cursor,
-//      against the same donor or a different one).
+//   A. Bulk catchup — the coordinator streams the current per-key
+//      (version, value) image from the donors into the joining replica in
+//      bounded chunks (kCatchupReq/kCatchupChunk, then batch installs),
+//      while client traffic keeps flowing. The pull is cursor-driven and
+//      stateless on the donor, and the coordinator keeps the cursor, so a
+//      donor that stops answering mid-stream costs one step: the pull
+//      retries against the next donor from the same cursor.
 //   B. Stamp — the embedded QuorumClient runs the paper's Reconfigure:
 //      (target, g+1) to a write quorum of the old configuration,
 //      capturing the exact old-member set S_acked that acked the stamp.
@@ -31,6 +31,11 @@
 // that is already down is removed without a drain — its copies are
 // unreachable either way, and the stamp alone restores write
 // availability, which is the §4 point.
+//
+// Replicas only answer requests: every stream — phase A, the seal and
+// the drain — is the coordinator pulling chunks from a source and
+// installing them at the targets, and the stale-chunk guard is the op-id
+// match on each pull.
 //
 // One coordinator instance per store, used from one thread at a time; the
 // store serializes membership operations behind a mutex. The coordinator
@@ -55,13 +60,14 @@ class ReplicatedStore;
 namespace qcnt::reconfig {
 
 struct MembershipOptions {
-  /// Deadline for one coordinator-visible step: a bulk-catchup progress
-  /// window, one pulled chunk, or one install's ack quorum.
+  /// Deadline for one coordinator-visible step: one pulled chunk, or one
+  /// install's ack quorum.
   std::chrono::milliseconds step_timeout{1000};
   /// Retries per step (lost messages, donor failover) before giving up.
   std::size_t max_step_attempts = 8;
-  /// Entries per seal/drain chunk (bounds both message size and the time
-  /// a donor's loop spends serving one chunk).
+  /// Entries per chunk of every stream — phase A, seal and drain (bounds
+  /// both message size and the time a donor's loop spends serving one
+  /// chunk).
   std::size_t chunk_entries = 128;
   /// Options for the embedded reconfigure/priming client. Defaults to
   /// retrying (unlike the bare client's single-shot default): a membership
@@ -84,10 +90,13 @@ struct MembershipReport {
   /// Installed configuration and generation (valid when ok).
   std::uint32_t config_id = 0;
   std::uint64_t generation = 0;
-  /// Entries the joiner reported streaming during bulk catchup (phase A).
+  /// Entries streamed into the joiner during bulk catchup (phase A).
   std::uint64_t catchup_entries = 0;
-  /// Entries re-streamed by the coordinator (join seal / leave drain).
+  /// Entries re-streamed by the join seal or the leave drain.
   std::uint64_t seal_entries = 0;
+  /// Wall time of phase A, and of the seal or drain.
+  std::chrono::microseconds catchup_time{0};
+  std::chrono::microseconds seal_time{0};
   /// Leave only: false when the leaver was unreachable and its image was
   /// not drained (safe — see file comment — but worth surfacing).
   bool drained = false;
@@ -107,13 +116,21 @@ class MembershipCoordinator {
   MembershipCoordinator(const MembershipCoordinator&) = delete;
   MembershipCoordinator& operator=(const MembershipCoordinator&) = delete;
 
-  /// Grow: stream `joiner` current (phase A, trying `donors` in order
-  /// with failover), install `target` (phase B), seal (phase C). The
-  /// target configuration must already be appended to the table and its
-  /// member set must be exactly the old members plus `joiner`.
+  /// Grow: stream `joiner` current (phase A, from `donors` with
+  /// failover), install `target` (phase B), seal (phase C). The target
+  /// configuration must already be appended to the table and its member
+  /// set must be exactly the old members plus `joiner`.
   MembershipReport Join(runtime::NodeId joiner,
                         const std::vector<runtime::NodeId>& donors,
                         std::uint32_t target);
+
+  /// Phase A alone: stream the donors' image into `joiner` under the
+  /// believed generation, failing over to the next donor when a pull
+  /// goes unanswered for a step. Sets report.catchup_entries and
+  /// report.catchup_time; false (with report.error) on failure.
+  bool CatchUp(runtime::NodeId joiner,
+               const std::vector<runtime::NodeId>& donors,
+               MembershipReport& report);
 
   /// Shrink: drain `leaver` into a write quorum of the old configuration,
   /// then install `target` (already appended; old members minus the
@@ -130,21 +147,22 @@ class MembershipCoordinator {
   /// installs and seal streams are stamped with a generation no live
   /// replica fences.
   bool Prime(MembershipReport& report);
-  /// Phase A: drive the joiner's pull to completion, failing over across
-  /// `donors`; each retry resumes from the joiner's cursor.
-  bool RunBulkCatchup(runtime::NodeId joiner,
-                      const std::vector<runtime::NodeId>& donors,
-                      MembershipReport& report);
-  /// Stream `source`'s image into `targets`, chunk by
-  /// chunk, each chunk installed under `generation` and acked by
-  /// `quorum_of` before the next is pulled. Adds to report.seal_entries.
-  bool StreamImage(runtime::NodeId source,
+  /// Stream an image into `targets`, chunk by chunk, each chunk
+  /// installed under `generation` and acked by `quorum_of` before the
+  /// next is pulled. A pull unanswered for a step retries against the
+  /// next of `sources`, from the same cursor; the op-id match drops a
+  /// late chunk for an abandoned pull. Adds the streamed entries to
+  /// `streamed`.
+  bool StreamImage(const std::vector<runtime::NodeId>& sources,
                    const std::vector<runtime::NodeId>& targets,
                    const runtime::MemberConfig& quorum_of,
-                   std::uint64_t generation, MembershipReport& report);
-  /// Pull one chunk (with per-step retries). Returns false on timeout;
-  /// out params: entries, next cursor, more-remaining.
-  bool PullChunk(runtime::NodeId source, std::string& cursor, bool& more,
+                   std::uint64_t generation, std::uint64_t& streamed,
+                   std::string& error);
+  /// Pull one chunk (with per-step retries, rotating `source` through
+  /// `sources`). Returns false on timeout; out params: entries, next
+  /// cursor, more-remaining.
+  bool PullChunk(const std::vector<runtime::NodeId>& sources,
+                 std::size_t& source, std::string& cursor, bool& more,
                  std::vector<runtime::BatchEntry>& entries,
                  std::string& error);
   /// Install `entries` at every target, retrying until `quorum_of`'s

@@ -19,7 +19,7 @@
 // is dropped only if the node is still down at delivery time. If the node
 // recovers first, the straggler is delivered — real networks do exactly
 // this, and it is why replicas must treat re-deliveries idempotently
-// (ApplyToImage rejects stale versions; see replica_server.hpp).
+// (Image::ApplyWrite rejects stale versions; see replica_handler.hpp).
 #pragma once
 
 #include <atomic>

@@ -65,30 +65,27 @@ struct RtMessage {
     kImagePeek,      // internal: copy the replica's state for observers
                      // (`generation` carries the peek epoch so a retried
                      // peek is served exactly once)
-    // --- Membership change / streaming catchup (DESIGN.md §11). The four
+    // --- Membership change / streaming catchup (DESIGN.md §11). Both
     // kinds reuse the existing fields; no new struct members.
-    kCatchupReq,     // puller -> donor: `key` = resume cursor (exclusive;
-                     // "" = start), `value` = max entries per chunk,
-                     // `version` = 0 (a nonzero stripe index is refused
-                     // with an empty, final chunk), `op` = pull op id
-    kCatchupChunk,   // donor -> puller: `batch` = (key, version, value)
-                     // entries in ascending key order, `key` = next cursor,
-                     // `value` = 1 if more remain else 0, `generation` /
-                     // `config_id` = donor's current stamp; `op` echoes
-                     // the request
-    kCatchupDone,    // joiner -> coordinator: `value` = 0 ok, nonzero =
-                     // refused; `version` = entries streamed
-    kJoinReq,        // coordinator -> joiner: start (or resume) pulling;
-                     // `value` = donor node id, `op` = join op id
+    kCatchupReq,     // coordinator -> donor: `key` = resume cursor
+                     // (exclusive; "" = start), `value` = max entries per
+                     // chunk, `version` = 0 (a nonzero stripe index is
+                     // refused with an empty, final chunk), `op` = pull op
+    kCatchupChunk,   // donor -> coordinator: `batch` = (key, version,
+                     // value) entries in ascending key order, `key` = next
+                     // cursor, `value` = 1 if more remain else 0,
+                     // `generation` / `config_id` = donor's current stamp;
+                     // `op` echoes the request
     kCrashDrain,     // internal: fail-stop marker. Crash(node) enqueues it
                      // at the tail of the node's mailbox; everything ahead
                      // of it is applied, everything behind it is refused,
                      // so the crash cut is a deterministic FIFO position
                      // instead of a timing race. Never encoded on the wire
-                     // (codec kMaxKind = kJoinReq rejects it).
+                     // (codec kMaxKind = kCatchupChunk rejects it).
   };
-  // A kBatch* request gets exactly one response per replica, and a
-  // kConfigWriteReq is acked once, after the replica logged the stamp.
+  // Every request a replica serves gets at most one reply, to its sender:
+  // a kBatch* request exactly one per replica, a kConfigWriteReq one ack
+  // after the replica logged the stamp, a kCatchupReq one chunk.
   Kind kind = Kind::kReadReq;
   std::uint64_t op = 0;
   std::string key;

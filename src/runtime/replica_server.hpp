@@ -1,16 +1,16 @@
-// Replica server: one thread per replica, applying every message to the
-// replica's state in arrival order.
+// Replica server: one thread per replica, driving the replica's
+// ReplicaHandler over every message in arrival order.
 //
-// The state per key is a (version, value) pair — a Section-3 DM — plus one
-// replica-wide (generation, configuration) stamp for Section-4
-// reconfiguration, held together as one storage::Image. Under durability
-// the image is backed by one WAL segment chain and one checkpoint chain
-// (`replica_<r>/shard_0/`, anchored by the replica's MANIFEST). One loop
-// thread drains the transport mailbox in PopAll bursts and handles each
-// message in arrival order, so a batch gets exactly one reply and one WAL
-// append, and a config write is logged before its single ack (DESIGN.md
-// §8 records why the earlier dispatch stage, worker pool and key-hash
-// shards were removed).
+// The handler holds the rules (replica_handler.hpp): the per-key
+// (version, value) pairs of a Section-3 DM plus the replica-wide
+// (generation, configuration) stamp of Section 4, as one storage::Image.
+// Under durability the image is backed by one WAL segment chain and one
+// checkpoint chain (`replica_<r>/shard_0/`, anchored by the replica's
+// MANIFEST). The loop drains the transport mailbox in PopAll bursts,
+// hands each request to the handler and Sends its one reply to the
+// sender, so a batch gets exactly one reply and one WAL append, and a
+// config write is logged before its single ack (DESIGN.md §8). The loop
+// keeps only the threading: the crash cut, Peek and shutdown.
 //
 // Crash semantics are fail-stop at replica granularity with a
 // *deterministic cut*: Transport::Crash marks the node down (so nothing
@@ -34,19 +34,9 @@
 #include <thread>
 
 #include "runtime/bus.hpp"
-#include "storage/backend.hpp"
+#include "runtime/replica_handler.hpp"
 
 namespace qcnt::runtime {
-
-/// One version-accepted write, in application order — recorded only when
-/// the server was built with record_history (test observability: the
-/// per-item subsequences are exactly the version-number sequences Lemma
-/// 7/8 constrain, so equivalence suites compare them across runtimes).
-struct AppliedWrite {
-  std::string key;
-  std::uint64_t version = 0;
-  std::int64_t value = 0;
-};
 
 /// Execution counters of a replica's one chain (volatile, unlike
 /// StorageStats). `ops` counts operations applied (batch entries and
@@ -178,60 +168,15 @@ class ReplicaServer {
   void AckCrashDrain(std::uint64_t epoch);
   void NoteLoopExit();
 
-  void Handle(Envelope& e);
-  void HandleBatchRead(const RtMessage& m, RtMessage& reply);
-  void HandleBatchWrite(const RtMessage& m, RtMessage& reply);
-  /// Close one batch: append the staged WAL records with one
-  /// ApplyWriteBatch (before the single ack that covers them), let the
-  /// backend compact, and count the batch.
-  void FinishBatch(std::size_t entries);
-  /// Donor side of streaming catchup: serve one bounded chunk — the
-  /// smallest `m.value` keys strictly greater than the cursor `m.key` —
-  /// ascending, with the replica's stamp on the reply. It runs on the
-  /// loop, so chunks interleave with live writes without any extra
-  /// locking.
-  void ServeCatchup(const Envelope& e);
-  /// Joiner side: start (or resume) pulling the donor's image.
-  void HandleJoinReq(const Envelope& e);
-  /// Joiner side: one arrived chunk — merge the entries, advance the
-  /// cursor, request the next chunk or report kCatchupDone to the
-  /// coordinator.
-  void HandleJoinChunk(Envelope& e);
-  void SendCatchupReq();
-  /// Merge pulled entries under the same newer-version-wins order as live
-  /// writes (so a chunk can never regress a version a concurrent install
-  /// already placed), write-ahead logging the accepted ones.
-  void ApplyCatchupEntries(const std::vector<BatchEntry>& entries);
-  /// Newer-version-wins merge of one write into the image; an accepted
-  /// write is staged in wal_batch_ for the batch's one backend append.
-  void ApplyToImage(const std::string& key, std::uint64_t version,
-                    std::int64_t value);
   void ServePeek(std::uint64_t epoch);
-  static void TrackPeak(std::atomic<std::uint64_t>& peak, std::uint64_t v);
-  /// Remember the self-describing config payload of an applied config
-  /// write (newest (generation, config_id) wins), for echoing below.
-  void NoteConfigPayload(const RtMessage& m);
-  /// Attach the remembered payload to a reply whose stamp is newer than
-  /// the request's — the channel through which a client in another
-  /// process (whose ConfigTable never saw the coordinator's Append)
-  /// learns the configuration it is being fenced to.
-  void MaybeAttachConfig(const RtMessage& req, RtMessage& reply);
 
   Transport* transport_;
   NodeId id_;
-  bool record_history_ = false;
-  // Only the loop thread touches image_, history_ and backend_ (Stats()
-  // on the backend is safe from any thread).
-  storage::Image image_;
-  std::vector<AppliedWrite> history_;
-  std::unique_ptr<storage::Backend> backend_;
+  // Only the loop thread calls the handler (and Peek reads it there);
+  // its counters and StorageStats are safe from any thread.
+  ReplicaHandler handler_;
   std::thread thread_;  // the loop
-
-  // The loop's scratch, reused across batches: the batch's accepted WAL
-  // records, appended with one ApplyWriteBatch.
-  std::vector<storage::WalRecord> wal_batch_;
-  std::atomic<std::uint64_t> ops_{0};
-  std::atomic<std::uint64_t> queue_peak_{0};
+  std::atomic<std::uint64_t> queue_peak_{0};  // written by the loop only
 
   // Crash-drain handshake: OnBusCrash (an external thread, inside
   // Transport::Crash) pushes a kCrashDrain marker carrying drain_epoch_
@@ -260,47 +205,6 @@ class ReplicaServer {
   std::uint64_t peek_epoch_ = 0;
   std::uint64_t peek_served_ = 0;
   ReplicaSnapshot peek_slot_;
-
-  std::atomic<std::uint64_t> batches_applied_{0};
-  std::atomic<std::uint64_t> batched_ops_{0};
-  std::atomic<std::uint64_t> max_batch_{0};
-  std::atomic<std::uint64_t> read_ops_{0};
-  std::atomic<std::uint64_t> write_ops_{0};
-
-  // Last applied self-describing config payload (see NoteConfigPayload).
-  // Volatile: a CrashAndWipe loses it, degrading fence NACKs to the
-  // stamp-only shape until the next config write — remote clients then
-  // fall back to refusing the unresolvable id, exactly the pre-payload
-  // behavior.
-  std::mutex config_payload_mu_;
-  std::shared_ptr<const ConfigPayload> config_payload_;
-  std::uint64_t config_payload_gen_ = 0;
-  std::uint32_t config_payload_id_ = 0;
-
-  /// Joiner-side pull progress. Touched only by the loop, so it needs no
-  /// lock. A fresh kJoinReq during an active pull *resumes* from the
-  /// cursor: that is what makes a donor crash mid-stream recoverable, from
-  /// the same donor or a different one.
-  struct JoinState {
-    bool active = false;
-    std::uint64_t op = 0;
-    NodeId donor = 0;
-    NodeId coordinator = 0;
-    std::string cursor;          // last key received (exclusive)
-    std::uint64_t entries = 0;   // total entries streamed so far
-    /// Monotone per-request id (rides in kCatchupReq::op, echoed by the
-    /// donor). Only the chunk answering the *latest outstanding* request
-    /// advances the cursor — a duplicated or reordered chunk (fault
-    /// injection, donor failover races) is dropped instead of ending the
-    /// pull early or resurrecting a stale cursor.
-    /// Survives a resume (it must stay monotone against in-flight stale
-    /// chunks); cleared only by CrashAndWipe.
-    std::uint64_t pull_seq = 0;
-  };
-  JoinState join_;
 };
-
-/// kCatchupDone status (RtMessage::value): the pull completed.
-inline constexpr std::int64_t kJoinOk = 0;
 
 }  // namespace qcnt::runtime

@@ -10,46 +10,12 @@ using runtime::RtMessage;
 using runtime::TimePoint;
 using Millis = std::chrono::duration<double, std::milli>;
 
-Replica::Replica(Network& net, NodeId id) : net_(&net), id_(id) {
-  net.SetHandler(id, [this](NodeId from, const RtMessage& m) {
-    OnMessage(from, m);
+Replica::Replica(Network& net, NodeId id)
+    : handler_(storage::MakeMemoryBackend()) {
+  net.SetHandler(id, [this, &net, id](NodeId from, const RtMessage& m) {
+    RtMessage reply;
+    if (handler_.Handle(m, reply)) net.Send(id, from, std::move(reply));
   });
-}
-
-void Replica::OnMessage(NodeId from, const RtMessage& m) {
-  RtMessage reply;
-  reply.op = m.op;
-  switch (m.kind) {
-    case RtMessage::Kind::kBatchReadReq:
-      reply.kind = RtMessage::Kind::kBatchReadResp;
-      for (const BatchEntry& entry : m.batch) {
-        const auto it = image_.data.find(entry.key);
-        const storage::Versioned v =
-            it == image_.data.end() ? storage::Versioned{} : it->second;
-        reply.batch.push_back(BatchEntry{entry.op, {}, v.version, v.value});
-      }
-      break;
-    case RtMessage::Kind::kBatchWriteReq: {
-      // The generation fence: an install under an older stamp is refused
-      // (value 1 = NACK) and the header stamp teaches the writer.
-      const bool fenced = m.generation < image_.generation;
-      reply.kind = RtMessage::Kind::kBatchWriteAck;
-      for (const BatchEntry& entry : m.batch) {
-        if (!fenced) image_.ApplyWrite(entry.key, entry.version, entry.value);
-        reply.batch.push_back(BatchEntry{entry.op, {}, 0, fenced ? 1 : 0});
-      }
-      break;
-    }
-    case RtMessage::Kind::kConfigWriteReq:
-      image_.ApplyConfig(m.generation, m.config_id);
-      reply.kind = RtMessage::Kind::kConfigWriteAck;
-      break;
-    default:
-      return;  // replicas ignore responses
-  }
-  reply.generation = image_.generation;
-  reply.config_id = image_.config_id;
-  net_->Send(id_, from, std::move(reply));
 }
 
 QuorumStoreClient::QuorumStoreClient(

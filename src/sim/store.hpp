@@ -1,9 +1,10 @@
 // A quorum-replicated store over the simulated network.
 //
 // The simulated counterpart of the threaded runtime, running the same
-// protocol: Replica answers the runtime's batch read/write and config-write
-// requests under the runtime replica's rules (generation fence, Image
-// merge, header stamp on every reply), and QuorumStoreClient runs
+// code on both sides: each Replica owns a runtime::ReplicaHandler — the
+// rules every runtime replica's loop thread runs (generation fence, Image
+// merge, header stamp on every reply) — over an in-memory backend and
+// sends its reply over the simulated network, and QuorumStoreClient runs
 // runtime::QuorumCore — the sans-IO coordinator automaton every threaded
 // client runs — from simulator events, on the simulator's virtual clock.
 // The store holds a single item, key "" (the key a reconfigure's data leg
@@ -15,26 +16,23 @@
 #include <unordered_map>
 
 #include "runtime/quorum_op.hpp"
+#include "runtime/replica_handler.hpp"
 #include "sim/network.hpp"
-#include "storage/image.hpp"
 
 namespace qcnt::sim {
 
-/// Replica process: node ids [0, n) on the network.
+/// Replica process: node ids [0, n) on the network. A crash only makes
+/// it unreachable; its state survives.
 class Replica {
  public:
   Replica(Network& net, NodeId id);
   Replica(const Replica&) = delete;  // the network holds its address
   Replica& operator=(const Replica&) = delete;
 
-  const storage::Image& State() const { return image_; }
+  const storage::Image& State() const { return handler_.State(); }
 
  private:
-  void OnMessage(NodeId from, const runtime::RtMessage& m);
-
-  Network* net_;
-  NodeId id_;
-  storage::Image image_;
+  runtime::ReplicaHandler handler_;
 };
 
 /// Outcome of one logical operation.

@@ -256,11 +256,7 @@ class DurableBackend final : public Backend {
  private:
   void MergeDirty(const std::string& key, std::uint64_t version,
                   std::int64_t value) {
-    Versioned& v = dirty_[key];
-    if (version > v.version || (version == v.version && value >= v.value)) {
-      v.version = version;
-      v.value = value;
-    }
+    Image::Advance(dirty_[key], version, value);
   }
 
   /// Delete everything in the chain directory the manifest doesn't

@@ -23,17 +23,26 @@ struct Image {
   std::uint64_t generation = 0;
   std::uint32_t config_id = 0;
 
-  /// Merge one write under the runtime's total order: newer version wins;
-  /// ties resolve toward the larger value. Replay uses the same rule as the
-  /// live server, so re-applying old log records over a newer checkpoint is
-  /// idempotent.
-  void ApplyWrite(const std::string& key, std::uint64_t version,
+  /// Merge one write; returns whether the key's pair advanced. Pairs
+  /// order strictly by (version, value): newer version wins, ties resolve
+  /// toward the larger value, and a repeated pair is a no-op. The replica
+  /// handler stages its WAL and history records only for a write that
+  /// advanced, so a re-delivered install is acked but never re-logged;
+  /// replay over a newer checkpoint leaves the same state.
+  bool ApplyWrite(const std::string& key, std::uint64_t version,
                   std::int64_t value) {
-    Versioned& v = data[key];
-    if (version > v.version || (version == v.version && value >= v.value)) {
-      v.version = version;
-      v.value = value;
+    return Advance(data[key], version, value);
+  }
+
+  /// The order itself, for a caller that already holds the key's slot.
+  static bool Advance(Versioned& v, std::uint64_t version,
+                      std::int64_t value) {
+    if (version < v.version || (version == v.version && value <= v.value)) {
+      return false;
     }
+    v.version = version;
+    v.value = value;
+    return true;
   }
 
   /// Merge one configuration stamp; returns whether it advanced. Stamps
@@ -41,8 +50,8 @@ struct Image {
   /// the shared table, so an equal-generation install of a newer
   /// configuration (an orphaned stamp from a timed-out reconfigure attempt
   /// colliding with the attempt that won) supersedes, while a repeated
-  /// stamp is a no-op. The live server, recovery and the simulator all
-  /// apply stamps through this one rule.
+  /// stamp is a no-op. The replica handler and recovery both apply
+  /// stamps through this one rule.
   bool ApplyConfig(std::uint64_t generation_in, std::uint32_t config_id_in) {
     if (generation_in < generation ||
         (generation_in == generation && config_id_in <= config_id)) {

@@ -38,17 +38,15 @@ std::vector<RtMessage::Kind> AllKinds() {
           RtMessage::Kind::kBatchReadReq,  RtMessage::Kind::kBatchReadResp,
           RtMessage::Kind::kBatchWriteReq, RtMessage::Kind::kBatchWriteAck,
           RtMessage::Kind::kShutdown,      RtMessage::Kind::kImagePeek,
-          RtMessage::Kind::kCatchupReq,    RtMessage::Kind::kCatchupChunk,
-          RtMessage::Kind::kCatchupDone,   RtMessage::Kind::kJoinReq};
+          RtMessage::Kind::kCatchupReq,    RtMessage::Kind::kCatchupChunk};
 }
 
-// The four membership-change kinds (DESIGN.md §11) travel over links that
-// a fault plan actively drops, duplicates, and delays, so their rejection
+// The membership-change kinds (DESIGN.md §11) travel over links that a
+// fault plan actively drops, duplicates, and delays, so their rejection
 // behavior is exercised below with the same exhaustiveness as the
 // original twelve.
 std::vector<RtMessage::Kind> MembershipKinds() {
-  return {RtMessage::Kind::kCatchupReq, RtMessage::Kind::kCatchupChunk,
-          RtMessage::Kind::kCatchupDone, RtMessage::Kind::kJoinReq};
+  return {RtMessage::Kind::kCatchupReq, RtMessage::Kind::kCatchupChunk};
 }
 
 // A representative frame for a membership kind: every scalar field set,
@@ -275,6 +273,19 @@ TEST(Codec, UnknownKindIsRejectedWithCrcIntact) {
   const auto buf = FrameWithPayload(ValidPayload(0xee));
   DecodeResult r = DecodeFrame(buf.data(), buf.size());
   EXPECT_EQ(r.status, DecodeStatus::kUnknownKind);
+}
+
+TEST(Codec, RetiredJoinerPullKindsDecodeAsUnknown) {
+  // Kinds 14 and 15 carried a joiner-driven pull that is gone; a frame
+  // still naming them is a version skew, refused typed like any unknown
+  // kind (the layout did not change, so the wire version did not either).
+  EXPECT_EQ(static_cast<int>(RtMessage::Kind::kCatchupChunk), 13);
+  for (const std::uint8_t retired : {14, 15}) {
+    const auto buf = FrameWithPayload(ValidPayload(retired));
+    EXPECT_EQ(DecodeFrame(buf.data(), buf.size()).status,
+              DecodeStatus::kUnknownKind)
+        << "kind " << int{retired};
+  }
 }
 
 TEST(Codec, TruncatedPayloadStructureIsMalformed) {

@@ -2,11 +2,11 @@
 //
 // Four layers of scrutiny, bottom up:
 //
-//   * CatchupProtocol — the raw joiner state machine on a bare Bus, with
-//     the test playing coordinator and donors: a donor crash mid-stream
-//     resumes from the exact cursor against a different donor (no entry
-//     re-pulled, no entry skipped), a stale in-flight chunk from the
-//     abandoned stream is dropped by the pull_seq guard.
+//   * CatchupProtocol — the coordinator's phase-A stream on a bare Bus,
+//     into a real joiner, with the test playing the donors: a donor crash
+//     mid-stream resumes from the exact cursor against a different donor
+//     (no entry re-pulled, no entry skipped), and a late chunk for the
+//     abandoned pull is dropped by the op-id match.
 //   * CatchupProperty — store-level random interleavings of live client
 //     writes with a concurrent AddReplica: the joined replica's applied
 //     versions never regress, its image never holds a (key, version,
@@ -71,35 +71,48 @@ std::string Pk(int i) {
 // ---------------------------------------------------------------------------
 
 TEST(CatchupProtocol, DonorCrashMidStreamResumesFromExactCursor) {
-  // Node 1 is a real joiner; the test plays donor 0, donor 2,
-  // and the coordinator 3, so the crash point is fully deterministic.
+  // Node 1 is a real joiner and node 3 a real coordinator; the test plays
+  // donors 0 and 2, so the crash point is fully deterministic.
   Bus bus(4);
   runtime::ReplicaServer joiner(bus, 1);
+  auto table = std::make_shared<runtime::ConfigTable>(
+      std::vector<runtime::MemberConfig>{
+          runtime::ConfigTable::Majority({0, 2})});
+  MembershipOptions options;
+  options.chunk_entries = 4;
+  MembershipCoordinator coordinator(bus, 3, table, 0, options);
 
   const auto serve = [&bus](NodeId donor, const Envelope& req, int first,
                             int last, bool more) {
     RtMessage chunk;
     chunk.kind = RtMessage::Kind::kCatchupChunk;
-    chunk.op = req.msg.op;  // echo: answers the latest outstanding request
+    chunk.op = req.msg.op;  // echo: answers this pull
     for (int i = first; i <= last; ++i) {
       chunk.batch.push_back(runtime::BatchEntry{0, Pk(i), 1, 100 + i});
     }
     chunk.key = Pk(last);
     chunk.value = more ? 1 : 0;
-    bus.Send(donor, 1, std::move(chunk));
+    bus.Send(donor, 3, std::move(chunk));
   };
 
-  RtMessage join;
-  join.kind = RtMessage::Kind::kJoinReq;
-  join.op = 77;
-  join.value = 0;  // donor 0
-  bus.Send(3, 1, join);
+  MembershipReport report;
+  bool ok = false;
+  std::thread stream([&] { ok = coordinator.CatchUp(1, {0, 2}, report); });
+  // A failed assertion below returns early; the stream then gives up on
+  // its own after its step attempts.
+  struct JoinOnExit {
+    std::thread& t;
+    ~JoinOnExit() {
+      if (t.joinable()) t.join();
+    }
+  } join_on_exit{stream};
 
   // Two chunks flow from donor 0.
   std::optional<Envelope> req = Await(bus, 0, RtMessage::Kind::kCatchupReq);
   ASSERT_TRUE(req);
   EXPECT_EQ(req->msg.key, "");  // image start
   EXPECT_EQ(req->msg.version, 0u);
+  EXPECT_EQ(req->msg.value, 4);  // the coordinator's chunk size
   serve(0, *req, 0, 3, true);
   req = Await(bus, 0, RtMessage::Kind::kCatchupReq);
   ASSERT_TRUE(req);
@@ -109,36 +122,30 @@ TEST(CatchupProtocol, DonorCrashMidStreamResumesFromExactCursor) {
   ASSERT_TRUE(req);
   EXPECT_EQ(req->msg.key, Pk(7));
   const std::uint64_t orphaned_op = req->msg.op;
-  // Donor 0 "crashes": its outstanding request is never answered. The
-  // coordinator times out and re-issues the join against donor 2 …
-  RtMessage retry = join;
-  retry.op = 78;
-  retry.value = 2;
-  bus.Send(3, 1, retry);
-  // … while a bogus answer to the abandoned request limps in afterwards.
-  // The pull_seq guard must drop it: its payload would otherwise plant a
-  // key nobody wrote and terminate the stream early (more = 0).
+  // Donor 0 "crashes": its outstanding pull is never answered. After one
+  // step the coordinator re-issues the pull against donor 2 …
+  req = Await(bus, 2, RtMessage::Kind::kCatchupReq);
+  ASSERT_TRUE(req);
+  // … from the exact cursor: nothing already streamed is pulled again,
+  // nothing is skipped.
+  EXPECT_EQ(req->msg.key, Pk(7)) << "resume must continue from the cursor";
+  EXPECT_EQ(req->msg.version, 0u);
+  EXPECT_NE(req->msg.op, orphaned_op);
+  // A bogus answer to the abandoned pull limps in first. The op-id match
+  // must drop it: its payload would otherwise plant a key nobody wrote
+  // and end the stream early (more = 0).
   RtMessage stale;
   stale.kind = RtMessage::Kind::kCatchupChunk;
   stale.op = orphaned_op;
   stale.batch.push_back(runtime::BatchEntry{0, "k99", 1, 999});
   stale.key = "k99";
   stale.value = 0;
-  bus.Send(0, 1, std::move(stale));
-
-  // The resumed pull goes to donor 2 from the exact cursor — nothing
-  // already streamed is pulled again, nothing is skipped.
-  req = Await(bus, 2, RtMessage::Kind::kCatchupReq);
-  ASSERT_TRUE(req);
-  EXPECT_EQ(req->msg.key, Pk(7)) << "resume must continue from the cursor";
-  EXPECT_EQ(req->msg.version, 0u);
+  bus.Send(0, 3, std::move(stale));
   serve(2, *req, 8, 9, false);
 
-  std::optional<Envelope> done = Await(bus, 3, RtMessage::Kind::kCatchupDone);
-  ASSERT_TRUE(done);
-  EXPECT_EQ(done->msg.op, 78u);
-  EXPECT_EQ(done->msg.value, runtime::kJoinOk);
-  EXPECT_EQ(done->msg.version, 10u) << "every entry streamed exactly once";
+  stream.join();
+  ASSERT_TRUE(ok) << report.error;
+  EXPECT_EQ(report.catchup_entries, 10u) << "every entry streamed exactly once";
 
   const runtime::ReplicaSnapshot snap = joiner.Peek();
   EXPECT_EQ(snap.image.data.size(), 10u);

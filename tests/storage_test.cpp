@@ -476,6 +476,26 @@ TEST(Image, ConfigStampsOrderByGenerationThenConfigId) {
   EXPECT_EQ(image.config_id, 0u);
 }
 
+TEST(Image, WritesOrderByVersionThenValue) {
+  Image image;
+  EXPECT_TRUE(image.ApplyWrite("k", 2, 5));
+  // A repeated pair is a no-op: a re-delivered install is not re-logged.
+  EXPECT_FALSE(image.ApplyWrite("k", 2, 5));
+  // An equal version with a smaller value, or an older version, loses.
+  EXPECT_FALSE(image.ApplyWrite("k", 2, 4));
+  EXPECT_FALSE(image.ApplyWrite("k", 1, 9));
+  EXPECT_EQ(image.data.at("k").version, 2u);
+  EXPECT_EQ(image.data.at("k").value, 5);
+  // Racing writers at one version converge on the larger value.
+  EXPECT_TRUE(image.ApplyWrite("k", 2, 6));
+  EXPECT_EQ(image.data.at("k").value, 6);
+  EXPECT_TRUE(image.ApplyWrite("k", 3, -1));
+  EXPECT_EQ(image.data.at("k").version, 3u);
+  EXPECT_EQ(image.data.at("k").value, -1);
+  // A first write of {0, 0} to an absent key does not advance it.
+  EXPECT_FALSE(image.ApplyWrite("fresh", 0, 0));
+}
+
 TEST(Recovery, ConfigStampsReplayInStampOrder) {
   // The log holds (5, 2) and then (5, 1): recovery keeps config 2, the
   // same stamp the live server would hold.
