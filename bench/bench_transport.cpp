@@ -38,6 +38,10 @@
 //      phase on hosts with >= 4 cores: Bus wakeups and TCP parks (a TCP
 //      reply arrives as socket bytes, so its wake is a park ending, not
 //      a notify).
+//   5. Heap allocations per op — every operator new of this binary, on
+//      any thread (client, replicas, transport), counted while a window
+//      is open: per blocking read, per blocking write and per pipelined
+//      op, on both transports. Reported, not gated.
 //
 // The point of the experiment is honesty about deployment cost: the
 // repo's other benchmarks measure protocol effects on the Bus; this one
@@ -48,10 +52,13 @@
 // (argv[1], default "BENCH_transport.json", with host cores, build type
 // and git revision) for CI archiving.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +66,38 @@
 #include "runtime/store.hpp"
 #include "repeat.hpp"
 #include "table.hpp"
+
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+// E18.5's counter: the replaceable global allocation functions, counting
+// while an AllocsPerOp window is open. operator new[] and the nothrow
+// forms forward to these.
+void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -330,10 +369,94 @@ ThroughputRow AsyncThroughput(bool tcp, std::vector<SyscallRow>& syscalls,
   return r;
 }
 
+constexpr std::size_t kAllocOps = 2000;
+
+/// Allocations made on every thread while `body` runs, per op of its
+/// kAllocOps.
+template <class Body>
+double AllocsPerOp(Body&& body) {
+  const std::uint64_t before = g_allocs.load();
+  g_count_allocs.store(true);
+  body();
+  g_count_allocs.store(false);
+  return static_cast<double>(g_allocs.load() - before) /
+         static_cast<double>(kAllocOps);
+}
+
+struct AllocRun {
+  double read = 0;
+  double write = 0;
+  double pipelined = 0;
+};
+
+struct AllocRow {
+  std::string transport;
+  bench::Spread read;
+  bench::Spread write;
+  bench::Spread pipelined;
+};
+
+/// On a fresh store, after a warm-up that dials every link and writes
+/// every key once: kAllocOps blocking writes, then kAllocOps blocking
+/// reads, then kAllocOps pipelined ops (50/50) through the async client.
+AllocRun AllocsOnce(bool tcp) {
+  ReplicatedStore store(Options(tcp));
+  std::vector<std::string> keys;
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    keys.push_back("k" + std::to_string(k));
+  }
+  AllocRun run;
+  {
+    auto client = store.MakeClient();
+    for (const std::string& key : keys) {
+      client->Write(key, 0);
+      client->Read(key);
+    }
+    run.write = AllocsPerOp([&] {
+      for (std::size_t i = 0; i < kAllocOps; ++i) {
+        client->Write(keys[i % kKeys], static_cast<std::int64_t>(i));
+      }
+    });
+    run.read = AllocsPerOp([&] {
+      for (std::size_t i = 0; i < kAllocOps; ++i) client->Read(keys[i % kKeys]);
+    });
+  }
+  ClientOptions aopts = Options(tcp).client_options;
+  aopts.window = kWindow;
+  auto client = store.MakeAsyncClient(aopts);
+  for (const std::string& key : keys) client->SubmitWrite(key, 0);
+  client->Drain();
+  run.pipelined = AllocsPerOp([&] {
+    for (std::size_t i = 0; i < kAllocOps; ++i) {
+      const std::string& key = keys[i % kKeys];
+      if (i % 2 == 0) {
+        client->SubmitWrite(key, static_cast<std::int64_t>(i));
+      } else {
+        client->SubmitRead(key);
+      }
+    }
+    client->Drain();
+  });
+  return run;
+}
+
+AllocRow Allocs(bool tcp) {
+  const std::vector<AllocRun> runs =
+      bench::Repeat([tcp] { return AllocsOnce(tcp); });
+  AllocRow r;
+  r.transport = tcp ? "tcp" : "bus";
+  r.read = bench::SpreadOf(runs, [](const AllocRun& a) { return a.read; });
+  r.write = bench::SpreadOf(runs, [](const AllocRun& a) { return a.write; });
+  r.pipelined =
+      bench::SpreadOf(runs, [](const AllocRun& a) { return a.pipelined; });
+  return r;
+}
+
 void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
                const std::vector<ThroughputRow>& thr,
                const std::vector<MailboxRow>& boxes,
-               const std::vector<SyscallRow>& sys) {
+               const std::vector<SyscallRow>& sys,
+               const std::vector<AllocRow>& allocs) {
   std::ofstream os(path);
   os << "{\n  \"experiment\": \"E18\",\n";
   os << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n";
@@ -395,6 +518,15 @@ void WriteJson(const std::string& path, const std::vector<LatencyRow>& lat,
        << ", \"connects_per_pair\": "
        << bench::Table::Num(r.ConnectsPerPair(), 3) << "}"
        << (i + 1 < sys.size() ? "," : "") << "\n";
+  }
+  os << "  ],\n  \"allocs_per_op\": [\n";
+  for (std::size_t i = 0; i < allocs.size(); ++i) {
+    const AllocRow& r = allocs[i];
+    os << "    {\"transport\": \"" << r.transport
+       << "\", \"read\": " << r.read.Json(2)
+       << ", \"write\": " << r.write.Json(2)
+       << ", \"pipelined\": " << r.pipelined.Json(2) << "}"
+       << (i + 1 < allocs.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
 }
@@ -469,16 +601,32 @@ int main(int argc, char** argv) {
     t.Print();
   }
 
+  bench::Banner("E18.5 — heap allocations per op, every thread");
+  std::vector<AllocRow> allocs;
+  for (bool tcp : {false, true}) allocs.push_back(Allocs(tcp));
+  {
+    bench::Table t({"transport", "reps", "blocking read", "blocking write",
+                    "pipelined op"});
+    for (const AllocRow& r : allocs) {
+      t.AddRow({r.transport, std::to_string(r.read.reps), r.read.Cell(2),
+                r.write.Cell(2), r.pipelined.Cell(2)});
+    }
+    t.Print();
+  }
+
   // Shape checks: every section produced data, and the TCP path really
   // used the wire (nonzero frames) while the bus did not.
   bool ok = lat.size() == 4 && thr.size() == 2 && sys.size() == 2 &&
             boxes.size() == 4;
+  for (const AllocRow& r : allocs) {
+    ok = ok && r.read.min > 0 && r.write.min > 0 && r.pipelined.min > 0;
+  }
   for (const LatencyRow& r : lat) ok = ok && r.mean_us.min > 0;
   for (const MailboxRow& r : boxes) ok = ok && r.handoffs > 0;
   for (const ThroughputRow& r : thr) ok = ok && r.ops_per_sec.min > 0;
   ok = ok && thr[0].frames == 0 && thr[1].frames > 0;
 
-  WriteJson(json_path, lat, thr, boxes, sys);
+  WriteJson(json_path, lat, thr, boxes, sys, allocs);
   std::cout << "\n" << (ok ? "OK" : "SHAPE CHECK FAILED") << "; wrote "
             << json_path << "\n";
   return ok ? 0 : 1;

@@ -60,6 +60,11 @@ class QuorumClient {
   std::uint64_t Escalations() const {
     return pipe_.ClientStats().escalations;
   }
+  /// Keys whose install floor this client holds now (see
+  /// QuorumCore::Stats): zero once every write it made succeeded.
+  std::uint64_t InstallFloors() const {
+    return pipe_.ClientStats().install_floors;
+  }
 
  private:
   AsyncQuorumClient pipe_;

@@ -56,6 +56,24 @@ TEST(AsyncClient, PipelinesDisjointKeysIntoBatches) {
   EXPECT_GT(bs.max_batch, 1u);
 }
 
+TEST(AsyncClient, DistinctKeyWritesHoldNoInstallFloor) {
+  ReplicatedStore store(StoreOptions{.replicas = 3});
+  // Every write succeeds, so no key's floor outlives its write: client
+  // memory does not grow with the keys written.
+  auto pipelined = store.MakeAsyncClient();
+  for (int i = 0; i < 5000; ++i) {
+    pipelined->SubmitWrite("a" + std::to_string(i), i);
+  }
+  ASSERT_TRUE(pipelined->Drain());
+  EXPECT_EQ(pipelined->ClientStats().ops_completed, 5000u);
+  EXPECT_EQ(pipelined->ClientStats().install_floors, 0u);
+  auto blocking = store.MakeClient();
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(blocking->Write("b" + std::to_string(i), i).ok);
+  }
+  EXPECT_EQ(blocking->InstallFloors(), 0u);
+}
+
 TEST(AsyncClient, SameKeyWritesKeepSubmissionOrder) {
   StoreOptions options;
   options.replicas = 3;
