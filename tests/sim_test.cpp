@@ -233,6 +233,31 @@ TEST(QuorumStore, TwoClientsSeeEachOthersWrites) {
   EXPECT_EQ(r.value, 123);
 }
 
+TEST(QuorumStore, WritesSubmittedTogetherInstallRisingVersions) {
+  // One client's ops run one at a time, so the second write's version
+  // discovery follows the first write's install. Run together, a replica
+  // could answer the second's discovery before the first's install lands
+  // and another after the first completed: both would then stage the
+  // same version with different values. Exponential delays reorder
+  // replies enough to reach that in several of these seeds.
+  const std::vector<quorum::QuorumSystem> configs{quorum::MajoritySystem(3)};
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Deployment d(3, 1, configs, 0, LatencyModel::Exponential(4.0, 1.0), 0.0,
+                 seed);
+    OpResult w1, w2, r;
+    d.clients[0]->Write(1, [&](const OpResult& res) { w1 = res; });
+    d.clients[0]->Write(2, [&](const OpResult& res) { w2 = res; });
+    d.sim.Run();
+    ASSERT_TRUE(w1.ok && w2.ok) << "seed " << seed;
+    ASSERT_GT(w2.version, w1.version) << "seed " << seed;
+    d.clients[0]->Read([&](const OpResult& res) { r = res; });
+    d.sim.Run();
+    ASSERT_TRUE(r.ok) << "seed " << seed;
+    EXPECT_EQ(r.version, w2.version) << "seed " << seed;
+    EXPECT_EQ(r.value, 2) << "seed " << seed;
+  }
+}
+
 TEST(QuorumStore, TargetedModeUsesFewerMessages) {
   std::vector<quorum::QuorumSystem> configs{quorum::MajoritySystem(7)};
   Deployment broadcast(7, 1, configs, 0, LatencyModel::Fixed(1.0), 0.0, 3);
